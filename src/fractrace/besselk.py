@@ -1,136 +1,33 @@
-"""Modified Bessel kernel for the per-mode extension profiles.
+"""Modified Bessel kernel K_nu for the per-mode extension profiles.
 
-Evaluation strategy, documented switchover at t = 2:
-
-* t < 2: reflection series K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)).
-  The cancellation between the two ascending series costs about e^(2t) in
-  relative precision, which is under two decimal digits on this range.
-* t >= 2: Steed's continued fraction for K_mu, K_{mu+1} with |mu| <= 1/2,
-  followed by the stable upward recurrence in the order.
-
-Only non-integer orders are supported (integer orders would need the
-logarithmic limit of the reflection formula, and never occur here because the
-profile orders inherit the fractional part of gamma).
+A vectorized wrapper over ``scipy.special.kv`` and ``kvp`` (AMOS; Amos 1986,
+ACM TOMS Algorithm 644).  It only adds the domain check: K_nu is singular at
+t = 0 and undefined for t < 0, so t <= 0 is rejected rather than returned as
+inf or nan.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-
-SWITCHOVER_T = 2.0
-MAX_ORDER = 10.0
-_EPS = 1.0e-16
-_MAXIT = 10000
+import numpy as np
+from scipy.special import kv, kvp
 
 
 class BesselDomainError(ValueError):
     pass
 
 
-class BesselAccuracyWarning(UserWarning):
-    pass
+def _positive(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
+        raise BesselDomainError(f"bessel_k requires t > 0, got min {np.min(t)}")
+    return t
 
 
-def _check(nu: float, t: float):
-    if t <= 0.0:
-        raise BesselDomainError(f"bessel_k requires t > 0, got {t}")
-    if abs(nu) > MAX_ORDER:
-        raise BesselDomainError(f"bessel_k order |nu| <= {MAX_ORDER}, got {nu}")
-    if nu == math.floor(nu):
-        raise BesselDomainError(f"bessel_k requires non-integer order, got {nu}")
+def bessel_k(nu: float, t):
+    """K_nu(t) for t > 0, elementwise over scalars or arrays."""
+    return kv(nu, _positive(t))
 
 
-def bessel_i(nu: float, t: float, terms: int = 200) -> float:
-    """Ascending series for I_nu(t); fine in double precision for t <= ~35."""
-    half = 0.5 * t
-    # leading coefficient (t/2)^nu / Gamma(nu+1), sign-correct for negative nu
-    try:
-        lead = half ** nu / math.gamma(nu + 1.0)
-    except ValueError as exc:
-        raise BesselDomainError(f"Gamma pole at order {nu}") from exc
-    acc = 0.0
-    term = lead
-    j = 0
-    while j < terms:
-        acc += term
-        j += 1
-        term *= half * half / (j * (nu + j))
-        if abs(term) <= 1e-18 * (abs(acc) + 1e-300) and j > 4:
-            acc += term
-            break
-    return acc
-
-
-def _bessel_k_series(nu: float, t: float) -> float:
-    nu = abs(nu)
-    s = math.sin(math.pi * nu)
-    if abs(s) < 1e-8:
-        raise BesselDomainError(f"order {nu} too close to an integer for the reflection series")
-    val = math.pi * (bessel_i(-nu, t) - bessel_i(nu, t)) / (2.0 * s)
-    # cancellation estimate: the I series are ~ e^t while K ~ e^(-t)
-    if abs(val) > 0.0 and math.exp(2.0 * t) * 1e-16 / abs(s) > 1e-10 * max(1.0, abs(val)):
-        warnings.warn(
-            f"bessel_k reflection series near switchover may lose accuracy (nu={nu}, t={t})",
-            BesselAccuracyWarning,
-        )
-    return val
-
-
-def _bessel_k_cf(nu: float, x: float):
-    """Steed continued fraction: returns (K_mu, K_{mu+1}) with mu = nu mod 1 in
-    [-1/2, 1/2), then recurs upward to (K_nu, K_{nu+1})."""
-    nu = abs(nu)
-    nl = int(nu + 0.5)
-    mu = nu - nl
-    mu2 = mu * mu
-
-    a1 = 0.25 - mu2
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    q = c = a1
-    aa = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _MAXIT + 1):
-        aa -= 2.0 * (i - 1)
-        c = -aa * c / i
-        qnew = (q1 - b * q2) / aa
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + aa * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) <= _EPS:
-            break
-    else:
-        raise ArithmeticError(f"bessel_k continued fraction failed to converge at x={x}")
-    h = a1 * h
-    rkmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    rk1 = rkmu * (mu + x + 0.5 - h) / x
-    for i in range(1, nl + 1):
-        rkmu, rk1 = rk1, (mu + i) * (2.0 / x) * rk1 + rkmu
-    return rkmu, rk1
-
-
-def bessel_k(nu: float, t: float) -> float:
-    """K_nu(t) to relative accuracy around 1e-12 on t in (0, 30], |nu| <= 10."""
-    _check(nu, t)
-    if t < SWITCHOVER_T:
-        return _bessel_k_series(nu, t)
-    return _bessel_k_cf(nu, t)[0]
-
-
-def bessel_k_dt(nu: float, t: float) -> float:
-    """d/dt K_nu(t) = -(K_{nu-1} + K_{nu+1}) / 2, with K_{-a} = K_a."""
-    _check(nu, t)
-    nu = abs(nu)
-    if t >= SWITCHOVER_T:
-        klo, khi = _bessel_k_cf(nu, t)
-        # klo = K_nu, khi = K_{nu+1}; K_{nu-1} = K_{nu+1} - (2 nu / t) K_nu
-        return -(khi - nu / t * klo)
-    return -0.5 * (_bessel_k_series(abs(nu - 1.0), t) + _bessel_k_series(nu + 1.0, t))
+def bessel_k_dt(nu: float, t):
+    """d/dt K_nu(t) for t > 0, elementwise over scalars or arrays."""
+    return kvp(nu, _positive(t))

@@ -22,7 +22,6 @@ from . import jets, modes, polys
 from .report import VerificationReport, reports_to_csv, reports_to_json, write_atomic
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
-BESSEL_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2"]
 ENERGY_GAMMAS = ["1/2", "3/2", "5/2"]
 
 # module-documented defaults; loosenable only through --loosen-tol
@@ -71,6 +70,19 @@ def _pool_size() -> int:
         except ValueError as exc:
             raise ConfigError(f"FRACTRACE_THREADS={env!r} is not an integer") from exc
     return min(4, os.cpu_count() or 1)
+
+
+def _rational_arg(flag: str, text: str, ok, requirement: str) -> Fraction:
+    """Parse a rational command-line value and range-check it with ok."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(
+            f"{flag} expects a finite rational number such as 3/2, got {text!r}") from None
+    if not ok(value):
+        raise ConfigError(f"{flag} must be {requirement}, got {text!r}")
+    return value
 
 
 def _parse_gammas(text: str):
@@ -223,7 +235,6 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
 def cmd_verify(args) -> int:
     gammas = _parse_gammas(args.gamma)
     tols = _parse_tolerances(args.loosen_tol)
-    np.random.seed(args.seed)
     reports = []
     jobs = []
 
@@ -296,9 +307,13 @@ def cmd_extend(args) -> int:
 
 def cmd_dtn(args) -> int:
     params = gc.GammaParams(gc.parse_gamma(args.gamma), n=args.n)
+    indices = modes.neumann_indices(params)
+    alpha2 = 2 * params.gamma
+    if args.alpha2:
+        alpha2 = _rational_arg("--alpha2", args.alpha2, indices.__contains__,
+                               "a Neumann-family index: " + ", ".join(map(str, sorted(indices))))
     data = _load_fields(args.infile, args.box)
     sol = modes.solve_extension(params, data)
-    alpha2 = Fraction(args.alpha2) if args.alpha2 else 2 * params.gamma
     out = modes.dtn_apply(sol, alpha2)
     out.save(args.out)
     summary = {
@@ -313,17 +328,19 @@ def cmd_dtn(args) -> int:
 
 
 def cmd_fraclap(args) -> int:
+    power = float(_rational_arg("--power", args.power, lambda p: float(p) > 0, "positive"))
     fields = _load_fields(args.infile, args.box)
-    power = float(Fraction(args.power))
     out = modes.fractional_laplacian_fft(fields[0], power)
     out.save(args.out)
     return 0
 
 
 def cmd_sharpness(args) -> int:
+    gt = float(_rational_arg("--gamma-tilde", args.gamma_tilde,
+                             lambda v: v == Fraction(1, 2) and args.n == 2,
+                             "1/2 with --n 2, the only case the small-frequency repair covers"))
     report = en.sharp_sobolev_check(
-        args.n, gt=float(Fraction(args.gamma_tilde)),
-        bubble=en.Bubble(args.n, float(Fraction(args.gamma_tilde)), epsilon=args.eps),
+        args.n, gt=gt, bubble=en.Bubble(args.n, gt, epsilon=args.eps),
         shape=(args.grid,) * args.n, box_length=args.box, seed=args.seed,
     )
     payload = reports_to_json([report]).encode()

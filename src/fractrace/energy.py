@@ -165,7 +165,7 @@ class BesselModeFn:
         t = self.xi * y
         out = np.zeros(y.shape, dtype=complex)
         for nu, pre, terms in self.chains:
-            k0, k1 = _kernel_vectors(float(nu), t)
+            k0, k1 = bessel_k(float(nu), t), bessel_k_dt(float(nu), t)
             for (a, d), c in terms.items():
                 out += pre * float(c) * t ** float(a) * (k0 if d == 0 else k1)
         return out
@@ -261,24 +261,6 @@ class PolyGaussModeFn:
                     for q in range(q0, truncation + 1):
                         b[q] += c * (-self.lam) ** (q - q0) / math.factorial(q - q0)
         return a, b
-
-
-_kernel_cache = {}
-
-
-def _kernel_vectors(nu: float, t: np.ndarray):
-    """(K_nu, K_nu') on a node vector; quadrature node sets repeat heavily
-    across atom pairs and doubling levels, so cache by their fingerprint."""
-    key = (nu, float(t[0]), float(t[-1]), t.size)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    k0 = np.array([bessel_k(nu, tv) for tv in t])
-    k1 = np.array([bessel_k_dt(nu, tv) for tv in t])
-    if len(_kernel_cache) > 40000:
-        _kernel_cache.clear()
-    _kernel_cache[key] = (k0, k1)
-    return k0, k1
 
 
 def _group_by_class(series: dict) -> dict:

@@ -150,43 +150,6 @@ def binom_general(top: int, bottom: int) -> Fraction:
     return num / math.factorial(bottom)
 
 
-# ---------------------------------------------------------------------------
-# Floating Gamma (Lanczos, g=7) -- used only for numerical cross-checks.
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_float(x: float) -> float:
-    """Lanczos approximation of Gamma(x), reflection formula for x < 1/2.
-
-    Relative accuracy around 1e-14 on |x| <= 30 away from poles; poles at
-    non-positive integers raise PoleError.
-    """
-    if x < 0.5:
-        if x == math.floor(x):
-            raise PoleError(f"Gamma pole at {x}")
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_float(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
 @dataclass(frozen=True)
 class ExactConstant:
     """rational_part * (Gamma(1-[g])/Gamma([g]))**gamma_ratio_power * 2**two_power.
@@ -255,7 +218,7 @@ class ExactConstant:
 
     def value(self, frac_gamma: Fraction) -> float:
         g = float(frac_gamma)
-        ratio = gamma_float(1.0 - g) / gamma_float(g)
+        ratio = math.gamma(1.0 - g) / math.gamma(g)
         return (
             float(self.rational_part)
             * ratio ** self.gamma_ratio_power
@@ -297,7 +260,7 @@ def cs_normalization(gamma) -> float:
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise GammaDomainError(f"cs_normalization requires gamma in (0,1), got {gamma}")
-    return 2.0 ** (1.0 - 2.0 * g) * gamma_float(1.0 - g) / gamma_float(g)
+    return 2.0 ** (1.0 - 2.0 * g) * math.gamma(1.0 - g) / math.gamma(g)
 
 
 def dtn_constant_even(params: GammaParams, j: int) -> ExactConstant:

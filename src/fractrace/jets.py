@@ -13,6 +13,7 @@ identities with zero tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,30 +231,21 @@ def _rho_odd(params: GammaParams, j: int, ell: int) -> Fraction:
 
 
 def boundary_operator_family(params: GammaParams, family: str, j: int, jet: Jet) -> BoundaryExpr:
-    """B at even index 2j (family='even') or odd index 2[g]+2j (family='odd').
-
-    Even:  B_{2j}    = (-1)^j  restrict o T^j        - sum_l rho * Lap^l B_{2j-2l}
-    Odd:   B_{2[g]+2j} = (-1)^(j+1) neumann o T^j    - sum_l rho * Lap^l B_{2[g]+2j-2l}
-    """
-    if family not in ("even", "odd"):
-        raise ValueError(f"unknown boundary family {family!r}")
+    """B at even index 2j (family='even') or odd index 2[g]+2j (family='odd'),
+    evaluated from its symbol as sum c * Lap^l trace(T^t jet)."""
     if not 0 <= j <= params.floor_gamma:
         raise IndexError(f"boundary operator index {j} out of range for gamma={params.gamma}")
     if jet.truncation < j:
         raise TruncationError(f"jet truncation {jet.truncation} insufficient for index {j}")
-    tj = jet
+    symbol = boundary_operator_symbol(params, family, j)
+    trace = restrict if family == "even" else restrict_weighted_neumann
+    traces = [trace(jet)]
     for _ in range(j):
-        tj = apply_T(tj)
-    if family == "even":
-        lead = restrict(tj).scale(Fraction(-1) ** j)
-        rho = _rho_even
-    else:
-        lead = restrict_weighted_neumann(tj).scale(Fraction(-1) ** (j + 1))
-        rho = _rho_odd
-    out = lead
-    for ell in range(1, j + 1):
-        lower = boundary_operator_family(params, family, j - ell, jet)
-        out = out - lower.laplacian(ell).scale(rho(params, j, ell))
+        jet = apply_T(jet)
+        traces.append(trace(jet))
+    out = BoundaryExpr.zero()
+    for (tp, lp), coeff in symbol.items():
+        out = out + traces[tp].laplacian(lp).scale(coeff)
     return out
 
 
@@ -281,6 +273,16 @@ def boundary_operator_symbol(params: GammaParams, family: str, j: int) -> dict:
     where trace is the restriction (even family) or the weighted Neumann trace
     (odd family).  The coefficient of the pure T^j term is (-1)^j resp. (-1)^(j+1).
     """
+    return dict(_symbol_items(params, family, j))
+
+
+@functools.lru_cache(maxsize=None)
+def _symbol_items(params: GammaParams, family: str, j: int) -> tuple:
+    """Memoized symbol as sorted items, unrolling
+
+    Even:  B_{2j}      = (-1)^j     restrict o T^j  - sum_l rho * Lap^l B_{2j-2l}
+    Odd:   B_{2[g]+2j} = (-1)^(j+1) neumann o T^j   - sum_l rho * Lap^l B_{2[g]+2j-2l}
+    """
     if family == "even":
         sign, rho = Fraction(-1) ** j, _rho_even
     elif family == "odd":
@@ -290,14 +292,14 @@ def boundary_operator_symbol(params: GammaParams, family: str, j: int) -> dict:
     out = {(j, 0): sign}
     for ell in range(1, j + 1):
         weight = rho(params, j, ell)
-        for (tp, lp), coeff in boundary_operator_symbol(params, family, j - ell).items():
+        for (tp, lp), coeff in _symbol_items(params, family, j - ell):
             key = (tp, lp + ell)
             acc = out.get(key, Fraction(0)) - weight * coeff
             if acc == 0:
                 out.pop(key, None)
             else:
                 out[key] = acc
-    return out
+    return tuple(sorted(out.items()))
 
 
 def default_truncation(params: GammaParams) -> int:

@@ -148,7 +148,7 @@ class GridField:
 
 
 def gaussian_field(n: int, shape, box_length: float, width: float = 1.0,
-                   center=None, remove_mean: bool = False) -> GridField:
+                   center=None) -> GridField:
     f = GridField(n, tuple(shape), box_length, np.zeros(shape))
     if n == 1:
         x = f.coords()
@@ -157,10 +157,7 @@ def gaussian_field(n: int, shape, box_length: float, width: float = 1.0,
         cx = center or (0.0, 0.0)
         X, Y = f.coords()
         r2 = (X - cx[0]) ** 2 + (Y - cx[1]) ** 2
-    vals = np.exp(-r2 / (2.0 * width ** 2))
-    if remove_mean:
-        vals = vals - vals.mean()
-    f.values = vals
+    f.values = np.exp(-r2 / (2.0 * width ** 2))
     return f
 
 
@@ -376,8 +373,7 @@ class ModeProfile:
             out[small] = acc
         if np.any(mid):
             g = float(self.params.gamma)
-            vals = np.array([bessel_k(self.nu_f, tv) for tv in t[mid]])
-            out[mid] = t[mid] ** g * vals / self.bessel_norm
+            out[mid] = t[mid] ** g * bessel_k(self.nu_f, t[mid]) / self.bessel_norm
         zero = t == 0
         if np.any(zero) and self.lead_exponent == 0:
             out[zero] = self.lead_series[0]
@@ -636,16 +632,19 @@ def solve_extension(params: GammaParams, data_fields) -> ExtensionSolution:
     return ExtensionSolution(params, data_fields[0], data_fields)
 
 
+def neumann_indices(params: GammaParams) -> dict:
+    """{2 alpha: (family, j)} for every Neumann-family operator."""
+    fr = params.frac_gamma
+    return {(Fraction(2 * j) if family == "even" else 2 * fr + 2 * j): (family, j)
+            for family, j in neumann_condition_list(params)}
+
+
 def dtn_apply(sol: ExtensionSolution, alpha2) -> GridField:
     """Extract the Neumann-family operator at index 2 alpha as a grid field."""
-    params = sol.params
-    fl, fr = params.floor_gamma, params.frac_gamma
-    alpha2 = Fraction(alpha2)
-    for family, j in neumann_condition_list(params):
-        idx = Fraction(2 * j) if family == "even" else 2 * fr + 2 * j
-        if idx == alpha2:
-            return sol.boundary_value(family, j)
-    raise IndexError(f"2*alpha={alpha2} is not a Neumann-family index for gamma={params.gamma}")
+    slot = neumann_indices(sol.params).get(Fraction(alpha2))
+    if slot is None:
+        raise IndexError(f"2*alpha={alpha2} is not a Neumann-family index for gamma={sol.params.gamma}")
+    return sol.boundary_value(*slot)
 
 
 # ---------------------------------------------------------------------------

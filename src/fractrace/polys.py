@@ -23,8 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import jets
 from .gammacore import GammaParams
-from .jets import _rho_even, _rho_odd
 from .report import VerificationReport
 
 
@@ -107,13 +107,6 @@ class HalfSpacePoly:
 
     def mul_y2(self, power=1):
         return self._new({(s, a, be + power, b): c for (s, a, be, b), c in self.terms.items()})
-
-    def mul_monomial(self, alpha):
-        alpha = tuple(alpha)
-        return self._new({
-            (s, tuple(ai + di for ai, di in zip(a, alpha)), be, b): c
-            for (s, a, be, b), c in self.terms.items()
-        })
 
     def __mul__(self, other):
         acc = {}
@@ -458,22 +451,16 @@ def poly_T(p: HalfSpacePoly, m) -> HalfSpacePoly:
 
 
 def boundary_operator_poly(params: GammaParams, family: str, j: int, p: HalfSpacePoly) -> BoundaryPoly:
-    """Same recursion as the jet version, acting on the exact polynomial class."""
-    m = params.m
-    tp = p
+    """The jet version's operator symbol, applied to the exact polynomial class."""
+    symbol = jets.boundary_operator_symbol(params, family, j)
+    trace = HalfSpacePoly.iota if family == "even" else HalfSpacePoly.iota_weighted_neumann
+    traces = [trace(p)]
     for _ in range(j):
-        tp = poly_T(tp, m)
-    if family == "even":
-        out = tp.iota().scale(Fraction(-1) ** j)
-        rho = _rho_even
-    elif family == "odd":
-        out = tp.iota_weighted_neumann().scale(Fraction(-1) ** (j + 1))
-        rho = _rho_odd
-    else:
-        raise ValueError(f"unknown boundary family {family!r}")
-    for ell in range(1, j + 1):
-        lower = boundary_operator_poly(params, family, j - ell, p)
-        out = out - lower.lap(ell).scale(rho(params, j, ell))
+        p = poly_T(p, params.m)
+        traces.append(trace(p))
+    out = BoundaryPoly(p.n)
+    for (tp, lp), coeff in symbol.items():
+        out = out + traces[tp].lap(lp).scale(coeff)
     return out
 
 

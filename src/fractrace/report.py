@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -11,11 +12,12 @@ SCHEMA_VERSION = 1
 
 
 def _format_value(v):
-    """Fixed-precision float formatting so reports are byte-reproducible."""
+    """Fixed-precision float formatting so reports are byte-reproducible;
+    non-finite floats become None (JSON null)."""
     if isinstance(v, bool):
         return v
     if isinstance(v, float):
-        return float(f"{v:.12e}")
+        return float(f"{v:.12e}") if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _format_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -37,10 +39,11 @@ class VerificationReport:
         return self.status == "pass"
 
     def record(self, ok: bool, rel_err: float = 0.0, detail=None):
-        """Fold in one sub-check; any failure flips the whole report."""
-        if not ok:
+        """Fold in one sub-check; any failure or non-finite error flips the
+        whole report, and a nan error stays the maximum once recorded."""
+        if not ok or not math.isfinite(rel_err):
             self.status = "fail"
-        if rel_err > self.max_rel_err:
+        if math.isnan(rel_err) or rel_err > self.max_rel_err:
             self.max_rel_err = rel_err
         if detail is not None:
             self.details.append(detail)
@@ -60,11 +63,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"
+    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_atomic(path: str, data: bytes):
@@ -82,11 +85,12 @@ def write_atomic(path: str, data: bytes):
 
 
 def reports_to_csv(reports) -> str:
-    """Flat CSV mirror of the JSON reports (scalar fields only)."""
+    """Flat CSV mirror of the JSON reports (scalar fields only); a
+    non-finite max_rel_err is written as nan."""
     lines = ["schema,check,gamma,n,status,max_rel_err"]
     for r in reports:
         d = r.to_dict()
-        lines.append(
-            f"{d['schema']},{d['check']},{d['gamma']},{d['n']},{d['status']},{d['max_rel_err']:.12e}"
-        )
+        err = d["max_rel_err"]
+        err = "nan" if err is None else f"{err:.12e}"
+        lines.append(f"{d['schema']},{d['check']},{d['gamma']},{d['n']},{d['status']},{err}")
     return "\n".join(lines) + "\n"

@@ -1,35 +1,20 @@
-"""Bessel kernel against scipy, closed forms, and the classical Wronskian."""
+"""Bessel kernel wrapper against closed forms, the small-t expansion, and the
+classical Wronskian."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
-from fractrace.besselk import (
-    BesselDomainError,
-    SWITCHOVER_T,
-    bessel_i,
-    bessel_k,
-    bessel_k_dt,
-)
+from fractrace.besselk import BesselDomainError, bessel_k, bessel_k_dt
 
 
 def test_half_order_closed_form():
     # K_(1/2)(t) = sqrt(pi/(2t)) e^(-t); frozen value at t = 1
     assert bessel_k(0.5, 1.0) == pytest.approx(0.4610685044478946, rel=1e-12)
-    for t in (0.3, 1.7, 4.0, 12.0):
-        assert bessel_k(0.5, t) == pytest.approx(
-            math.sqrt(math.pi / (2 * t)) * math.exp(-t), rel=1e-11)
-
-
-def test_against_scipy_sweep():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for nu in (0.3, 0.5, 1.25, 2.5, 4.5, 6.3, 9.75, -0.3, -4.5):
-            for t in np.concatenate([np.linspace(0.02, 1.98, 25), np.linspace(2.0, 30.0, 40)]):
-                assert bessel_k(nu, t) == pytest.approx(special.kv(nu, t), rel=1e-10)
+    t = np.array([0.3, 1.7, 4.0, 12.0])
+    np.testing.assert_allclose(bessel_k(0.5, t), np.sqrt(np.pi / (2 * t)) * np.exp(-t), rtol=1e-11)
 
 
 def test_small_t_leading_behavior():
@@ -46,33 +31,16 @@ def test_small_t_leading_behavior():
 
 def test_wronskian():
     # I_nu K_nu' - I_nu' K_nu = -1/t
-    t, nu = 2.0, 0.7
-    i_prime = 0.5 * (bessel_i(nu - 1, t) + bessel_i(nu + 1, t))
-    w = bessel_i(nu, t) * bessel_k_dt(nu, t) - i_prime * bessel_k(nu, t)
-    assert w == pytest.approx(-1.0 / t, rel=1e-10)
-
-
-def test_derivative_against_scipy():
-    for nu in (0.3, 2.5, 4.5):
-        for t in (0.5, 1.5, 3.0, 10.0):
-            assert bessel_k_dt(nu, t) == pytest.approx(special.kvp(nu, t), rel=1e-10)
-
-
-def test_continuity_at_switchover():
-    from fractrace.besselk import _bessel_k_cf, _bessel_k_series
-
-    for nu in (0.4, 3.3, 7.6, 9.75):
-        series = _bessel_k_series(nu, SWITCHOVER_T)
-        cf = _bessel_k_cf(nu, SWITCHOVER_T)[0]
-        assert series == pytest.approx(cf, rel=1e-12)
+    t, nu = np.array([0.5, 2.0, 7.5]), 0.7
+    w = special.iv(nu, t) * bessel_k_dt(nu, t) - special.ivp(nu, t) * bessel_k(nu, t)
+    np.testing.assert_allclose(w, -1.0 / t, rtol=1e-10)
 
 
 def test_domain_errors():
-    with pytest.raises(BesselDomainError):
-        bessel_k(0.5, 0.0)
-    with pytest.raises(BesselDomainError):
-        bessel_k(0.5, -1.0)
-    with pytest.raises(BesselDomainError):
-        bessel_k(11.0, 1.0)
-    with pytest.raises(BesselDomainError):
-        bessel_k(2.0, 1.0)  # integer order unsupported
+    for fn in (bessel_k, bessel_k_dt):
+        with pytest.raises(BesselDomainError):
+            fn(0.5, 0.0)
+        with pytest.raises(BesselDomainError):
+            fn(0.5, -1.0)
+        with pytest.raises(BesselDomainError):
+            fn(0.5, np.array([1.0, 2.0, 0.0]))

@@ -1,5 +1,7 @@
 """Command-line contract: exit codes, determinism, file formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fractrace.cli import main
 from fractrace.modes import GridField, gaussian_field
@@ -126,3 +130,53 @@ def test_loosen_tol_flag(tmp_path):
                     "--loosen-tol", "q_symmetry=1e-6",
                     "--out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_field(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cli") / "f.bin")
+    gaussian_field(1, (16,), 40.0, width=2.0).save(path)
+    return path
+
+
+def _malformed_argv(command, value, n, field, out):
+    if command == "dtn":
+        return ["dtn", "--gamma", "3/2", "--in", f"{field},{field}", f"--alpha2={value}",
+                "--out", out]
+    if command == "fraclap":
+        return ["fraclap", f"--power={value}", "--in", field, "--out", out]
+    return ["sharpness", f"--gamma-tilde={value}", "--n", str(n), "--grid", "8", "--out", out]
+
+
+@pytest.mark.parametrize("command, value, n", [
+    ("dtn", "7", 2), ("dtn", "abc", 2), ("fraclap", "-1", 2), ("fraclap", "x", 2),
+    ("sharpness", "1", 2),
+])
+def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
+    argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@given(command=st.sampled_from(["dtn", "fraclap", "sharpness"]),
+       value=st.one_of(
+           st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "", " ",
+                            "1/2", "1", "2", "3", "7", "abc", "3/2/1"]),
+           st.fractions(min_value=-10, max_value=10, max_denominator=8).map(str),
+           st.floats().map(repr),
+           st.text(max_size=6)),
+       n=st.integers(-1, 3))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_arguments_never_traceback(command, value, n, tiny_field, tmp_path):
+    """Only the contract's exit codes, never a traceback, for any argument value."""
+    argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

@@ -23,7 +23,6 @@ from fractrace.gammacore import (
     double_factorial,
     dtn_constant_even,
     dtn_constant_odd,
-    gamma_float,
     halfint_dtn_even,
     halfint_dtn_odd,
     parse_gamma,
@@ -73,13 +72,6 @@ def test_pochhammer_examples():
 def test_pochhammer_cocycle(q, i, j):
     # Gamma(q+i+j)/Gamma(q) = [Gamma(q+i+j)/Gamma(q+i)] [Gamma(q+i)/Gamma(q)]
     assert pochhammer_ratio(q, i + j) == pochhammer_ratio(q + i, j) * pochhammer_ratio(q, i)
-
-
-def test_gamma_float_accuracy():
-    for z in [0.01, 0.25, 0.5, 1.0, 2.5, 7.1, 15.3, 29.9, -0.3, -2.7, -9.4]:
-        assert gamma_float(z) == pytest.approx(math.gamma(z), rel=1e-13)
-    with pytest.raises(PoleError):
-        gamma_float(-3.0)
 
 
 def test_params_validation():

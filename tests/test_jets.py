@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fractrace import jets
 from fractrace.gammacore import (
     ExactConstant,
     GammaParams,
@@ -223,3 +224,31 @@ def test_dtn_relation_at_jet_level(gamma):
             gamma_ratio_power=-1, two_power=-2 * gt)
         lhs = ExactConstant(coeff) * symbol
         assert lhs.equals_at(ExactConstant(-1) * dtn_constant_odd(p, j), fr)
+
+
+@pytest.mark.parametrize("family, j", [("even", 1), ("even", 2), ("odd", 0), ("odd", 2)])
+def test_perturbed_symbol_fails_exact_checks(monkeypatch, family, j):
+    """Both evaluators share the memoized symbol; a wrong coefficient in it
+    must still be caught, so the checks do not compare the symbol with itself."""
+    p = GammaParams(F(5, 2))
+    original = jets.boundary_operator_symbol
+
+    def perturbed(params, fam, idx):
+        sym = original(params, fam, idx)
+        if (fam, idx) == (family, j):
+            sym[min(sym)] += F(1, 7)   # lowest normal power; below the T^j term when j > 0
+        return sym
+
+    monkeypatch.setattr(jets, "boundary_operator_symbol", perturbed)
+    assert not verify_scattering_relations(p).passed
+    assert not verify_operators_via_laplacian(p).passed
+
+
+def test_symbol_mutation_does_not_leak_into_cache():
+    p = GammaParams(F(7, 2))
+    first = boundary_operator_symbol(p, "odd", 3)
+    expected = dict(first)
+    first[(3, 0)] += 1
+    first[(9, 9)] = F(5)
+    del first[min(first)]
+    assert boundary_operator_symbol(p, "odd", 3) == expected
