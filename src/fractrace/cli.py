@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,9 @@ from .report import VerificationReport, reports_to_csv, reports_to_json, write_a
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
 ENERGY_GAMMAS = ["1/2", "3/2", "5/2"]
+# numeric checks that build 1-D boundary grids whatever --n says
+GRID_CHECKS = ["extension_self_consistency", "yang_extension", "q_symmetry",
+               "dirichlet_principle", "energy_trace"]
 
 # module-documented defaults; loosenable only through --loosen-tol
 TOL_DEFAULTS = {
@@ -204,6 +208,11 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
                    f"profile ({prof.kind},{prof.j}): residual {res:.2e}")
     checks.append(rep)
 
+    if n != 1:
+        for name in GRID_CHECKS:
+            checks.append(_skipped(name, params, "runs on 1-D grids only"))
+        return checks
+
     template = modes.GridField(1, (grid,), box, np.zeros(grid))
     widths = [2.0 + 0.4 * i for i in range(params.k)]
     data = [modes.gaussian_field(1, (grid,), box, width=w) for w in widths]
@@ -223,13 +232,15 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
         checks.append(en.energy_trace_check(params, data, seed=seed + 1,
                                             tol=tols["energy_trace"]))
     else:
-        rep = VerificationReport("dirichlet_principle", str(params), n, status="skip")
-        rep.details.append("run with --full to include this gamma")
-        checks.append(rep)
-        rep = VerificationReport("energy_trace", str(params), n, status="skip")
-        rep.details.append("run with --full to include this gamma")
-        checks.append(rep)
+        checks.append(_skipped("dirichlet_principle", params, "run with --full to include this gamma"))
+        checks.append(_skipped("energy_trace", params, "run with --full to include this gamma"))
     return checks
+
+
+def _skipped(check: str, params, reason: str) -> VerificationReport:
+    rep = VerificationReport(check, str(params), params.n, status="skip")
+    rep.details.append(reason)
+    return rep
 
 
 def cmd_verify(args) -> int:
@@ -339,6 +350,10 @@ def cmd_sharpness(args) -> int:
     gt = float(_rational_arg("--gamma-tilde", args.gamma_tilde,
                              lambda v: v == Fraction(1, 2) and args.n == 2,
                              "1/2 with --n 2, the only case the small-frequency repair covers"))
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ConfigError(f"--eps must be a finite positive number, got {args.eps!r}")
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be a positive power of two, got {args.grid}")
     report = en.sharp_sobolev_check(
         args.n, gt=gt, bubble=en.Bubble(args.n, gt, epsilon=args.eps),
         shape=(args.grid,) * args.n, box_length=args.box, seed=args.seed,

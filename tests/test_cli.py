@@ -145,12 +145,17 @@ def _malformed_argv(command, value, n, field, out):
                 "--out", out]
     if command == "fraclap":
         return ["fraclap", f"--power={value}", "--in", field, "--out", out]
+    if command == "sharpness-eps":
+        return ["sharpness", f"--eps={value}", "--n", str(n), "--grid", "8", "--out", out]
+    if command == "sharpness-grid":
+        return ["sharpness", f"--grid={value}", "--n", str(n), "--out", out]
     return ["sharpness", f"--gamma-tilde={value}", "--n", str(n), "--grid", "8", "--out", out]
 
 
 @pytest.mark.parametrize("command, value, n", [
     ("dtn", "7", 2), ("dtn", "abc", 2), ("fraclap", "-1", 2), ("fraclap", "x", 2),
-    ("sharpness", "1", 2),
+    ("sharpness", "1", 2), ("sharpness-eps", "0", 2), ("sharpness-eps", "-1", 2),
+    ("sharpness-grid", "0", 2),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
@@ -159,7 +164,7 @@ def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@given(command=st.sampled_from(["dtn", "fraclap", "sharpness"]),
+@given(command=st.sampled_from(["dtn", "fraclap", "sharpness", "sharpness-eps"]),
        value=st.one_of(
            st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "", " ",
                             "1/2", "1", "2", "3", "7", "abc", "3/2/1"]),
@@ -180,3 +185,18 @@ def test_malformed_arguments_never_traceback(command, value, n, tiny_field, tmp_
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+def test_verify_n2_skips_grid_checks(tmp_path):
+    """The grid-based numeric checks build 1-D grids, so at n = 2 they say so
+    and skip instead of reporting a pass they did not earn."""
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--gamma", "3/2", "--n", "2", "--only", "numeric",
+                    "--out", str(out)]) == 0
+    reports = {r["check"]: r for r in json.loads(out.read_text()) if r["gamma"] == "3/2"}
+    for check in ("extension_self_consistency", "yang_extension", "q_symmetry",
+                  "dirichlet_principle", "energy_trace"):
+        assert reports[check]["status"] == "skip"
+        assert reports[check]["details"] == ["runs on 1-D grids only"]
+    for check in ("dtn_bessel_extraction", "mode_ode_residual"):
+        assert reports[check]["status"] == "pass" and reports[check]["n"] == 2

@@ -6,10 +6,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from fractrace import energy as en
 from fractrace.gammacore import GammaParams
 from fractrace.modes import GridField, gaussian_field, solve_extension
 from fractrace.energy import (
     Bubble,
+    ModeFieldView,
     PolyGaussModeFn,
     boundary_correction,
     bubble_tail_p,
@@ -30,6 +32,7 @@ from fractrace.energy import (
     verify_q_symmetry,
     zero_data_perturbation,
     _pair_integral,
+    _ul_pair,
 )
 
 
@@ -135,7 +138,7 @@ def test_zero_perturbation_data_vanishes():
     from fractrace.modes import dirichlet_condition_list
     for family, j in dirichlet_condition_list(p):
         vals = w.boundary_modes(family, j)
-        assert max((abs(v) for v in vals.values()), default=0.0) <= 1e-12
+        assert np.abs(vals).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
@@ -145,6 +148,92 @@ def test_energy_trace(gamma):
     data = [gaussian_field(1, (128,), 60.0, width=w) for w in widths]
     rep = energy_trace_check(p, data)
     assert rep.passed, rep.details
+
+
+def _defects(rep, prefix):
+    """Defects of the report rows whose detail starts with prefix."""
+    return [float(d.rsplit(" ", 1)[1]) for d in rep.details if d.startswith(prefix)]
+
+
+def _gaussian_data(p, grid, box=60.0):
+    return [gaussian_field(1, (grid,), box, width=2.0 + 0.4 * i) for i in range(p.k)]
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2), F(10, 3)])
+def test_gram_route_matches_per_mode_quadrature(gamma):
+    """The |xi| = 1 Gram route against the per-mode atom route it replaces: the
+    same solution, presented as a plain per-mode view, goes through per-mode
+    quadrature and per-atom jets.  The U L^k U term is zero for a solution; the
+    per-mode route leaves up to 1.5e-14 of roundoff in it at 10/3, so the two
+    routes are compared at the scale of the form."""
+    p = GammaParams(gamma)
+    u = extension_field_view(solve_extension(p, _gaussian_data(p, 32, box=24.0)))
+    ref = ModeFieldView(p, u.template, {idx: u.atoms(pos) for pos, idx in enumerate(u.modes)})
+    want = interior_energy(ref, ref)
+    assert abs(interior_energy(u, u) - want) <= 1e-12 * abs(want)
+    want = q_form(ref, ref)
+    assert abs(q_form(u, u) - want) <= 1e-12 * abs(want)
+    assert abs(_ul_pair(u, u)) <= 1e-14
+    assert abs(_ul_pair(u, u) - _ul_pair(ref, ref)) <= 1e-14 * abs(want)
+
+
+def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
+    """The solution-solution block costs one Gram matrix per order, so the
+    quadrature count does not grow with the grid."""
+    p = GammaParams(F(5, 2))
+    real = en._pair_integral
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(en, "_pair_integral", counting)
+    counts = []
+    for grid in (64, 256):
+        en._unit_gram.cache_clear()
+        calls.clear()
+        assert dirichlet_principle_check(p, _gaussian_data(p, grid)).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
+def test_dirichlet_principle_fails_for_a_non_solution(gamma, monkeypatch):
+    """One wrong Frobenius coefficient makes U a non-solution wherever the
+    perturbation W lives; it is no longer the minimizer and every t row fails."""
+    p = GammaParams(gamma)
+
+    def broken(params, fields):
+        sol = solve_extension(params, fields)
+        sol.profiles[0].lead_series[1] *= 1.0 + 1e-3
+        return sol
+
+    monkeypatch.setattr(en, "solve_extension", broken)
+    rep = dirichlet_principle_check(p, _gaussian_data(p, 128))
+    defects = _defects(rep, "t=")
+    assert len(defects) == 4 and min(defects) > 1e-7
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
+def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, monkeypatch):
+    """A 1e-3 error in the even DtN constants fails both energy routes."""
+    p = GammaParams(gamma)
+    real = en.dtn_constant_even
+
+    class Scaled:
+        def __init__(self, const):
+            self.const = const
+
+        def value(self, fr):
+            return (1.0 + 1e-3) * self.const.value(fr)
+
+    monkeypatch.setattr(en, "dtn_constant_even", lambda params, j: Scaled(real(params, j)))
+    rep = energy_trace_check(p, _gaussian_data(p, 128))
+    assert min(_defects(rep, "energy equals DtN sum")) > 1e-6
+    assert min(_defects(rep, "interior-route energy")) > 1e-6
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
