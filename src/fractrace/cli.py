@@ -300,6 +300,8 @@ def _load_fields(paths: str, box: float):
 
 
 def cmd_extend(args) -> int:
+    if not (math.isfinite(args.height) and args.height >= 0):
+        raise ConfigError(f"--height must be a finite number >= 0, got {args.height!r}")
     params = gc.GammaParams(gc.parse_gamma(args.gamma), n=args.n)
     data = _load_fields(args.infile, args.box)
     sol = modes.solve_extension(params, data)
@@ -341,7 +343,10 @@ def cmd_dtn(args) -> int:
 def cmd_fraclap(args) -> int:
     power = float(_rational_arg("--power", args.power, lambda p: float(p) > 0, "positive"))
     fields = _load_fields(args.infile, args.box)
-    out = modes.fractional_laplacian_fft(fields[0], power)
+    try:
+        out = modes.fractional_laplacian_fft(fields[0], power)
+    except OverflowError as exc:
+        raise ConfigError(f"--power {args.power} is too large for this grid: {exc}") from None
     out.save(args.out)
     return 0
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .besselk import bessel_k, bessel_k_dt
 from .gammacore import GammaParams, symmetry_constant, dtn_constant_even, dtn_constant_odd
@@ -294,6 +293,8 @@ def _gauss_jacobi_01(n: int, beta: float):
     """Nodes/weights for integral_0^1 u^beta F(u) du."""
     key = (n, round(beta, 12))
     if key not in _gj_cache:
+        from scipy.special import roots_jacobi
+
         x, w = roots_jacobi(n, 0.0, beta)
         u = 0.5 * (x + 1.0)
         _gj_cache[key] = (u, w * 0.5 ** (beta + 1.0))
@@ -302,6 +303,8 @@ def _gauss_jacobi_01(n: int, beta: float):
 
 def _gauss_legendre_01(n: int):
     if n not in _gl_cache:
+        from scipy.special import roots_legendre
+
         x, w = roots_legendre(n)
         _gl_cache[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _gl_cache[n]

@@ -4,8 +4,11 @@ Everything works per Fourier mode.  For a boundary frequency xi != 0 the
 decaying solutions of the per-mode equation are spanned by the profiles
 t^gamma K_nu(t) at t = |xi| y, one for each scattering order nu attached to
 gamma.  Profiles are normalized through their exact Frobenius branch series
-(never by fitting), the Dirichlet system is solved mode by mode, and boundary
-operators are read off the two-branch jets.
+(never by fitting), and boundary operators are read off the two-branch jets.
+The problem is homogeneous in t = |xi| y, so the Dirichlet system is one
+k x k matrix per order, built at |xi| = 1 and scaled to each mode by powers of
+|xi|.  The boundary jets of the solution stay per mode, at the true |xi|, so
+the self-consistency check still tests that scaling independently.
 
 The closed-form Dirichlet-to-Neumann constants are reproduced here from the
 Bessel branch data alone: this module deliberately reimplements the small
@@ -166,10 +169,13 @@ def fractional_laplacian_fft(f: GridField, power: float) -> GridField:
     if power <= 0:
         raise ValueError("fractional_laplacian_fft requires power > 0")
     modes = f.fft()
-    sym = f.xi_abs2() ** power
-    sym.flat[0] = 0.0
-    out = np.fft.ifftn(modes * sym) * f.values.size
-    return GridField(f.n, f.shape, f.box_length, np.real(out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = f.xi_abs2() ** power
+        sym.flat[0] = 0.0
+        out = np.real(np.fft.ifftn(modes * sym) * f.values.size)
+    if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(out))):
+        raise OverflowError("the multiplier |xi|^(2 power) or the result overflows float64")
+    return GridField(f.n, f.shape, f.box_length, out)
 
 
 # ---------------------------------------------------------------------------
@@ -541,22 +547,24 @@ class ExtensionSolution:
         return [p.jets(xi_abs, self.truncation) for p in self.profiles]
 
     def _solve(self):
-        nmodes = self.xi2.size
-        k = len(self.profiles)
+        """Coefficients per mode from the one |xi| = 1 matrix M1.
+
+        The problem is homogeneous, so the Dirichlet matrix at |xi| is
+        M1[row, col] |xi|^(e_row - lead_col), with e_row = 2j for even rows and
+        2[g] + 2j for odd rows; hence coeffs = |xi|^lead (M1^-1 (|xi|^-e f)).
+        """
+        fr = self.params.frac_gamma
         flat_xi = self.xi_abs.reshape(-1).copy()
         zero = flat_xi == 0.0
         flat_xi[zero] = 1.0  # placeholder, zero mode handled separately
 
-        jets = self._profile_jets(flat_xi)
-        fl, fr = self.params.floor_gamma, float(self.params.frac_gamma)
-        matrix = np.zeros((nmodes, k, k), dtype=complex)
-        xi2_flat = flat_xi ** 2
-        for col, (a, b) in enumerate(jets):
-            nj = NumericJets(fl, fr, a, b)
-            for row, (family, j) in enumerate(self.conds):
-                matrix[:, row, col] = nj.apply_boundary(family, j, xi2_flat)
-        rhs = np.stack([dh.reshape(-1) for dh in self.data_hat], axis=-1)
-        coeffs = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+        unit = _unit_dirichlet_matrix(self.params, self._profile_jets(np.ones(1)))
+        e = np.array([float(2 * j if family == "even" else 2 * fr + 2 * j)
+                      for family, j in self.conds])
+        lead = np.array([float(p.lead_exponent) for p in self.profiles])
+        rhs = np.stack([dh.reshape(-1) for dh in self.data_hat])
+        scaled = rhs * flat_xi ** -e[:, None]
+        coeffs = (np.linalg.solve(unit, scaled) * flat_xi ** lead[:, None]).T
         coeffs[zero, :] = 0.0
         self.coeffs = coeffs  # [modes, profile]
 
@@ -652,23 +660,32 @@ def dtn_apply(sol: ExtensionSolution, alpha2) -> GridField:
 # ---------------------------------------------------------------------------
 
 
+def _unit_dirichlet_matrix(params: GammaParams, unit_jets) -> np.ndarray:
+    """The k x k Dirichlet matrix at |xi| = 1: entry (row, col) applies the
+    row's condition from dirichlet_condition_list to profile col, given the
+    profiles' jets at |xi| = 1."""
+    fl, fr = params.floor_gamma, float(params.frac_gamma)
+    conds = dirichlet_condition_list(params)
+    one = np.ones(1)
+    matrix = np.zeros((len(conds), len(unit_jets)), dtype=complex)
+    for col, (a, b) in enumerate(unit_jets):
+        nj = NumericJets(fl, fr, a, b)
+        for row, (family, j) in enumerate(conds):
+            matrix[row, col] = nj.apply_boundary(family, j, one)[0]
+    return matrix
+
+
 def extract_dtn_constants(params: GammaParams):
     """Solve the unit-datum Dirichlet problem at |xi| = 1 profile by profile
     and read off the Neumann outputs.  Returns {('even'|'odd', j): value}
     where 'even' maps the even datum slot j (c-type constant) and 'odd' the
     odd slot (d-type constant, sign convention: B = -d (-Lap)^nu phi)."""
     fl, fr = params.floor_gamma, float(params.frac_gamma)
-    xi = np.array([1.0])
     truncation = params.floor_gamma + 4
-    profiles = all_profiles(params)
     conds = dirichlet_condition_list(params)
-    k = len(profiles)
-    matrix = np.zeros((k, k), dtype=complex)
-    jets = [p.jets(xi, truncation) for p in profiles]
-    for col, (a, b) in enumerate(jets):
-        nj = NumericJets(fl, fr, a, b)
-        for row, (family, j) in enumerate(conds):
-            matrix[row, col] = nj.apply_boundary(family, j, np.array([1.0]))[0]
+    k = len(conds)
+    jets = [p.jets(np.ones(1), truncation) for p in all_profiles(params)]
+    matrix = _unit_dirichlet_matrix(params, jets)
     out = {}
     for slot, (family, j) in enumerate(conds):
         rhs = np.zeros(k, dtype=complex)

@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fractrace
 from fractrace.cli import main
 from fractrace.modes import GridField, gaussian_field
 
@@ -139,12 +141,19 @@ def tiny_field(tmp_path_factory):
     return path
 
 
+FLAG = {"dtn": "--alpha2", "fraclap": "--power", "sharpness": "--gamma-tilde",
+        "sharpness-eps": "--eps", "sharpness-grid": "--grid", "extend-height": "--height"}
+
+
 def _malformed_argv(command, value, n, field, out):
     if command == "dtn":
         return ["dtn", "--gamma", "3/2", "--in", f"{field},{field}", f"--alpha2={value}",
                 "--out", out]
     if command == "fraclap":
         return ["fraclap", f"--power={value}", "--in", field, "--out", out]
+    if command == "extend-height":
+        return ["extend", "--gamma", "4/3", "--in", f"{field},{field}", f"--height={value}",
+                "--out", out]
     if command == "sharpness-eps":
         return ["sharpness", f"--eps={value}", "--n", str(n), "--grid", "8", "--out", out]
     if command == "sharpness-grid":
@@ -155,16 +164,22 @@ def _malformed_argv(command, value, n, field, out):
 @pytest.mark.parametrize("command, value, n", [
     ("dtn", "7", 2), ("dtn", "abc", 2), ("fraclap", "-1", 2), ("fraclap", "x", 2),
     ("sharpness", "1", 2), ("sharpness-eps", "0", 2), ("sharpness-eps", "-1", 2),
-    ("sharpness-grid", "0", 2),
+    ("sharpness-grid", "0", 2), ("extend-height", "-1", 2), ("extend-height", "nan", 2),
+    ("extend-height", "inf", 2), ("fraclap", "2000", 2),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
-    assert run_cli(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert FLAG[command] in err
 
 
-@given(command=st.sampled_from(["dtn", "fraclap", "sharpness", "sharpness-eps"]),
+@given(command=st.sampled_from(["dtn", "fraclap", "sharpness", "sharpness-eps",
+                                "extend-height"]),
        value=st.one_of(
            st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "", " ",
                             "1/2", "1", "2", "3", "7", "abc", "3/2/1"]),
@@ -200,3 +215,55 @@ def test_verify_n2_skips_grid_checks(tmp_path):
         assert reports[check]["details"] == ["runs on 1-D grids only"]
     for check in ("dtn_bessel_extraction", "mode_ode_residual"):
         assert reports[check]["status"] == "pass" and reports[check]["n"] == 2
+
+
+# Run in a fresh interpreter: reports after the import and after each command
+# whether scipy.special has been loaded.
+_COLD_START = """
+import json, sys
+from fractrace import cli
+loaded = ["scipy.special" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) in (0, 1), argv
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_loaded_after(argvs):
+    src = os.path.dirname(os.path.dirname(fractrace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def field_2d(tmp_path_factory):
+    """16^2 field on a box of 20: |xi| reaches 3.6, inside the Bessel window
+    (t >= 2) at height 1 and below it at height 0.1."""
+    path = str(tmp_path_factory.mktemp("cold") / "f2.bin")
+    gaussian_field(2, (16, 16), 20.0, width=2.0).save(path)
+    return path
+
+
+def test_field_commands_do_not_import_scipy(field_2d, tmp_path):
+    out = str(tmp_path / "o.bin")
+    loaded = _scipy_loaded_after([
+        ["fraclap", "--power", "3/4", "--in", field_2d, "--out", out],
+        ["dtn", "--gamma", "1/2", "--n", "2", "--in", field_2d, "--out", out],
+        ["sharpness", "--n", "2", "--grid", "16", "--out", str(tmp_path / "s.json")],
+        ["extend", "--gamma", "1/2", "--n", "2", "--in", field_2d, "--height", "0.1",
+         "--out", out],
+    ])
+    assert loaded == [False] * 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--gamma", "1/2", "--n", "2", "--in", "FIELD", "--height", "1", "--out", "OUT"],
+    ["verify", "--gamma", "1/2", "--only", "numeric", "--out", "OUT"],
+])
+def test_scipy_is_imported_on_first_use(argv, field_2d, tmp_path):
+    argv = [{"FIELD": field_2d, "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
+    assert _scipy_loaded_after([argv]) == [False, True]

@@ -7,10 +7,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from fractrace import modes
 from fractrace.gammacore import GammaParams, dtn_constant_even, dtn_constant_odd
 from fractrace.modes import (
     GridError,
     GridField,
+    NumericJets,
     all_profiles,
     build_mode_profile,
     dtn_apply,
@@ -222,6 +224,56 @@ def test_per_mode_constant_at_unit_frequency():
     extracted = extract_dtn_constants(p)
     want = dtn_constant_even(p, 0).value(p.frac_gamma)
     assert extracted[("even", 0)] == pytest.approx(want, rel=1e-8)
+
+
+def _per_mode_coeffs(sol):
+    """Oracle: the Dirichlet matrix built at every mode's true |xi| from the
+    profiles' jets there, solved mode by mode."""
+    fl, fr = sol.params.floor_gamma, float(sol.params.frac_gamma)
+    xi = sol.xi_abs.reshape(-1)
+    nz = xi > 0
+    k = len(sol.profiles)
+    matrix = np.zeros((int(nz.sum()), k, k), dtype=complex)
+    for col, prof in enumerate(sol.profiles):
+        nj = NumericJets(fl, fr, *prof.jets(xi[nz], sol.truncation))
+        for row, (family, j) in enumerate(sol.conds):
+            matrix[:, row, col] = nj.apply_boundary(family, j, xi[nz] ** 2)
+    rhs = np.stack([dh.reshape(-1)[nz] for dh in sol.data_hat], axis=-1)
+    coeffs = np.zeros((xi.size, k), dtype=complex)
+    coeffs[nz] = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+    return coeffs
+
+
+@pytest.mark.parametrize("gamma", [F(1, 3), F(4, 3), F(5, 2), F(9, 2), F(31, 4)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_scaled_solve_matches_per_mode_solve(gamma, n):
+    """One |xi| = 1 matrix scaled by homogeneity gives the per-mode solution;
+    errors are relative to each profile's largest coefficient."""
+    p = GammaParams(gamma, n=n)
+    shape = (128,) * n
+    data = [gaussian_field(n, shape, 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
+    sol = solve_extension(p, data)
+    want = _per_mode_coeffs(sol)
+    rel = np.abs(sol.coeffs - want).max(axis=0) / np.abs(want).max(axis=0)
+    assert rel.max() <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [F(1, 3), F(4, 3), F(5, 2), F(9, 2)])
+def test_perturbed_unit_matrix_fails_both_checks(gamma, monkeypatch):
+    """The solve and the DtN extraction share the |xi| = 1 matrix, while the
+    boundary jets stay per mode: a 1e-6 error in one entry fails both checks."""
+    original = modes._unit_dirichlet_matrix
+
+    def perturbed(params, unit_jets):
+        matrix = original(params, unit_jets)
+        matrix[0, 0] *= 1 + 1e-6
+        return matrix
+
+    monkeypatch.setattr(modes, "_unit_dirichlet_matrix", perturbed)
+    p = GammaParams(gamma)
+    data = [gaussian_field(1, (128,), 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
+    assert not verify_self_consistency(solve_extension(p, data)).passed
+    assert not verify_dtn_constants(p).passed
 
 
 def test_grid_mismatch_rejected():
