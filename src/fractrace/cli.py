@@ -169,7 +169,6 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
 
 
 def _float_gamma_defect_even(params, j, const) -> float:
-    import math
     g = float(params.gamma)
     fl = params.floor_gamma
     fr = g - fl
@@ -181,7 +180,6 @@ def _float_gamma_defect_even(params, j, const) -> float:
 
 
 def _float_gamma_defect_odd(params, j, const) -> float:
-    import math
     g = float(params.gamma)
     fl = params.floor_gamma
     fr = g - fl
@@ -246,6 +244,9 @@ def _skipped(check: str, params, reason: str) -> VerificationReport:
 def cmd_verify(args) -> int:
     gammas = _parse_gammas(args.gamma)
     tols = _parse_tolerances(args.loosen_tol)
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be a power of two >= 2 (a 1-point grid has no "
+                          f"mode to perturb), got {args.grid}")
     reports = []
     jobs = []
 

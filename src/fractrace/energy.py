@@ -593,30 +593,24 @@ class TwoBranchGaussField:
         return ModeFieldView(params, self.template, atoms)
 
 
-def random_two_branch_field(params: GammaParams, template: GridField, seed: int,
-                            lam: float = 1.0, n_modes: int = 5,
-                            a_orders=None, b_orders=None) -> TwoBranchGaussField:
+def _band_limited(template: GridField, rng, scale: float = 1.0) -> np.ndarray:
+    """Seeded real field on the five lowest nonzero modes (fewer on grids that
+    have fewer), with peak magnitude scale."""
+    flat = np.zeros(template.values.size, dtype=complex)
+    order = np.argsort(template.xi_abs2().reshape(-1))[1:6]
+    flat[order] = rng.normal(size=order.size) + 1j * rng.normal(size=order.size)
+    vals = np.real(np.fft.ifftn(flat.reshape(template.shape)) * flat.size)
+    return scale * vals / (np.abs(vals).max() + 1e-300)
+
+
+def random_two_branch_field(params: GammaParams, template: GridField,
+                            seed: int) -> TwoBranchGaussField:
     """Seeded band-limited random two-branch field for symmetry tests."""
     rng = np.random.default_rng(seed)
-    if a_orders is None:
-        a_orders = params.floor_gamma // 2 + 2
-    if b_orders is None:
-        b_orders = max(params.floor_gamma - params.floor_gamma // 2, 1)
-
-    def band_limited():
-        modes = np.zeros(template.shape, dtype=complex)
-        flat = modes.reshape(-1)
-        xi2 = template.xi_abs2().reshape(-1)
-        order = np.argsort(xi2)[1:n_modes + 1]
-        flat[order] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        modes = flat.reshape(template.shape)
-        vals = np.real(np.fft.ifftn(modes) * modes.size)
-        peak = np.abs(vals).max()
-        return vals / (peak + 1e-300)
-
-    a = [band_limited() for _ in range(a_orders)]
-    b = [band_limited() for _ in range(b_orders)]
-    return TwoBranchGaussField(params, template, a, b, lam)
+    fl = params.floor_gamma
+    a = [_band_limited(template, rng) for _ in range(fl // 2 + 2)]
+    b = [_band_limited(template, rng) for _ in range(max(fl - fl // 2, 1))]
+    return TwoBranchGaussField(params, template, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -805,24 +799,15 @@ def verify_q_symmetry(params: GammaParams, u_field, v_field,
 
 
 def zero_data_perturbation(params: GammaParams, template: GridField, seed: int,
-                           lam: float = 1.0, scale: float = 1.0) -> TwoBranchGaussField:
+                           scale: float = 1.0) -> TwoBranchGaussField:
     """Field with every Dirichlet boundary operator vanishing: the a branch
     starts above the even data range and the b branch above the odd range."""
     rng = np.random.default_rng(seed)
-    ne, no = params.n_even_data, params.n_odd_data
-
-    def band_limited():
-        modes = np.zeros(template.shape, dtype=complex)
-        flat = modes.reshape(-1)
-        xi2 = template.xi_abs2().reshape(-1)
-        order = np.argsort(xi2)[1:6]
-        flat[order] = rng.normal(size=5) + 1j * rng.normal(size=5)
-        vals = np.real(np.fft.ifftn(flat.reshape(template.shape)) * flat.size)
-        return scale * vals / (np.abs(vals).max() + 1e-300)
-
-    a = [np.zeros(template.shape) for _ in range(ne)] + [band_limited()]
-    b = [np.zeros(template.shape) for _ in range(no)] + [band_limited()]
-    return TwoBranchGaussField(params, template, a, b, lam)
+    a = [np.zeros(template.shape) for _ in range(params.n_even_data)]
+    b = [np.zeros(template.shape) for _ in range(params.n_odd_data)]
+    a.append(_band_limited(template, rng, scale))
+    b.append(_band_limited(template, rng, scale))
+    return TwoBranchGaussField(params, template, a, b)
 
 
 def dirichlet_principle_check(params: GammaParams, data_fields, seed: int = 0,

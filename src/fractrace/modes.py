@@ -9,6 +9,9 @@ The problem is homogeneous in t = |xi| y, so the Dirichlet system is one
 k x k matrix per order, built at |xi| = 1 and scaled to each mode by powers of
 |xi|.  The boundary jets of the solution stay per mode, at the true |xi|, so
 the self-consistency check still tests that scaling independently.
+The profile ODE (T_t - 1)^k P = 0 is checked by applying the operator exactly,
+through the Bessel recurrence on the kernel side and the power rule on the
+branch series, and evaluating only the result; no finite difference enters.
 
 The closed-form Dirichlet-to-Neumann constants are reproduced here from the
 Bessel branch data alone: this module deliberately reimplements the small
@@ -34,6 +37,9 @@ from .report import VerificationReport, write_atomic
 T_SERIES = 2.0     # below: Frobenius branch series; above: bessel_k
 T_MAX = 30.0       # profiles are below 1e-13 of scale here and treated as zero
 SERIES_ORDER = 34  # branch series order; headroom for repeated T applications
+# ode_residual sample points on each side of T_SERIES
+SERIES_SAMPLES = np.array([0.25, 0.75, 1.25, 1.75])
+BESSEL_SAMPLES = np.array([2.5, 6.0, 12.0, 24.0])
 RESOLVED_REL = 1e-8
 RESOLVED_NYQUIST = 0.6
 
@@ -58,12 +64,14 @@ class GridField:
 
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
+        if not (math.isfinite(self.box_length) and self.box_length > 0):
+            raise GridError(f"box length must be finite and positive, got {self.box_length}")
         if self.n not in (1, 2):
             raise GridError(f"boundary dimension must be 1 or 2, got {self.n}")
         if len(self.shape) != self.n:
             raise GridError(f"shape {self.shape} does not match dimension {self.n}")
         for s in self.shape:
-            if s & (s - 1):
+            if s < 1 or s & (s - 1):
                 raise GridError(f"grid sizes must be powers of two, got {s}")
         self.values = np.asarray(self.values, dtype=float).reshape(self.shape)
         if not np.all(np.isfinite(self.values)):
@@ -134,7 +142,11 @@ class GridField:
         expect = int(np.prod(meta["shape"]))
         if raw.size != expect:
             raise GridError(f"file holds {raw.size} values, sidecar expects {expect}")
-        return cls(meta["n"], tuple(meta["shape"]), float(meta["box_length"]), raw)
+        try:
+            box_length = float(meta["box_length"])
+        except (TypeError, ValueError):
+            raise GridError(f"sidecar box length {meta['box_length']!r} is not a number") from None
+        return cls(meta["n"], tuple(meta["shape"]), box_length, raw)
 
     @classmethod
     def load_csv(cls, path: str, box_length: float) -> "GridField":
@@ -181,34 +193,6 @@ def fractional_laplacian_fft(f: GridField, power: float) -> GridField:
 # ---------------------------------------------------------------------------
 # Independent float machinery (kept separate from the exact modules)
 # ---------------------------------------------------------------------------
-
-
-def _fornberg_weights(half_width: int, der: int) -> np.ndarray:
-    """Central finite-difference weights on unit-spaced offsets, exact
-    rational construction (Fornberg's recursion), returned as floats."""
-    offsets = [Fraction(i) for i in range(-half_width, half_width + 1)]
-    npts = len(offsets)
-    c = [[Fraction(0)] * (der + 1) for _ in range(npts)]
-    c1 = Fraction(1)
-    c4 = offsets[0]
-    c[0][0] = Fraction(1)
-    for i in range(1, npts):
-        mn = min(i, der)
-        c2 = Fraction(1)
-        c5 = c4
-        c4 = offsets[i]
-        for j in range(i):
-            c3 = offsets[i] - offsets[j]
-            c2 *= c3
-            if j == i - 1:
-                for kk in range(mn, 0, -1):
-                    c[i][kk] = c1 * (kk * c[i - 1][kk - 1] - c5 * c[i - 1][kk]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for kk in range(mn, 0, -1):
-                c[j][kk] = (c4 * c[j][kk] - kk * c[j][kk - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    return np.array([float(row[der]) for row in c])
 
 
 def _poch_f(q: float, i: int) -> float:
@@ -336,13 +320,11 @@ class ModeProfile:
         if self.kind == "even":
             self.lead_exponent = Fraction(2 * self.j)
             self.lead_branch = "a"
-            self.lead_index = self.j
-            self.co_index = fl - self.j
         else:
             self.lead_exponent = 2 * fr + 2 * self.j
             self.lead_branch = "b"
-            self.lead_index = self.j
-            self.co_index = fl - self.j
+        self.lead_index = self.j
+        self.co_index = fl - self.j
         self.co_exponent = self.lead_exponent + 2 * self.nu
         # scattering symbol at |xi| = 1 (signed float Gamma, stdlib)
         self.sigma = 2.0 ** (-2.0 * nu) * math.gamma(-nu) / math.gamma(nu)
@@ -403,52 +385,68 @@ class ModeProfile:
                 co[self.co_index + i] += self.co_series[i] * co_scale * xi2 ** i
         return a, b
 
-    def ode_residual(self, t_points=None, h: float = None, half_width: int = 6) -> float:
-        """Relative residual of (T_t - 1)^k on the profile via nested
-        high-order finite differences.
+    def ode_residual(self) -> float:
+        """Relative residual of (T_t - 1)^k on the profile, T_t = d^2/dt^2 + (m/t) d/dt.
 
-        Each stencil window must stay on one side of the series/Bessel
-        switchover: the representations agree only to ~1e-14 there and nested
-        differencing amplifies such a jump by h^(-2k).  Windows also stay away
-        from t = 0 where fractional-branch derivatives blow up.  Residuals are
-        measured against the largest intermediate magnitude, the natural scale
-        of the cancellation.
+        The operator is applied exactly to both representations eval uses; only
+        the result is evaluated in floats, so no step size enters.
+
+        - Bessel side: d/dt[t^a K_mu] = (a - mu) t^(a-1) K_mu - t^a K_(mu-1)
+          (DLMF 10.29) expands the result into terms t^(gamma-i) K_(nu-j).
+          Only equal (i, j) merge, so the cancellation the ODE demands happens
+          between kernel values at different orders; measured as
+          |sum| / max |term|.
+        - Series side: T t^p = p(p - 1 + m) t^(p-2) on both branch series.
+          Each branch ends at the exact zero p = 0 or p = 2{gamma} of that
+          factor, never at a float that leaves residue blowing up as t -> 0;
+          measured against the largest intermediate stage value.
+        - Seam: each side solves the ODE on its own, so only agreement at
+          T_SERIES pins bessel_norm and the relative sign of the branches.
+
+        Returns the largest of the three.
         """
         params = self.params
-        k, m = params.k, float(params.m)
-        if h is None:
-            # k nested second differences amplify the ~1e-14 evaluation noise
-            # by h^(-2k); the step grows with k to keep that below 1e-7
-            h = 0.055 if k <= 2 else (0.2 if k <= 4 else 0.25)
-        if t_points is None:
-            margin = half_width * k * h
-            if k <= 2:
-                t_points = [T_SERIES - margin - 0.1, margin + 2.4, 10.0, 16.0]
-            else:
-                t_points = [10.0, 16.0, min(22.0, T_MAX - margin - 0.2)]
-        d1_w = _fornberg_weights(half_width, 1)
-        d2_w = _fornberg_weights(half_width, 2)
-        worst = 0.0
-        for t0 in t_points:
-            half = half_width * k
-            grid = t0 + h * np.arange(-half, half + 1)
-            if grid[0] <= 0 or (grid[0] < T_SERIES < grid[-1]):
-                continue
-            vals = self.eval(grid)
-            scale = np.max(np.abs(vals)) + 1e-300
-            w = half_width
-            for _ in range(k):
-                npts = vals.size
-                inner = np.arange(w, npts - w)
-                d2 = np.array([np.dot(d2_w, vals[i - w:i + w + 1]) for i in inner]) / h ** 2
-                d1 = np.array([np.dot(d1_w, vals[i - w:i + w + 1]) for i in inner]) / h
-                tt = grid[inner]
-                vals = d2 + m * d1 / tt - vals[inner]
-                grid = tt
-                scale = max(scale, np.max(np.abs(vals)) + 1e-300)
-            residual = np.max(np.abs(vals)) / scale
-            worst = max(worst, residual)
-        return worst
+        g, m = float(params.gamma), float(params.m)
+
+        def ddt(terms):
+            out = {}
+            for (i, j), c in terms.items():
+                out[(i + 1, j)] = out.get((i + 1, j), 0.0) + c * ((g - i) - (self.nu_f - j))
+                out[(i, j + 1)] = out.get((i, j + 1), 0.0) - c
+            return out
+
+        terms = {(0, 0): 1.0}
+        for _ in range(params.k):
+            first = ddt(terms)
+            nxt = ddt(first)
+            for (i, j), c in first.items():
+                nxt[(i + 1, j)] = nxt.get((i + 1, j), 0.0) + m * c
+            for key, c in terms.items():
+                nxt[key] = nxt.get(key, 0.0) - c
+            terms = nxt
+        t = BESSEL_SAMPLES
+        kernel = {j: bessel_k(self.nu_f - j, t) for j in {j for _, j in terms}}
+        vals = np.array([c * t ** (g - i) * kernel[j] for (i, j), c in terms.items()])
+        worst = np.max(np.abs(vals.sum(axis=0)) / np.abs(vals).max(axis=0))
+
+        t = SERIES_SAMPLES
+        stages = np.zeros((params.k + 1, t.size))
+        for exponent, series in ((self.lead_exponent, self.lead_series),
+                                 (self.co_exponent, self.co_series)):
+            # coefficient n sits at p = end + 2n, where end = 0 or 2{gamma} is
+            # the exact zero of p(p - 1 + m): the shift drops n = 0 outright
+            offset = int(exponent // 2)
+            p = float(exponent % 2) + 2.0 * np.arange(offset + series.size)
+            coeff = np.concatenate([np.zeros(offset), series])
+            powers = t[:, None] ** p
+            stages[0] += powers @ coeff
+            for stage in range(1, params.k + 1):
+                coeff = np.append(coeff[1:] * p[1:] * (p[1:] - 1.0 + m), 0.0) - coeff
+                stages[stage] += powers @ coeff
+        worst = max(worst, np.max(np.abs(stages[-1]) / np.abs(stages).max(axis=0)))
+
+        below, at = self.eval(np.array([np.nextafter(T_SERIES, 0.0), T_SERIES]))
+        return float(max(worst, abs(below - at) / max(abs(below), abs(at))))
 
 
 def build_mode_profile(params: GammaParams, j: int, kind: str) -> ModeProfile:

@@ -118,9 +118,6 @@ class HalfSpacePoly:
                 self._accum(acc, key, c1 * c2)
         return self._new(acc)
 
-    def is_empty(self) -> bool:
-        return not self.terms
-
     # -- derivations ------------------------------------------------------
 
     def lap_x(self):

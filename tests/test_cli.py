@@ -161,6 +161,16 @@ def _malformed_argv(command, value, n, field, out):
     return ["sharpness", f"--gamma-tilde={value}", "--n", str(n), "--grid", "8", "--out", out]
 
 
+def _one_line_error(argv, capsys, flag):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
 @pytest.mark.parametrize("command, value, n", [
     ("dtn", "7", 2), ("dtn", "abc", 2), ("fraclap", "-1", 2), ("fraclap", "x", 2),
     ("sharpness", "1", 2), ("sharpness-eps", "0", 2), ("sharpness-eps", "-1", 2),
@@ -169,13 +179,7 @@ def _malformed_argv(command, value, n, field, out):
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli(argv) == 2
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert FLAG[command] in err
+    _one_line_error(argv, capsys, FLAG[command])
 
 
 @given(command=st.sampled_from(["dtn", "fraclap", "sharpness", "sharpness-eps",
@@ -267,3 +271,49 @@ def test_field_commands_do_not_import_scipy(field_2d, tmp_path):
 def test_scipy_is_imported_on_first_use(argv, field_2d, tmp_path):
     argv = [{"FIELD": field_2d, "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
     assert _scipy_loaded_after([argv]) == [False, True]
+
+
+def test_verify_passes_near_the_cap(tmp_path):
+    """The profile ODE residual holds at 1e-7 up to 31/4."""
+    assert run_cli(["verify", "--gamma", "11/2,13/2,15/2,31/4", "--only", "numeric",
+                    "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("box", ["0", "-5", "nan", "inf"])
+def test_verify_rejects_bad_box(box, tmp_path, capsys):
+    _one_line_error(["verify", "--gamma", "1/2", "--only", "numeric", f"--box={box}",
+                     "--out", str(tmp_path / "r.json")], capsys, "box length")
+
+
+def test_csv_box_must_be_positive(tmp_path, capsys):
+    csv = tmp_path / "f.csv"
+    csv.write_text("value\n" + "\n".join(str(v) for v in np.linspace(0, 1, 16)))
+    _one_line_error(["extend", "--gamma", "1/2", "--in", str(csv), "--box", "0",
+                     "--out", str(tmp_path / "o.bin")], capsys, "box length")
+
+
+@pytest.mark.parametrize("box", [0, -60, "abc", None])
+def test_sidecar_box_must_be_positive(box, tiny_field, tmp_path, capsys):
+    path = str(tmp_path / "f.bin")
+    with open(tiny_field, "rb") as src, open(path, "wb") as dst:
+        dst.write(src.read())
+    with open(tiny_field + ".json") as handle:
+        meta = json.load(handle)
+    meta["box_length"] = box
+    with open(path + ".json", "w") as handle:
+        json.dump(meta, handle)
+    _one_line_error(["fraclap", "--power", "1/2", "--in", path,
+                     "--out", str(tmp_path / "o.bin")], capsys, "box length")
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_verify_rejects_grid_without_modes(grid, tmp_path, capsys):
+    _one_line_error(["verify", "--gamma", "1/2", "--only", "numeric", f"--grid={grid}",
+                     "--out", str(tmp_path / "r.json")], capsys, "--grid")
+
+
+@pytest.mark.parametrize("grid", [2, 4])
+def test_verify_small_grids_run(grid, tmp_path):
+    """Grids with fewer than five nonzero modes still draw the random fields."""
+    assert run_cli(["verify", "--gamma", "1/3,5/2", "--only", "numeric", f"--grid={grid}",
+                    "--out", str(tmp_path / "r.json")]) in (0, 1)

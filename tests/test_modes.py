@@ -40,6 +40,11 @@ def test_grid_validation():
         GridField(3, (8, 8, 8), 10.0, np.zeros((8, 8, 8)))
     with pytest.raises(GridError):
         GridField(1, (8,), 10.0, np.full(8, np.nan))
+    with pytest.raises(GridError):
+        GridField(1, (0,), 10.0, np.zeros(0))  # zero is not a power of two
+    for box in (0.0, -5.0, np.nan, np.inf):
+        with pytest.raises(GridError, match="box length"):
+            GridField(1, (8,), box, np.zeros(8))
 
 
 def test_grid_io_roundtrip(tmp_path):
@@ -141,11 +146,41 @@ def test_classical_profile_is_exponential():
     assert np.allclose(prof.eval(t), np.exp(-t), rtol=1e-10)
 
 
-@pytest.mark.parametrize("gamma", BESSEL_GAMMAS + [F(9, 2)])
+@pytest.mark.parametrize("gamma", BESSEL_GAMMAS + [F(9, 2), F(11, 2), F(13, 2), F(15, 2),
+                                   F(31, 4), F(55, 7), F(71, 9)])
 def test_mode_ode_residual(gamma):
     p = GammaParams(gamma)
     for prof in all_profiles(p):
         assert prof.ode_residual() <= 1e-7
+
+
+def _shift_order(prof):
+    prof.nu_f += 1e-4
+
+
+def _scale_series_term(prof):
+    prof.lead_series = prof.lead_series.copy()
+    prof.lead_series[1] *= 1 + 1e-4
+
+
+def _scale_bessel_norm(prof):
+    prof.bessel_norm *= 1 + 1e-3
+
+
+def _flip_co_series(prof):
+    prof.co_series = -prof.co_series
+
+
+@pytest.mark.parametrize("gamma, perturb", [
+    (g, f) for g in (F(1, 3), F(5, 2), F(9, 2), F(31, 4))
+    for f in (_shift_order, _scale_series_term, _scale_bessel_norm)
+] + [(F(1, 3), _flip_co_series), (F(5, 2), _flip_co_series)])
+def test_mode_ode_residual_fails_for_a_broken_profile(gamma, perturb):
+    """The Bessel side sees the order, the series side a coefficient, and only
+    the seam sees the norm and the relative sign of the branches."""
+    for prof in all_profiles(GammaParams(gamma)):
+        perturb(prof)
+        assert prof.ode_residual() > 1e-7
 
 
 # ---------------------------------------------------------------------------
