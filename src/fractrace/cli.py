@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
     if args.grid < 2:
         raise ConfigError(f"--grid must be a power of two >= 2 (a 1-point grid has no "
                           f"mode to perturb), got {args.grid}")
+    if not (math.isfinite(args.box) and args.box > 0):
+        raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     reports = []
     jobs = []
 

@@ -14,18 +14,27 @@ mode, with the same k unit-coefficient profiles P_i, so each solution-solution
 block (the interior form and the U L^k U term of the quadratic form) is one
 k x k Gram matrix per order, computed once at |xi| = 1, times a power of |xi|.
 Per-mode quadrature remains for cross terms with synthetic fields and for the
-zero mode.  Boundary values are read off the jets, vectorized over modes.
+zero mode.  There the solution's atoms of (T - |xi|^2)^j U are rescaled
+copies of (T_t - 1)^j P_i, which the exact rational chain algebra builds once
+per view: the y^p series coefficient gains s_i |xi|^(p + 2j), each Bessel
+chain prefactor s_i |xi|^(2j).  Boundary values are read off the jets,
+vectorized over modes.
 
 The y quadrature is Gauss-Jacobi with the weight exponent matched per branch
 pair (the two-branch structure makes the integrand a sum of y^kappa times
 smooth factors), plus Gauss-Legendre panels on the smooth outer region.
-Node counts double until the result is stable to 1e-9 relative.
+Node counts double until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|),
+the integral of |f| taken on the same nodes: a cancelling integrand then
+stops at its roundoff floor instead of running to the node cap.  QUAD_COUNTS
+tallies integrals, nodes and cap hits per thread; the energy and symmetry
+checks fail on a cap hit of their own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,10 +166,22 @@ class BesselModeFn:
                 new_chains.append((nu, pre * self.xi, out))
         return BesselModeFn(self.xi, self.m, new_series, new_chains)
 
-    def branch_components(self):
-        """Group the series by exponent class (p mod 2), anchored at the
+    def rescaled(self, xi: float, s: complex, j: int) -> "BesselModeFn":
+        """s |xi|^(2j) F(|xi| y) for this function F of t at |xi| = 1.
+
+        With F = (T_t - 1)^j P this is (T_y - |xi|^2)^j applied to s P(|xi| y):
+        the series coefficient of y^p gains s |xi|^(p + 2j), each chain
+        prefactor s |xi|^(2j), and the chain terms are unchanged."""
+        series = {p: c * (s * xi ** (float(p) + 2 * j)) for p, c in self.series.items()}
+        scale = s * xi ** (2 * j)
+        chains = [(nu, pre * scale, terms) for nu, pre, terms in self.chains]
+        return BesselModeFn(xi, self.m, series, chains)
+
+    @functools.cached_property
+    def branch_components(self) -> dict:
+        """The series grouped by exponent class (p mod 2), anchored at the
         group minimum so the residual factor is a genuine power series in y^2:
-        {p_min: {p: coeff}}."""
+        {p_min: [(float(p) - float(p_min), coeff)]}."""
         return _group_by_class(self.series)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
@@ -243,7 +264,8 @@ class PolyGaussModeFn:
             out[p + 1] = out.get(p + 1, 0.0) - 2.0 * self.lam * c
         return PolyGaussModeFn(self.xi, self.m, self.lam, out)
 
-    def branch_components(self):
+    @functools.cached_property
+    def branch_components(self) -> dict:
         return _group_by_class(self.terms)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
@@ -273,12 +295,17 @@ class PolyGaussModeFn:
 
 def _group_by_class(series: dict) -> dict:
     """Group exponents by their value mod 2 and key each group by its minimum,
-    so every group reads p_min + (even powers)."""
+    so every group reads p_min + (even powers); each term carries its float
+    exponent offset p - p_min."""
     classes = {}
     for p, c in series.items():
-        cls = p - 2 * (p.numerator // (2 * p.denominator))
-        classes.setdefault(cls, {})[p] = c
-    return {min(group): group for group in classes.values()}
+        num, den = p.numerator, p.denominator
+        classes.setdefault((num % (2 * den), den), []).append((p, c))
+    out = {}
+    for group in classes.values():
+        low = min(p for p, _ in group)
+        out[low] = [(float(p) - float(low), c) for p, c in group]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +352,19 @@ def _pair_integral(u, v, m_weight: float) -> complex:
     total = 0.0 + 0.0j
 
     # inner region: per branch-class pair, weight-matched Gauss-Jacobi
-    ug = u.branch_components()
-    vg = v.branch_components()
+    ug = u.branch_components
+    vg = v.branch_components
     for cu, du in ug.items():
         for cv, dv in vg.items():
             beta = float(cu + cv) + m_weight
-            pmin = float(cu + cv)
 
             def smooth(yv):
                 su = np.zeros(yv.shape, dtype=complex)
-                for p, c in du.items():
-                    su += c * yv ** (float(p) - float(cu))
+                for e, c in du:
+                    su += c * yv ** e
                 sv = np.zeros(yv.shape, dtype=complex)
-                for p, c in dv.items():
-                    sv += np.conj(c) * yv ** (float(p) - float(cv))
+                for e, c in dv:
+                    sv += np.conj(c) * yv ** e
                 if isinstance(u, PolyGaussModeFn):
                     su *= np.exp(-u.lam * yv * yv)
                 if isinstance(v, PolyGaussModeFn):
@@ -358,39 +384,67 @@ def _pair_integral(u, v, m_weight: float) -> complex:
     return total
 
 
-def _adaptive_gj(smooth, upper: float, beta: float) -> complex:
+class _QuadCounts(threading.local):
+    """Quadrature tallies of the calling thread: integrals run, integrand
+    nodes evaluated, and integrals stopped at GJ_CAP unconverged.  A check
+    runs on one thread, so the difference around it is its own count."""
+
+    integrals = 0
+    nodes = 0
+    cap_hits = 0
+
+
+QUAD_COUNTS = _QuadCounts()
+
+
+def _adaptive(rule, start: int) -> complex:
+    """Double the node count n from start until |I_n - I_(n/2)| <=
+    QUAD_REL_TOL (|I_n| + A_n), where rule(n) returns I_n and A_n, the
+    integral of |f| on the same nodes and weights.  The A_n term bounds the
+    roundoff of a cancelling integrand, which a purely relative rule would
+    chase to the cap; reaching GJ_CAP unconverged counts a cap hit."""
+    counts = QUAD_COUNTS
+    counts.integrals += 1
     prev = None
-    n = GJ_START
+    n = start
     while True:
-        uu, w = _gauss_jacobi_01(n, beta)
-        val = upper ** (beta + 1.0) * np.sum(w * smooth(upper * uu))
-        if prev is not None and abs(val - prev) <= QUAD_REL_TOL * (abs(val) + 1e-30):
+        val, mass = rule(n)
+        counts.nodes += n
+        if prev is not None and abs(val - prev) <= QUAD_REL_TOL * (abs(val) + mass):
             return val
         if n >= GJ_CAP:
+            counts.cap_hits += 1
             return val
         prev = val
         n *= 2
 
 
+def _adaptive_gj(smooth, upper: float, beta: float) -> complex:
+    """integral_0^upper y^beta smooth(y) dy."""
+    scale = upper ** (beta + 1.0)
+
+    def rule(n):
+        uu, w = _gauss_jacobi_01(n, beta)
+        f = smooth(upper * uu)
+        return scale * np.sum(w * f), scale * np.sum(w * np.abs(f))
+
+    return _adaptive(rule, GJ_START)
+
+
 def _adaptive_gl(fn, lo: float, hi: float) -> complex:
-    # geometric panels: the integrand decays exponentially
+    """integral_lo^hi fn(y) dy on geometric panels: the integrand decays
+    exponentially."""
     edges = [lo]
     while edges[-1] < hi:
         edges.append(min(hi, edges[-1] * 2.5 + 1.0))
     total = 0.0 + 0.0j
     for a, b in zip(edges[:-1], edges[1:]):
-        prev = None
-        n = GL_PANEL_NODES
-        while True:
+        def rule(n, a=a, b=b):
             uu, w = _gauss_legendre_01(n)
-            val = (b - a) * np.sum(w * fn(a + (b - a) * uu))
-            if prev is not None and abs(val - prev) <= QUAD_REL_TOL * (abs(val) + 1e-30):
-                break
-            if n >= GJ_CAP:
-                break
-            prev = val
-            n *= 2
-        total += val
+            f = fn(a + (b - a) * uu)
+            return (b - a) * np.sum(w * f), (b - a) * np.sum(w * np.abs(f))
+
+        total += _adaptive(rule, GL_PANEL_NODES)
     return total
 
 
@@ -436,10 +490,19 @@ class ModeFieldView:
         self.xi2 = template.xi_abs2().reshape(-1)[self.modes]
         self._jets = None
         self._boundary = {}
+        self._powers = {}
 
     def atoms(self, pos: int) -> list:
         """Profile functions of the mode at position pos of self.modes."""
         return self._atoms[pos]
+
+    def laplacian_atoms(self, pos: int, j: int) -> list:
+        """(T - |xi|^2)^j applied to each of atoms(pos), each power built once
+        per view."""
+        powers = self._powers.setdefault(pos, [self.atoms(pos)])
+        while len(powers) <= j:
+            powers.append([a.weighted_laplacian() for a in powers[-1]])
+        return powers[j]
 
     def _add_atom_jets(self, pos: int, a: np.ndarray, b: np.ndarray):
         for atom in self.atoms(pos):
@@ -488,8 +551,11 @@ class SolutionFieldView(ModeFieldView):
 
     At |xi| > 0 the solution is U(y) = sum_i s_i P_i(|xi| y) with
     s_i = c_i |xi|^(-lead_i), where the P_i are the unit-coefficient profiles
-    at |xi| = 1 (units) and c_i the solved coefficients; the zero mode is a
-    polynomial.  Per-mode atoms are built only for the modes that ask."""
+    at |xi| = 1 (units, from the solution's own profiles) and c_i the solved
+    coefficients; the zero mode is a polynomial.  (T - |xi|^2)^j U is
+    sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y), so the exact operator
+    algebra runs once per unit and power (unit_laplacians) and every mode's
+    atoms are rescaled copies, built only for the modes that ask."""
 
     def __init__(self, sol: ExtensionSolution, modes):
         self._index(sol.params, sol.template, modes)
@@ -501,28 +567,32 @@ class SolutionFieldView(ModeFieldView):
         nonzero = self.xi > 0.0
         self.scaled = np.zeros_like(self.coeffs)
         self.scaled[nonzero] = self.coeffs[nonzero] * self.xi[nonzero, None] ** -lead
-        self._atoms = {}
+
+    @functools.cached_property
+    def unit_laplacians(self) -> list:
+        """[P, (T_t - 1) P, ..., (T_t - 1)^k P] for each unit P."""
+        return [_laplacian_powers(unit, self.params.k) for unit in self.units]
 
     def atoms(self, pos: int) -> list:
-        if pos not in self._atoms:
-            self._atoms[pos] = self._mode_atoms(pos)
-        return self._atoms[pos]
-
-    def _mode_atoms(self, pos: int) -> list:
+        if self.xi[pos] != 0.0:
+            return self.laplacian_atoms(pos, 0)
         sol, params = self.sol, self.params
+        terms = {}
+        for q, c in enumerate(sol.zero_even):
+            if c != 0:
+                terms[Fraction(2 * q)] = terms.get(Fraction(2 * q), 0.0) + c
+        for q, c in enumerate(sol.zero_odd):
+            p = 2 * params.frac_gamma + 2 * q
+            if c != 0:
+                terms[p] = terms.get(p, 0.0) + c
+        return [PolyGaussModeFn(0.0, params.m, 0.0, terms)]
+
+    def laplacian_atoms(self, pos: int, j: int) -> list:
         xi = float(self.xi[pos])
         if xi == 0.0:
-            terms = {}
-            for q, c in enumerate(sol.zero_even):
-                if c != 0:
-                    terms[Fraction(2 * q)] = terms.get(Fraction(2 * q), 0.0) + c
-            for q, c in enumerate(sol.zero_odd):
-                p = 2 * params.frac_gamma + 2 * q
-                if c != 0:
-                    terms[p] = terms.get(p, 0.0) + c
-            return [PolyGaussModeFn(0.0, params.m, 0.0, terms)]
-        return [_profile_atom(prof, xi, c)
-                for prof, c in zip(sol.profiles, self.coeffs[pos]) if c != 0]
+            return super().laplacian_atoms(pos, j)
+        return [powers[j].rescaled(xi, s, j)
+                for powers, s in zip(self.unit_laplacians, self.scaled[pos]) if s != 0]
 
     def _jet_arrays(self, truncation: int):
         """By scale invariance the y^(2q) jet of s_i P_i(|xi| y) is
@@ -630,16 +700,15 @@ def _mode_weight(template: GridField) -> float:
     return template.box_length ** template.n
 
 
-def _interior_pair(u_atoms, v_atoms, params: GammaParams, xi2: float) -> complex:
-    """<Delta_m^(k/2) u, Delta_m^(k/2) v> with the gradient form for odd k."""
+def _interior_pair(u, v, params: GammaParams, xi2: float) -> complex:
+    """<Delta_m^(k/2) u, Delta_m^(k/2) v> with the gradient form for odd k.
+
+    u and v map a power j to the atoms of (T - |xi|^2)^j applied to the field
+    at this mode."""
     k = params.k
     m = float(params.m)
-    half = k // 2
-    au = list(u_atoms)
-    av = list(v_atoms)
-    for _ in range(half):
-        au = [a.weighted_laplacian() for a in au]
-        av = [a.weighted_laplacian() for a in av]
+    au = u(k // 2)
+    av = v(k // 2)
     if k % 2 == 0:
         return sum(_pair_integral(a, b, m) for a in au for b in av)
     dau = [a.d_dy() for a in au]
@@ -650,25 +719,38 @@ def _interior_pair(u_atoms, v_atoms, params: GammaParams, xi2: float) -> complex
     return val
 
 
-def _ul_mode(u_atoms, v_atoms, params: GammaParams, xi2: float) -> complex:
+def _ul_mode(u, v, params: GammaParams, xi2: float) -> complex:
     """<u, (T - |xi|^2)^k v> at one mode, the raw interior term of the form."""
     m = float(params.m)
-    lv = list(v_atoms)
-    for _ in range(params.k):
-        lv = [a.weighted_laplacian() for a in lv]
-    return sum(_pair_integral(a, b, m) for a in u_atoms for b in lv)
+    return sum(_pair_integral(a, b, m) for a in u(0) for b in v(params.k))
+
+
+def _laplacian_powers(fn, k: int) -> list:
+    """[fn, L fn, ..., L^k fn] for the weighted mode Laplacian L."""
+    out = [fn]
+    for _ in range(k):
+        out.append(out[-1].weighted_laplacian())
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_gram(params: GammaParams, pair) -> np.ndarray:
-    """G_ij = pair([P_i], [P_j], |xi| = 1) over the unit-coefficient profiles.
+    """G_ij = pair(P_i, P_j, |xi| = 1) over the unit-coefficient profiles.
 
     With t = |xi| y the mode Laplacian is T_y - |xi|^2 = |xi|^2 (T_t - 1), so
     at |xi| > 0 the pair block of two extension solutions is
     sum_ij s_i conj(s'_j) G_ij |xi|^(2k - m - 1), and 2k - m - 1 = 2 gamma:
     one matrix per order and pairing, built by the per-mode quadrature."""
-    units = [[_profile_atom(prof, 1.0, 1.0)] for prof in all_profiles(params)]
-    return np.array([[pair(a, b, params, 1.0) for b in units] for a in units])
+    sides = [lambda j, powers=powers: [powers[j]] for powers in _unit_laplacians(params)]
+    return np.array([[pair(a, b, params, 1.0) for b in sides] for a in sides])
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_laplacians(params: GammaParams) -> list:
+    """Laplacian powers 0..k of each unit-coefficient profile of the order,
+    shared by the Gram matrices of both pairings."""
+    return [_laplacian_powers(_profile_atom(prof, 1.0, 1.0), params.k)
+            for prof in all_profiles(params)]
 
 
 def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
@@ -685,7 +767,8 @@ def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
                            np.conj(v.scaled[sv]))
         iu, iv = iu[~scaled], iv[~scaled]
     for a, b in zip(iu, iv):
-        total += u.mult[a] * pair(u.atoms(a), v.atoms(b), params, u.xi2[a])
+        total += u.mult[a] * pair(functools.partial(u.laplacian_atoms, a),
+                                  functools.partial(v.laplacian_atoms, b), params, u.xi2[a])
     return total
 
 
@@ -778,10 +861,17 @@ def energy(params: GammaParams, field) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
+def _record_cap_hits(report: VerificationReport, start: int):
+    """Fail the report if its quadrature hit GJ_CAP since the tally read start."""
+    hits = QUAD_COUNTS.cap_hits - start
+    report.record(hits == 0, 0.0, f"quadrature cap hits: {hits}")
+
+
 def verify_q_symmetry(params: GammaParams, u_field, v_field,
                       tol_sym: float = 1e-8, tol_consistency: float = 1e-7) -> VerificationReport:
     """|Q(U,V) - Q(V,U)| small, and Q = interior - boundary correction."""
     report = VerificationReport("q_symmetry", str(params), params.n)
+    hits = QUAD_COUNTS.cap_hits
     u = u_field.view() if isinstance(u_field, TwoBranchGaussField) else u_field
     v = v_field.view() if isinstance(v_field, TwoBranchGaussField) else v_field
     quv = q_form(u, v)
@@ -795,6 +885,7 @@ def verify_q_symmetry(params: GammaParams, u_field, v_field,
     err2 = abs(quv - (inter - corr)) / scale2
     report.record(err2 <= tol_consistency, err2,
                   f"Q vs interior-minus-correction defect {err2:.3e}")
+    _record_cap_hits(report, hits)
     return report
 
 
@@ -819,6 +910,7 @@ def dirichlet_principle_check(params: GammaParams, data_fields, seed: int = 0,
     Q(W,U), Q(W,W); its defect from Q(U,U) + t^2 Q(W,W) is the cross term
     t [Q(U,W) + Q(W,U)] that the Dirichlet principle says vanishes."""
     report = VerificationReport("dirichlet_principle", str(params), params.n)
+    hits = QUAD_COUNTS.cap_hits
     sol = solve_extension(params, data_fields)
     u = extension_field_view(sol)
     w_field = zero_data_perturbation(params, sol.template, seed,
@@ -841,6 +933,7 @@ def dirichlet_principle_check(params: GammaParams, data_fields, seed: int = 0,
         scale = abs(e_u) + abs(e_w) + 1e-30
         err = abs(e_t - want) / scale
         report.record(err <= tol, err, f"t={t}: energy defect {err:.3e}")
+    _record_cap_hits(report, hits)
     return report
 
 
@@ -849,6 +942,7 @@ def energy_trace_check(params: GammaParams, data_fields, seed: int = 1,
     """Equality of the energy with the weighted Dirichlet-to-Neumann sums for
     the solution, strict inequality with the predicted gap after perturbing."""
     report = VerificationReport("energy_trace", str(params), params.n)
+    hits = QUAD_COUNTS.cap_hits
     sol = solve_extension(params, data_fields)
     u = extension_field_view(sol)
     e_u = q_form(u, u)
@@ -872,6 +966,7 @@ def energy_trace_check(params: GammaParams, data_fields, seed: int = 1,
     err3 = abs(gap - e_w) / (abs(e_w) + 1e-30)
     report.record(err3 <= tol, err3, f"perturbation gap {gap:.6e} vs E(W) {e_w:.6e}")
     report.record(gap > 0, 0.0, "strict inequality for the perturbed field")
+    _record_cap_hits(report, hits)
     return report
 
 

@@ -285,6 +285,15 @@ def test_verify_rejects_bad_box(box, tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")], capsys, "box length")
 
 
+@pytest.mark.parametrize("extra", [["--n", "2", "--box", "0"],
+                                   ["--only", "identities", "--box", "nan"]])
+def test_verify_rejects_bad_box_before_any_job(extra, tmp_path, capsys):
+    """--box is checked up front, also where no check would build a grid."""
+    _one_line_error(["verify", "--gamma", "1/2", *extra, "--out", str(tmp_path / "r.json")],
+                    capsys, "--box")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_csv_box_must_be_positive(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     csv.write_text("value\n" + "\n".join(str(v) for v in np.linspace(0, 1, 16)))

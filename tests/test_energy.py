@@ -8,7 +8,7 @@ import pytest
 
 from fractrace import energy as en
 from fractrace.gammacore import GammaParams
-from fractrace.modes import GridField, gaussian_field, solve_extension
+from fractrace.modes import T_SERIES, GridField, gaussian_field, solve_extension
 from fractrace.energy import (
     Bubble,
     ModeFieldView,
@@ -196,6 +196,101 @@ def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
         assert dirichlet_principle_check(p, _gaussian_data(p, grid)).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_energy_check_cost_independent_of_grid(monkeypatch):
+    """Both energy checks apply the exact Bessel-chain Laplacian a fixed number
+    of times per order (powers of the unit profiles, rescaled per mode) and
+    run the same quadrature integrals and nodes on any grid."""
+    p = GammaParams(F(5, 2))
+    real = en.BesselModeFn.weighted_laplacian
+    laps = []
+
+    def counting(self):
+        laps.append(bool(self.chains))
+        return real(self)
+
+    monkeypatch.setattr(en.BesselModeFn, "weighted_laplacian", counting)
+    quad = en.QUAD_COUNTS
+    counts = []
+    for grid in (64, 256):
+        en._unit_gram.cache_clear()
+        en._unit_laplacians.cache_clear()
+        laps.clear()
+        integrals, nodes = quad.integrals, quad.nodes
+        data = _gaussian_data(p, grid)
+        assert dirichlet_principle_check(p, data).passed
+        assert energy_trace_check(p, data).passed
+        counts.append((sum(laps), quad.integrals - integrals, quad.nodes - nodes))
+    # k^2 = 9 applications for the Gram matrices and 9 per solution view
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 27 and counts[0][2] > 0
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
+def test_energy_checks_make_no_cap_hits(gamma):
+    p = GammaParams(gamma)
+    data = _gaussian_data(p, 128)
+    hits = en.QUAD_COUNTS.cap_hits
+    for rep in (dirichlet_principle_check(p, data), energy_trace_check(p, data, seed=1)):
+        assert rep.passed, rep.details
+        assert "quadrature cap hits: 0" in rep.details
+    assert en.QUAD_COUNTS.cap_hits == hits
+
+
+def test_cap_hits_fail_each_check(monkeypatch):
+    """With the node cap at the starting count no integral can converge: each
+    check that runs quadrature reports its cap hits and fails."""
+    p = GammaParams(F(3, 2))
+    data = _gaussian_data(p, 64)
+    template = data[0]
+    monkeypatch.setattr(en, "GJ_CAP", en.GJ_START)
+    en._unit_gram.cache_clear()
+    try:
+        reps = [dirichlet_principle_check(p, data), energy_trace_check(p, data),
+                verify_q_symmetry(p, random_two_branch_field(p, template, seed=0),
+                                  random_two_branch_field(p, template, seed=1))]
+    finally:
+        en._unit_gram.cache_clear()   # drop Gram matrices built at the low cap
+    for rep in reps:
+        assert not rep.passed
+        hits = _defects(rep, "quadrature cap hits")
+        assert len(hits) == 1 and hits[0] > 0
+
+
+def _values(atom, y):
+    """atom on y: branch series below its switchover, Bessel chains above."""
+    out = np.empty(y.shape, dtype=complex)
+    inner = y < atom.series_limit
+    out[inner] = atom.eval_series(y[inner])
+    out[~inner] = atom.eval_outer(y[~inner])
+    return out
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2), F(10, 3)])
+def test_rescaled_laplacian_atoms_match_direct_powers(gamma):
+    """The view's atoms of (T - |xi|^2)^j U, rescaled from the |xi| = 1 unit
+    powers, against the exact operator applied j times at the true |xi| to
+    atoms built directly at that |xi|.  Both sides of the T_SERIES seam are
+    sampled.  Each power is measured against the size of the terms it
+    cancels, |xi|^(2(j - i)) max |L^i U| for i <= j: at j = k the solution is
+    in the kernel and both routes leave only roundoff."""
+    p = GammaParams(gamma)
+    view = extension_field_view(solve_extension(p, _gaussian_data(p, 128)))
+    nonzero = np.flatnonzero(view.xi > 0.0)
+    for pos in (nonzero[0], nonzero[-1]):
+        xi = float(view.xi[pos])
+        y = np.linspace(0.1, 3.0, 59) * T_SERIES / xi
+        direct = [en._profile_atom(prof, xi, c)
+                  for prof, c in zip(view.sol.profiles, view.coeffs[pos]) if c != 0]
+        sizes = []
+        for j in range(p.k + 1):
+            want = np.array([_values(a, y) for a in direct])
+            got = np.array([_values(a, y) for a in view.laplacian_atoms(pos, j)])
+            sizes.append(np.abs(want).max())
+            scale = max(size * xi ** (2 * (j - i)) for i, size in enumerate(sizes))
+            assert np.abs(got - want).max() <= 1e-13 * scale, (pos, j)
+            direct = [a.weighted_laplacian() for a in direct]
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
