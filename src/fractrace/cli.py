@@ -163,8 +163,7 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     checks.append(polys.verify_r2s_commutation(params, 2, Fraction(-3, 2), samples[:5], n=n))
     checks.append(polys.verify_r2s_commutation(params, 1, Fraction(1, 2), samples[:5], n=n))
     checks.append(polys.verify_flat_hyperbolic_correspondence(params, n=n))
-    checks.append(polys.verify_conformal_covariance(
-        params, samples=polys.default_samples(n, params.frac_gamma, seed=seed, extra=1)[:5], n=n))
+    checks.append(polys.verify_conformal_covariance(params, n=n))
     return checks
 
 

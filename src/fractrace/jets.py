@@ -230,23 +230,37 @@ def _rho_odd(params: GammaParams, j: int, ell: int) -> Fraction:
     )
 
 
+def boundary_operators(params: GammaParams, jet: Jet) -> dict:
+    """Every B at (family, j) for j <= min([g], truncation), as {(family, j): B}.
+
+    T is applied to the jet once per step and both traces are taken at every
+    step; each operator is then sum c * Lap^l trace(T^t jet) over its symbol."""
+    top = min(params.floor_gamma, jet.truncation)
+    traces = {"even": [restrict(jet)], "odd": [restrict_weighted_neumann(jet)]}
+    for _ in range(top):
+        jet = apply_T(jet)
+        traces["even"].append(restrict(jet))
+        traces["odd"].append(restrict_weighted_neumann(jet))
+    out = {}
+    for family, chain in traces.items():
+        for j in range(top + 1):
+            acc = BoundaryExpr.zero()
+            for (tp, lp), coeff in boundary_operator_symbol(params, family, j).items():
+                acc = acc + chain[tp].laplacian(lp).scale(coeff)
+            out[(family, j)] = acc
+    return out
+
+
 def boundary_operator_family(params: GammaParams, family: str, j: int, jet: Jet) -> BoundaryExpr:
-    """B at even index 2j (family='even') or odd index 2[g]+2j (family='odd'),
-    evaluated from its symbol as sum c * Lap^l trace(T^t jet)."""
+    """B at even index 2j (family='even') or odd index 2[g]+2j (family='odd');
+    see `boundary_operators`."""
+    if family not in ("even", "odd"):
+        raise ValueError(f"unknown boundary family {family!r}")
     if not 0 <= j <= params.floor_gamma:
         raise IndexError(f"boundary operator index {j} out of range for gamma={params.gamma}")
     if jet.truncation < j:
         raise TruncationError(f"jet truncation {jet.truncation} insufficient for index {j}")
-    symbol = boundary_operator_symbol(params, family, j)
-    trace = restrict if family == "even" else restrict_weighted_neumann
-    traces = [trace(jet)]
-    for _ in range(j):
-        jet = apply_T(jet)
-        traces.append(trace(jet))
-    out = BoundaryExpr.zero()
-    for (tp, lp), coeff in symbol.items():
-        out = out + traces[tp].laplacian(lp).scale(coeff)
-    return out
+    return boundary_operators(params, jet)[(family, j)]
 
 
 def boundary_indices(params: GammaParams):
@@ -392,8 +406,9 @@ def verify_scattering_relations(params: GammaParams) -> VerificationReport:
             for family, idx, kappa, hat in scattering_relation_constants(params, j, kind):
                 base = "f" if kind == "even" else "phi"
                 expected[(family, idx)] = BoundaryExpr.symbol(base, lap=0, hat=hat, coeff=kappa)
+            ops = boundary_operators(params, jet)
             for family, idx, _ in indices:
-                got = boundary_operator_family(params, family, idx, jet)
+                got = ops[(family, idx)]
                 want = expected.get((family, idx), BoundaryExpr.zero())
                 if got != want:
                     report.fail(
@@ -422,6 +437,7 @@ def verify_operators_via_laplacian(params: GammaParams) -> VerificationReport:
     report = VerificationReport("operators_via_laplacian", str(params), params.n)
     fl, fr = params.floor_gamma, params.frac_gamma
     jet = make_generic_jet(params)
+    ops = boundary_operators(params, jet)
     powers = [jet]
     for _ in range(fl):
         powers.append(apply_weighted_laplacian(powers[-1]))
@@ -441,17 +457,13 @@ def verify_operators_via_laplacian(params: GammaParams) -> VerificationReport:
                 * pochhammer_ratio(fr, fl - j - ell)
                 / pochhammer_ratio(fr, fl - 2 * ell)
             )
-            rhs_even = rhs_even + boundary_operator_family(params, "even", ell, jet).laplacian(
-                j - ell
-            ).scale(w_even)
+            rhs_even = rhs_even + ops[("even", ell)].laplacian(j - ell).scale(w_even)
             w_odd = (
                 shared
                 * pochhammer_ratio(fr, 1 + 2 * ell - fl)
                 / pochhammer_ratio(fr, 1 + j + ell - fl)
             )
-            rhs_odd = rhs_odd + boundary_operator_family(params, "odd", ell, jet).laplacian(
-                j - ell
-            ).scale(w_odd)
+            rhs_odd = rhs_odd + ops[("odd", ell)].laplacian(j - ell).scale(w_odd)
         rhs_odd = rhs_odd.scale(Fraction(-1) ** (j + 1))
         if lhs_even != rhs_even:
             report.fail(f"even expansion fails at power {j}: {lhs_even!r} != {rhs_even!r}")

@@ -447,18 +447,36 @@ def poly_T(p: HalfSpacePoly, m) -> HalfSpacePoly:
     return p.dy2() + p.dy_over_y().scale(m)
 
 
-def boundary_operator_poly(params: GammaParams, family: str, j: int, p: HalfSpacePoly) -> BoundaryPoly:
-    """The jet version's operator symbol, applied to the exact polynomial class."""
-    symbol = jets.boundary_operator_symbol(params, family, j)
-    trace = HalfSpacePoly.iota if family == "even" else HalfSpacePoly.iota_weighted_neumann
-    traces = [trace(p)]
-    for _ in range(j):
-        p = poly_T(p, params.m)
-        traces.append(trace(p))
-    out = BoundaryPoly(p.n)
-    for (tp, lp), coeff in symbol.items():
-        out = out + traces[tp].lap(lp).scale(coeff)
+def boundary_operators_poly(params: GammaParams, p: HalfSpacePoly) -> dict:
+    """The jet version's operator symbols applied to the exact polynomial class,
+    as {(family, j): B p} for every j <= [g].  T is applied [g] times, both
+    traces are taken at every step, and each trace's ladder Lap^l is built
+    once, as deep as the symbols reach."""
+    chain = [p]
+    for _ in range(params.floor_gamma):
+        chain.append(poly_T(chain[-1], params.m))
+    out = {}
+    for family, trace in (("even", HalfSpacePoly.iota), ("odd", HalfSpacePoly.iota_weighted_neumann)):
+        ladders = [[trace(q)] for q in chain]
+        for j in range(params.floor_gamma + 1):
+            op = BoundaryPoly(p.n)
+            for (tp, lp), coeff in jets.boundary_operator_symbol(params, family, j).items():
+                ladder = ladders[tp]
+                while len(ladder) <= lp:
+                    ladder.append(ladder[-1].lap())
+                for key, c in ladder[lp].terms.items():
+                    op._accum(op.terms, key, c * coeff)
+            out[(family, j)] = op
     return out
+
+
+def boundary_operator_poly(params: GammaParams, family: str, j: int, p: HalfSpacePoly) -> BoundaryPoly:
+    """B at (family, j) applied to p; see `boundary_operators_poly`."""
+    if family not in ("even", "odd"):
+        raise ValueError(f"unknown boundary family {family!r}")
+    if not 0 <= j <= params.floor_gamma:
+        raise IndexError(f"boundary operator index {j} out of range for gamma={params.gamma}")
+    return boundary_operators_poly(params, p)[(family, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +504,7 @@ class YPowerField:
             assert b == 0, "hyperbolic fields carry no fractional branch"
             key = p + 2 * be
             slot = self.parts.setdefault(key, HalfSpacePoly(self.n, self.frac_gamma))
-            self.parts[key] = slot + HalfSpacePoly(self.n, self.frac_gamma, {(s, a, 0, 0): c})
+            slot._accum(slot.terms, (s, a, 0, 0), c)
         self.parts = {p: poly for p, poly in self.parts.items() if poly.terms}
 
     @classmethod
@@ -731,12 +749,17 @@ def verify_conformal_covariance(params: GammaParams, alpha_list=None, samples=No
     half_n = Fraction(n, 2)
     w_in = g - half_n                       # r^(2g-n) companion weight
     if samples is None:
-        samples = default_samples(n, fr, extra=2)[:7]
+        # the first five carry no fractional branch, on which every odd-family
+        # operator vanishes; the two branch samples reach all of them
+        mk = lambda **kw: HalfSpacePoly.monomial(n, fr, **kw)
+        samples = default_samples(n, fr, extra=0)[:5] + [mk(b=1), mk(b=1, s=-1)]
     if alpha_list is None:
         alpha_list = [("even", j) for j in range(fl + 1)] + [("odd", j) for j in range(fl + 1)]
 
     for idx, u in enumerate(samples):
         pulled = u.kelvin_pullback(w_in)
+        ops_pulled = boundary_operators_poly(params, pulled)
+        ops_u = boundary_operators_poly(params, u)
         # interior covariance
         lhs = weighted_poly_power(pulled, m, k)
         rhs = weighted_poly_power(u, m, k).kelvin_pullback(w_in - 2 * k)
@@ -745,8 +768,8 @@ def verify_conformal_covariance(params: GammaParams, alpha_list=None, samples=No
         # boundary covariance for each operator
         for family, j in alpha_list:
             alpha = Fraction(j) if family == "even" else fr + j
-            got = boundary_operator_poly(params, family, j, pulled)
-            want = boundary_operator_poly(params, family, j, u).kelvin_pullback(w_in - 2 * alpha)
+            got = ops_pulled[(family, j)]
+            want = ops_u[(family, j)].kelvin_pullback(w_in - 2 * alpha)
             if not (got - want).is_zero_function():
                 report.fail(f"sample {idx}: boundary Kelvin covariance fails at ({family},{j})")
     if report.passed:

@@ -22,6 +22,7 @@ from fractrace.jets import (
     boundary_operator,
     boundary_operator_family,
     boundary_operator_symbol,
+    boundary_operators,
     make_generic_jet,
     make_scattering_jet,
     restrict,
@@ -242,6 +243,53 @@ def test_perturbed_symbol_fails_exact_checks(monkeypatch, family, j):
     monkeypatch.setattr(jets, "boundary_operator_symbol", perturbed)
     assert not verify_scattering_relations(p).passed
     assert not verify_operators_via_laplacian(p).passed
+
+
+def test_boundary_operators_stop_at_the_truncation():
+    """The table holds j <= min([g], truncation); the single lookup keeps its
+    range checks."""
+    p = GammaParams(F(9, 2))
+    short = make_generic_jet(p, truncation=2)
+    ops = boundary_operators(p, short)
+    assert set(ops) == {(fam, j) for fam in ("even", "odd") for j in range(3)}
+    full = boundary_operators(p, make_generic_jet(p))
+    for key, op in ops.items():
+        assert op == full[key]
+        assert boundary_operator_family(p, *key, short) == op
+    with pytest.raises(TruncationError):
+        boundary_operator_family(p, "even", 3, short)
+    with pytest.raises(IndexError):
+        boundary_operator_family(p, "odd", p.floor_gamma + 1, make_generic_jet(p))
+    with pytest.raises(ValueError):
+        boundary_operator_family(p, "neither", 0, short)
+
+
+def _count_apply_T(monkeypatch):
+    real = jets.apply_T
+    calls = []
+
+    def counting(jet):
+        calls.append(1)
+        return real(jet)
+
+    monkeypatch.setattr(jets, "apply_T", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gamma, truncation", [(F(1, 3), None), (F(15, 2), None), (F(15, 2), 3)])
+def test_boundary_operators_build_one_T_chain(monkeypatch, gamma, truncation):
+    p = GammaParams(gamma)
+    jet = make_generic_jet(p, truncation)
+    calls = _count_apply_T(monkeypatch)
+    boundary_operators(p, jet)
+    assert len(calls) == min(p.floor_gamma, jet.truncation)
+
+
+def test_scattering_relations_apply_T_once_per_step_and_jet(monkeypatch):
+    p = GammaParams(F(15, 2))
+    calls = _count_apply_T(monkeypatch)
+    assert verify_scattering_relations(p).passed
+    assert len(calls) == p.floor_gamma * (p.n_even_data + p.n_odd_data) > 0
 
 
 def test_symbol_mutation_does_not_leak_into_cache():

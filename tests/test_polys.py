@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractrace import jets, polys
 from fractrace.gammacore import GammaParams
 from fractrace.polys import (
     BoundaryPoly,
@@ -15,6 +16,7 @@ from fractrace.polys import (
     apply_laplacian,
     apply_weighted_laplacian,
     boundary_operator_poly,
+    boundary_operators_poly,
     default_samples,
     hyperbolic_laplacian,
     kelvin_pullback,
@@ -183,6 +185,61 @@ def test_odd_family_covariance_with_branch_sample():
     p = GammaParams(F(1, 2), n=1)
     u = mono(1, p.frac_gamma, alpha=(2,), b=1)
     assert verify_conformal_covariance(p, samples=[u], n=1).passed
+
+
+def test_boundary_operators_poly_build_one_T_chain(monkeypatch):
+    p = GammaParams(F(15, 2), n=1)
+    u = mono(1, p.frac_gamma, s=-1, b=1)
+    real = polys.poly_T
+    calls = []
+
+    def counting(q, m):
+        calls.append(1)
+        return real(q, m)
+
+    monkeypatch.setattr(polys, "poly_T", counting)
+    ops = boundary_operators_poly(p, u)
+    assert len(calls) == p.floor_gamma
+    assert set(ops) == {(fam, j) for fam in ("even", "odd") for j in range(p.floor_gamma + 1)}
+    assert (boundary_operator_poly(p, "odd", 3, u) - ops[("odd", 3)]).is_zero_function()
+    with pytest.raises(IndexError):
+        boundary_operator_poly(p, "even", p.floor_gamma + 1, u)
+
+
+def _perturb_symbol(monkeypatch, target):
+    original = jets.boundary_operator_symbol
+
+    def perturbed(params, fam, idx):
+        sym = original(params, fam, idx)
+        if (fam, idx) == target:
+            sym[min(sym)] += F(1, 7)   # lowest normal power; below the T^j term when j > 0
+        return sym
+
+    monkeypatch.setattr(jets, "boundary_operator_symbol", perturbed)
+
+
+@pytest.mark.parametrize("family, j", [("even", 1), ("even", 2), ("odd", 1), ("odd", 2)])
+def test_perturbed_symbol_fails_conformal_covariance(monkeypatch, family, j):
+    """The polynomial operators read the shared symbol through the jets module,
+    so a wrong coefficient fails covariance on the samples verify uses."""
+    p = GammaParams(F(5, 2), n=1)
+    assert verify_conformal_covariance(p, n=1).passed
+    _perturb_symbol(monkeypatch, (family, j))
+    assert not verify_conformal_covariance(p, n=1).passed
+
+
+@pytest.mark.parametrize("gamma", [F(9, 4), F(15, 2)])
+def test_default_covariance_samples_reach_every_odd_operator(monkeypatch, gamma):
+    """Without a fractional-branch sample every odd-family comparison is 0 = 0;
+    the default samples must catch a wrong (odd, j) symbol for each j >= 1."""
+    p = GammaParams(gamma, n=1)
+    missed = []
+    for j in range(1, p.floor_gamma + 1):
+        with monkeypatch.context() as patch:
+            _perturb_symbol(patch, ("odd", j))
+            if verify_conformal_covariance(p, n=1).passed:
+                missed.append(j)
+    assert missed == []
 
 
 def test_randomized_closure_bulk():
