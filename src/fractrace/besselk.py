@@ -1,18 +1,35 @@
 """Modified Bessel kernel K_nu for the per-mode extension profiles.
 
-A vectorized wrapper over ``scipy.special.kv`` and ``kvp`` (AMOS; Amos 1986,
-ACM TOMS Algorithm 644).  It only adds the domain check: K_nu is singular at
-t = 0 and undefined for t < 0, so t <= 0 is rejected rather than returned as
-inf or nan.
+K_nu and its t-derivative come from the integral representation
 
-``scipy.special`` is imported on the first call, not with the module: most
-commands (``dtn``, ``fraclap``, ``sharpness``, shallow ``extend``) never
-evaluate the kernel, and the import costs more than their whole computation.
+    K_nu(t) = int_0^inf exp(-t cosh s) cosh(nu s) ds        (DLMF 10.32.9),
+    K_nu'(t) = -int_0^inf exp(-t cosh s) cosh s cosh(nu s) ds,
+
+summed by the trapezoidal rule in s.  The integrand is analytic in the strip
+|Im s| < pi/2 and decays double-exponentially, so the rule converges
+exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56, 2014).  The step is
+h = 0.1; above t = 60 it shrinks like t^(-1/2), with the width of the
+integrand's peak at s = 0.  The nodes run from s = 0 until the exponent
+-t cosh s + |nu| s of the smallest t has fallen 40 below its peak.  Measured
+against ``scipy.special.kv``/``kvp`` over nu in [-27, 27] and t in
+[1e-4, 600], the relative error is below 1e-13 (tests/test_besselk.py).
+
+The kernel needs numpy only, so a command that evaluates it loads no scipy.
+K_nu is singular at t = 0 and undefined for t < 0, so t <= 0 is rejected
+rather than returned as inf or nan.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+STEP = 0.1            # trapezoidal step in s for t <= FLAT_T
+FLAT_T = 60.0         # above: the step shrinks as (FLAT_T / t)^(1/2)
+UNDERFLOW_T = 750.0   # above: exp(-t cosh s) underflows at every node
+DROP = 40.0           # the last node's exponent lies this far below the peak
+BLOCK = 1 << 18       # t values x nodes per block of the outer product
 
 
 class BesselDomainError(ValueError):
@@ -26,15 +43,44 @@ def _positive(t):
     return t
 
 
+def _nodes(nu: float, t_min: float, t_max: float):
+    """Trapezoidal step and nodes s = 0, h, 2h, ... for this call's t range."""
+    h = STEP * math.sqrt(FLAT_T / min(max(t_max, FLAT_T), UNDERFLOW_T))
+    a = abs(nu)
+    # past its peak at asinh(a/t) the exponent falls at least as fast as
+    # -t (cosh u - 1) in the distance u from the peak, so this end is enough
+    end = math.asinh(a / t_min) + math.acosh(1.0 + DROP / t_min)
+    s = h * np.arange(int(end / h) + 2)
+    with np.errstate(over="ignore"):   # nodes far past the end, trimmed below
+        exponent = a * s - t_min * np.cosh(s)
+    last = np.flatnonzero(exponent >= exponent.max() - DROP)[-1]
+    return h, s[:last + 2]
+
+
+def _integral(nu: float, t, derivative: bool):
+    t = _positive(t)
+    if t.size == 0:
+        return t
+    flat = t.ravel()
+    h, s = _nodes(nu, float(flat.min()), float(flat.max()))
+    cosh_s = np.cosh(s)
+    weights = h * np.cosh(nu * s)
+    weights[0] *= 0.5
+    if derivative:
+        weights *= -cosh_s
+    out = np.empty(flat.shape)
+    rows = max(1, BLOCK // s.size)
+    for i in range(0, flat.size, rows):
+        block = np.multiply.outer(-flat[i:i + rows], cosh_s)
+        out[i:i + rows] = np.exp(block, out=block) @ weights
+    return out.reshape(t.shape)[()]
+
+
 def bessel_k(nu: float, t):
     """K_nu(t) for t > 0, elementwise over scalars or arrays."""
-    from scipy.special import kv
-
-    return kv(nu, _positive(t))
+    return _integral(nu, t, derivative=False)
 
 
 def bessel_k_dt(nu: float, t):
     """d/dt K_nu(t) for t > 0, elementwise over scalars or arrays."""
-    from scipy.special import kvp
-
-    return kvp(nu, _positive(t))
+    return _integral(nu, t, derivative=True)

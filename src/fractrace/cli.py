@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import energy as en
 from . import gammacore as gc
-from . import jets, modes, polys
+from . import modes
 from .report import VerificationReport, reports_to_csv, reports_to_json, write_atomic
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
@@ -104,6 +103,8 @@ def _parse_gammas(text: str):
 
 
 def _exact_checks(gamma: Fraction, n: int, seed: int):
+    from . import jets, polys
+
     params = gc.GammaParams(gamma, n=n)
     checks = []
 
@@ -192,6 +193,8 @@ def _float_gamma_defect_odd(params, j, const) -> float:
 
 def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, full: bool,
                     tols: dict):
+    from . import energy as en
+
     params = gc.GammaParams(gamma, n=n)
     checks = []
     checks.append(modes.verify_dtn_constants(params, tol=tols["dtn_bessel_extraction"]))
@@ -241,6 +244,8 @@ def _skipped(check: str, params, reason: str) -> VerificationReport:
 
 
 def cmd_verify(args) -> int:
+    from . import energy as en
+
     gammas = _parse_gammas(args.gamma)
     tols = _parse_tolerances(args.loosen_tol)
     if args.grid < 2:
@@ -301,11 +306,20 @@ def _load_fields(paths: str, box: float):
     return fields
 
 
+def _load_data(args):
+    """The Dirichlet data of extend and dtn, each field of dimension --n."""
+    data = _load_fields(args.infile, args.box)
+    for field in data:
+        if field.n != args.n:
+            raise ConfigError(f"--n {args.n} does not match a {field.n}-D input field")
+    return data
+
+
 def cmd_extend(args) -> int:
     if not (math.isfinite(args.height) and args.height >= 0):
         raise ConfigError(f"--height must be a finite number >= 0, got {args.height!r}")
     params = gc.GammaParams(gc.parse_gamma(args.gamma), n=args.n)
-    data = _load_fields(args.infile, args.box)
+    data = _load_data(args)
     sol = modes.solve_extension(params, data)
     out = sol.evaluate(args.height)
     out.save(args.out)
@@ -327,7 +341,7 @@ def cmd_dtn(args) -> int:
     if args.alpha2:
         alpha2 = _rational_arg("--alpha2", args.alpha2, indices.__contains__,
                                "a Neumann-family index: " + ", ".join(map(str, sorted(indices))))
-    data = _load_fields(args.infile, args.box)
+    data = _load_data(args)
     sol = modes.solve_extension(params, data)
     out = modes.dtn_apply(sol, alpha2)
     out.save(args.out)
@@ -354,6 +368,8 @@ def cmd_fraclap(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    from . import energy as en
+
     gt = float(_rational_arg("--gamma-tilde", args.gamma_tilde,
                              lambda v: v == Fraction(1, 2) and args.n == 2,
                              "1/2 with --n 2, the only case the small-frequency repair covers"))
@@ -361,10 +377,16 @@ def cmd_sharpness(args) -> int:
         raise ConfigError(f"--eps must be a finite positive number, got {args.eps!r}")
     if args.grid < 1:
         raise ConfigError(f"--grid must be a positive power of two, got {args.grid}")
-    report = en.sharp_sobolev_check(
-        args.n, gt=gt, bubble=en.Bubble(args.n, gt, epsilon=args.eps),
-        shape=(args.grid,) * args.n, box_length=args.box, seed=args.seed,
-    )
+    if not (math.isfinite(args.box) and args.box > 0):
+        raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
+    try:
+        with np.errstate(over="raise"):
+            report = en.sharp_sobolev_check(
+                args.n, gt=gt, bubble=en.Bubble(args.n, gt, epsilon=args.eps),
+                shape=(args.grid,) * args.n, box_length=args.box, seed=args.seed,
+            )
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigError(f"--box {args.box!r} is too large: {exc}") from None
     payload = reports_to_json([report]).encode()
     if args.out:
         write_atomic(args.out, payload)

@@ -142,7 +142,8 @@ def tiny_field(tmp_path_factory):
 
 
 FLAG = {"dtn": "--alpha2", "fraclap": "--power", "sharpness": "--gamma-tilde",
-        "sharpness-eps": "--eps", "sharpness-grid": "--grid", "extend-height": "--height"}
+        "sharpness-eps": "--eps", "sharpness-grid": "--grid", "sharpness-box": "--box",
+        "extend-height": "--height"}
 
 
 def _malformed_argv(command, value, n, field, out):
@@ -158,6 +159,8 @@ def _malformed_argv(command, value, n, field, out):
         return ["sharpness", f"--eps={value}", "--n", str(n), "--grid", "8", "--out", out]
     if command == "sharpness-grid":
         return ["sharpness", f"--grid={value}", "--n", str(n), "--out", out]
+    if command == "sharpness-box":
+        return ["sharpness", f"--box={value}", "--n", str(n), "--grid", "8", "--out", out]
     return ["sharpness", f"--gamma-tilde={value}", "--n", str(n), "--grid", "8", "--out", out]
 
 
@@ -175,7 +178,9 @@ def _one_line_error(argv, capsys, flag):
     ("dtn", "7", 2), ("dtn", "abc", 2), ("fraclap", "-1", 2), ("fraclap", "x", 2),
     ("sharpness", "1", 2), ("sharpness-eps", "0", 2), ("sharpness-eps", "-1", 2),
     ("sharpness-grid", "0", 2), ("extend-height", "-1", 2), ("extend-height", "nan", 2),
-    ("extend-height", "inf", 2), ("fraclap", "2000", 2),
+    ("extend-height", "inf", 2), ("fraclap", "2000", 2), ("sharpness-box", "0", 2),
+    ("sharpness-box", "-5", 2), ("sharpness-box", "nan", 2), ("sharpness-box", "inf", 2),
+    ("sharpness-box", "1e300", 2),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
@@ -183,7 +188,7 @@ def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path,
 
 
 @given(command=st.sampled_from(["dtn", "fraclap", "sharpness", "sharpness-eps",
-                                "extend-height"]),
+                                "sharpness-box", "extend-height"]),
        value=st.one_of(
            st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "", " ",
                             "1/2", "1", "2", "3", "7", "abc", "3/2/1"]),
@@ -222,23 +227,25 @@ def test_verify_n2_skips_grid_checks(tmp_path):
 
 
 # Run in a fresh interpreter: reports after the import and after each command
-# whether scipy.special has been loaded.
+# which of the watched modules have been loaded.
 _COLD_START = """
 import json, sys
 from fractrace import cli
-loaded = ["scipy.special" in sys.modules]
+watched = json.loads(sys.argv[2])
+loaded = [[m for m in watched if m in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) in (0, 1), argv
-    loaded.append("scipy.special" in sys.modules)
+    loaded.append([m for m in watched if m in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-def _scipy_loaded_after(argvs):
+def _loaded_after(argvs, watched):
     src = os.path.dirname(os.path.dirname(fractrace.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs),
+                           json.dumps(watched)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -246,31 +253,35 @@ def _scipy_loaded_after(argvs):
 @pytest.fixture(scope="module")
 def field_2d(tmp_path_factory):
     """16^2 field on a box of 20: |xi| reaches 3.6, inside the Bessel window
-    (t >= 2) at height 1 and below it at height 0.1."""
+    (t >= 2) at heights 1 and 4 and below it at height 0.1."""
     path = str(tmp_path_factory.mktemp("cold") / "f2.bin")
     gaussian_field(2, (16, 16), 20.0, width=2.0).save(path)
     return path
 
 
+def _field_commands(field, out):
+    return [["fraclap", "--power", "3/4", "--in", field, "--out", out],
+            ["dtn", "--gamma", "1/2", "--n", "2", "--in", field, "--out", out]] + [
+        ["extend", "--gamma", "1/2", "--n", "2", "--in", field, "--height", height,
+         "--out", out] for height in ("0.1", "1", "4")]
+
+
 def test_field_commands_do_not_import_scipy(field_2d, tmp_path):
-    out = str(tmp_path / "o.bin")
-    loaded = _scipy_loaded_after([
-        ["fraclap", "--power", "3/4", "--in", field_2d, "--out", out],
-        ["dtn", "--gamma", "1/2", "--n", "2", "--in", field_2d, "--out", out],
-        ["sharpness", "--n", "2", "--grid", "16", "--out", str(tmp_path / "s.json")],
-        ["extend", "--gamma", "1/2", "--n", "2", "--in", field_2d, "--height", "0.1",
-         "--out", out],
-    ])
-    assert loaded == [False] * 5
+    """The Bessel kernel needs numpy only: deep extends load no scipy either."""
+    argvs = _field_commands(field_2d, str(tmp_path / "o.bin"))
+    argvs.append(["sharpness", "--n", "2", "--grid", "16", "--out", str(tmp_path / "s.json")])
+    assert _loaded_after(argvs, ["scipy.special"]) == [[]] * 7
 
 
-@pytest.mark.parametrize("argv", [
-    ["extend", "--gamma", "1/2", "--n", "2", "--in", "FIELD", "--height", "1", "--out", "OUT"],
-    ["verify", "--gamma", "1/2", "--only", "numeric", "--out", "OUT"],
-])
-def test_scipy_is_imported_on_first_use(argv, field_2d, tmp_path):
-    argv = [{"FIELD": field_2d, "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
-    assert _scipy_loaded_after([argv]) == [False, True]
+def test_field_commands_do_not_load_check_modules(field_2d, tmp_path):
+    checks = ["fractrace.energy", "fractrace.jets", "fractrace.polys"]
+    argvs = _field_commands(field_2d, str(tmp_path / "o.bin"))
+    assert _loaded_after(argvs, checks) == [[]] * 6
+
+
+def test_verify_imports_scipy_for_quadrature(tmp_path):
+    argv = ["verify", "--gamma", "1/2", "--only", "numeric", "--out", str(tmp_path / "o")]
+    assert _loaded_after([argv], ["scipy.special"]) == [[], ["scipy.special"]]
 
 
 def test_verify_passes_near_the_cap(tmp_path):
@@ -292,6 +303,16 @@ def test_verify_rejects_bad_box_before_any_job(extra, tmp_path, capsys):
     _one_line_error(["verify", "--gamma", "1/2", *extra, "--out", str(tmp_path / "r.json")],
                     capsys, "--box")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["extend", "dtn"])
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_field_dimension_must_match_n(command, n, tiny_field, field_2d, tmp_path, capsys):
+    field = field_2d if n == "1" else tiny_field
+    out = tmp_path / "o.bin"
+    _one_line_error([command, "--gamma", "1/2", "--n", n, "--in", field, "--out", str(out)],
+                    capsys, "--n")
+    assert not out.exists()
 
 
 def test_csv_box_must_be_positive(tmp_path, capsys):
