@@ -279,9 +279,16 @@ def test_field_commands_do_not_load_check_modules(field_2d, tmp_path):
     assert _loaded_after(argvs, checks) == [[]] * 6
 
 
-def test_verify_imports_scipy_for_quadrature(tmp_path):
-    argv = ["verify", "--gamma", "1/2", "--only", "numeric", "--out", str(tmp_path / "o")]
-    assert _loaded_after([argv], ["scipy.special"]) == [[], ["scipy.special"]]
+@pytest.mark.parametrize("argv", [
+    ["extend", "--gamma", "1/2", "--n", "2", "--in", "FIELD", "--height", "1", "--out", "OUT"],
+    ["verify", "--gamma", "1/2", "--only", "numeric", "--out", "OUT"],
+])
+def test_scipy_is_imported_on_first_use(argv, field_2d, tmp_path):
+    """Importing the CLI loads no scipy; of these commands only verify's quadrature
+    does, while a deep 2-D extend runs on the numpy-only Bessel kernel."""
+    argv = [{"FIELD": field_2d, "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
+    needs = ["scipy.special"] if argv[0] == "verify" else []
+    assert _loaded_after([argv], ["scipy.special"]) == [[], needs]
 
 
 def test_verify_passes_near_the_cap(tmp_path):
