@@ -379,6 +379,9 @@ def cmd_sharpness(args) -> int:
         raise ConfigError(f"--grid must be a positive power of two, got {args.grid}")
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
+    if args.box < 200.0 * math.sqrt(args.eps):
+        raise ConfigError(f"--box {args.box!r} is too small for --eps {args.eps!r}: the "
+                          f"bubble needs at least 200 sqrt(eps) = {200.0 * math.sqrt(args.eps):g}")
     try:
         with np.errstate(over="raise"):
             report = en.sharp_sobolev_check(

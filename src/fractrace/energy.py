@@ -181,8 +181,8 @@ class BesselModeFn:
     def branch_components(self) -> dict:
         """The series grouped by exponent class (p mod 2), anchored at the
         group minimum so the residual factor is a genuine power series in y^2:
-        {p_min: [(float(p) - float(p_min), coeff)]}."""
-        return _group_by_class(self.series)
+        {p_min: coefficient vector over (y^2)^k}."""
+        return _class_coefficients(self.series)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=complex)
@@ -266,7 +266,7 @@ class PolyGaussModeFn:
 
     @functools.cached_property
     def branch_components(self) -> dict:
-        return _group_by_class(self.terms)
+        return _class_coefficients(self.terms)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=complex)
@@ -295,16 +295,28 @@ class PolyGaussModeFn:
 
 def _group_by_class(series: dict) -> dict:
     """Group exponents by their value mod 2 and key each group by its minimum,
-    so every group reads p_min + (even powers); each term carries its float
-    exponent offset p - p_min."""
+    so every group reads p_min + (even powers); each term carries the exact
+    integer k = (p - p_min)/2 of its power (y^2)^k.  A group shares one
+    denominator, so k is a difference of numerators over 2 den."""
     classes = {}
     for p, c in series.items():
         num, den = p.numerator, p.denominator
         classes.setdefault((num % (2 * den), den), []).append((p, c))
     out = {}
-    for group in classes.values():
-        low = min(p for p, _ in group)
-        out[low] = [(float(p) - float(low), c) for p, c in group]
+    for (_, den), group in classes.items():
+        low = min(group, key=lambda term: term[0].numerator)[0]
+        out[low] = [((p.numerator - low.numerator) // (2 * den), c) for p, c in group]
+    return out
+
+
+def _class_coefficients(series: dict) -> dict:
+    """{p_min: coefficients of the class's power series in y^2}, dense in k."""
+    out = {}
+    for low, group in _group_by_class(series).items():
+        coeffs = np.zeros(max(k for k, _ in group) + 1, dtype=complex)
+        for k, c in group:
+            coeffs[k] = c
+        out[low] = coeffs
     return out
 
 
@@ -316,23 +328,52 @@ _gj_cache = {}
 _gl_cache = {}
 
 
+def _jacobi_pair(n: int, a: float, b: float, x: np.ndarray):
+    """(P_(n-1), P_n) of the Jacobi family (a, b) at x, for n >= 1, by the
+    three-term recurrence."""
+    prev = np.ones_like(x)
+    cur = (a + 1.0) + 0.5 * (a + b + 2.0) * (x - 1.0)
+    for j in range(2, n + 1):
+        s = 2.0 * j + a + b
+        prev, cur = cur, ((s - 1.0) * (s * (s - 2.0) * x + a * a - b * b) * cur
+                          - 2.0 * (j + a - 1.0) * (j + b - 1.0) * s * prev) / (
+                              2.0 * j * (j + a + b) * (s - 2.0))
+    return prev, cur
+
+
+def _log_centred(p: np.ndarray) -> np.ndarray:
+    """p scaled by the geometric mean of its extreme magnitudes, so that a
+    product of two such arrays neither overflows nor underflows."""
+    logs = np.log(np.abs(p))
+    return p / np.exp(0.5 * (logs.max() + logs.min()))
+
+
 def _gauss_jacobi_01(n: int, beta: float):
-    """Nodes/weights for integral_0^1 u^beta F(u) du."""
+    """Nodes/weights for integral_0^1 u^beta F(u) du: the Gauss-Jacobi rule
+    for the weight (1 + x)^beta on [-1, 1], mapped to u = (1 + x)/2.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    Jacobi matrix, refined by one Newton step with P_n and
+    P_n' = (n + beta + 1)/2 P_(n-1)^(1, beta + 1); the weights are
+    1/(P_(n-1) P_n'), normalised to integral_0^1 u^beta du = 1/(beta + 1).
+    This is scipy's roots_jacobi at alpha = 0 in numpy alone."""
     key = (n, round(beta, 12))
     if key not in _gj_cache:
-        from scipy.special import roots_jacobi
-
-        x, w = roots_jacobi(n, 0.0, beta)
-        u = 0.5 * (x + 1.0)
-        _gj_cache[key] = (u, w * 0.5 ** (beta + 1.0))
+        k = np.arange(1.0, n)
+        s = 2.0 * k + beta
+        diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))))
+        off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+        dp = 0.5 * (n + beta + 1.0) * _jacobi_pair(n, 1.0, beta + 1.0, x)[0]
+        x = x - _jacobi_pair(n, 0.0, beta, x)[1] / dp
+        w = 1.0 / (_log_centred(_jacobi_pair(n, 0.0, beta, x)[0]) * _log_centred(dp))
+        _gj_cache[key] = (0.5 * (x + 1.0), w / (w.sum() * (beta + 1.0)))
     return _gj_cache[key]
 
 
 def _gauss_legendre_01(n: int):
     if n not in _gl_cache:
-        from scipy.special import roots_legendre
-
-        x, w = roots_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
         _gl_cache[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _gl_cache[n]
 
@@ -351,25 +392,19 @@ def _pair_integral(u, v, m_weight: float) -> complex:
     split = min(split, outer)
     total = 0.0 + 0.0j
 
-    # inner region: per branch-class pair, weight-matched Gauss-Jacobi
-    ug = u.branch_components
-    vg = v.branch_components
-    for cu, du in ug.items():
+    # inner region: per branch-class pair, weight-matched Gauss-Jacobi; each
+    # class factor is its coefficient vector times the powers (y^2)^k
+    lam = sum(f.lam for f in (u, v) if isinstance(f, PolyGaussModeFn))
+    vg = {cv: np.conj(dv) for cv, dv in v.branch_components.items()}
+    for cu, du in u.branch_components.items():
         for cv, dv in vg.items():
             beta = float(cu + cv) + m_weight
 
             def smooth(yv):
-                su = np.zeros(yv.shape, dtype=complex)
-                for e, c in du:
-                    su += c * yv ** e
-                sv = np.zeros(yv.shape, dtype=complex)
-                for e, c in dv:
-                    sv += np.conj(c) * yv ** e
-                if isinstance(u, PolyGaussModeFn):
-                    su *= np.exp(-u.lam * yv * yv)
-                if isinstance(v, PolyGaussModeFn):
-                    sv *= np.exp(-v.lam * yv * yv)
-                return su * sv
+                y2 = yv * yv
+                powers = y2 ** np.arange(max(du.size, dv.size))[:, None]
+                f = (du @ powers[:du.size]) * (dv @ powers[:dv.size])
+                return f * np.exp(-lam * y2) if lam else f
 
             total += _adaptive_gj(smooth, split, beta)
 

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, determinism, file formats."""
 
+import ast
 import contextlib
 import io
 import json
@@ -180,7 +181,7 @@ def _one_line_error(argv, capsys, flag):
     ("sharpness-grid", "0", 2), ("extend-height", "-1", 2), ("extend-height", "nan", 2),
     ("extend-height", "inf", 2), ("fraclap", "2000", 2), ("sharpness-box", "0", 2),
     ("sharpness-box", "-5", 2), ("sharpness-box", "nan", 2), ("sharpness-box", "inf", 2),
-    ("sharpness-box", "1e300", 2),
+    ("sharpness-box", "1e300", 2), ("sharpness-box", "10", 2),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
@@ -270,7 +271,27 @@ def test_field_commands_do_not_import_scipy(field_2d, tmp_path):
     """The Bessel kernel needs numpy only: deep extends load no scipy either."""
     argvs = _field_commands(field_2d, str(tmp_path / "o.bin"))
     argvs.append(["sharpness", "--n", "2", "--grid", "16", "--out", str(tmp_path / "s.json")])
-    assert _loaded_after(argvs, ["scipy.special"]) == [[]] * 7
+    assert _loaded_after(argvs, ["scipy"]) == [[]] * 7
+
+
+def test_package_has_no_scipy_import():
+    """scipy is a test dependency only: no module of the package imports it."""
+    package = os.path.dirname(fractrace.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_field_commands_do_not_load_check_modules(field_2d, tmp_path):
@@ -284,11 +305,10 @@ def test_field_commands_do_not_load_check_modules(field_2d, tmp_path):
     ["verify", "--gamma", "1/2", "--only", "numeric", "--out", "OUT"],
 ])
 def test_scipy_is_imported_on_first_use(argv, field_2d, tmp_path):
-    """Importing the CLI loads no scipy; of these commands only verify's quadrature
-    does, while a deep 2-D extend runs on the numpy-only Bessel kernel."""
+    """Neither importing the CLI nor running a command loads scipy: a deep 2-D
+    extend runs on the numpy-only Bessel kernel, verify on numpy-only Gauss rules."""
     argv = [{"FIELD": field_2d, "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
-    needs = ["scipy.special"] if argv[0] == "verify" else []
-    assert _loaded_after([argv], ["scipy.special"]) == [[], needs]
+    assert _loaded_after([argv], ["scipy"]) == [[], []]
 
 
 def test_verify_passes_near_the_cap(tmp_path):
