@@ -227,10 +227,9 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     checks.append(en.verify_q_symmetry(params, u, v, tol_sym=tols["q_symmetry"]))
 
     if full or str(gamma) in [str(gc.parse_gamma(s)) for s in ENERGY_GAMMAS]:
-        checks.append(en.dirichlet_principle_check(params, data, seed=seed,
+        checks.append(en.dirichlet_principle_check(sol, seed=seed,
                                                    tol=tols["dirichlet_principle"]))
-        checks.append(en.energy_trace_check(params, data, seed=seed + 1,
-                                            tol=tols["energy_trace"]))
+        checks.append(en.energy_trace_check(sol, seed=seed + 1, tol=tols["energy_trace"]))
     else:
         checks.append(_skipped("dirichlet_principle", params, "run with --full to include this gamma"))
         checks.append(_skipped("energy_trace", params, "run with --full to include this gamma"))

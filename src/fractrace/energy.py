@@ -51,7 +51,6 @@ from .modes import (
     T_MAX,
     all_profiles,
     dirichlet_condition_list,
-    solve_extension,
 )
 from .report import VerificationReport
 
@@ -936,20 +935,20 @@ def zero_data_perturbation(params: GammaParams, template: GridField, seed: int,
     return TwoBranchGaussField(params, template, a, b)
 
 
-def dirichlet_principle_check(params: GammaParams, data_fields, seed: int = 0,
+def dirichlet_principle_check(sol: ExtensionSolution, seed: int = 0,
                               tol: float = 1e-7) -> VerificationReport:
     """Quadraticity of the energy along zero-data perturbations of the solved
-    extension, and positivity of the perturbation energy.
+    extension sol, and positivity of the perturbation energy.
 
     E(t) = Q(U + tW, U + tW) follows from the four blocks Q(U,U), Q(U,W),
     Q(W,U), Q(W,W); its defect from Q(U,U) + t^2 Q(W,W) is the cross term
     t [Q(U,W) + Q(W,U)] that the Dirichlet principle says vanishes."""
+    params = sol.params
     report = VerificationReport("dirichlet_principle", str(params), params.n)
     hits = QUAD_COUNTS.cap_hits
-    sol = solve_extension(params, data_fields)
     u = extension_field_view(sol)
-    w_field = zero_data_perturbation(params, sol.template, seed,
-                                     scale=0.1 * max(np.abs(f.values).max() for f in data_fields))
+    w_field = zero_data_perturbation(
+        params, sol.template, seed, scale=0.1 * max(np.abs(f.values).max() for f in sol.data_fields))
     w = w_field.view()
 
     # confirm the perturbation really has zero Dirichlet data
@@ -972,13 +971,14 @@ def dirichlet_principle_check(params: GammaParams, data_fields, seed: int = 0,
     return report
 
 
-def energy_trace_check(params: GammaParams, data_fields, seed: int = 1,
+def energy_trace_check(sol: ExtensionSolution, seed: int = 1,
                        tol: float = 1e-6) -> VerificationReport:
     """Equality of the energy with the weighted Dirichlet-to-Neumann sums for
-    the solution, strict inequality with the predicted gap after perturbing."""
+    the solved extension sol, strict inequality with the predicted gap after
+    perturbing."""
+    params = sol.params
     report = VerificationReport("energy_trace", str(params), params.n)
     hits = QUAD_COUNTS.cap_hits
-    sol = solve_extension(params, data_fields)
     u = extension_field_view(sol)
     e_u = q_form(u, u)
     rhs = dtn_rhs(sol)
@@ -992,8 +992,8 @@ def energy_trace_check(params: GammaParams, data_fields, seed: int = 1,
     err2 = abs((inter - corr) - rhs) / scale
     report.record(err2 <= tol, err2, f"interior-route energy: defect {err2:.3e}")
 
-    w_field = zero_data_perturbation(params, sol.template, seed,
-                                     scale=0.3 * max(np.abs(f.values).max() for f in data_fields))
+    w_field = zero_data_perturbation(
+        params, sol.template, seed, scale=0.3 * max(np.abs(f.values).max() for f in sol.data_fields))
     w = w_field.view()
     e_w = q_form(w, w)
     e_pert = e_u + q_form(u, w) + q_form(w, u) + e_w

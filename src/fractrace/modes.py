@@ -7,8 +7,9 @@ gamma.  Profiles are normalized through their exact Frobenius branch series
 (never by fitting), and boundary operators are read off the two-branch jets.
 The problem is homogeneous in t = |xi| y, so the Dirichlet system is one
 k x k matrix per order, built at |xi| = 1 and scaled to each mode by powers of
-|xi|.  The boundary jets of the solution stay per mode, at the true |xi|, so
-the self-consistency check still tests that scaling independently.
+|xi|.  The boundary jets of the solution stay per branch order, only the orders
+an operator reads, at the true |xi| of every mode, so the self-consistency
+check still tests that scaling independently.
 The profile ODE (T_t - 1)^k P = 0 is checked by applying the operator exactly,
 through the Bessel recurrence on the kernel side and the power rule on the
 branch series, and evaluating only the result; no finite difference enters.
@@ -249,6 +250,25 @@ def _t_chain_odd(fr: float, tau: int) -> float:
     return out
 
 
+def _apply_symbol(fl: int, fr: float, family: str, j: int, xi2, order) -> np.ndarray:
+    """The boundary operator B[family, j] with the tangential symbol -|xi|^2.
+
+    order(tau) gives the jet coefficient array at y-order tau of the family's
+    branch (a for even, b for odd); the symbol reads each tau <= j once, and
+    its term is added into the result before the next order is requested.
+    """
+    chain = _t_chain_even if family == "even" else _t_chain_odd
+    out = None
+    for (tau, lp), w in boundary_symbol_float(fl, fr, family, j).items():
+        piece = w * chain(fr, tau) * order(tau)
+        piece *= (-xi2) ** lp
+        if out is None:
+            out = piece
+        else:
+            out += piece
+    return out
+
+
 class NumericJets:
     """Two-branch jet coefficient arrays over a mode grid (vectorized)."""
 
@@ -259,14 +279,8 @@ class NumericJets:
 
     def apply_boundary(self, family: str, j: int, xi2) -> np.ndarray:
         """Evaluate the boundary operator with the tangential symbol -|xi|^2."""
-        symbol = boundary_symbol_float(self.fl, self.fr, family, j)
         arrays = self.a if family == "even" else self.b
-        chain = _t_chain_even if family == "even" else _t_chain_odd
-        out = None
-        for (tau, lp), w in symbol.items():
-            piece = w * chain(self.fr, tau) * arrays[tau] * (-xi2) ** lp
-            out = piece if out is None else out + piece
-        return out
+        return _apply_symbol(self.fl, self.fr, family, j, xi2, arrays.__getitem__)
 
     def weighted_laplacian(self, xi2) -> "NumericJets":
         fr = self.fr
@@ -384,6 +398,18 @@ class ModeProfile:
             if self.co_index + i <= truncation:
                 co[self.co_index + i] += self.co_series[i] * co_scale * xi2 ** i
         return a, b
+
+    def jet_term(self, branch: str, tau: int, xi_abs: np.ndarray, xi2: np.ndarray):
+        """The one term of jets(xi_abs, .) at order tau of branch 'a' or 'b',
+        as a float array, or None where the profile has no term; xi2 is
+        xi_abs * xi_abs."""
+        if branch == self.lead_branch:
+            i = tau - self.lead_index
+            return self.lead_series[i] * xi2 ** i if i >= 0 else None
+        i = tau - self.co_index
+        if i < 0:
+            return None
+        return self.co_series[i] * xi_abs ** (2.0 * float(self.nu)) * xi2 ** i
 
     def ode_residual(self) -> float:
         """Relative residual of (T_t - 1)^k on the profile, T_t = d^2/dt^2 + (m/t) d/dt.
@@ -541,9 +567,6 @@ class ExtensionSolution:
                 any_data |= mag >= RESOLVED_REL * mag.max()
         return mask & any_data
 
-    def _profile_jets(self, xi_abs):
-        return [p.jets(xi_abs, self.truncation) for p in self.profiles]
-
     def _solve(self):
         """Coefficients per mode from the one |xi| = 1 matrix M1.
 
@@ -552,17 +575,16 @@ class ExtensionSolution:
         2[g] + 2j for odd rows; hence coeffs = |xi|^lead (M1^-1 (|xi|^-e f)).
         """
         fr = self.params.frac_gamma
-        flat_xi = self.xi_abs.reshape(-1).copy()
-        zero = flat_xi == 0.0
-        flat_xi[zero] = 1.0  # placeholder, zero mode handled separately
-
-        unit = _unit_dirichlet_matrix(self.params, self._profile_jets(np.ones(1)))
+        flat_xi, zero = self._flat_xi()
+        unit = _unit_dirichlet_matrix(
+            self.params, [p.jets(np.ones(1), self.truncation) for p in self.profiles])
         e = np.array([float(2 * j if family == "even" else 2 * fr + 2 * j)
                       for family, j in self.conds])
         lead = np.array([float(p.lead_exponent) for p in self.profiles])
-        rhs = np.stack([dh.reshape(-1) for dh in self.data_hat])
-        scaled = rhs * flat_xi ** -e[:, None]
-        coeffs = (np.linalg.solve(unit, scaled) * flat_xi ** lead[:, None]).T
+        coeffs = np.linalg.solve(
+            unit, np.stack([dh.reshape(-1) for dh in self.data_hat]) * flat_xi ** -e[:, None])
+        coeffs *= flat_xi ** lead[:, None]
+        coeffs = coeffs.T
         coeffs[zero, :] = 0.0
         self.coeffs = coeffs  # [modes, profile]
 
@@ -580,34 +602,49 @@ class ExtensionSolution:
                 else:
                     self.zero_odd[j] = val / ((-1.0) ** (j + 1) * _t_chain_odd(fr, j))
 
-    def solution_jets(self) -> NumericJets:
-        """Jets of the assembled solution over all modes (zero mode included)."""
-        cached = getattr(self, "_jets_cache", None)
-        if cached is not None:
-            return cached
-        fl, fr = self.params.floor_gamma, float(self.params.frac_gamma)
-        shape = self.xi2.shape
+    def _flat_xi(self):
+        """Flat |xi| with the zero mode set to 1 (a placeholder: the zero
+        mode is handled separately), and the zero-mode mask."""
         flat_xi = self.xi_abs.reshape(-1).copy()
         zero = flat_xi == 0.0
         flat_xi[zero] = 1.0
-        jets = self._profile_jets(flat_xi)
-        a = [np.zeros(flat_xi.size, dtype=complex) for _ in range(self.truncation + 1)]
-        b = [np.zeros(flat_xi.size, dtype=complex) for _ in range(self.truncation + 1)]
-        for col, (pa, pb) in enumerate(jets):
-            c = self.coeffs[:, col]
-            for q in range(self.truncation + 1):
-                a[q] += c * pa[q]
-                b[q] += c * pb[q]
+        return flat_xi, zero
+
+    def _jet_order(self, branch: str, tau: int, xi_abs, xi2, zero) -> np.ndarray:
+        """Order tau of the solution's y-jet in branch 'a' (y^(2 tau)) or 'b'
+        (y^(2{g} + 2 tau)) over the flat modes: each profile's coefficient
+        times its one series term at the true |xi|, and the zero mode from the
+        polynomial data."""
+        out = np.zeros(xi_abs.size, dtype=complex)
+        for col, prof in enumerate(self.profiles):
+            term = prof.jet_term(branch, tau, xi_abs, xi2)
+            if term is not None:
+                out += self.coeffs[:, col] * term
         if np.any(zero):
-            for q in range(self.truncation + 1):
-                a[q][zero] = self.zero_even[q] if q < self.zero_even.size else 0.0
-                b[q][zero] = self.zero_odd[q] if q < self.zero_odd.size else 0.0
-        result = NumericJets(fl, fr, [x.reshape(shape) for x in a], [x.reshape(shape) for x in b])
-        self._jets_cache = result
-        return result
+            zero_vals = self.zero_even if branch == "a" else self.zero_odd
+            out[zero] = zero_vals[tau] if tau < zero_vals.size else 0.0
+        return out
+
+    def solution_jets(self) -> NumericJets:
+        """Jets of the assembled solution over all modes (zero mode included)."""
+        xi_abs, zero = self._flat_xi()
+        xi2 = xi_abs * xi_abs
+        shape = self.xi2.shape
+        a, b = ([self._jet_order(branch, q, xi_abs, xi2, zero).reshape(shape)
+                 for q in range(self.truncation + 1)] for branch in "ab")
+        return NumericJets(self.params.floor_gamma, float(self.params.frac_gamma), a, b)
 
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
-        return self.solution_jets().apply_boundary(family, j, self.xi2)
+        """B[family, j] of the solution over all modes.  The operator reads
+        branch a (even) or b (odd) up to order j only; each order is built at
+        the true |xi| and added into the output before the next is built."""
+        xi_abs, zero = self._flat_xi()
+        xi2 = xi_abs * xi_abs
+        branch = "a" if family == "even" else "b"
+        out = _apply_symbol(self.params.floor_gamma, float(self.params.frac_gamma),
+                            family, j, self.xi2.reshape(-1),
+                            lambda tau: self._jet_order(branch, tau, xi_abs, xi2, zero))
+        return out.reshape(self.xi2.shape)
 
     def boundary_value(self, family: str, j: int) -> GridField:
         return GridField.from_modes(self.template, self.boundary_value_modes(family, j))

@@ -221,7 +221,7 @@ def test_dirichlet_principle(gamma):
     p = GammaParams(gamma)
     widths = [2.0 + 0.4 * i for i in range(p.k)]
     data = [gaussian_field(1, (128,), 60.0, width=w) for w in widths]
-    rep = dirichlet_principle_check(p, data)
+    rep = dirichlet_principle_check(solve_extension(p, data))
     assert rep.passed, rep.details
 
 
@@ -240,7 +240,7 @@ def test_energy_trace(gamma):
     p = GammaParams(gamma)
     widths = [2.0 + 0.5 * i for i in range(p.k)]
     data = [gaussian_field(1, (128,), 60.0, width=w) for w in widths]
-    rep = energy_trace_check(p, data)
+    rep = energy_trace_check(solve_extension(p, data))
     assert rep.passed, rep.details
 
 
@@ -287,7 +287,7 @@ def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
     for grid in (64, 256):
         en._unit_gram.cache_clear()
         calls.clear()
-        assert dirichlet_principle_check(p, _gaussian_data(p, grid)).passed
+        assert dirichlet_principle_check(solve_extension(p, _gaussian_data(p, grid))).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -312,9 +312,9 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
         en._unit_laplacians.cache_clear()
         laps.clear()
         integrals, nodes = quad.integrals, quad.nodes
-        data = _gaussian_data(p, grid)
-        assert dirichlet_principle_check(p, data).passed
-        assert energy_trace_check(p, data).passed
+        sol = solve_extension(p, _gaussian_data(p, grid))
+        assert dirichlet_principle_check(sol).passed
+        assert energy_trace_check(sol).passed
         counts.append((sum(laps), quad.integrals - integrals, quad.nodes - nodes))
     # k^2 = 9 applications for the Gram matrices and 9 per solution view
     assert counts[0] == counts[1]
@@ -324,9 +324,9 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
 def test_energy_checks_make_no_cap_hits(gamma):
     p = GammaParams(gamma)
-    data = _gaussian_data(p, 128)
+    sol = solve_extension(p, _gaussian_data(p, 128))
     hits = en.QUAD_COUNTS.cap_hits
-    for rep in (dirichlet_principle_check(p, data), energy_trace_check(p, data, seed=1)):
+    for rep in (dirichlet_principle_check(sol), energy_trace_check(sol, seed=1)):
         assert rep.passed, rep.details
         assert "quadrature cap hits: 0" in rep.details
     assert en.QUAD_COUNTS.cap_hits == hits
@@ -336,12 +336,12 @@ def test_cap_hits_fail_each_check(monkeypatch):
     """With the node cap at the starting count no integral can converge: each
     check that runs quadrature reports its cap hits and fails."""
     p = GammaParams(F(3, 2))
-    data = _gaussian_data(p, 64)
-    template = data[0]
+    sol = solve_extension(p, _gaussian_data(p, 64))
+    template = sol.template
     monkeypatch.setattr(en, "GJ_CAP", en.GJ_START)
     en._unit_gram.cache_clear()
     try:
-        reps = [dirichlet_principle_check(p, data), energy_trace_check(p, data),
+        reps = [dirichlet_principle_check(sol), energy_trace_check(sol),
                 verify_q_symmetry(p, random_two_branch_field(p, template, seed=0),
                                   random_two_branch_field(p, template, seed=1))]
     finally:
@@ -388,18 +388,14 @@ def test_rescaled_laplacian_atoms_match_direct_powers(gamma):
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
-def test_dirichlet_principle_fails_for_a_non_solution(gamma, monkeypatch):
-    """One wrong Frobenius coefficient makes U a non-solution wherever the
-    perturbation W lives; it is no longer the minimizer and every t row fails."""
+def test_dirichlet_principle_fails_for_a_non_solution(gamma):
+    """One wrong Frobenius coefficient, set after the solve, makes U a
+    non-solution wherever the perturbation W lives; it is no longer the
+    minimizer and every t row fails."""
     p = GammaParams(gamma)
-
-    def broken(params, fields):
-        sol = solve_extension(params, fields)
-        sol.profiles[0].lead_series[1] *= 1.0 + 1e-3
-        return sol
-
-    monkeypatch.setattr(en, "solve_extension", broken)
-    rep = dirichlet_principle_check(p, _gaussian_data(p, 128))
+    sol = solve_extension(p, _gaussian_data(p, 128))
+    sol.profiles[0].lead_series[1] *= 1.0 + 1e-3
+    rep = dirichlet_principle_check(sol)
     defects = _defects(rep, "t=")
     assert len(defects) == 4 and min(defects) > 1e-7
     assert not rep.passed
@@ -419,7 +415,7 @@ def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, monkeypatch):
             return (1.0 + 1e-3) * self.const.value(fr)
 
     monkeypatch.setattr(en, "dtn_constant_even", lambda params, j: Scaled(real(params, j)))
-    rep = energy_trace_check(p, _gaussian_data(p, 128))
+    rep = energy_trace_check(solve_extension(p, _gaussian_data(p, 128)))
     assert min(_defects(rep, "energy equals DtN sum")) > 1e-6
     assert min(_defects(rep, "interior-route energy")) > 1e-6
     assert not rep.passed
