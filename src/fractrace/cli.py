@@ -158,11 +158,13 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     checks.append(jets.verify_operators_via_laplacian(params))
     checks.append(jets.verify_scattering_annihilation(params))
 
+    # the nine fixed samples, then the two monomials drawn from --seed
     samples = polys.default_samples(n, params.frac_gamma, seed=seed, extra=2)
-    checks.append(polys.verify_commutator(params.m, 2, samples[:7], str(params), n))
-    checks.append(polys.verify_product_factorization(params, samples[:7]))
-    checks.append(polys.verify_r2s_commutation(params, 2, Fraction(-3, 2), samples[:5], n=n))
-    checks.append(polys.verify_r2s_commutation(params, 1, Fraction(1, 2), samples[:5], n=n))
+    wide, narrow = samples[:7] + samples[9:], samples[:5] + samples[9:]
+    checks.append(polys.verify_commutator(params.m, 2, wide, str(params), n))
+    checks.append(polys.verify_product_factorization(params, wide))
+    checks.append(polys.verify_r2s_commutation(params, 2, Fraction(-3, 2), narrow, n=n))
+    checks.append(polys.verify_r2s_commutation(params, 1, Fraction(1, 2), narrow, n=n))
     checks.append(polys.verify_flat_hyperbolic_correspondence(params, n=n))
     checks.append(polys.verify_conformal_covariance(params, n=n))
     return checks

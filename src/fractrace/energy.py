@@ -65,24 +65,49 @@ GL_PANEL_NODES = 48
 # ---------------------------------------------------------------------------
 
 
+def _key_denominator(exponents) -> int:
+    """The lcm of the denominators of rational exponents: every exponent of
+    a profile function is an integer numerator over it."""
+    return math.lcm(*(Fraction(p).denominator for p in exponents))
+
+
+def _numerator(p, D: int) -> int:
+    p = Fraction(p)
+    return p.numerator * (D // p.denominator)
+
+
 class BesselModeFn:
     """Per-mode function: branch series (valid t = xi y < switchover) plus a
     Bessel-kernel chain for larger y.
 
-    series: {y_exponent (Fraction): complex coeff}, already in the y variable.
+    series: {P: complex coeff}, meaning coeff y^(P/D), already in the y variable.
     chains: list of (nu: Fraction, prefactor: complex,
-                     {(t_exponent a: Fraction, d in {0,1}): Fraction coeff})
-    meaning prefactor * sum coeff (xi y)^a K_nu^(d)(xi y).  Chain coefficients
-    stay exact rationals so that kernel membership cancels exactly under
-    repeated operator application (float coefficients would leave residue
-    amplified by nu^2-sized factors at every step).
+                     {(A, d in {0,1}): Fraction coeff})
+    meaning prefactor * sum coeff (xi y)^(A/D) K_nu^(d)(xi y).  Exponents are
+    keyed by integer numerators over the exponent denominator D; the
+    constructor takes them as rationals.  Chain coefficients stay exact
+    rationals so that kernel membership cancels exactly under repeated
+    operator application (float coefficients would leave residue amplified
+    by nu^2-sized factors at every step).
     """
 
     def __init__(self, xi: float, m: Fraction, series: dict, chains: list):
+        D = _key_denominator([*series, *(a for _, _, terms in chains for a, _ in terms)])
+        self._set(xi, Fraction(m), D, {_numerator(p, D): c for p, c in series.items()},
+                  [(nu, pre, {(_numerator(a, D), d): c for (a, d), c in terms.items()})
+                   for nu, pre, terms in chains])
+
+    def _set(self, xi, m, D, series, chains):
         self.xi = xi
-        self.m = Fraction(m)
+        self.m = m
+        self.D = D
         self.series = {p: c for p, c in series.items() if c != 0}
         self.chains = [(nu, pre, terms) for nu, pre, terms in chains if terms and pre != 0]
+
+    def _new(self, xi, series, chains) -> "BesselModeFn":
+        out = BesselModeFn.__new__(BesselModeFn)
+        out._set(xi, self.m, self.D, series, chains)
+        return out
 
     @property
     def series_limit(self) -> float:
@@ -92,14 +117,14 @@ class BesselModeFn:
     def outer_limit(self) -> float:
         return T_MAX / self.xi if self.xi > 0 else np.inf
 
-    @staticmethod
-    def _chain_ddt(terms: dict, nu2: Fraction) -> dict:
+    def _chain_ddt(self, terms: dict, nu2: Fraction) -> dict:
         """One t derivative on a Bessel chain, closed on K and K' through the
         second-derivative reduction K'' = (1 + nu^2/t^2) K - K'/t."""
+        D = self.D
         out = {}
 
         def add(key, val):
-            acc = out.get(key, Fraction(0)) + val
+            acc = out.get(key, 0) + val
             if acc == 0:
                 out.pop(key, None)
             else:
@@ -107,17 +132,18 @@ class BesselModeFn:
 
         for (a, d), c in terms.items():
             if d == 0:
-                add((a - 1, 0), c * a)
+                add((a - D, 0), Fraction(c.numerator * a, c.denominator * D))
                 add((a, 1), c)
             else:
-                add((a - 1, 1), c * (a - 1))
+                add((a - D, 1), Fraction(c.numerator * (a - D), c.denominator * D))
                 add((a, 0), c)
-                add((a - 2, 0), c * nu2)
+                add((a - 2 * D, 0), c * nu2)
         return out
 
     def weighted_laplacian(self) -> "BesselModeFn":
         """T_y - xi^2: equals xi^2 (T_t - 1) on functions of t = xi y."""
         xi2 = self.xi * self.xi
+        D, (mp, mq) = self.D, (self.m.numerator, self.m.denominator)
         new_series = {}
 
         def add(key, val):
@@ -128,9 +154,9 @@ class BesselModeFn:
                 new_series[key] = acc
 
         for p, c in self.series.items():
-            w = p * (p - 1 + self.m)   # exact Fraction; vanishes at branch bottoms
+            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
             if w != 0:
-                add(p - 2, c * float(w))
+                add(p - 2 * D, c * (w / (D * D * mq)))
             add(p, -c * xi2)
         new_chains = []
         for nu, pre, terms in self.chains:
@@ -139,31 +165,32 @@ class BesselModeFn:
             out = self._chain_ddt(d1, nu2)
 
             def acc(key, val):
-                cur = out.get(key, Fraction(0)) + val
+                cur = out.get(key, 0) + val
                 if cur == 0:
                     out.pop(key, None)
                 else:
                     out[key] = cur
 
             for (a, d), c in d1.items():  # + (m/t) d/dt
-                acc((a - 1, d), self.m * c)
+                acc((a - D, d), self.m * c)
             for (a, d), c in terms.items():  # - identity
                 acc((a, d), -c)
             if out:
                 new_chains.append((nu, pre * xi2, out))
-        return BesselModeFn(self.xi, self.m, new_series, new_chains)
+        return self._new(self.xi, new_series, new_chains)
 
     def d_dy(self) -> "BesselModeFn":
+        D = self.D
         new_series = {}
         for p, c in self.series.items():
             if p != 0:
-                new_series[p - 1] = new_series.get(p - 1, 0.0) + c * float(p)
+                new_series[p - D] = new_series.get(p - D, 0.0) + c * (p / D)
         new_chains = []
         for nu, pre, terms in self.chains:
             out = self._chain_ddt(terms, nu * nu)
             if out:
                 new_chains.append((nu, pre * self.xi, out))
-        return BesselModeFn(self.xi, self.m, new_series, new_chains)
+        return self._new(self.xi, new_series, new_chains)
 
     def rescaled(self, xi: float, s: complex, j: int) -> "BesselModeFn":
         """s |xi|^(2j) F(|xi| y) for this function F of t at |xi| = 1.
@@ -171,22 +198,23 @@ class BesselModeFn:
         With F = (T_t - 1)^j P this is (T_y - |xi|^2)^j applied to s P(|xi| y):
         the series coefficient of y^p gains s |xi|^(p + 2j), each chain
         prefactor s |xi|^(2j), and the chain terms are unchanged."""
-        series = {p: c * (s * xi ** (float(p) + 2 * j)) for p, c in self.series.items()}
+        D = self.D
+        series = {p: c * (s * xi ** (p / D + 2 * j)) for p, c in self.series.items()}
         scale = s * xi ** (2 * j)
         chains = [(nu, pre * scale, terms) for nu, pre, terms in self.chains]
-        return BesselModeFn(xi, self.m, series, chains)
+        return self._new(xi, series, chains)
 
     @functools.cached_property
     def branch_components(self) -> dict:
         """The series grouped by exponent class (p mod 2), anchored at the
         group minimum so the residual factor is a genuine power series in y^2:
-        {p_min: coefficient vector over (y^2)^k}."""
-        return _class_coefficients(self.series)
+        {P_min: coefficient vector over (y^2)^k}, P_min over D."""
+        return _class_coefficients(self.series, self.D)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=complex)
         for p, c in self.series.items():
-            out += c * y ** float(p)
+            out += c * y ** (p / self.D)
         return out
 
     def eval_outer(self, y: np.ndarray) -> np.ndarray:
@@ -195,33 +223,54 @@ class BesselModeFn:
         for nu, pre, terms in self.chains:
             k0, k1 = bessel_k(float(nu), t), bessel_k_dt(float(nu), t)
             for (a, d), c in terms.items():
-                out += pre * float(c) * t ** float(a) * (k0 if d == 0 else k1)
+                out += pre * float(c) * t ** (a / self.D) * (k0 if d == 0 else k1)
         return out
 
     def jet_arrays(self, truncation: int, frac_gamma: Fraction):
-        a = [0.0j] * (truncation + 1)
-        b = [0.0j] * (truncation + 1)
-        for p, c in self.series.items():
-            if p.denominator == 1 and p.numerator % 2 == 0:
-                q = p.numerator // 2
-                if 0 <= q <= truncation:
-                    a[q] += c
-            else:
-                q2 = (p - 2 * frac_gamma) / 2
-                if q2.denominator == 1 and 0 <= q2.numerator <= truncation:
-                    b[q2.numerator] += c
-        return a, b
+        return _branch_jets(self.series, self.D, truncation, frac_gamma, 0.0)
+
+
+def _branch_jets(series: dict, D: int, truncation: int, frac_gamma: Fraction, lam: float):
+    """Two-branch jets a[q], b[q] of sum_P c y^(P/D) exp(-lam y^2): y^(2q0)
+    feeds a[q0 + i] and y^(2[g] + 2q0) feeds b[q0 + i] with the Taylor weight
+    (-lam)^i / i! of the Gaussian (only i = 0 at lam = 0)."""
+    a = [0.0j] * (truncation + 1)
+    b = [0.0j] * (truncation + 1)
+    shift = 2 * frac_gamma * D            # 2[g] as a numerator over D, if it is one
+    for p, c in series.items():
+        if p % (2 * D) == 0:
+            branch, q0 = a, p // (2 * D)
+        elif shift.denominator == 1 and (p - shift.numerator) % (2 * D) == 0:
+            branch, q0 = b, (p - shift.numerator) // (2 * D)
+        else:
+            continue
+        if q0 < 0:
+            continue
+        for q in range(q0, truncation + 1 if lam else min(q0, truncation) + 1):
+            branch[q] += c * (-lam) ** (q - q0) / math.factorial(q - q0)
+    return a, b
 
 
 class PolyGaussModeFn:
-    """Per-mode function sum_j c_j y^(p_j) exp(-lam y^2), exact under the mode
-    Laplacian; lam = 0 degenerates to polynomials (zero-mode case)."""
+    """Per-mode function sum_P c_P y^(P/D) exp(-lam y^2), exact under the mode
+    Laplacian; lam = 0 degenerates to polynomials (zero-mode case).  The
+    constructor takes rational exponents and keys them by numerators over D."""
 
     def __init__(self, xi: float, m: Fraction, lam: float, terms: dict):
+        D = _key_denominator(terms)
+        self._set(xi, Fraction(m), lam, D, {_numerator(p, D): c for p, c in terms.items()})
+
+    def _set(self, xi, m, lam, D, terms):
         self.xi = xi
-        self.m = Fraction(m)
+        self.m = m
         self.lam = lam
+        self.D = D
         self.terms = {p: c for p, c in terms.items() if c != 0}
+
+    def _new(self, terms) -> "PolyGaussModeFn":
+        out = PolyGaussModeFn.__new__(PolyGaussModeFn)
+        out._set(self.xi, self.m, self.lam, self.D, terms)
+        return out
 
     @property
     def series_limit(self) -> float:
@@ -234,12 +283,13 @@ class PolyGaussModeFn:
         applications have piled up high powers."""
         if self.lam == 0.0:
             return np.inf
-        p_max = max((float(p) for p in self.terms), default=0.0)
+        p_max = max(self.terms) / self.D if self.terms else 0.0
         return math.sqrt((46.0 + 3.0 * p_max) / self.lam)
 
     def weighted_laplacian(self) -> "PolyGaussModeFn":
         xi2 = self.xi * self.xi
         lam = self.lam
+        D, (mp, mq), mf = self.D, (self.m.numerator, self.m.denominator), float(self.m)
         out = {}
 
         def add(p, v):
@@ -247,71 +297,57 @@ class PolyGaussModeFn:
                 out[p] = out.get(p, 0.0) + v
 
         for p, c in self.terms.items():
-            w = p * (p - 1 + self.m)   # exact Fraction; vanishes at branch bottoms
+            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
             if w != 0:
-                add(p - 2, c * float(w))
-            add(p, -c * 2.0 * lam * (2.0 * float(p) + 1.0 + float(self.m)))
-            add(p + 2, c * 4.0 * lam * lam)
+                add(p - 2 * D, c * (w / (D * D * mq)))
+            add(p, -c * 2.0 * lam * (2.0 * (p / D) + 1.0 + mf))
+            add(p + 2 * D, c * 4.0 * lam * lam)
             add(p, -c * xi2)
-        return PolyGaussModeFn(self.xi, self.m, lam, out)
+        return self._new(out)
 
     def d_dy(self) -> "PolyGaussModeFn":
+        D = self.D
         out = {}
         for p, c in self.terms.items():
             if p != 0:
-                out[p - 1] = out.get(p - 1, 0.0) + c * float(p)
-            out[p + 1] = out.get(p + 1, 0.0) - 2.0 * self.lam * c
-        return PolyGaussModeFn(self.xi, self.m, self.lam, out)
+                out[p - D] = out.get(p - D, 0.0) + c * (p / D)
+            out[p + D] = out.get(p + D, 0.0) - 2.0 * self.lam * c
+        return self._new(out)
 
     @functools.cached_property
     def branch_components(self) -> dict:
-        return _class_coefficients(self.terms)
+        return _class_coefficients(self.terms, self.D)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=complex)
         for p, c in self.terms.items():
-            out += c * y ** float(p)
+            out += c * y ** (p / self.D)
         return out * np.exp(-self.lam * y * y)
 
     eval_outer = eval_series
 
     def jet_arrays(self, truncation: int, frac_gamma: Fraction):
-        a = [0.0j] * (truncation + 1)
-        b = [0.0j] * (truncation + 1)
-        for p, c in self.terms.items():
-            if p.denominator == 1 and p.numerator % 2 == 0:
-                q0 = p.numerator // 2
-                for q in range(q0, truncation + 1):
-                    a[q] += c * (-self.lam) ** (q - q0) / math.factorial(q - q0)
-            else:
-                q2 = (p - 2 * frac_gamma) / 2
-                if q2.denominator == 1 and q2.numerator >= 0:
-                    q0 = q2.numerator
-                    for q in range(q0, truncation + 1):
-                        b[q] += c * (-self.lam) ** (q - q0) / math.factorial(q - q0)
-        return a, b
+        return _branch_jets(self.terms, self.D, truncation, frac_gamma, self.lam)
 
 
-def _group_by_class(series: dict) -> dict:
-    """Group exponents by their value mod 2 and key each group by its minimum,
-    so every group reads p_min + (even powers); each term carries the exact
-    integer k = (p - p_min)/2 of its power (y^2)^k.  A group shares one
-    denominator, so k is a difference of numerators over 2 den."""
+def _group_by_class(series: dict, D: int) -> dict:
+    """Group exponent numerators P (over D) by their value mod 2D and key each
+    group by its minimum, so every group reads P_min + (even powers); each
+    term carries the exact integer k = (P - P_min)/(2D) of its power (y^2)^k."""
     classes = {}
     for p, c in series.items():
-        num, den = p.numerator, p.denominator
-        classes.setdefault((num % (2 * den), den), []).append((p, c))
+        classes.setdefault(p % (2 * D), []).append((p, c))
     out = {}
-    for (_, den), group in classes.items():
-        low = min(group, key=lambda term: term[0].numerator)[0]
-        out[low] = [((p.numerator - low.numerator) // (2 * den), c) for p, c in group]
+    for group in classes.values():
+        low = min(p for p, _ in group)
+        out[low] = [((p - low) // (2 * D), c) for p, c in group]
     return out
 
 
-def _class_coefficients(series: dict) -> dict:
-    """{p_min: coefficients of the class's power series in y^2}, dense in k."""
+def _class_coefficients(series: dict, D: int) -> dict:
+    """{P_min: coefficients of the class's power series in y^2}, dense in k."""
     out = {}
-    for low, group in _group_by_class(series).items():
+    for low, group in _group_by_class(series, D).items():
         coeffs = np.zeros(max(k for k, _ in group) + 1, dtype=complex)
         for k, c in group:
             coeffs[k] = c
@@ -397,7 +433,7 @@ def _pair_integral(u, v, m_weight: float) -> complex:
     vg = {cv: np.conj(dv) for cv, dv in v.branch_components.items()}
     for cu, du in u.branch_components.items():
         for cv, dv in vg.items():
-            beta = float(cu + cv) + m_weight
+            beta = (cu * v.D + cv * u.D) / (u.D * v.D) + m_weight
 
             def smooth(yv):
                 y2 = yv * yv

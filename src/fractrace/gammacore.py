@@ -14,6 +14,7 @@ multiplies exactly; floating evaluation is used only for cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,11 +63,12 @@ class GammaParams:
         if self.n < 1:
             raise GammaDomainError(f"boundary dimension must be >= 1, got {self.n}")
 
-    @property
+    # computed once per bundle; the exact layers read them in inner loops
+    @functools.cached_property
     def floor_gamma(self) -> int:
         return self.gamma.numerator // self.gamma.denominator
 
-    @property
+    @functools.cached_property
     def frac_gamma(self) -> Fraction:
         return self.gamma - self.floor_gamma
 
@@ -74,7 +76,7 @@ class GammaParams:
     def k(self) -> int:
         return self.floor_gamma + 1
 
-    @property
+    @functools.cached_property
     def m(self) -> Fraction:
         return 1 - 2 * self.frac_gamma
 
@@ -93,28 +95,31 @@ class GammaParams:
         return f"{self.gamma.numerator}/{self.gamma.denominator}"
 
 
+_POCHHAMMER = {}
+
+
 def pochhammer_ratio(q: Fraction, i: int) -> Fraction:
     """Gamma(q + i) / Gamma(q) as an exact rational, for integer i.
 
-    Rising product for i >= 0, reciprocal falling product for i < 0.
-    Raises PoleError when a factor vanishes (the quotient would hit a pole).
+    Rising product for i >= 0, reciprocal falling product for i < 0, formed
+    on the integer numerator and denominator of q and memoized.  Raises
+    PoleError when a factor vanishes (the quotient would hit a pole).
     """
-    q = Fraction(q)
-    if i >= 0:
-        out = Fraction(1)
-        for t in range(i):
-            factor = q + t
+    key = (q, i)
+    out = _POCHHAMMER.get(key)
+    if out is None:
+        q = Fraction(q)
+        p, d = q.numerator, q.denominator
+        offsets = range(i) if i >= 0 else range(-1, i - 1, -1)
+        num = 1
+        for t in offsets:
+            factor = p + t * d
             if factor == 0:
                 raise PoleError(f"pochhammer_ratio({q}, {i}): zero factor at offset {t}")
-            out *= factor
-        return out
-    out = Fraction(1)
-    for t in range(1, -i + 1):
-        factor = q - t
-        if factor == 0:
-            raise PoleError(f"pochhammer_ratio({q}, {i}): zero factor at offset -{t}")
-        out *= factor
-    return 1 / out
+            num *= factor
+        den = d ** len(offsets)
+        out = _POCHHAMMER[key] = Fraction(num, den) if i >= 0 else Fraction(den, num)
+    return out
 
 
 def gamma_quotient(a: Fraction, b: Fraction) -> Fraction:

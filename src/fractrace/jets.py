@@ -7,8 +7,10 @@ A jet is a truncated expansion
 whose coefficients are formal boundary expressions: finite rational
 combinations of tangential-Laplacian powers applied to named symbols, with a
 separate flag marking the scattering image of a symbol.  Everything here is
-exact Fraction arithmetic; the verification operations check operator
-identities with zero tolerance.
+exact rational arithmetic, kept on integers: a boundary expression stores
+integer numerators over one common denominator (module `ratmap`), and the
+normal-operator factors 4j(j -+ [g]) are integers over den [g].  The
+verification operations check operator identities with zero tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
+from . import ratmap
 from .gammacore import GammaParams, pochhammer_ratio
 from .report import VerificationReport
 
@@ -29,78 +33,69 @@ class TruncationError(ValueError):
 class BoundaryExpr:
     """Finite map (symbol, laplacian_power, hat_flag) -> rational coefficient.
 
-    Canonical form never stores zero coefficients, so equality is map equality.
+    Stored as nonzero integer numerators ``nums`` over one positive common
+    denominator ``den`` in the canonical form of `ratmap`, so equality is map
+    equality; ``terms`` reads the map with Fraction coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff != 0:
-                    self.terms[key] = Fraction(coeff)
+        self.nums, self.den = ratmap.from_rationals({k: c for k, c in (terms or {}).items() if c != 0})
+
+    @staticmethod
+    def _of(pair) -> "BoundaryExpr":
+        out = BoundaryExpr.__new__(BoundaryExpr)
+        out.nums, out.den = pair
+        return out
 
     @classmethod
     def symbol(cls, name: str, lap: int = 0, hat: bool = False, coeff=1) -> "BoundaryExpr":
-        return cls({(name, lap, hat): Fraction(coeff)})
+        return cls({(name, lap, hat): coeff})
 
     @classmethod
     def zero(cls) -> "BoundaryExpr":
-        return cls()
+        return BoundaryExpr._of(({}, 1))
+
+    @property
+    def terms(self):
+        return MappingProxyType(ratmap.as_rationals(self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __add__(self, other: "BoundaryExpr") -> "BoundaryExpr":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        result = BoundaryExpr.__new__(BoundaryExpr)
-        result.terms = out
-        return result
+        return BoundaryExpr._of(ratmap.add(self.nums, self.den, other.nums, other.den))
 
     def __sub__(self, other: "BoundaryExpr") -> "BoundaryExpr":
-        return self + other.scale(-1)
+        return BoundaryExpr._of(ratmap.add(self.nums, self.den, other.nums, other.den, -1))
 
     def scale(self, c) -> "BoundaryExpr":
-        c = Fraction(c)
-        if c == 0:
-            return BoundaryExpr.zero()
-        result = BoundaryExpr.__new__(BoundaryExpr)
-        result.terms = {key: coeff * c for key, coeff in self.terms.items()}
-        return result
+        return BoundaryExpr._of(ratmap.scale(self.nums, self.den, *ratmap.ratio(c)))
 
     def laplacian(self, times: int = 1) -> "BoundaryExpr":
         """Apply the tangential Laplacian as a formal symbol shift."""
-        result = BoundaryExpr.__new__(BoundaryExpr)
-        result.terms = {
-            (name, lap + times, hat): coeff for (name, lap, hat), coeff in self.terms.items()
-        }
-        return result
+        return BoundaryExpr._of((
+            {(name, lap + times, hat): c for (name, lap, hat), c in self.nums.items()}, self.den))
 
     def dilate(self, lam2) -> "BoundaryExpr":
         """Scale each term by lam2**laplacian_power (boundary dilation bookkeeping)."""
-        lam2 = Fraction(lam2)
-        result = BoundaryExpr.__new__(BoundaryExpr)
-        result.terms = {key: coeff * lam2 ** key[1] for key, coeff in self.terms.items()}
-        return result
+        p, q = ratmap.ratio(lam2)
+        top = max((key[1] for key in self.nums), default=0)
+        nums = {key: c * p ** key[1] * q ** (top - key[1]) for key, c in self.nums.items()}
+        return BoundaryExpr._of(ratmap.canonical(nums, self.den * q ** top))
 
     def hat_component(self) -> "BoundaryExpr":
-        return BoundaryExpr({k: c for k, c in self.terms.items() if k[2]})
+        return BoundaryExpr._of(ratmap.canonical({k: c for k, c in self.nums.items() if k[2]}, self.den))
 
     def __eq__(self, other):
-        return isinstance(other, BoundaryExpr) and self.terms == other.terms
+        return isinstance(other, BoundaryExpr) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for (name, lap, hat), coeff in sorted(self.terms.items()):
@@ -171,9 +166,14 @@ def apply_T(jet: Jet) -> Jet:
     if jet.truncation < 1:
         raise TruncationError("apply_T: truncation exhausted")
     fr = jet.params.frac_gamma
+    fn, fd = fr.numerator, fr.denominator
     trunc = jet.truncation - 1
-    new_a = tuple(jet.a[j + 1].scale(4 * (j + 1) * (j + 1 - fr)) for j in range(trunc + 1))
-    new_b = tuple(jet.b[j + 1].scale(4 * (j + 1) * (j + 1 + fr)) for j in range(trunc + 1))
+
+    def scaled(e, j, sign):  # e * 4 (j+1)(j+1 -+ [g]), an integer over den [g]
+        return BoundaryExpr._of(ratmap.scale(e.nums, e.den, 4 * (j + 1) * ((j + 1) * fd - sign * fn), fd))
+
+    new_a = tuple(scaled(jet.a[j + 1], j, 1) for j in range(trunc + 1))
+    new_b = tuple(scaled(jet.b[j + 1], j, -1) for j in range(trunc + 1))
     return Jet(jet.params, trunc, new_a, new_b)
 
 
@@ -205,7 +205,8 @@ def restrict(jet: Jet) -> BoundaryExpr:
 
 def restrict_weighted_neumann(jet: Jet) -> BoundaryExpr:
     """Weighted Neumann trace y^m d_y at y -> 0+: picks out 2[g] b_0."""
-    return jet.b[0].scale(2 * jet.params.frac_gamma)
+    fr = jet.params.frac_gamma
+    return BoundaryExpr._of(ratmap.scale(jet.b[0].nums, jet.b[0].den, 2 * fr.numerator, fr.denominator))
 
 
 def _rho_even(params: GammaParams, j: int, ell: int) -> Fraction:
@@ -244,10 +245,11 @@ def boundary_operators(params: GammaParams, jet: Jet) -> dict:
     out = {}
     for family, chain in traces.items():
         for j in range(top + 1):
-            acc = BoundaryExpr.zero()
+            nums, den = {}, 1
             for (tp, lp), coeff in boundary_operator_symbol(params, family, j).items():
-                acc = acc + chain[tp].laplacian(lp).scale(coeff)
-            out[(family, j)] = acc
+                term = chain[tp].laplacian(lp)
+                nums, den = ratmap.add(nums, den, term.nums, term.den, *ratmap.ratio(coeff))
+            out[(family, j)] = BoundaryExpr._of((nums, den))
     return out
 
 
@@ -354,14 +356,14 @@ def make_scattering_jet(params: GammaParams, j: int, kind: str, truncation: int 
     a = [BoundaryExpr.zero() for _ in range(truncation + 1)]
     b = [BoundaryExpr.zero() for _ in range(truncation + 1)]
     lead, co = (a, b) if lead_branch == "a" else (b, a)
-    for ell in range(truncation + 1):
-        coeff = Fraction(-1) ** ell / (Fraction(4) ** ell * math.factorial(ell))
+    for ell in range(truncation + 1):   # one term per slot of each branch
+        coeff = Fraction((-1) ** ell, 4 ** ell * math.factorial(ell))
         if lead_idx + ell <= truncation:
-            lead[lead_idx + ell] += BoundaryExpr.symbol(
+            lead[lead_idx + ell] = BoundaryExpr.symbol(
                 base, lap=ell, hat=False, coeff=coeff / pochhammer_ratio(1 - gt, ell)
             )
         if co_idx + ell <= truncation:
-            co[co_idx + ell] += BoundaryExpr.symbol(
+            co[co_idx + ell] = BoundaryExpr.symbol(
                 base, lap=ell, hat=True, coeff=coeff / pochhammer_ratio(1 + gt, ell)
             )
     return Jet(params, truncation, tuple(a), tuple(b))

@@ -11,19 +11,29 @@ Laplacian, the weighted Laplacian at any weight, multiplication by r^2,
 the radial directional derivative, and the Kelvin pullback, which is what the
 commutation, factorization and conformal-covariance identities need.
 
+Storage is integer: the coefficients are numerators over one common
+denominator per element (module `ratmap`), and each r exponent s is keyed by
+the integer S = s D over a per-element exponent denominator D.  D starts at
+lcm(2, den [g]) and is raised to an lcm when an operand or an argument needs
+it (a Kelvin weight 5/3, say), so every derivation computes its per-term
+factor as an integer over D^2 and reduces the result once.  ``terms`` gives
+the same map with Fraction exponents and coefficients.
+
 Zero tests expand every integer power of r^2 multinomially, grouped by branch
-flag and by fractional class of the r exponent, so identities are decided
-exactly with no sampling error.
+flag and by fractional class S mod D of the r exponent, so identities are
+decided exactly with no sampling error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from . import jets
+from . import jets, ratmap
 from .gammacore import GammaParams
 from .report import VerificationReport
 
@@ -47,76 +57,98 @@ def _rising_or_zero(q: Fraction, i: int) -> Fraction:
     return out
 
 
-class HalfSpacePoly:
-    """terms: {(s, alpha, beta, b): coeff} over x in R^n and y > 0."""
+def _add(acc: dict, key, v: int):
+    acc[key] = acc.get(key, 0) + v
 
-    __slots__ = ("n", "frac_gamma", "terms")
+
+class _RadialTerms:
+    """Storage shared by the two polynomial classes: ``nums`` maps keys
+    (S, alpha, ...) to nonzero ints over ``den`` (canonical, see `ratmap`),
+    and the r exponent of a key is S / D."""
+
+    __slots__ = ()
+
+    def _rekeyed(self, D: int) -> dict:
+        """nums with S over D, a multiple of self.D."""
+        if D == self.D:
+            return self.nums
+        f = D // self.D
+        return {(key[0] * f,) + key[1:]: c for key, c in self.nums.items()}
+
+    def _combine(self, other, sign: int):
+        D = math.lcm(self.D, other.D)
+        return self._new(ratmap.add(self._rekeyed(D), self.den, other._rekeyed(D), other.den, sign), D)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, c):
+        return self._new(ratmap.scale(self.nums, self.den, *ratmap.ratio(c)))
+
+    def mul_r2(self, power=1):
+        """Multiply by r^(2*power); power may be any rational."""
+        p, q = ratmap.ratio(power)
+        D = math.lcm(self.D, q)
+        shift = p * (D // q)
+        nums = {(key[0] + shift,) + key[1:]: c for key, c in self._rekeyed(D).items()}
+        return self._new((nums, self.den), D)
+
+    @property
+    def terms(self):
+        """Read-only {(s, ...): coeff} with Fraction s and coefficients."""
+        D, den = self.D, self.den
+        return MappingProxyType({(Fraction(key[0], D),) + key[1:]: Fraction(c, den)
+                                 for key, c in self.nums.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and (self - other).is_zero_function()
+
+
+class HalfSpacePoly(_RadialTerms):
+    """nums: {(S, alpha, beta, b): int} over den, s = S / D, for x in R^n and
+    y > 0; ``terms`` reads it as {(s, alpha, beta, b): coeff}."""
+
+    __slots__ = ("n", "frac_gamma", "D", "nums", "den")
 
     def __init__(self, n: int, frac_gamma: Fraction, terms=None):
         self.n = n
         self.frac_gamma = Fraction(frac_gamma)
-        self.terms = {}
-        if terms:
-            for (s, alpha, beta, b), c in terms.items():
-                if c == 0:
-                    continue
-                alpha = tuple(alpha)
-                assert len(alpha) == n and all(e >= 0 for e in alpha), f"bad multi-index {alpha}"
-                assert b in (0, 1), f"branch flag must be 0/1, got {b}"
-                self.terms[(Fraction(s), alpha, int(beta), int(b))] = Fraction(c)
+        rational = {}
+        for (s, alpha, beta, b), c in (terms or {}).items():
+            if c == 0:
+                continue
+            alpha = tuple(alpha)
+            assert len(alpha) == n and all(e >= 0 for e in alpha), f"bad multi-index {alpha}"
+            assert b in (0, 1), f"branch flag must be 0/1, got {b}"
+            rational[(Fraction(s), alpha, int(beta), int(b))] = c
+        D = self.D = math.lcm(2, self.frac_gamma.denominator, *(key[0].denominator for key in rational))
+        self.nums, self.den = ratmap.from_rationals(
+            {(s.numerator * (D // s.denominator), a, be, b): c for (s, a, be, b), c in rational.items()})
 
     @classmethod
     def monomial(cls, n, frac_gamma, s=0, alpha=None, beta=0, b=0, coeff=1):
         alpha = tuple(alpha) if alpha is not None else (0,) * n
         return cls(n, frac_gamma, {(Fraction(s), alpha, beta, b): Fraction(coeff)})
 
-    def _new(self, terms):
+    def _new(self, pair, D: int = None):
+        """Same n and [g]; pair is a canonical (nums, den) at exponent
+        denominator D (default: this element's)."""
         out = HalfSpacePoly.__new__(HalfSpacePoly)
-        out.n, out.frac_gamma = self.n, self.frac_gamma
-        out.terms = terms
+        out.n, out.frac_gamma, out.D = self.n, self.frac_gamma, self.D if D is None else D
+        out.nums, out.den = pair
         return out
 
-    def _accum(self, acc, key, c):
-        if c == 0:
-            return
-        cur = acc.get(key, Fraction(0)) + c
-        if cur == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = cur
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            self._accum(acc, key, c)
-        return self._new(acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return self._new({})
-        return self._new({key: v * c for key, v in self.terms.items()})
-
-    def mul_r2(self, power=1):
-        """Multiply by r^(2*power); power may be any rational."""
-        power = Fraction(power)
-        return self._new({(s + power, a, be, b): c for (s, a, be, b), c in self.terms.items()})
+    def _branch_q(self) -> int:
+        """2[g] D: the y exponent q of a key is (2 beta D + b * this) / D."""
+        fr = self.frac_gamma
+        return 2 * fr.numerator * (self.D // fr.denominator)
 
     def mul_y2(self, power=1):
-        return self._new({(s, a, be + power, b): c for (s, a, be, b), c in self.terms.items()})
-
-    def __mul__(self, other):
-        acc = {}
-        for (s1, a1, be1, b1), c1 in self.terms.items():
-            for (s2, a2, be2, b2), c2 in other.terms.items():
-                if b1 and b2:
-                    raise ValueError("product would need the y^(4[g]) branch; not representable")
-                key = (s1 + s2, tuple(x + y for x, y in zip(a1, a2)), be1 + be2, b1 | b2)
-                self._accum(acc, key, c1 * c2)
-        return self._new(acc)
+        return self._new(({(S, a, be + power, b): c for (S, a, be, b), c in self.nums.items()},
+                          self.den))
 
     # -- derivations ------------------------------------------------------
 
@@ -126,67 +158,71 @@ class HalfSpacePoly:
         The sum of x_i^2 r^(2s-4) terms is collapsed through x^2 = r^2 - y^2
         to keep the term count dimension-independent.
         """
+        D, n = self.D, self.n
+        D2 = D * D
         acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            if s != 0:
-                self._accum(acc, (s - 1, a, be, b),
-                            c * (2 * s * self.n + 4 * s * sum(a) + 4 * s * (s - 1)))
-                self._accum(acc, (s - 2, a, be + 1, b), -c * 4 * s * (s - 1))
-            for i in range(self.n):
-                if a[i] >= 2:
-                    a2 = list(a); a2[i] -= 2
-                    self._accum(acc, (s, tuple(a2), be, b), c * a[i] * (a[i] - 1))
-        return self._new(acc)
-
-    def dx(self, i: int):
-        acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            if s != 0:
-                a2 = list(a); a2[i] += 1
-                self._accum(acc, (s - 1, tuple(a2), be, b), c * 2 * s)
-            if a[i] >= 1:
-                a2 = list(a); a2[i] -= 1
-                self._accum(acc, (s, tuple(a2), be, b), c * a[i])
-        return self._new(acc)
-
-    def _q(self, be, b):
-        return 2 * be + 2 * self.frac_gamma * b
+        for (S, a, be, b), c in self.nums.items():
+            if S:
+                _add(acc, (S - D, a, be, b), c * (2 * S * D * (n + 2 * sum(a)) + 4 * S * (S - D)))
+                _add(acc, (S - 2 * D, a, be + 1, b), -c * 4 * S * (S - D))
+            for i, ai in enumerate(a):
+                if ai >= 2:
+                    _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:], be, b), c * ai * (ai - 1) * D2)
+        return self._new(ratmap.canonical(acc, self.den * D2))
 
     def dy2(self):
         """Second y derivative; r^(2s-4) y^2 terms from differentiating r."""
+        D, fq = self.D, self._branch_q()
         acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            q = self._q(be, b)
-            if s != 0:
-                self._accum(acc, (s - 2, a, be + 1, b), c * 4 * s * (s - 1))
-                self._accum(acc, (s - 1, a, be, b), c * 2 * s * (2 * q + 1))
-            self._accum(acc, (s, a, be - 1, b), c * q * (q - 1))
-        return self._new(acc)
+        for (S, a, be, b), c in self.nums.items():
+            Q = 2 * be * D + b * fq
+            if S:
+                _add(acc, (S - 2 * D, a, be + 1, b), c * 4 * S * (S - D))
+                _add(acc, (S - D, a, be, b), c * 2 * S * (2 * Q + D))
+            _add(acc, (S, a, be - 1, b), c * Q * (Q - D))
+        return self._new(ratmap.canonical(acc, self.den * D * D))
 
     def dy_over_y(self):
         """y^(-1) d_y; the beta-1 slot may go negative (formal Laurent term)."""
+        D, fq = self.D, self._branch_q()
         acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            q = self._q(be, b)
-            if s != 0:
-                self._accum(acc, (s - 1, a, be, b), c * 2 * s)
-            self._accum(acc, (s, a, be - 1, b), c * q)
-        return self._new(acc)
+        for (S, a, be, b), c in self.nums.items():
+            if S:
+                _add(acc, (S - D, a, be, b), c * 2 * S)
+            _add(acc, (S, a, be - 1, b), c * (2 * be * D + b * fq))
+        return self._new(ratmap.canonical(acc, self.den * D))
 
     def y_dy(self):
+        D, fq = self.D, self._branch_q()
         acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            q = self._q(be, b)
-            if s != 0:
-                self._accum(acc, (s - 1, a, be + 1, b), c * 2 * s)
-            self._accum(acc, (s, a, be, b), c * q)
-        return self._new(acc)
+        for (S, a, be, b), c in self.nums.items():
+            if S:
+                _add(acc, (S - D, a, be + 1, b), c * 2 * S)
+            _add(acc, (S, a, be, b), c * (2 * be * D + b * fq))
+        return self._new(ratmap.canonical(acc, self.den * D))
 
     def laplacian(self):
-        return self.lap_x() + self.dy2()
+        return self.weighted_laplacian(0)
 
     def weighted_laplacian(self, m):
-        return self.laplacian() + self.dy_over_y().scale(m)
+        """lap_x + dy2 + m dy_over_y in one pass.  The r^(2s-4) y^2 terms of
+        lap_x and dy2 cancel; per term c r^(2s) x^alpha y^q what is left is
+        c 2s (n + 2|alpha| + 2s + 2q - 1 + m) at s - 1, c q (q - 1 + m) at
+        beta - 1 and the x second derivatives, all over D^2 mq for m = mp/mq."""
+        mp, mq = ratmap.ratio(m)
+        D, n, fq = self.D, self.n, self._branch_q()
+        xx = D * D * mq
+        acc = {}
+        for (S, a, be, b), c in self.nums.items():
+            Q = 2 * be * D + b * fq
+            if S:
+                _add(acc, (S - D, a, be, b),
+                     c * 2 * S * (((n + 2 * sum(a) - 1) * D + 2 * S + 2 * Q) * mq + mp * D))
+            _add(acc, (S, a, be - 1, b), c * Q * ((Q - D) * mq + mp * D))
+            for i, ai in enumerate(a):
+                if ai >= 2:
+                    _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:], be, b), c * ai * (ai - 1) * xx)
+        return self._new(ratmap.canonical(acc, self.den * xx))
 
     def directional_r2(self, ell: int = 1):
         """ell-th covariant derivative contracted with the r^2 gradient.
@@ -194,11 +230,15 @@ class HalfSpacePoly:
         On a monomial of homogeneity d this is 2^ell d(d-1)...(d-ell+1), the
         falling-factorial of the Euler operator.
         """
-        acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            d = 2 * s + sum(a) + self._q(be, b)
-            self._accum(acc, (s, a, be, b), c * Fraction(2) ** ell * _falling(d, ell))
-        return self._new(acc)
+        D, fq = self.D, self._branch_q()
+        nums = {}
+        for key, c in self.nums.items():
+            S, a, be, b = key
+            dD = 2 * S + (sum(a) + 2 * be) * D + b * fq
+            for t in range(ell):
+                c *= 2 * (dD - t * D)
+            nums[key] = c
+        return self._new(ratmap.canonical(nums, self.den * D ** ell))
 
     def kelvin_pullback(self, w):
         """r^(2w) times the composition with the inversion z -> z / r^2.
@@ -206,71 +246,62 @@ class HalfSpacePoly:
         x^alpha picks up r^(-2|alpha|), y^(2 beta) picks up r^(-4 beta), and
         the branch factor y^(2[g]) picks up r^(-4[g]).
         """
-        w = Fraction(w)
-        return self._new({
-            (w - s - sum(a) - 2 * be - 2 * self.frac_gamma * b, a, be, b): c
-            for (s, a, be, b), c in self.terms.items()
-        })
+        p, q = ratmap.ratio(w)
+        D = math.lcm(self.D, q)
+        W = p * (D // q)
+        fq = 2 * self.frac_gamma.numerator * (D // self.frac_gamma.denominator)
+        nums = {(W - S - (sum(a) + 2 * be) * D - b * fq, a, be, b): c
+                for (S, a, be, b), c in self._rekeyed(D).items()}
+        return self._new((nums, self.den), D)
 
     # -- restriction to the boundary --------------------------------------
 
-    def iota(self) -> "BoundaryPoly":
-        """Value at y = 0 (keeps terms with zero y exponent; r becomes |x|)."""
-        acc = {}
-        for (s, a, be, b), c in self.terms.items():
+    def _boundary_terms(self, branch: int) -> dict:
+        nums = {}
+        for (S, a, be, b), c in self.nums.items():
             if be < 0:
                 raise ValueError("restriction of a negative y power")
-            if be == 0 and b == 0:
-                key = (s, a)
-                acc[key] = acc.get(key, Fraction(0)) + c
-        return BoundaryPoly(self.n, {k: v for k, v in acc.items() if v != 0})
+            if be == 0 and b == branch:
+                nums[(S, a)] = c
+        return nums
+
+    def iota(self) -> "BoundaryPoly":
+        """Value at y = 0 (keeps terms with zero y exponent; r becomes |x|)."""
+        return BoundaryPoly._of(self.n, self.D, ratmap.canonical(self._boundary_terms(0), self.den))
 
     def iota_weighted_neumann(self) -> "BoundaryPoly":
         """y^m d_y at y -> 0+; only branch terms with beta = 0 survive, with
         factor 2[g]."""
-        acc = {}
-        for (s, a, be, b), c in self.terms.items():
-            if be < 0:
-                raise ValueError("restriction of a negative y power")
-            if be == 0 and b == 1:
-                key = (s, a)
-                acc[key] = acc.get(key, Fraction(0)) + c * 2 * self.frac_gamma
-        return BoundaryPoly(self.n, {k: v for k, v in acc.items() if v != 0})
+        fr = self.frac_gamma
+        pair = ratmap.scale(self._boundary_terms(1), self.den, 2 * fr.numerator, fr.denominator)
+        return BoundaryPoly._of(self.n, self.D, pair)
 
     # -- exact zero test ---------------------------------------------------
 
     def is_zero_function(self) -> bool:
         """Decide whether the element is the zero function.
 
-        Terms are grouped by branch flag and fractional class of s; inside a
-        group all r powers are lowered to the common minimum by multinomial
-        expansion of r^2 = |x|^2 + y^2, after which coefficients must vanish.
+        Terms are grouped by branch flag and fractional class S mod D; inside
+        a group all r powers are lowered to the common minimum by multinomial
+        expansion of r^2 = |x|^2 + y^2, after which the integer numerators
+        must cancel.
         """
+        D = self.D
         groups = {}
-        for (s, a, be, b), c in self.terms.items():
-            frac = s - (s.numerator // s.denominator)
-            groups.setdefault((b, frac), []).append((s, a, be, c))
-        for (b, _), entries in groups.items():
-            base = min(s.numerator // s.denominator for s, _, _, _ in entries)
+        for (S, a, be, b), c in self.nums.items():
+            groups.setdefault((b, S % D), []).append((S // D, a, be, c))
+        for entries in groups.values():
+            base = min(entry[0] for entry in entries)
             acc = {}
-            for s, a, be, c in entries:
-                t = s.numerator // s.denominator - base
-                for xa, ny, mult in _expand_r2(self.n, t):
-                    key = (tuple(x + y for x, y in zip(a, xa)), be + ny)
-                    cur = acc.get(key, Fraction(0)) + c * mult
-                    if cur == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = cur
-            if acc:
+            for t, a, be, c in entries:
+                for xa, ny, mult in _expand_r2(self.n, t - base):
+                    _add(acc, (tuple(map(operator.add, a, xa)), be + ny), c * mult)
+            if any(acc.values()):
                 return False
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, HalfSpacePoly) and (self - other).is_zero_function()
-
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for (s, a, be, b), c in sorted(self.terms.items()):
@@ -278,7 +309,8 @@ class HalfSpacePoly:
         return " + ".join(bits)
 
 
-def _expand_r2(n: int, t: int):
+@functools.lru_cache(maxsize=None)
+def _expand_r2(n: int, t: int) -> tuple:
     """Multinomial expansion of (x_1^2+...+x_n^2+y^2)^t.
 
     Yields (alpha, ny, coeff) with alpha the x exponents (already doubled)
@@ -293,113 +325,91 @@ def _expand_r2(n: int, t: int):
             rec(balance - e, idx + 1, alpha + [e], coeff * math.comb(balance, e))
 
     rec(t, 0, [], 1)
-    return out
+    return tuple(out)
 
 
-class BoundaryPoly:
-    """Boundary restriction class: {(s, alpha): coeff} meaning |x|^(2s) x^alpha."""
+class BoundaryPoly(_RadialTerms):
+    """Boundary restriction class: nums {(S, alpha): int} over den meaning
+    |x|^(2s) x^alpha with s = S / D; ``terms`` reads {(s, alpha): coeff}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "D", "nums", "den")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for (s, a), c in terms.items():
-                if c != 0:
-                    self.terms[(Fraction(s), tuple(a))] = Fraction(c)
+        rational = {(Fraction(s), tuple(a)): c for (s, a), c in (terms or {}).items() if c != 0}
+        D = self.D = math.lcm(2, *(s.denominator for s, _ in rational))
+        self.nums, self.den = ratmap.from_rationals(
+            {(s.numerator * (D // s.denominator), a): c for (s, a), c in rational.items()})
 
-    def _new(self, terms):
+    @staticmethod
+    def _of(n: int, D: int, pair) -> "BoundaryPoly":
         out = BoundaryPoly.__new__(BoundaryPoly)
-        out.n = self.n
-        out.terms = terms
+        out.n, out.D = n, D
+        out.nums, out.den = pair
         return out
 
-    def _accum(self, acc, key, c):
-        if c == 0:
-            return
-        cur = acc.get(key, Fraction(0)) + c
-        if cur == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = cur
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            self._accum(acc, key, c)
-        return self._new(acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return self._new({k: v * c for k, v in self.terms.items()} if c else {})
+    def _new(self, pair, D: int = None):
+        return BoundaryPoly._of(self.n, self.D if D is None else D, pair)
 
     def lap(self, times: int = 1):
+        D, n = self.D, self.n
+        D2 = D * D
         out = self
         for _ in range(times):
             acc = {}
-            for (s, a), c in out.terms.items():
-                if s != 0:
-                    self._accum(acc, (s - 1, a), c * (2 * s * self.n + 4 * s * sum(a)))
-                    for i in range(self.n):
-                        a2 = list(a); a2[i] += 2
-                        self._accum(acc, (s - 2, tuple(a2)), c * 4 * s * (s - 1))
-                for i in range(self.n):
-                    if a[i] >= 2:
-                        a2 = list(a); a2[i] -= 2
-                        self._accum(acc, (s, tuple(a2)), c * a[i] * (a[i] - 1))
-            out = self._new(acc)
+            for (S, a), c in out.nums.items():
+                if S:
+                    _add(acc, (S - D, a), c * 2 * S * D * (n + 2 * sum(a)))
+                    w = c * 4 * S * (S - D)
+                    if w:
+                        for i in range(n):
+                            _add(acc, (S - 2 * D, a[:i] + (a[i] + 2,) + a[i + 1:]), w)
+                for i, ai in enumerate(a):
+                    if ai >= 2:
+                        _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:]), c * ai * (ai - 1) * D2)
+            out = out._new(ratmap.canonical(acc, out.den * D2))
         return out
 
     def directional_r2(self, ell: int = 1):
-        acc = {}
-        for (s, a), c in self.terms.items():
-            d = 2 * s + sum(a)
-            self._accum(acc, (s, a), c * Fraction(2) ** ell * _falling(d, ell))
-        return self._new(acc)
-
-    def mul_r2(self, power):
-        power = Fraction(power)
-        return self._new({(s + power, a): c for (s, a), c in self.terms.items()})
+        D = self.D
+        nums = {}
+        for key, c in self.nums.items():
+            dD = 2 * key[0] + sum(key[1]) * D
+            for t in range(ell):
+                c *= 2 * (dD - t * D)
+            nums[key] = c
+        return self._new(ratmap.canonical(nums, self.den * D ** ell))
 
     def kelvin_pullback(self, w):
-        w = Fraction(w)
-        return self._new({(w - s - sum(a), a): c for (s, a), c in self.terms.items()})
+        p, q = ratmap.ratio(w)
+        D = math.lcm(self.D, q)
+        W = p * (D // q)
+        return self._new(({(W - S - sum(a) * D, a): c for (S, a), c in self._rekeyed(D).items()},
+                          self.den), D)
 
     def is_zero_function(self) -> bool:
         """Exact zero test: expand integer powers of |x|^2 multinomially
-        within each fractional class of the exponent."""
+        within each fractional class S mod D of the exponent."""
+        D = self.D
         groups = {}
-        for (s, a), c in self.terms.items():
-            frac = s - (s.numerator // s.denominator)
-            groups.setdefault(frac, []).append((s, a, c))
+        for (S, a), c in self.nums.items():
+            groups.setdefault(S % D, []).append((S // D, a, c))
         for entries in groups.values():
-            base = min(s.numerator // s.denominator for s, _, _ in entries)
+            base = min(entry[0] for entry in entries)
             acc = {}
-            for s, a, c in entries:
-                t = s.numerator // s.denominator - base
-                for xa, mult in _expand_rn(self.n, t):
-                    key = tuple(x + y for x, y in zip(a, xa))
-                    cur = acc.get(key, Fraction(0)) + c * mult
-                    if cur == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = cur
-            if acc:
+            for t, a, c in entries:
+                for xa, mult in _expand_rn(self.n, t - base):
+                    _add(acc, tuple(map(operator.add, a, xa)), c * mult)
+            if any(acc.values()):
                 return False
         return True
-
-    def __eq__(self, other):
-        return isinstance(other, BoundaryPoly) and (self - other).is_zero_function()
 
     def __repr__(self):
         return " + ".join(f"({c})*|x|^{{2*{s}}}x^{a}" for (s, a), c in sorted(self.terms.items())) or "0"
 
 
-def _expand_rn(n: int, t: int):
+@functools.lru_cache(maxsize=None)
+def _expand_rn(n: int, t: int) -> tuple:
     """Multinomial expansion of (x_1^2 + ... + x_n^2)^t."""
     out = []
 
@@ -411,7 +421,7 @@ def _expand_rn(n: int, t: int):
             rec(balance - e, idx + 1, alpha + [e], coeff * math.comb(balance, e))
 
     rec(t, 0, [], 1)
-    return [(tuple(2 * e for e in xa), mult) for xa, mult in out]
+    return tuple((tuple(2 * e for e in xa), mult) for xa, mult in out)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +469,13 @@ def boundary_operators_poly(params: GammaParams, p: HalfSpacePoly) -> dict:
     for family, trace in (("even", HalfSpacePoly.iota), ("odd", HalfSpacePoly.iota_weighted_neumann)):
         ladders = [[trace(q)] for q in chain]
         for j in range(params.floor_gamma + 1):
-            op = BoundaryPoly(p.n)
+            nums, den = {}, 1
             for (tp, lp), coeff in jets.boundary_operator_symbol(params, family, j).items():
                 ladder = ladders[tp]
                 while len(ladder) <= lp:
                     ladder.append(ladder[-1].lap())
-                for key, c in ladder[lp].terms.items():
-                    op._accum(op.terms, key, c * coeff)
-            out[(family, j)] = op
+                nums, den = ratmap.add(nums, den, ladder[lp].nums, ladder[lp].den, *ratmap.ratio(coeff))
+            out[(family, j)] = BoundaryPoly._of(p.n, p.D, (nums, den))
     return out
 
 
@@ -487,25 +496,36 @@ def boundary_operator_poly(params: GammaParams, family: str, j: int, p: HalfSpac
 class YPowerField:
     """Finite sums y^p * W(x, y) with rational top powers p and W in the
     branch-free polynomial class; the natural domain of the hyperbolic
-    Laplacian.  Normal form pushes every even y power of W into p."""
+    Laplacian.  Normal form pushes every even y power of W into p.  Top
+    powers are keyed by integer numerators P = p Dy over the field's
+    y-exponent denominator Dy."""
 
-    __slots__ = ("n", "frac_gamma", "parts")
+    __slots__ = ("n", "frac_gamma", "Dy", "parts")
 
     def __init__(self, n: int, frac_gamma, parts=None):
         self.n = n
         self.frac_gamma = Fraction(frac_gamma)
+        powers = {Fraction(p): poly for p, poly in (parts or {}).items()}
+        self.Dy = math.lcm(*(p.denominator for p in powers))
         self.parts = {}
-        if parts:
-            for p, poly in parts.items():
-                self._add_part(Fraction(p), poly)
+        for p, poly in powers.items():
+            self._add_part(p.numerator * (self.Dy // p.denominator), poly)
 
-    def _add_part(self, p, poly):
-        for (s, a, be, b), c in poly.terms.items():
+    def _add_part(self, P, poly):
+        by_beta = {}
+        for (S, a, be, b), c in poly.nums.items():
             assert b == 0, "hyperbolic fields carry no fractional branch"
-            key = p + 2 * be
-            slot = self.parts.setdefault(key, HalfSpacePoly(self.n, self.frac_gamma))
-            slot._accum(slot.terms, (s, a, 0, 0), c)
-        self.parts = {p: poly for p, poly in self.parts.items() if poly.terms}
+            by_beta.setdefault(be, {})[(S, a, 0, 0)] = c
+        for be, nums in by_beta.items():
+            part = poly._new(ratmap.canonical(nums, poly.den))
+            key = P + 2 * be * self.Dy
+            slot = self.parts.get(key)
+            if slot is not None:
+                part = slot + part
+            if part.nums:
+                self.parts[key] = part
+            else:
+                del self.parts[key]
 
     @classmethod
     def pure_power(cls, n, frac_gamma, p, poly=None):
@@ -513,32 +533,31 @@ class YPowerField:
             poly = HalfSpacePoly.monomial(n, frac_gamma)
         return cls(n, frac_gamma, {Fraction(p): poly})
 
-    def _new(self):
+    def _new(self, Dy: int = None, parts=None):
         out = YPowerField.__new__(YPowerField)
-        out.n, out.frac_gamma, out.parts = self.n, self.frac_gamma, {}
+        out.n, out.frac_gamma = self.n, self.frac_gamma
+        out.Dy, out.parts = self.Dy if Dy is None else Dy, parts or {}
         return out
 
     def __add__(self, other):
-        out = self._new()
-        for p, poly in list(self.parts.items()) + list(other.parts.items()):
-            out._add_part(p, poly)
+        out = self._new(math.lcm(self.Dy, other.Dy))
+        for f in (self, other):
+            k = out.Dy // f.Dy
+            for P, poly in f.parts.items():
+                out._add_part(P * k, poly)
         return out
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = self._new()
-        for p, poly in self.parts.items():
-            out._add_part(p, poly.scale(c))
-        return out
+        return self._new(parts={P: poly.scale(c) for P, poly in self.parts.items()} if c else {})
 
     def shift_power(self, delta):
-        delta = Fraction(delta)
-        out = self._new()
-        for p, poly in self.parts.items():
-            out._add_part(p + delta, poly)
-        return out
+        p, q = ratmap.ratio(delta)
+        Dy = math.lcm(self.Dy, q)
+        k, shift = Dy // self.Dy, p * (Dy // q)
+        return self._new(Dy, {P * k + shift: poly for P, poly in self.parts.items()})
 
     def is_zero_function(self) -> bool:
         return all(poly.is_zero_function() for poly in self.parts.values())
@@ -547,15 +566,24 @@ class YPowerField:
         return isinstance(other, YPowerField) and (self - other).is_zero_function()
 
 
+def _weighted_sum(*terms) -> HalfSpacePoly:
+    """sum (p/q) poly over (poly, p, q) triples at one exponent denominator."""
+    nums, den = {}, 1
+    for poly, p, q in terms:
+        assert poly.D == terms[0][0].D
+        nums, den = ratmap.add(nums, den, poly.nums, poly.den, p, q)
+    return terms[0][0]._new((nums, den))
+
+
 def hyperbolic_laplacian(f: YPowerField, n: int) -> YPowerField:
-    """y^2 d_y^2 - (n-1) y d_y + y^2 Lap_x applied in normal form."""
+    """y^2 d_y^2 - (n-1) y d_y + y^2 Lap_x applied in normal form: on y^p W
+    the y^p factor contributes p (p - n) W + (2p - n + 1) y d_y W."""
+    Dy = f.Dy
     out = f._new()
-    for p, w in f.parts.items():
-        ydw = w.y_dy()
-        out._add_part(p, w.scale(p * (p - 1) - (n - 1) * p)
-                      + ydw.scale(2 * p - (n - 1))
-                      + w.dy2().mul_y2()
-                      + w.lap_x().mul_y2())
+    for P, w in f.parts.items():
+        out._add_part(P, _weighted_sum((w, P * (P - n * Dy), Dy * Dy),
+                                       (w.y_dy(), 2 * P - (n - 1) * Dy, Dy),
+                                       (w.laplacian().mul_y2(), 1, 1)))
     return out
 
 
@@ -565,14 +593,18 @@ def hyperbolic_resolvent(f: YPowerField, n: int, sigma: Fraction) -> YPowerField
 
 
 def flat_weighted_laplacian_on_ypower(f: YPowerField, m) -> YPowerField:
-    """The flat weighted Laplacian acting on y^p W with arbitrary rational p."""
-    m = Fraction(m)
+    """The flat weighted Laplacian acting on y^p W with arbitrary rational p:
+    p (p - 1 + m) W + (2p + m - 1) y d_y W + (y d_y)^2 W at y^(p-2), and
+    Lap_x W at y^p."""
+    mp, mq = ratmap.ratio(m)
+    Dy = f.Dy
     out = f._new()
-    for p, w in f.parts.items():
+    for P, w in f.parts.items():
         ydw = w.y_dy()
-        out._add_part(p - 2, w.scale(p * (p - 1) + m * p) + ydw.scale(2 * p + m - 1)
-                      + ydw.y_dy())
-        out._add_part(p, w.lap_x())
+        out._add_part(P - 2 * Dy, _weighted_sum((w, P * ((P - Dy) * mq + mp * Dy), Dy * Dy * mq),
+                                                (ydw, 2 * P * mq + (mp - mq) * Dy, Dy * mq),
+                                                (ydw.y_dy(), 1, 1)))
+        out._add_part(P, w.lap_x())
     return out
 
 
@@ -712,7 +744,7 @@ def verify_flat_hyperbolic_correspondence(params: GammaParams, samples=None, n: 
     if samples is None:
         base = default_samples(n, fr, extra=2)
         samples = [YPowerField.pure_power(n, fr, Fraction(p), w)
-                   for p in (0, 1, Fraction(1, 3)) for w in base[:4] if not any(key[3] for key in w.terms)]
+                   for p in (0, 1, Fraction(1, 3)) for w in base[:4] if not any(key[3] for key in w.nums)]
     for idx, u in enumerate(samples):
         # ordered product, descending resolvent parameter
         lhs_prod = u

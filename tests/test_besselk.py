@@ -47,11 +47,15 @@ def test_domain_errors():
             fn(0.5, np.array([1.0, 2.0, 0.0]))
 
 
-# Worst relative error measured against scipy over the grid below: 5.8e-14
-# for K and 3.8e-14 for K'.  The orders cover the nu - j that ode_residual
-# reaches at the cap; t runs past the step's shrink at 60.
+# Worst relative error measured against scipy over the grid below: 1.3e-13
+# for K (at nu = +-1/9) and 6.5e-14 for K'.  The quarter steps cover the
+# nu - j that ode_residual reaches at the cap; the orders p/q + s with
+# q <= 9 and |s| <= 9 cover the fractional parts of admissible gamma.  t runs
+# past the step's shrink at 60.
 KERNEL_RTOL = 2e-13
-ORDERS = np.linspace(-27.0, 27.0, 217)
+ORDERS = np.union1d(np.linspace(-27.0, 27.0, 217),
+                    [p / q + s for q in range(2, 10) for p in range(1, q)
+                     if math.gcd(p, q) == 1 for s in range(-9, 10)])
 TS = np.geomspace(1e-4, 600.0, 500)
 
 

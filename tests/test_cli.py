@@ -2,12 +2,14 @@
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,7 +297,7 @@ def test_package_has_no_scipy_import():
 
 
 def test_field_commands_do_not_load_check_modules(field_2d, tmp_path):
-    checks = ["fractrace.energy", "fractrace.jets", "fractrace.polys"]
+    checks = ["fractrace.energy", "fractrace.jets", "fractrace.polys", "fractrace.ratmap"]
     argvs = _field_commands(field_2d, str(tmp_path / "o.bin"))
     assert _loaded_after(argvs, checks) == [[]] * 6
 
@@ -374,3 +376,32 @@ def test_verify_small_grids_run(grid, tmp_path):
     """Grids with fewer than five nonzero modes still draw the random fields."""
     assert run_cli(["verify", "--gamma", "1/3,5/2", "--only", "numeric", f"--grid={grid}",
                     "--out", str(tmp_path / "r.json")]) in (0, 1)
+
+
+SAMPLE_CHECKS = ("verify_commutator", "verify_product_factorization", "verify_r2s_commutation")
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 3), (2, 5)])
+def test_seeded_samples_reach_every_sample_driven_exact_check(monkeypatch, n, seed):
+    """verify --seed draws two monomials (default_samples indices 9 and 10);
+    each of the four sample-driven polynomial checks must run on both."""
+    from fractrace import cli, polys
+
+    seen = []
+    for name in SAMPLE_CHECKS:
+        real = getattr(polys, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            samples = inspect.signature(real).bind(*args, **kwargs).arguments["samples"]
+            seen.append((name, [dict(u.terms) for u in samples]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(polys, name, spy)
+    gamma, frac = Fraction(5, 2), Fraction(1, 2)
+    reports = cli._exact_checks(gamma, n, seed)
+    seeded = [dict(u.terms) for u in polys.default_samples(n, frac, seed=seed, extra=2)[9:]]
+    assert len(seeded) == 2 and seeded[0] != seeded[1]
+    assert sorted(name for name, _ in seen) == sorted(SAMPLE_CHECKS + ("verify_r2s_commutation",))
+    for name, terms in seen:
+        assert all(u in terms for u in seeded), name
+    assert all(r.passed for r in reports)

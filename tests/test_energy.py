@@ -136,13 +136,14 @@ def test_series_offsets_are_exact(gamma):
     p = GammaParams(gamma)
     for atom in _paired_atoms(p):
         series = atom.terms if isinstance(atom, PolyGaussModeFn) else atom.series
-        for group in en._group_by_class(series).values():
+        exponent = lambda key: float(F(key, atom.D))   # keys are numerators over atom.D
+        for group in en._group_by_class(series, atom.D).values():
             assert all(type(k) is int for k, _ in group)
-        u, _ = en._gauss_jacobi_01(en.GJ_START, 2.0 * float(min(series)) + float(p.m))
+        u, _ = en._gauss_jacobi_01(en.GJ_START, 2.0 * exponent(min(series)) + float(p.m))
         y = min(atom.series_limit, atom.outer_limit) * u
-        product = sum(y ** float(low) * (c @ (y * y) ** np.arange(c.size)[:, None])
+        product = sum(y ** exponent(low) * (c @ (y * y) ** np.arange(c.size)[:, None])
                       for low, c in atom.branch_components.items())
-        size = sum(abs(c) * y ** float(q) for q, c in series.items())
+        size = sum(abs(c) * y ** exponent(q) for q, c in series.items())
         if isinstance(atom, PolyGaussModeFn):
             product, size = (f * np.exp(-atom.lam * y * y) for f in (product, size))
         assert np.all(np.abs(product - atom.eval_series(y)) <= 1e-13 * size)

@@ -2,7 +2,11 @@
 
 from fractions import Fraction as F
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractrace import jets
 from fractrace.gammacore import (
@@ -300,3 +304,55 @@ def test_symbol_mutation_does_not_leak_into_cache():
     first[(9, 9)] = F(5)
     del first[min(first)]
     assert boundary_operator_symbol(p, "odd", 3) == expected
+
+
+_expr_terms = st.dictionaries(
+    st.tuples(st.sampled_from(["f", "phi", "u0"]), st.integers(0, 3), st.booleans()),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=6,
+)
+
+
+def _assert_canonical(e):
+    assert e.den > 0 and all(e.nums.values()) and math.gcd(e.den, *e.nums.values()) == 1
+
+
+def _clean(terms):
+    return {k: c for k, c in terms.items() if c != 0}
+
+
+@given(_expr_terms, _expr_terms, st.fractions(min_value=-3, max_value=3, max_denominator=9),
+       st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9))
+@settings(max_examples=80, deadline=None)
+def test_expression_layout_matches_fraction_reference(t1, t2, c, lam2):
+    """Integer numerators over one denominator read back as the Fraction maps
+    of every operation, and every result is canonical, so equality stays map
+    equality."""
+    e1, e2 = BoundaryExpr(t1), BoundaryExpr(t2)
+    keys = set(t1) | set(t2)
+    cases = [
+        (e1, _clean(t1)),
+        (e1 + e2, _clean({k: t1.get(k, 0) + t2.get(k, 0) for k in keys})),
+        (e1 - e2, _clean({k: t1.get(k, 0) - t2.get(k, 0) for k in keys})),
+        (e1.scale(c), _clean({k: v * c for k, v in t1.items()})),
+        (e1.laplacian(2), _clean({(s, lap + 2, h): v for (s, lap, h), v in t1.items()})),
+        (e1.dilate(lam2), _clean({k: v * lam2 ** k[1] for k, v in t1.items()})),
+        (e1.hat_component(), _clean({k: v for k, v in t1.items() if k[2]})),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert dict(got.terms) == want
+    assert (e1 + e2 - e2) == e1 and hash(e1 + e2 - e2) == hash(e1)
+
+
+@pytest.mark.parametrize("gamma", [F(2, 7), F(9, 4), F(31, 4)])
+def test_apply_T_factors_match_fraction_reference(gamma):
+    p = GammaParams(gamma)
+    fr = p.frac_gamma
+    jet = make_generic_jet(p)
+    jet = Jet(p, jet.truncation, tuple(e.scale(F(3, 5)) for e in jet.a), jet.b)
+    out = apply_T(jet)
+    for j in range(out.truncation + 1):
+        assert dict(out.a[j].terms) == {(f"u{j + 1}", 0, False): F(3, 5) * 4 * (j + 1) * (j + 1 - fr)}
+        assert dict(out.b[j].terms) == {(f"v{j + 1}", 0, False): 4 * (j + 1) * (j + 1 + fr)}
+        _assert_canonical(out.a[j])

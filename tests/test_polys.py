@@ -1,5 +1,6 @@
 """Exact radial-polynomial calculus: closure, commutation, covariance."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -266,3 +267,186 @@ def test_randomized_closure_bulk():
             for (s, a, be, bb), c in out.terms.items():
                 assert bb in (0, 1) and all(e >= 0 for e in a)
     assert count == 1000
+
+
+# ---------------------------------------------------------------------------
+# Storage layout against a Fraction reference
+# ---------------------------------------------------------------------------
+# The classes keep integer numerators over one denominator and key r exponents
+# by integers over an exponent denominator D.  The reference below applies the
+# per-term formulas of each generator directly in Fraction arithmetic on
+# {(s, alpha, beta, b): coeff} maps.
+
+
+def _ref_add(acc, key, c):
+    if c:
+        acc[key] = acc.get(key, 0) + c
+
+
+def _ref_clean(acc):
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+def _ref_lap_x(terms, n):
+    acc = {}
+    for (s, a, be, b), c in terms.items():
+        if s != 0:
+            _ref_add(acc, (s - 1, a, be, b), c * (2 * s * n + 4 * s * sum(a) + 4 * s * (s - 1)))
+            _ref_add(acc, (s - 2, a, be + 1, b), -c * 4 * s * (s - 1))
+        for i in range(n):
+            if a[i] >= 2:
+                a2 = a[:i] + (a[i] - 2,) + a[i + 1:]
+                _ref_add(acc, (s, a2, be, b), c * a[i] * (a[i] - 1))
+    return _ref_clean(acc)
+
+
+def _ref_dy2(terms, fr):
+    acc = {}
+    for (s, a, be, b), c in terms.items():
+        q = 2 * be + 2 * fr * b
+        if s != 0:
+            _ref_add(acc, (s - 2, a, be + 1, b), c * 4 * s * (s - 1))
+            _ref_add(acc, (s - 1, a, be, b), c * 2 * s * (2 * q + 1))
+        _ref_add(acc, (s, a, be - 1, b), c * q * (q - 1))
+    return _ref_clean(acc)
+
+
+def _ref_dy_over_y(terms, fr):
+    acc = {}
+    for (s, a, be, b), c in terms.items():
+        q = 2 * be + 2 * fr * b
+        if s != 0:
+            _ref_add(acc, (s - 1, a, be, b), c * 2 * s)
+        _ref_add(acc, (s, a, be - 1, b), c * q)
+    return _ref_clean(acc)
+
+
+def _ref_sum(*maps):
+    acc = {}
+    for weight, terms in maps:
+        for key, c in terms.items():
+            _ref_add(acc, key, weight * c)
+    return _ref_clean(acc)
+
+
+def _ref_directional(terms, fr, ell):
+    acc = {}
+    for (s, a, be, b), c in terms.items():
+        d = 2 * s + sum(a) + 2 * be + 2 * fr * b
+        falling = F(1)
+        for t in range(ell):
+            falling *= d - t
+        _ref_add(acc, (s, a, be, b), c * 2 ** ell * falling)
+    return _ref_clean(acc)
+
+
+def _ref_kelvin(terms, fr, w):
+    return {(w - s - sum(a) - 2 * be - 2 * fr * b, a, be, b): c for (s, a, be, b), c in terms.items()}
+
+
+def _assert_canonical(x):
+    """den > 0, gcd(den, numerators) = 1, no zero numerator, integer keys."""
+    assert x.den > 0 and all(x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+    if isinstance(x, (HalfSpacePoly, BoundaryPoly)):
+        assert all(type(key[0]) is int for key in x.nums)
+    if isinstance(x, HalfSpacePoly):
+        assert x.D % math.lcm(2, x.frac_gamma.denominator) == 0
+
+
+_monomial_terms = st.tuples(
+    st.integers(-6, 6),                 # s = k/2
+    st.integers(0, 3), st.integers(0, 3),
+    st.integers(-1, 2),                 # beta
+    st.integers(0, 1),                  # branch flag
+    st.integers(-5, 5).filter(bool), st.integers(1, 6),
+)
+
+
+@given(st.lists(_monomial_terms, min_size=1, max_size=4), st.integers(1, 2), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_layout_matches_fraction_reference(raw, n, ell):
+    """Every generator on a random sum of monomials reads back, through
+    ``terms``, exactly the Fraction reference; exponent denominators that [g]
+    does not fix ([g] = 2/7 against w = 5/3, m = 1/5 and s = k/2) included,
+    and every result is canonical."""
+    fr, m, w = F(2, 7), F(1, 5), F(5, 3)
+    p = HalfSpacePoly(n, fr)
+    for s2, a1, a2, be, b, num, den in raw:
+        p = p + HalfSpacePoly.monomial(n, fr, s=F(s2, 2), alpha=(a1, a2)[:n], beta=be, b=b,
+                                       coeff=F(num, den))
+    _assert_canonical(p)
+    ref = dict(p.terms)
+    lap, dy2, dyy = _ref_lap_x(ref, n), _ref_dy2(ref, fr), _ref_dy_over_y(ref, fr)
+    cases = [
+        (p.lap_x(), lap),
+        (p.dy2(), dy2),
+        (p.dy_over_y(), dyy),
+        (p.weighted_laplacian(m), _ref_sum((1, lap), (1, dy2), (m, dyy))),
+        (p.laplacian(), _ref_sum((1, lap), (1, dy2))),
+        (p.directional_r2(ell), _ref_directional(ref, fr, ell)),
+        (p.mul_r2(F(ell, 2)), {(s + F(ell, 2), a, be, b): c for (s, a, be, b), c in ref.items()}),
+        (p.kelvin_pullback(w), _ref_kelvin(ref, fr, w)),
+        (p.scale(F(-3, 4)), _ref_sum((F(-3, 4), ref))),
+        (p - p.kelvin_pullback(w), _ref_sum((1, ref), (-1, _ref_kelvin(ref, fr, w)))),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert dict(got.terms) == want
+    if all(be >= 0 for _, _, be, _ in p.nums):
+        for bnd, branch, factor in ((p.iota(), 0, 1), (p.iota_weighted_neumann(), 1, 2 * fr)):
+            want = {(s, a): c * factor for (s, a, be, b), c in ref.items() if be == 0 and b == branch}
+            _assert_canonical(bnd)
+            assert dict(bnd.terms) == want
+            for out in (bnd.lap(), bnd.directional_r2(ell), bnd.kelvin_pullback(w),
+                        bnd.mul_r2(F(1, 2)), bnd - bnd.kelvin_pullback(w)):
+                _assert_canonical(out)
+            assert (bnd.kelvin_pullback(w).kelvin_pullback(w) - bnd).is_zero_function()
+
+
+def _count_fractions(monkeypatch, fn, arg):
+    """Number of Fraction objects built by fn(arg), after one warm-up call
+    (memo tables and cached parameters are filled once per process)."""
+    fn(arg)
+    real, count = F.__new__, [0]
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", counting)
+        fn(arg)
+    return count[0]
+
+
+def test_inner_loops_build_no_fraction_per_term(monkeypatch):
+    """Regression guard by counting, not timing: the hot operations build the
+    same number of Fractions on a 1-term input as on a 100-term one."""
+    fr, m = F(2, 7), F(1, 5)
+    params = GammaParams(2 + fr)
+
+    def half_space(size):
+        terms = {}
+        for i in range(size):
+            terms[(F(i % 7 - 3, 2), (i % 4, i // 40), i // 4 % 3, i // 12 % 2)] = F(i + 1, i % 5 + 1)
+        return HalfSpacePoly(2, fr, terms)
+
+    def boundary(size):
+        return BoundaryPoly(2, {(F(i % 9 - 4, 3), (i % 4, i // 36)): F(i + 1, 3) for i in range(size)})
+
+    def jet(size):
+        expr = jets.BoundaryExpr({(f"u{i}", i % 3, bool(i % 2)): F(i + 1, 7) for i in range(size)})
+        return jets.Jet(params, 4, (expr,) * 5, (expr,) * 5)
+
+    ops = [
+        (half_space, lambda p: p.weighted_laplacian(m)),
+        (half_space, HalfSpacePoly.is_zero_function),
+        (boundary, BoundaryPoly.lap),
+        (boundary, BoundaryPoly.is_zero_function),
+        (jet, jets.apply_T),
+    ]
+    for build, op in ops:
+        small, large = build(1), build(120)
+        assert len(large.a[0].terms if isinstance(large, jets.Jet) else large.terms) >= 100
+        assert _count_fractions(monkeypatch, op, small) == _count_fractions(monkeypatch, op, large)
