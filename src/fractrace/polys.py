@@ -711,7 +711,7 @@ def verify_r2s_commutation(params: GammaParams, k: int, s, samples, n: int = Non
         if not (lhs - rhs).is_zero_function():
             report.fail(f"sample {idx}: interior r^2s commutation fails (k={k}, s={s})")
 
-        blhs = weighted_poly_power(u.mul_r2(s), m, k).iota_weighted_neumann()
+        blhs = lhs.iota_weighted_neumann()
         brhs = BoundaryPoly(n)
         for j in range(k + 1):
             for ell in range(j + 1):

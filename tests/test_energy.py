@@ -57,17 +57,22 @@ def test_pair_integral_against_closed_form():
 
 # Gauss rules against scipy's roots_jacobi/roots_legendre, in x on [-1, 1].
 # Worst measured over the grids below, before these bounds were set: nodes
-# 3.3e-16; weights, relative to the largest weight, 4.7e-12 at n = 48, 8.6e-11
-# at n = 96 and 5.1e-9 at n = 768, all at beta = -0.6, where the weight
-# (1 + x)^beta is singular.  There the numpy rule is the closer of the two to a
-# 50-digit Newton-polished rule (at n = 96: 2.4e-12 against scipy's 8.5e-11).
-# Exactness on u^k, k <= 2n - 1, relative to 1/(beta + k + 1): 2.0e-13,
-# 6.3e-13 and 6.7e-11.  A rule built at beta + 1e-6 moves its nodes by at
-# least 1.2e-9, its weights by 4.5e-7 and its moments by 1e-7.
+# 3.3e-16 (4.4e-16 over beta in [-0.95, 21] by 0.05 and n up to 768);
+# weights, relative to the largest weight, 6.3e-12 at n = 48, 1.3e-10 at
+# n = 96 and 8.3e-9 at n = 768, all at beta = -0.6 or -7/9, where the weight
+# (1 + x)^beta is singular.  There the error is scipy's: against a 50-digit
+# Newton-polished rule the numpy weights are off by 7.8e-13 at (96, -0.6) and
+# 8.7e-12 at (768, -0.6), scipy's by 8.5e-11 and 8.3e-9.  Exactness on u^k,
+# k <= 2n - 1, relative to 1/(beta + k + 1): 6.5e-14, 3.7e-14 and 5.7e-13.
+# A rule built at beta + 1e-6 moves its nodes by at least 1.2e-9, its weights
+# by 4.5e-7 and its moments by 1e-7.  RULE_WIDE_BETAS reach the ends of what
+# `verify --full --gamma 71/9` integrates; at 12, 15 and 18.78 plain Newton
+# from the same first guesses lands two nodes on one root.
 RULE_NODE_ATOL = 1e-15
 RULE_WEIGHT_RTOL = {48: 1e-11, 96: 2e-10, 768: 1e-8}
 RULE_MOMENT_RTOL = {48: 5e-13, 96: 2e-12, 768: 2e-10}
 RULE_BETAS = np.linspace(-0.6, 9.0, 9)
+RULE_WIDE_BETAS = (-7.0 / 9.0, 12.0, 15.0, 18.78)
 
 
 def _rule_defects(n, beta_built, beta):
@@ -87,16 +92,17 @@ def _moment_defect(u, w, beta):
 
 @pytest.mark.parametrize("n", [48, 96, 768])
 def test_gauss_jacobi_matches_scipy(n):
-    for beta in RULE_BETAS if n < 768 else RULE_BETAS[::2]:
+    for beta in [*(RULE_BETAS if n < 768 else RULE_BETAS[::2]), *RULE_WIDE_BETAS]:
         nodes, weights, moments = _rule_defects(n, beta, beta)
         assert nodes <= RULE_NODE_ATOL, beta
         assert weights <= RULE_WEIGHT_RTOL[n], beta
         assert moments <= RULE_MOMENT_RTOL[n], beta
+        assert np.all(np.diff(en._gauss_jacobi_01(n, beta)[0]) > 0.0), beta
 
 
 @pytest.mark.parametrize("n", [48, 96, 768])
 def test_gauss_legendre_matches_scipy(n):
-    u, w = en._gauss_legendre_01(n)
+    u, w = en._gauss_jacobi_01(n, 0.0)
     xs, ws = special.roots_legendre(n)
     assert np.max(np.abs(2.0 * u - 1.0 - xs)) <= RULE_NODE_ATOL
     assert np.max(np.abs(2.0 * w - ws)) / ws.max() <= RULE_WEIGHT_RTOL[n]
@@ -110,6 +116,36 @@ def test_gauss_jacobi_check_catches_a_shifted_rule(n):
     assert nodes > RULE_NODE_ATOL
     assert weights > RULE_WEIGHT_RTOL[n]
     assert moments > RULE_MOMENT_RTOL[n]
+
+
+def test_gauss_jacobi_raises_when_not_converged(monkeypatch):
+    """A rule whose Aberth steps hit the cap raises instead of returning
+    unconverged nodes."""
+    monkeypatch.setattr(en, "_gj_cache", {})
+    monkeypatch.setattr(en, "GJ_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        en._gauss_jacobi_01(48, 1.8)
+    assert not en._gj_cache
+
+
+def test_numeric_checks_run_without_lapack(monkeypatch):
+    """The numeric checks at 1/2 (q_symmetry, both energy checks, Legendre
+    panels) build every Gauss rule they use without an eigen solver, so no
+    BLAS thread wakes."""
+    from fractrace import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigen solver called")
+
+    for owner, name in [(np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (np.polynomial.legendre, "leggauss")]:
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(en, "_gj_cache", {})
+    reports = cli._numeric_checks(F(1, 2), 1, 128, 60.0, 0, False, dict(cli.TOL_DEFAULTS))
+    assert {"q_symmetry", "dirichlet_principle", "energy_trace"} <= {r.check for r in reports}
+    assert all(r.passed for r in reports)
+    betas = {beta for _, beta in en._gj_cache}
+    assert 0.0 in betas and len(betas) > 1
 
 
 def _paired_atoms(p):
