@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -63,16 +62,6 @@ def _parse_tolerances(entries) -> dict:
                 f"tolerance {name} may only be loosened (default {tols[name]:g}, got {val:g})")
         tols[name] = val
     return tols
-
-
-def _pool_size() -> int:
-    env = os.environ.get("FRACTRACE_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"FRACTRACE_THREADS={env!r} is not an integer") from exc
-    return min(4, os.cpu_count() or 1)
 
 
 def _rational_arg(flag: str, text: str, ok, requirement: str) -> Fraction:
@@ -254,6 +243,8 @@ def cmd_verify(args) -> int:
                           f"mode to perturb), got {args.grid}")
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     reports = []
     jobs = []
 
@@ -272,7 +263,9 @@ def cmd_verify(args) -> int:
                                                tol_equality=tols["lebedev_milin"]),
                         en.lebedev_milin_check(perturbation=0.5)])
 
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+    # The jobs run one after another in submission order.  The one-worker
+    # executor stays only as the hook bench/tracer.py wraps to time each job.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         futures = [pool.submit(fn, *a) for fn, a in jobs]
         for fut in futures:
             reports.extend(fut.result())
@@ -380,6 +373,8 @@ def cmd_sharpness(args) -> int:
         raise ConfigError(f"--grid must be a positive power of two, got {args.grid}")
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.box < 200.0 * math.sqrt(args.eps):
         raise ConfigError(f"--box {args.box!r} is too small for --eps {args.eps!r}: the "
                           f"bubble needs at least 200 sqrt(eps) = {200.0 * math.sqrt(args.eps):g}")

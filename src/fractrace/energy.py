@@ -26,15 +26,14 @@ smooth factors), plus Gauss-Legendre panels on the smooth outer region.
 Node counts double until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|),
 the integral of |f| taken on the same nodes: a cancelling integrand then
 stops at its roundoff floor instead of running to the node cap.  QUAD_COUNTS
-tallies integrals, nodes and cap hits per thread; the energy and symmetry
-checks fail on a cap hit of their own.
+tallies integrals, nodes and cap hits; the energy and symmetry checks fail on
+a cap hit of their own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -473,10 +472,10 @@ def _pair_integral(u, v, m_weight: float) -> complex:
     return total
 
 
-class _QuadCounts(threading.local):
-    """Quadrature tallies of the calling thread: integrals run, integrand
-    nodes evaluated, and integrals stopped at GJ_CAP unconverged.  A check
-    runs on one thread, so the difference around it is its own count."""
+class _QuadCounts:
+    """Process-wide quadrature tallies: integrals run, integrand nodes
+    evaluated, and integrals stopped at GJ_CAP unconverged.  Checks run one
+    at a time, so the difference around a check is its own count."""
 
     integrals = 0
     nodes = 0

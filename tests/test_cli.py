@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -40,14 +41,7 @@ def test_verify_rejects_integer_gamma():
     assert run_cli(["verify", "--gamma", "2"]) == 2
 
 
-def test_verify_rejects_bad_threads(monkeypatch, tmp_path):
-    monkeypatch.setenv("FRACTRACE_THREADS", "zebra")
-    assert run_cli(["verify", "--gamma", "1/2", "--only", "identities",
-                    "--out", str(tmp_path / "r.json")]) == 2
-
-
-def test_verify_deterministic_bytes(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRACTRACE_THREADS", "2")
+def test_verify_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(["verify", "--gamma", "1/2,7/3", "--only", "identities",
              "--seed", "3", "--out", str(a), "--csv", str(tmp_path / "a.csv")])
@@ -332,6 +326,54 @@ def test_verify_rejects_bad_box_before_any_job(extra, tmp_path, capsys):
     _one_line_error(["verify", "--gamma", "1/2", *extra, "--out", str(tmp_path / "r.json")],
                     capsys, "--box")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("only", ["numeric", "identities"])
+def test_verify_rejects_negative_seed(only, tmp_path, capsys):
+    """--seed is checked up front, whichever suite would draw from it."""
+    _one_line_error(["verify", "--gamma", "1/2", "--only", only, "--seed", "-5",
+                     "--out", str(tmp_path / "r.json")], capsys, "--seed")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_sharpness_rejects_negative_seed(tmp_path, capsys):
+    _one_line_error(["sharpness", "--gamma-tilde", "1/2", "--n", "2", "--seed", "-1",
+                     "--out", str(tmp_path / "r.json")], capsys, "--seed")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_jobs_run_on_one_thread_in_order(monkeypatch, tmp_path):
+    from fractrace import cli
+
+    calls = []
+    for name in ("_exact_checks", "_numeric_checks"):
+        def spy(gamma, *args, name=name):
+            calls.append((threading.get_ident(), name, gamma))
+            return []
+
+        monkeypatch.setattr(cli, name, spy)
+    assert run_cli(["verify", "--gamma", "1/2,4/3,5/2",
+                    "--out", str(tmp_path / "r.json")]) == 0
+    gammas = [Fraction(1, 2), Fraction(4, 3), Fraction(5, 2)]
+    assert len({tid for tid, _, _ in calls}) == 1
+    assert [(name, g) for _, name, g in calls] == (
+        [("_exact_checks", g) for g in gammas] + [("_numeric_checks", g) for g in gammas])
+
+
+def test_verify_builds_each_gauss_rule_once(monkeypatch, tmp_path):
+    """Each rule build calls _gatteschi_pittaluga twice, once per end."""
+    from fractrace import energy as en
+
+    monkeypatch.setattr(en, "_gj_cache", {})
+    real, calls = en._gatteschi_pittaluga, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(en, "_gatteschi_pittaluga", spy)
+    run_cli(["verify", "--only", "numeric", "--seed", "1", "--out", str(tmp_path / "r.json")])
+    assert en._gj_cache and len(calls) == 2 * len(en._gj_cache)
 
 
 @pytest.mark.parametrize("command", ["extend", "dtn"])
