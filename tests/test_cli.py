@@ -140,7 +140,7 @@ def tiny_field(tmp_path_factory):
 
 FLAG = {"dtn": "--alpha2", "fraclap": "--power", "sharpness": "--gamma-tilde",
         "sharpness-eps": "--eps", "sharpness-grid": "--grid", "sharpness-box": "--box",
-        "extend-height": "--height"}
+        "sharpness-seed": "--seed", "extend-height": "--height"}
 
 
 def _malformed_argv(command, value, n, field, out):
@@ -156,6 +156,8 @@ def _malformed_argv(command, value, n, field, out):
         return ["sharpness", f"--eps={value}", "--n", str(n), "--grid", "8", "--out", out]
     if command == "sharpness-grid":
         return ["sharpness", f"--grid={value}", "--n", str(n), "--out", out]
+    if command == "sharpness-seed":
+        return ["sharpness", f"--seed={value}", "--n", str(n), "--grid", "8", "--out", out]
     if command == "sharpness-box":
         return ["sharpness", f"--box={value}", "--n", str(n), "--grid", "8", "--out", out]
     return ["sharpness", f"--gamma-tilde={value}", "--n", str(n), "--grid", "8", "--out", out]
@@ -177,7 +179,7 @@ def _one_line_error(argv, capsys, flag):
     ("sharpness-grid", "0", 2), ("extend-height", "-1", 2), ("extend-height", "nan", 2),
     ("extend-height", "inf", 2), ("fraclap", "2000", 2), ("sharpness-box", "0", 2),
     ("sharpness-box", "-5", 2), ("sharpness-box", "nan", 2), ("sharpness-box", "inf", 2),
-    ("sharpness-box", "1e300", 2), ("sharpness-box", "10", 2),
+    ("sharpness-box", "1e300", 2), ("sharpness-box", "10", 2), ("sharpness-seed", "-1", 2),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
@@ -336,12 +338,6 @@ def test_verify_rejects_negative_seed(only, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_sharpness_rejects_negative_seed(tmp_path, capsys):
-    _one_line_error(["sharpness", "--gamma-tilde", "1/2", "--n", "2", "--seed", "-1",
-                     "--out", str(tmp_path / "r.json")], capsys, "--seed")
-    assert not (tmp_path / "r.json").exists()
-
-
 def test_verify_jobs_run_on_one_thread_in_order(monkeypatch, tmp_path):
     from fractrace import cli
 
@@ -372,7 +368,8 @@ def test_verify_builds_each_gauss_rule_once(monkeypatch, tmp_path):
         return real(*args)
 
     monkeypatch.setattr(en, "_gatteschi_pittaluga", spy)
-    run_cli(["verify", "--only", "numeric", "--seed", "1", "--out", str(tmp_path / "r.json")])
+    assert run_cli(["verify", "--only", "numeric", "--seed", "1",
+                    "--out", str(tmp_path / "r.json")]) == 0
     assert en._gj_cache and len(calls) == 2 * len(en._gj_cache)
 
 
