@@ -22,7 +22,7 @@ from .report import VerificationReport, reports_to_csv, reports_to_json, write_a
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
 ENERGY_GAMMAS = ["1/2", "3/2", "5/2"]
-# numeric checks that build 1-D boundary grids whatever --n says
+# numeric checks that build a boundary grid of dimension --n
 GRID_CHECKS = ["extension_self_consistency", "yang_extension", "q_symmetry",
                "dirichlet_principle", "energy_trace"]
 
@@ -199,14 +199,15 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
                    f"profile ({prof.kind},{prof.j}): residual {res:.2e}")
     checks.append(rep)
 
-    if n != 1:
+    if n > 2:
         for name in GRID_CHECKS:
-            checks.append(_skipped(name, params, "runs on 1-D grids only"))
+            checks.append(_skipped(name, params, "GridField holds n = 1 and 2 only"))
         return checks
 
-    template = modes.GridField(1, (grid,), box, np.zeros(grid))
+    shape = (grid,) * n
+    template = modes.GridField(n, shape, box, np.zeros(shape))
     widths = [2.0 + 0.4 * i for i in range(params.k)]
-    data = [modes.gaussian_field(1, (grid,), box, width=w) for w in widths]
+    data = [modes.gaussian_field(n, shape, box, width=w) for w in widths]
     sol = modes.solve_extension(params, data)
     checks.append(modes.verify_self_consistency(sol, tol=tols["self_consistency"]))
     checks.append(modes.yang_extension_check(params, data[0],

@@ -2,11 +2,13 @@
 
 All interior quantities are assembled per Fourier mode of the boundary grid:
 the x integral is Plancherel-exact on the periodic box and only the y
-integral is quadrature.  Per-mode profiles come in two flavors, Bessel-type
-(extension solutions) and polynomial-times-Gaussian (synthetic test fields);
-both expose exact symbolic application of the weighted mode Laplacian
-T - |xi|^2, exact two-branch jets, branch-split evaluation for small y and
-direct evaluation elsewhere.
+integral is quadrature.  Per-mode profiles are polynomial-times-Gaussian
+series (synthetic test fields, lam > 0, and the zero mode, lam = 0), or
+Bessel-type (extension solutions): a lam = 0 series plus Bessel chains, which
+reuses the series algebra and adds only the chains.  Both expose exact
+symbolic application of the weighted mode Laplacian T - |xi|^2, exact
+two-branch jets, branch-split evaluation for small y and direct evaluation
+elsewhere.
 
 The mode Laplacian is homogeneous: with t = |xi| y, T_y - |xi|^2 =
 |xi|^2 (T_t - 1).  An extension solution is sum_i s_i P_i(|xi| y) at every
@@ -22,7 +24,8 @@ vectorized over modes.
 
 The y quadrature is Gauss-Jacobi with the weight exponent matched per branch
 pair (the two-branch structure makes the integrand a sum of y^kappa times
-smooth factors), plus Gauss-Legendre panels on the smooth outer region.
+smooth factors), plus panels on the smooth outer region, each the exponent-0
+(Gauss-Legendre) rule mapped to its interval.
 Node counts double until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|),
 the integral of |f| taken on the same nodes: a cancelling integrand then
 stops at its roundoff floor instead of running to the node cap.  QUAD_COUNTS
@@ -56,7 +59,7 @@ from .report import VerificationReport
 QUAD_REL_TOL = 1e-9
 GJ_START = 48
 GJ_CAP = 768
-GL_PANEL_NODES = 48
+ACTIVE_TOL = 1e-13   # a mode is active above this share of the largest coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +78,115 @@ def _numerator(p, D: int) -> int:
     return p.numerator * (D // p.denominator)
 
 
-class BesselModeFn:
-    """Per-mode function: branch series (valid t = xi y < switchover) plus a
-    Bessel-kernel chain for larger y.
+class PolyGaussModeFn:
+    """Per-mode function sum_P c_P y^(P/D) exp(-lam y^2), exact under the mode
+    Laplacian; lam = 0 degenerates to polynomials (zero-mode case).  The
+    constructor takes rational exponents and keys them by numerators over D."""
 
-    series: {P: complex coeff}, meaning coeff y^(P/D), already in the y variable.
+    def __init__(self, xi: float, m: Fraction, lam: float, terms: dict):
+        D = _key_denominator(terms)
+        self._set(xi, Fraction(m), lam, D, {_numerator(p, D): c for p, c in terms.items()})
+
+    def _set(self, xi, m, lam, D, terms):
+        self.xi = xi
+        self.m = m
+        self.lam = lam
+        self.D = D
+        self.terms = {p: c for p, c in terms.items() if c != 0}
+
+    def _new(self, terms, xi=None, **extra) -> "PolyGaussModeFn":
+        out = object.__new__(type(self))
+        out._set(self.xi if xi is None else xi, self.m, self.lam, self.D, terms, **extra)
+        return out
+
+    @property
+    def series_limit(self) -> float:
+        return np.inf
+
+    @property
+    def outer_limit(self) -> float:
+        """Where y^p exp(-lam y^2) drops below ~1e-20 of scale for the largest
+        power present; the polynomial factor matters once operator
+        applications have piled up high powers."""
+        if self.lam == 0.0:
+            return np.inf
+        p_max = max(self.terms) / self.D if self.terms else 0.0
+        return math.sqrt((46.0 + 3.0 * p_max) / self.lam)
+
+    def weighted_laplacian(self) -> "PolyGaussModeFn":
+        """T_y - xi^2 by the power rule T y^p = p (p - 1 + m) y^(p-2) and the
+        Gaussian's product rule."""
+        xi2 = self.xi * self.xi
+        lam = self.lam
+        D, (mp, mq), mf = self.D, (self.m.numerator, self.m.denominator), float(self.m)
+        out = {}
+
+        def add(p, v):
+            if v != 0:
+                out[p] = out.get(p, 0.0) + v
+
+        for p, c in self.terms.items():
+            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
+            if w != 0:
+                add(p - 2 * D, c * (w / (D * D * mq)))
+            add(p, -c * 2.0 * lam * (2.0 * (p / D) + 1.0 + mf))
+            add(p + 2 * D, c * 4.0 * lam * lam)
+            add(p, -c * xi2)
+        return self._new(out)
+
+    def d_dy(self) -> "PolyGaussModeFn":
+        D = self.D
+        out = {}
+        for p, c in self.terms.items():
+            if p != 0:
+                out[p - D] = out.get(p - D, 0.0) + c * (p / D)
+            if self.lam:
+                out[p + D] = out.get(p + D, 0.0) - 2.0 * self.lam * c
+        return self._new(out)
+
+    @functools.cached_property
+    def branch_components(self) -> dict:
+        """The terms grouped by exponent class (p mod 2), anchored at the
+        group minimum so the residual factor is a genuine power series in y^2:
+        {P_min: coefficient vector over (y^2)^k}, P_min over D."""
+        return _class_coefficients(self.terms, self.D)
+
+    def eval_series(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(y.shape, dtype=complex)
+        for p, c in self.terms.items():
+            out += c * y ** (p / self.D)
+        return out * np.exp(-self.lam * y * y) if self.lam else out
+
+    eval_outer = eval_series
+
+    def jet_arrays(self, truncation: int, frac_gamma: Fraction):
+        """Two-branch jets a[q], b[q]: y^(2q0) feeds a[q0 + i] and
+        y^(2[g] + 2q0) feeds b[q0 + i] with the Taylor weight (-lam)^i / i!
+        of the Gaussian (only i = 0 at lam = 0)."""
+        a = [0.0j] * (truncation + 1)
+        b = [0.0j] * (truncation + 1)
+        D, lam = self.D, self.lam
+        shift = 2 * frac_gamma * D            # 2[g] as a numerator over D, if it is one
+        for p, c in self.terms.items():
+            if p % (2 * D) == 0:
+                branch, q0 = a, p // (2 * D)
+            elif shift.denominator == 1 and (p - shift.numerator) % (2 * D) == 0:
+                branch, q0 = b, (p - shift.numerator) // (2 * D)
+            else:
+                continue
+            if q0 < 0:
+                continue
+            for q in range(q0, truncation + 1 if lam else min(q0, truncation) + 1):
+                branch[q] += c * (-lam) ** (q - q0) / math.factorial(q - q0)
+        return a, b
+
+
+class BesselModeFn(PolyGaussModeFn):
+    """Per-mode function: a lam = 0 series (valid t = xi y < switchover) plus
+    Bessel-kernel chains for larger y.  The series half is the inherited
+    PolyGaussModeFn algebra; this class adds only the chains.
+
+    terms: {P: complex coeff}, meaning coeff y^(P/D), already in the y variable.
     chains: list of (nu: Fraction, prefactor: complex,
                      {(A, d in {0,1}): Fraction coeff})
     meaning prefactor * sum coeff (xi y)^(A/D) K_nu^(d)(xi y).  Exponents are
@@ -90,23 +197,15 @@ class BesselModeFn:
     by nu^2-sized factors at every step).
     """
 
-    def __init__(self, xi: float, m: Fraction, series: dict, chains: list):
-        D = _key_denominator([*series, *(a for _, _, terms in chains for a, _ in terms)])
-        self._set(xi, Fraction(m), D, {_numerator(p, D): c for p, c in series.items()},
-                  [(nu, pre, {(_numerator(a, D), d): c for (a, d), c in terms.items()})
-                   for nu, pre, terms in chains])
+    def __init__(self, xi: float, m: Fraction, terms: dict, chains: list):
+        D = _key_denominator([*terms, *(a for _, _, ch in chains for a, _ in ch)])
+        self._set(xi, Fraction(m), 0.0, D, {_numerator(p, D): c for p, c in terms.items()},
+                  chains=[(nu, pre, {(_numerator(a, D), d): c for (a, d), c in ch.items()})
+                          for nu, pre, ch in chains])
 
-    def _set(self, xi, m, D, series, chains):
-        self.xi = xi
-        self.m = m
-        self.D = D
-        self.series = {p: c for p, c in series.items() if c != 0}
-        self.chains = [(nu, pre, terms) for nu, pre, terms in chains if terms and pre != 0]
-
-    def _new(self, xi, series, chains) -> "BesselModeFn":
-        out = BesselModeFn.__new__(BesselModeFn)
-        out._set(xi, self.m, self.D, series, chains)
-        return out
+    def _set(self, xi, m, lam, D, terms, chains=()):
+        super()._set(xi, m, lam, D, terms)
+        self.chains = [(nu, pre, ch) for nu, pre, ch in chains if ch and pre != 0]
 
     @property
     def series_limit(self) -> float:
@@ -142,22 +241,8 @@ class BesselModeFn:
     def weighted_laplacian(self) -> "BesselModeFn":
         """T_y - xi^2: equals xi^2 (T_t - 1) on functions of t = xi y."""
         xi2 = self.xi * self.xi
-        D, (mp, mq) = self.D, (self.m.numerator, self.m.denominator)
-        new_series = {}
-
-        def add(key, val):
-            acc = new_series.get(key, 0.0) + val
-            if acc == 0:
-                new_series.pop(key, None)
-            else:
-                new_series[key] = acc
-
-        for p, c in self.series.items():
-            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
-            if w != 0:
-                add(p - 2 * D, c * (w / (D * D * mq)))
-            add(p, -c * xi2)
-        new_chains = []
+        D = self.D
+        chains = []
         for nu, pre, terms in self.chains:
             nu2 = nu * nu
             d1 = self._chain_ddt(terms, nu2)
@@ -174,22 +259,13 @@ class BesselModeFn:
                 acc((a - D, d), self.m * c)
             for (a, d), c in terms.items():  # - identity
                 acc((a, d), -c)
-            if out:
-                new_chains.append((nu, pre * xi2, out))
-        return self._new(self.xi, new_series, new_chains)
+            chains.append((nu, pre * xi2, out))
+        return self._new(super().weighted_laplacian().terms, chains=chains)
 
     def d_dy(self) -> "BesselModeFn":
-        D = self.D
-        new_series = {}
-        for p, c in self.series.items():
-            if p != 0:
-                new_series[p - D] = new_series.get(p - D, 0.0) + c * (p / D)
-        new_chains = []
-        for nu, pre, terms in self.chains:
-            out = self._chain_ddt(terms, nu * nu)
-            if out:
-                new_chains.append((nu, pre * self.xi, out))
-        return self._new(self.xi, new_series, new_chains)
+        chains = [(nu, pre * self.xi, self._chain_ddt(terms, nu * nu))
+                  for nu, pre, terms in self.chains]
+        return self._new(super().d_dy().terms, chains=chains)
 
     def rescaled(self, xi: float, s: complex, j: int) -> "BesselModeFn":
         """s |xi|^(2j) F(|xi| y) for this function F of t at |xi| = 1.
@@ -198,23 +274,9 @@ class BesselModeFn:
         the series coefficient of y^p gains s |xi|^(p + 2j), each chain
         prefactor s |xi|^(2j), and the chain terms are unchanged."""
         D = self.D
-        series = {p: c * (s * xi ** (p / D + 2 * j)) for p, c in self.series.items()}
+        terms = {p: c * (s * xi ** (p / D + 2 * j)) for p, c in self.terms.items()}
         scale = s * xi ** (2 * j)
-        chains = [(nu, pre * scale, terms) for nu, pre, terms in self.chains]
-        return self._new(xi, series, chains)
-
-    @functools.cached_property
-    def branch_components(self) -> dict:
-        """The series grouped by exponent class (p mod 2), anchored at the
-        group minimum so the residual factor is a genuine power series in y^2:
-        {P_min: coefficient vector over (y^2)^k}, P_min over D."""
-        return _class_coefficients(self.series, self.D)
-
-    def eval_series(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.shape, dtype=complex)
-        for p, c in self.series.items():
-            out += c * y ** (p / self.D)
-        return out
+        return self._new(terms, xi, chains=[(nu, pre * scale, ch) for nu, pre, ch in self.chains])
 
     def eval_outer(self, y: np.ndarray) -> np.ndarray:
         t = self.xi * y
@@ -224,109 +286,6 @@ class BesselModeFn:
             for (a, d), c in terms.items():
                 out += pre * float(c) * t ** (a / self.D) * (k0 if d == 0 else k1)
         return out
-
-    def jet_arrays(self, truncation: int, frac_gamma: Fraction):
-        return _branch_jets(self.series, self.D, truncation, frac_gamma, 0.0)
-
-
-def _branch_jets(series: dict, D: int, truncation: int, frac_gamma: Fraction, lam: float):
-    """Two-branch jets a[q], b[q] of sum_P c y^(P/D) exp(-lam y^2): y^(2q0)
-    feeds a[q0 + i] and y^(2[g] + 2q0) feeds b[q0 + i] with the Taylor weight
-    (-lam)^i / i! of the Gaussian (only i = 0 at lam = 0)."""
-    a = [0.0j] * (truncation + 1)
-    b = [0.0j] * (truncation + 1)
-    shift = 2 * frac_gamma * D            # 2[g] as a numerator over D, if it is one
-    for p, c in series.items():
-        if p % (2 * D) == 0:
-            branch, q0 = a, p // (2 * D)
-        elif shift.denominator == 1 and (p - shift.numerator) % (2 * D) == 0:
-            branch, q0 = b, (p - shift.numerator) // (2 * D)
-        else:
-            continue
-        if q0 < 0:
-            continue
-        for q in range(q0, truncation + 1 if lam else min(q0, truncation) + 1):
-            branch[q] += c * (-lam) ** (q - q0) / math.factorial(q - q0)
-    return a, b
-
-
-class PolyGaussModeFn:
-    """Per-mode function sum_P c_P y^(P/D) exp(-lam y^2), exact under the mode
-    Laplacian; lam = 0 degenerates to polynomials (zero-mode case).  The
-    constructor takes rational exponents and keys them by numerators over D."""
-
-    def __init__(self, xi: float, m: Fraction, lam: float, terms: dict):
-        D = _key_denominator(terms)
-        self._set(xi, Fraction(m), lam, D, {_numerator(p, D): c for p, c in terms.items()})
-
-    def _set(self, xi, m, lam, D, terms):
-        self.xi = xi
-        self.m = m
-        self.lam = lam
-        self.D = D
-        self.terms = {p: c for p, c in terms.items() if c != 0}
-
-    def _new(self, terms) -> "PolyGaussModeFn":
-        out = PolyGaussModeFn.__new__(PolyGaussModeFn)
-        out._set(self.xi, self.m, self.lam, self.D, terms)
-        return out
-
-    @property
-    def series_limit(self) -> float:
-        return np.inf
-
-    @property
-    def outer_limit(self) -> float:
-        """Where y^p exp(-lam y^2) drops below ~1e-20 of scale for the largest
-        power present; the polynomial factor matters once operator
-        applications have piled up high powers."""
-        if self.lam == 0.0:
-            return np.inf
-        p_max = max(self.terms) / self.D if self.terms else 0.0
-        return math.sqrt((46.0 + 3.0 * p_max) / self.lam)
-
-    def weighted_laplacian(self) -> "PolyGaussModeFn":
-        xi2 = self.xi * self.xi
-        lam = self.lam
-        D, (mp, mq), mf = self.D, (self.m.numerator, self.m.denominator), float(self.m)
-        out = {}
-
-        def add(p, v):
-            if v != 0:
-                out[p] = out.get(p, 0.0) + v
-
-        for p, c in self.terms.items():
-            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
-            if w != 0:
-                add(p - 2 * D, c * (w / (D * D * mq)))
-            add(p, -c * 2.0 * lam * (2.0 * (p / D) + 1.0 + mf))
-            add(p + 2 * D, c * 4.0 * lam * lam)
-            add(p, -c * xi2)
-        return self._new(out)
-
-    def d_dy(self) -> "PolyGaussModeFn":
-        D = self.D
-        out = {}
-        for p, c in self.terms.items():
-            if p != 0:
-                out[p - D] = out.get(p - D, 0.0) + c * (p / D)
-            out[p + D] = out.get(p + D, 0.0) - 2.0 * self.lam * c
-        return self._new(out)
-
-    @functools.cached_property
-    def branch_components(self) -> dict:
-        return _class_coefficients(self.terms, self.D)
-
-    def eval_series(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.shape, dtype=complex)
-        for p, c in self.terms.items():
-            out += c * y ** (p / self.D)
-        return out * np.exp(-self.lam * y * y)
-
-    eval_outer = eval_series
-
-    def jet_arrays(self, truncation: int, frac_gamma: Fraction):
-        return _branch_jets(self.terms, self.D, truncation, frac_gamma, self.lam)
 
 
 def _group_by_class(series: dict, D: int) -> dict:
@@ -437,9 +396,7 @@ def _pair_integral(u, v, m_weight: float) -> complex:
     outer = min(u.outer_limit, v.outer_limit)
     if not np.isfinite(outer):
         # both non-decaying: only legitimate when one side vanished identically
-        uu = u.terms if isinstance(u, PolyGaussModeFn) else u.series
-        vv = v.terms if isinstance(v, PolyGaussModeFn) else v.series
-        if not uu or not vv:
+        if not u.terms or not v.terms:
             return 0.0 + 0.0j
         raise ArithmeticError("pairing of two non-decaying mode functions")
     split = min(split, outer)
@@ -447,7 +404,7 @@ def _pair_integral(u, v, m_weight: float) -> complex:
 
     # inner region: per branch-class pair, weight-matched Gauss-Jacobi; each
     # class factor is its coefficient vector times the powers (y^2)^k
-    lam = sum(f.lam for f in (u, v) if isinstance(f, PolyGaussModeFn))
+    lam = u.lam + v.lam
     vg = {cv: np.conj(dv) for cv, dv in v.branch_components.items()}
     for cu, du in u.branch_components.items():
         for cv, dv in vg.items():
@@ -459,7 +416,7 @@ def _pair_integral(u, v, m_weight: float) -> complex:
                 f = (du @ powers[:du.size]) * (dv @ powers[:dv.size])
                 return f * np.exp(-lam * y2) if lam else f
 
-            total += _adaptive_gj(smooth, split, beta)
+            total += _adaptive_gj(smooth, 0.0, split, beta)
 
     # outer region: both factors evaluated directly, integrand smooth
     if np.isfinite(outer) and outer > split * (1.0 + 1e-12):
@@ -507,32 +464,29 @@ def _adaptive(rule, start: int) -> complex:
         n *= 2
 
 
-def _adaptive_gj(smooth, upper: float, beta: float) -> complex:
-    """integral_0^upper y^beta smooth(y) dy."""
-    scale = upper ** (beta + 1.0)
+def _adaptive_gj(fn, lo: float, hi: float, beta: float) -> complex:
+    """integral_lo^hi (y - lo)^beta fn(y) dy by the Gauss-Jacobi rule mapped
+    to [lo, hi]."""
+    width = hi - lo
+    scale = width ** (beta + 1.0)
 
     def rule(n):
         uu, w = _gauss_jacobi_01(n, beta)
-        f = smooth(upper * uu)
+        f = fn(lo + width * uu)
         return scale * np.sum(w * f), scale * np.sum(w * np.abs(f))
 
     return _adaptive(rule, GJ_START)
 
 
 def _adaptive_gl(fn, lo: float, hi: float) -> complex:
-    """integral_lo^hi fn(y) dy on geometric panels: the integrand decays
-    exponentially."""
+    """integral_lo^hi fn(y) dy on geometric panels, each by the mapped
+    exponent-0 rule: the integrand decays exponentially."""
     edges = [lo]
     while edges[-1] < hi:
         edges.append(min(hi, edges[-1] * 2.5 + 1.0))
     total = 0.0 + 0.0j
     for a, b in zip(edges[:-1], edges[1:]):
-        def rule(n, a=a, b=b):
-            uu, w = _gauss_jacobi_01(n, 0.0)
-            f = fn(a + (b - a) * uu)
-            return (b - a) * np.sum(w * f), (b - a) * np.sum(w * np.abs(f))
-
-        total += _adaptive(rule, GL_PANEL_NODES)
+        total += _adaptive_gj(fn, a, b, 0.0)
     return total
 
 
@@ -664,16 +618,8 @@ class SolutionFieldView(ModeFieldView):
     def atoms(self, pos: int) -> list:
         if self.xi[pos] != 0.0:
             return self.laplacian_atoms(pos, 0)
-        sol, params = self.sol, self.params
-        terms = {}
-        for q, c in enumerate(sol.zero_even):
-            if c != 0:
-                terms[Fraction(2 * q)] = terms.get(Fraction(2 * q), 0.0) + c
-        for q, c in enumerate(sol.zero_odd):
-            p = 2 * params.frac_gamma + 2 * q
-            if c != 0:
-                terms[p] = terms.get(p, 0.0) + c
-        return [PolyGaussModeFn(0.0, params.m, 0.0, terms)]
+        terms = _two_branch_terms(self.params, self.sol.zero_even, self.sol.zero_odd)
+        return [PolyGaussModeFn(0.0, self.params.m, 0.0, terms)]
 
     def laplacian_atoms(self, pos: int, j: int) -> list:
         xi = float(self.xi[pos])
@@ -701,14 +647,33 @@ class SolutionFieldView(ModeFieldView):
         return a, b
 
 
-def extension_field_view(sol: ExtensionSolution, active_tol: float = 1e-13) -> SolutionFieldView:
-    """The extension solution on its active canonical modes."""
-    weight = np.zeros(sol.xi2.size)
-    for dh in sol.data_hat:
-        weight = np.maximum(weight, np.abs(dh.reshape(-1)))
+def _active_modes(template: GridField, hats) -> list:
+    """The canonical modes, ascending, where some of the mode-coefficient
+    arrays hats exceeds ACTIVE_TOL of the largest magnitude any of them has."""
+    weight = np.zeros(template.values.size)
+    for h in hats:
+        weight = np.maximum(weight, np.abs(h.reshape(-1)))
     scale = weight.max() + 1e-300
-    active = [idx for idx in canonical_modes(sol.template) if weight[idx] > active_tol * scale]
-    return SolutionFieldView(sol, sorted(active))
+    return sorted(idx for idx in canonical_modes(template) if weight[idx] > ACTIVE_TOL * scale)
+
+
+def _two_branch_terms(params: GammaParams, a_coeffs, b_coeffs) -> dict:
+    """{exponent: coefficient} of sum_q a_q y^(2q) + b_q y^(2[g]+2q), zeros
+    left out."""
+    terms = {}
+    for q, c in enumerate(a_coeffs):
+        if c != 0:
+            terms[Fraction(2 * q)] = terms.get(Fraction(2 * q), 0.0) + c
+    for q, c in enumerate(b_coeffs):
+        p = 2 * params.frac_gamma + 2 * q
+        if c != 0:
+            terms[p] = terms.get(p, 0.0) + c
+    return terms
+
+
+def extension_field_view(sol: ExtensionSolution) -> SolutionFieldView:
+    """The extension solution on its active canonical modes."""
+    return SolutionFieldView(sol, _active_modes(sol.template, sol.data_hat))
 
 
 @dataclass
@@ -718,36 +683,18 @@ class TwoBranchGaussField:
 
     params: GammaParams
     template: GridField
-    a_coeffs: list  # list of real arrays, coefficient of y^(2q) exp(-lam y^2)
-    b_coeffs: list  # coefficient of y^(2[g]+2q) exp(-lam y^2)
-    lam: float = 1.0
+    a_coeffs: list  # list of real arrays, coefficient of y^(2q) exp(-y^2)
+    b_coeffs: list  # coefficient of y^(2[g]+2q) exp(-y^2)
 
-    def view(self, active_tol: float = 1e-13) -> ModeFieldView:
+    def view(self) -> ModeFieldView:
         params = self.params
-        m = params.m
-        fr = params.frac_gamma
         xi_flat = np.sqrt(self.template.xi_abs2()).reshape(-1)
-        hats_a = [np.fft.fftn(c) / c.size for c in self.a_coeffs]
-        hats_b = [np.fft.fftn(c) / c.size for c in self.b_coeffs]
-        weight = np.zeros(xi_flat.size)
-        for h in hats_a + hats_b:
-            weight = np.maximum(weight, np.abs(h.reshape(-1)))
-        scale = weight.max() + 1e-300
+        hats_a = [(np.fft.fftn(c) / c.size).reshape(-1) for c in self.a_coeffs]
+        hats_b = [(np.fft.fftn(c) / c.size).reshape(-1) for c in self.b_coeffs]
         atoms = {}
-        for idx in canonical_modes(self.template):
-            if weight[idx] <= active_tol * scale:
-                continue
-            terms = {}
-            for q, h in enumerate(hats_a):
-                c = h.reshape(-1)[idx]
-                if c != 0:
-                    terms[Fraction(2 * q)] = terms.get(Fraction(2 * q), 0.0) + c
-            for q, h in enumerate(hats_b):
-                c = h.reshape(-1)[idx]
-                if c != 0:
-                    p = 2 * fr + 2 * q
-                    terms[p] = terms.get(p, 0.0) + c
-            atoms[idx] = [PolyGaussModeFn(xi_flat[idx], m, self.lam, terms)]
+        for idx in _active_modes(self.template, hats_a + hats_b):
+            terms = _two_branch_terms(params, [h[idx] for h in hats_a], [h[idx] for h in hats_b])
+            atoms[idx] = [PolyGaussModeFn(xi_flat[idx], params.m, 1.0, terms)]
         return ModeFieldView(params, self.template, atoms)
 
 
@@ -1082,13 +1029,7 @@ class Bubble:
 
     def sample(self, template: GridField) -> GridField:
         power = -(self.n - 2.0 * self.gamma_tilde) / 2.0
-        if self.n == 1:
-            x = template.coords()
-            r2 = (x - self.xi0[0]) ** 2
-        else:
-            X, Y = template.coords()
-            r2 = (X - self.xi0[0]) ** 2 + (Y - self.xi0[1]) ** 2
-        vals = self.a * (self.epsilon + r2) ** power
+        vals = self.a * (self.epsilon + template.dist2(self.xi0)) ** power
         return GridField(template.n, template.shape, template.box_length, vals)
 
 
@@ -1156,12 +1097,11 @@ def bubble_tail_p(bubble: Bubble, box_length: float) -> float:
     return bubble.a ** (2.0 * n / (n - 2 * bubble.gamma_tilde)) * surf * R0 ** (-n) / n
 
 
-def sharp_sobolev_check(params_or_n, gt: float = 0.5, bubble: Bubble = None,
+def sharp_sobolev_check(n: int, gt: float = 0.5, bubble: Bubble = None,
                         n_perturbations: int = 5, shape=(512, 512), box_length: float = 200.0,
                         tol: float = 1e-2, seed: int = 0) -> VerificationReport:
     """Bubble quotient R = 1 within windowing tolerance, strictly larger for
     perturbations, and invariance of R under translation/dilation."""
-    n = params_or_n if isinstance(params_or_n, int) else params_or_n.n
     report = VerificationReport("sharp_sobolev", f"{gt}", n)
     if bubble is None:
         bubble = Bubble(n=n, gamma_tilde=gt, epsilon=1.0)
@@ -1195,12 +1135,7 @@ def sharp_sobolev_check(params_or_n, gt: float = 0.5, bubble: Bubble = None,
         width = rng.uniform(2.0, 6.0)
         amp = rng.uniform(0.2, 0.4)
         center = rng.uniform(-8.0, 8.0, size=n)
-        if n == 1:
-            x = template.coords()
-            bump = np.exp(-((x - center[0]) ** 2) / (2 * width ** 2))
-        else:
-            X, Y = template.coords()
-            bump = np.exp(-(((X - center[0]) ** 2) + (Y - center[1]) ** 2) / (2 * width ** 2))
+        bump = np.exp(-template.dist2(center) / (2 * width ** 2))
         g = GridField(n, shape, box_length, f.values + amp * bump)
         r_pert = sobolev_quotient(g, gt, tail_p=bubble_tail_p(bubble, box_length),
                                   smallxi_model=model)
@@ -1222,14 +1157,14 @@ def lebedev_milin_check(extremal_eps: float = 1.0, extremal_xi: float = 0.0,
     dmu = (1/(2 pi)) (2/(1+x^2)) dx.  Equality for f = a - ln((eps+|x-xi|^2)/(1+x^2)).
     """
     report = VerificationReport("lebedev_milin", "1/2", 1)
+
+    def extremal(x):
+        f = np.log(1.0 + x ** 2) - np.log(extremal_eps + (x - extremal_xi) ** 2)
+        return f + perturbation * np.exp(-((x - 3.0) ** 2) / 8.0) if perturbation else f
+
     template = GridField(1, shape, box_length, np.zeros(shape))
     x = template.coords()
-    if f_values is None:
-        f_vals = np.log(1.0 + x ** 2) - np.log(extremal_eps + (x - extremal_xi) ** 2)
-        if perturbation:
-            f_vals = f_vals + perturbation * np.exp(-((x - 3.0) ** 2) / 8.0)
-    else:
-        f_vals = np.asarray(f_values, dtype=float)
+    f_vals = extremal(x) if f_values is None else np.asarray(f_values, dtype=float)
     f = GridField(1, shape, box_length, f_vals)
 
     modes = f.fft()
@@ -1241,12 +1176,8 @@ def lebedev_milin_check(extremal_eps: float = 1.0, extremal_xi: float = 0.0,
     nth = 4096
     th = (np.arange(nth) + 0.5) * (np.pi / nth) - np.pi / 2
     xs = np.tan(th)
-    f_th = np.interp(xs, x, f_vals, left=0.0, right=0.0)
-    # use the analytic form off the grid where available
-    if f_values is None:
-        f_th = np.log(1.0 + xs ** 2) - np.log(extremal_eps + (xs - extremal_xi) ** 2)
-        if perturbation:
-            f_th = f_th + perturbation * np.exp(-((xs - 3.0) ** 2) / 8.0)
+    # the analytic form off the grid where there is one
+    f_th = extremal(xs) if f_values is None else np.interp(xs, x, f_vals, left=0.0, right=0.0)
     fbar = float(np.mean(f_th))
     rhs_log = math.log(float(np.mean(np.exp(f_th - fbar))))
     rhs = 4.0 * math.pi * rhs_log

@@ -38,6 +38,7 @@ from .report import VerificationReport, write_atomic
 T_SERIES = 2.0     # below: Frobenius branch series; above: bessel_k
 T_MAX = 30.0       # profiles are below 1e-13 of scale here and treated as zero
 SERIES_ORDER = 34  # branch series order; headroom for repeated T applications
+JET_ORDERS_ABOVE_FLOOR = 4   # jet orders a solution keeps above the [g] its operators read
 # ode_residual sample points on each side of T_SERIES
 SERIES_SAMPLES = np.array([0.25, 0.75, 1.25, 1.75])
 BESSEL_SAMPLES = np.array([2.5, 6.0, 12.0, 24.0])
@@ -84,6 +85,11 @@ class GridField:
         if self.n == 1:
             return axes[0]
         return np.meshgrid(*axes, indexing="ij")
+
+    def dist2(self, center) -> np.ndarray:
+        """|x - center|^2 at every grid point; center has at least n entries."""
+        coords = self.coords()
+        return sum((x - c) ** 2 for x, c in zip([coords] if self.n == 1 else coords, center))
 
     def same_grid(self, other: "GridField") -> bool:
         return (
@@ -163,17 +169,9 @@ class GridField:
         return cls(1, (values.size,), box_length, values)
 
 
-def gaussian_field(n: int, shape, box_length: float, width: float = 1.0,
-                   center=None) -> GridField:
+def gaussian_field(n: int, shape, box_length: float, width: float = 1.0) -> GridField:
     f = GridField(n, tuple(shape), box_length, np.zeros(shape))
-    if n == 1:
-        x = f.coords()
-        r2 = (x - (center or 0.0)) ** 2
-    else:
-        cx = center or (0.0, 0.0)
-        X, Y = f.coords()
-        r2 = (X - cx[0]) ** 2 + (Y - cx[1]) ** 2
-    f.values = np.exp(-r2 / (2.0 * width ** 2))
+    f.values = np.exp(-f.dist2((0.0, 0.0)) / (2.0 * width ** 2))
     return f
 
 
@@ -386,18 +384,16 @@ class ModeProfile:
 
         The y^(2q) (resp. y^(2[g]+2q)) coefficient of P(|xi| y) / |xi|^lead.
         """
-        fl = self.params.floor_gamma
-        a = [np.zeros_like(xi_abs, dtype=complex) for _ in range(truncation + 1)]
-        b = [np.zeros_like(xi_abs, dtype=complex) for _ in range(truncation + 1)]
-        lead, co = (a, b) if self.lead_branch == "a" else (b, a)
         xi2 = xi_abs * xi_abs
-        co_scale = xi_abs ** (2.0 * float(self.nu))
-        for i in range(truncation + 1):
-            if self.lead_index + i <= truncation:
-                lead[self.lead_index + i] += self.lead_series[i] * xi2 ** i
-            if self.co_index + i <= truncation:
-                co[self.co_index + i] += self.co_series[i] * co_scale * xi2 ** i
-        return a, b
+
+        def order(branch, tau):
+            out = np.zeros_like(xi_abs, dtype=complex)
+            term = self.jet_term(branch, tau, xi_abs, xi2)
+            if term is not None:
+                out += term
+            return out
+
+        return tuple([order(branch, tau) for tau in range(truncation + 1)] for branch in "ab")
 
     def jet_term(self, branch: str, tau: int, xi_abs: np.ndarray, xi2: np.ndarray):
         """The one term of jets(xi_abs, .) at order tau of branch 'a' or 'b',
@@ -519,8 +515,7 @@ class ExtensionSolution:
     """Per-mode solution of the Dirichlet problem for the weighted
     poly-Laplacian, assembled from decaying Bessel profiles."""
 
-    def __init__(self, params: GammaParams, template: GridField, data_fields,
-                 truncation: int = None):
+    def __init__(self, params: GammaParams, template: GridField, data_fields):
         self.params = params
         self.template = template
         self.data_fields = list(data_fields)
@@ -532,7 +527,7 @@ class ExtensionSolution:
         for f in data_fields:
             if not f.same_grid(template):
                 raise GridError("Dirichlet fields live on different grids")
-        self.truncation = truncation if truncation is not None else params.floor_gamma + 4
+        self.truncation = params.floor_gamma + JET_ORDERS_ABOVE_FLOOR
         self.profiles = all_profiles(params)
         self.conds = conds
 
@@ -716,7 +711,7 @@ def extract_dtn_constants(params: GammaParams):
     where 'even' maps the even datum slot j (c-type constant) and 'odd' the
     odd slot (d-type constant, sign convention: B = -d (-Lap)^nu phi)."""
     fl, fr = params.floor_gamma, float(params.frac_gamma)
-    truncation = params.floor_gamma + 4
+    truncation = params.floor_gamma + JET_ORDERS_ABOVE_FLOOR
     conds = dirichlet_condition_list(params)
     k = len(conds)
     jets = [p.jets(np.ones(1), truncation) for p in all_profiles(params)]

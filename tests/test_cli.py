@@ -210,19 +210,34 @@ def test_malformed_arguments_never_traceback(command, value, n, tiny_field, tmp_
     assert "Traceback" not in stderr.getvalue()
 
 
-def test_verify_n2_skips_grid_checks(tmp_path):
-    """The grid-based numeric checks build 1-D grids, so at n = 2 they say so
-    and skip instead of reporting a pass they did not earn."""
+GRID_CHECKS = ("extension_self_consistency", "yang_extension", "q_symmetry",
+               "dirichlet_principle", "energy_trace")
+
+
+def _verify_reports(tmp_path, *extra) -> dict:
     out = tmp_path / "r.json"
-    assert run_cli(["verify", "--gamma", "3/2", "--n", "2", "--only", "numeric",
-                    "--out", str(out)]) == 0
-    reports = {r["check"]: r for r in json.loads(out.read_text()) if r["gamma"] == "3/2"}
-    for check in ("extension_self_consistency", "yang_extension", "q_symmetry",
-                  "dirichlet_principle", "energy_trace"):
+    code = run_cli(["verify", "--gamma", "3/2", "--only", "numeric", *extra, "--out", str(out)])
+    return code, {r["check"]: r for r in json.loads(out.read_text()) if r["gamma"] == "3/2"}
+
+
+def test_verify_n2_runs_grid_checks(tmp_path):
+    """At n = 2 the grid-based numeric checks build 2-D grids and pass."""
+    code, reports = _verify_reports(tmp_path, "--n", "2", "--grid", "32")
+    assert code == 0
+    for check in GRID_CHECKS + ("dtn_bessel_extraction", "mode_ode_residual"):
+        assert reports[check]["status"] == "pass" and reports[check]["n"] == 2, check
+
+
+def test_verify_n3_skips_grid_checks(tmp_path):
+    """GridField holds n = 1 and 2 only, so at n = 3 the grid-based checks say
+    so and skip instead of reporting a pass they did not earn."""
+    code, reports = _verify_reports(tmp_path, "--n", "3")
+    assert code == 0
+    for check in GRID_CHECKS:
         assert reports[check]["status"] == "skip"
-        assert reports[check]["details"] == ["runs on 1-D grids only"]
+        assert reports[check]["details"] == ["GridField holds n = 1 and 2 only"]
     for check in ("dtn_bessel_extraction", "mode_ode_residual"):
-        assert reports[check]["status"] == "pass" and reports[check]["n"] == 2
+        assert reports[check]["status"] == "pass" and reports[check]["n"] == 3
 
 
 # Run in a fresh interpreter: reports after the import and after each command

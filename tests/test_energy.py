@@ -55,6 +55,32 @@ def test_pair_integral_against_closed_form():
     assert got == pytest.approx(want, rel=1e-11)
 
 
+# integral_lo^hi y^j e^(-y) dy in closed form: the antiderivative of y^j e^(-y)
+# is -e^(-y) (1, y + 1 and y^2 + 2y + 2 for j = 0, 1, 2)
+_EXP_ANTIDERIVATIVE = {0: lambda y: -math.exp(-y), 2: lambda y: -(y * y + 2 * y + 2) * math.exp(-y)}
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_outer_panels_against_closed_form(j):
+    """The outer region's geometric panels, each the Gauss-Jacobi rule at
+    beta = 0 mapped to [a, b] with a > 0, on e^(-y) and y^2 e^(-y)."""
+    lo, hi = 0.8, 40.0
+    got = complex(en._adaptive_gl(lambda y: y ** j * np.exp(-y), lo, hi))
+    want = _EXP_ANTIDERIVATIVE[j](hi) - _EXP_ANTIDERIVATIVE[j](lo)
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(want, rel=1e-12)
+
+
+def test_outer_panels_fail_with_a_shifted_rule(monkeypatch):
+    """A rule built at beta + 1e-6 instead of beta misses the closed form."""
+    real = en._gauss_jacobi_01
+    monkeypatch.setattr(en, "_gauss_jacobi_01", lambda n, beta: real(n, beta + 1e-6))
+    lo, hi = 0.8, 40.0
+    got = complex(en._adaptive_gl(lambda y: y * y * np.exp(-y), lo, hi)).real
+    want = _EXP_ANTIDERIVATIVE[2](hi) - _EXP_ANTIDERIVATIVE[2](lo)
+    assert got != pytest.approx(want, rel=1e-12)
+
+
 # Gauss rules against scipy's roots_jacobi/roots_legendre, in x on [-1, 1].
 # Worst measured over the grids below, before these bounds were set: nodes
 # 3.3e-16 (4.4e-16 over beta in [-0.95, 21] by 0.05 and n up to 768);
@@ -171,17 +197,15 @@ def test_series_offsets_are_exact(gamma):
     moves a term to the wrong power."""
     p = GammaParams(gamma)
     for atom in _paired_atoms(p):
-        series = atom.terms if isinstance(atom, PolyGaussModeFn) else atom.series
         exponent = lambda key: float(F(key, atom.D))   # keys are numerators over atom.D
-        for group in en._group_by_class(series, atom.D).values():
+        for group in en._group_by_class(atom.terms, atom.D).values():
             assert all(type(k) is int for k, _ in group)
-        u, _ = en._gauss_jacobi_01(en.GJ_START, 2.0 * exponent(min(series)) + float(p.m))
+        u, _ = en._gauss_jacobi_01(en.GJ_START, 2.0 * exponent(min(atom.terms)) + float(p.m))
         y = min(atom.series_limit, atom.outer_limit) * u
         product = sum(y ** exponent(low) * (c @ (y * y) ** np.arange(c.size)[:, None])
                       for low, c in atom.branch_components.items())
-        size = sum(abs(c) * y ** exponent(q) for q, c in series.items())
-        if isinstance(atom, PolyGaussModeFn):
-            product, size = (f * np.exp(-atom.lam * y * y) for f in (product, size))
+        size = sum(abs(c) * y ** exponent(q) for q, c in atom.terms.items())
+        product, size = (f * np.exp(-atom.lam * y * y) for f in (product, size))
         assert np.all(np.abs(product - atom.eval_series(y)) <= 1e-13 * size)
 
 
@@ -286,8 +310,8 @@ def _defects(rep, prefix):
     return [float(d.rsplit(" ", 1)[1]) for d in rep.details if d.startswith(prefix)]
 
 
-def _gaussian_data(p, grid, box=60.0):
-    return [gaussian_field(1, (grid,), box, width=2.0 + 0.4 * i) for i in range(p.k)]
+def _gaussian_data(p, grid, box=60.0, n=1):
+    return [gaussian_field(n, (grid,) * n, box, width=2.0 + 0.4 * i) for i in range(p.k)]
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2), F(10, 3)])
@@ -334,6 +358,9 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
     of times per order (powers of the unit profiles, rescaled per mode) and
     run the same quadrature integrals and nodes on any grid."""
     p = GammaParams(F(5, 2))
+    # Bessel atoms run their own weighted_laplacian, which reaches the series
+    # rule through super(): patching it counts each Bessel application once
+    assert "weighted_laplacian" in vars(en.BesselModeFn)
     real = en.BesselModeFn.weighted_laplacian
     laps = []
 
@@ -438,10 +465,12 @@ def test_dirichlet_principle_fails_for_a_non_solution(gamma):
     assert not rep.passed
 
 
-@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
-def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, monkeypatch):
-    """A 1e-3 error in the even DtN constants fails both energy routes."""
-    p = GammaParams(gamma)
+@pytest.mark.parametrize("gamma, n, grid", [(F(1, 2), 1, 128), (F(3, 2), 1, 128), (F(3, 2), 2, 32)],
+                         ids=["gamma0", "gamma1", "n2-gamma1"])
+def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, n, grid, monkeypatch):
+    """A 1e-3 error in the even DtN constants fails both energy routes, on
+    1-D and 2-D grids."""
+    p = GammaParams(gamma, n=n)
     real = en.dtn_constant_even
 
     class Scaled:
@@ -452,7 +481,7 @@ def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, monkeypatch):
             return (1.0 + 1e-3) * self.const.value(fr)
 
     monkeypatch.setattr(en, "dtn_constant_even", lambda params, j: Scaled(real(params, j)))
-    rep = energy_trace_check(solve_extension(p, _gaussian_data(p, 128)))
+    rep = energy_trace_check(solve_extension(p, _gaussian_data(p, grid, n=n)))
     assert min(_defects(rep, "energy equals DtN sum")) > 1e-6
     assert min(_defects(rep, "interior-route energy")) > 1e-6
     assert not rep.passed
