@@ -6,7 +6,6 @@ from .gammacore import (
     ExactConstant,
     GammaDomainError,
     GammaParams,
-    IndexSet2Gamma,
     PoleError,
     cs_normalization,
     dtn_constant_even,
@@ -24,7 +23,6 @@ __all__ = [
     "GammaDomainError",
     "GammaParams",
     "GridField",
-    "IndexSet2Gamma",
     "PoleError",
     "VerificationReport",
     "cs_normalization",

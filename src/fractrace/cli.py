@@ -21,7 +21,7 @@ from . import modes
 from .report import VerificationReport, reports_to_csv, reports_to_json, write_atomic
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
-ENERGY_GAMMAS = ["1/2", "3/2", "5/2"]
+ENERGY_GAMMAS = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 # numeric checks that build a boundary grid of dimension --n
 GRID_CHECKS = ["extension_self_consistency", "yang_extension", "q_symmetry",
                "dirichlet_principle", "energy_trace"]
@@ -150,12 +150,12 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     # the nine fixed samples, then the two monomials drawn from --seed
     samples = polys.default_samples(n, params.frac_gamma, seed=seed, extra=2)
     wide, narrow = samples[:7] + samples[9:], samples[:5] + samples[9:]
-    checks.append(polys.verify_commutator(params.m, 2, wide, str(params), n))
+    checks.append(polys.verify_commutator(params, 2, wide))
     checks.append(polys.verify_product_factorization(params, wide))
-    checks.append(polys.verify_r2s_commutation(params, 2, Fraction(-3, 2), narrow, n=n))
-    checks.append(polys.verify_r2s_commutation(params, 1, Fraction(1, 2), narrow, n=n))
-    checks.append(polys.verify_flat_hyperbolic_correspondence(params, n=n))
-    checks.append(polys.verify_conformal_covariance(params, n=n))
+    checks.append(polys.verify_r2s_commutation(params, 2, Fraction(-3, 2), narrow))
+    checks.append(polys.verify_r2s_commutation(params, 1, Fraction(1, 2), narrow))
+    checks.append(polys.verify_flat_hyperbolic_correspondence(params))
+    checks.append(polys.verify_conformal_covariance(params))
     return checks
 
 
@@ -218,7 +218,7 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     v = en.random_two_branch_field(params, template, seed=seed + 1)
     checks.append(en.verify_q_symmetry(params, u, v, tol_sym=tols["q_symmetry"]))
 
-    if full or str(gamma) in [str(gc.parse_gamma(s)) for s in ENERGY_GAMMAS]:
+    if full or gamma in ENERGY_GAMMAS:
         checks.append(en.dirichlet_principle_check(sol, seed=seed,
                                                    tol=tols["dirichlet_principle"]))
         checks.append(en.energy_trace_check(sol, seed=seed + 1, tol=tols["energy_trace"]))

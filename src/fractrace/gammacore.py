@@ -25,7 +25,10 @@ class PoleError(ArithmeticError):
 
 
 class GammaDomainError(ValueError):
-    """gamma outside the admissible set: positive, non-integer, below the cap."""
+    """gamma outside the admissible set: positive, non-integer, at most GAMMA_CAP."""
+
+
+GAMMA_CAP = 8
 
 
 def parse_gamma(text: str) -> Fraction:
@@ -49,7 +52,6 @@ class GammaParams:
 
     gamma: Fraction
     n: int = 1
-    cap: int = 8
 
     def __post_init__(self):
         g = self.gamma
@@ -58,8 +60,8 @@ class GammaParams:
             g = self.gamma
         if g <= 0 or g.denominator == 1:
             raise GammaDomainError(f"gamma must be positive and non-integer, got {g}")
-        if g > self.cap:
-            raise GammaDomainError(f"gamma={g} exceeds the configured cap {self.cap}")
+        if g > GAMMA_CAP:
+            raise GammaDomainError(f"gamma={g} exceeds the cap {GAMMA_CAP}")
         if self.n < 1:
             raise GammaDomainError(f"boundary dimension must be >= 1, got {self.n}")
 
@@ -229,30 +231,6 @@ class ExactConstant:
             * ratio ** self.gamma_ratio_power
             * 2.0 ** float(self.two_power)
         )
-
-
-@dataclass(frozen=True)
-class IndexSet2Gamma:
-    """The two families of scattering orders attached to gamma.
-
-    even_indices are gamma - 2j for the even boundary family; odd_indices are
-    floor(gamma) - [gamma] - 2j for the odd family.  All entries are positive,
-    non-integer, and there are exactly k = floor(gamma)+1 of them in total.
-    """
-
-    even_indices: tuple
-    odd_indices: tuple
-
-    @classmethod
-    def from_params(cls, params: GammaParams) -> "IndexSet2Gamma":
-        g = params.gamma
-        fl = params.floor_gamma
-        fr = params.frac_gamma
-        even = tuple(g - 2 * j for j in range(params.n_even_data))
-        odd = tuple(fl - fr - 2 * j for j in range(params.n_odd_data))
-        for v in even + odd:
-            assert v > 0 and v.denominator != 1, f"bad scattering order {v}"
-        return cls(even, odd)
 
 
 # ---------------------------------------------------------------------------

@@ -253,33 +253,12 @@ def boundary_operators(params: GammaParams, jet: Jet) -> dict:
     return out
 
 
-def boundary_operator_family(params: GammaParams, family: str, j: int, jet: Jet) -> BoundaryExpr:
-    """B at even index 2j (family='even') or odd index 2[g]+2j (family='odd');
-    see `boundary_operators`."""
-    if family not in ("even", "odd"):
-        raise ValueError(f"unknown boundary family {family!r}")
-    if not 0 <= j <= params.floor_gamma:
-        raise IndexError(f"boundary operator index {j} out of range for gamma={params.gamma}")
-    if jet.truncation < j:
-        raise TruncationError(f"jet truncation {jet.truncation} insufficient for index {j}")
-    return boundary_operators(params, jet)[(family, j)]
-
-
 def boundary_indices(params: GammaParams):
     """All admissible operator indices 2*alpha, as (family, j, 2*alpha) triples."""
     fl, fr = params.floor_gamma, params.frac_gamma
     out = [("even", j, Fraction(2 * j)) for j in range(fl + 1)]
     out += [("odd", j, 2 * fr + 2 * j) for j in range(fl + 1)]
     return out
-
-
-def boundary_operator(params: GammaParams, alpha2, jet: Jet) -> BoundaryExpr:
-    """B at index 2*alpha given as a rational; dispatches to the right family."""
-    alpha2 = Fraction(alpha2)
-    for family, j, idx in boundary_indices(params):
-        if idx == alpha2:
-            return boundary_operator_family(params, family, j, jet)
-    raise IndexError(f"2*alpha={alpha2} is not an admissible boundary index for gamma={params.gamma}")
 
 
 def boundary_operator_symbol(params: GammaParams, family: str, j: int) -> dict:
@@ -322,32 +301,27 @@ def default_truncation(params: GammaParams) -> int:
     return params.floor_gamma + 4
 
 
-def make_scattering_jet(params: GammaParams, j: int, kind: str, truncation: int = None,
-                        base: str = None) -> Jet:
+def make_scattering_jet(params: GammaParams, j: int, kind: str) -> Jet:
     """Formal jet of the renormalized Poisson-operator image with unit datum.
 
-    kind='even' uses scattering order gamma - 2j (0 <= j <= floor(gamma/2));
-    kind='odd' uses floor(gamma) - [gamma] - 2j (0 <= j <= floor-floor/2-1).
-    The leading coefficient of the data branch is the bare symbol; the other
-    branch carries the hat symbol with leading coefficient one.
+    kind='even' uses scattering order gamma - 2j (0 <= j <= floor(gamma/2))
+    on the symbol f; kind='odd' uses floor(gamma) - [gamma] - 2j
+    (0 <= j <= floor-floor/2-1) on the symbol phi.  The leading coefficient
+    of the data branch is the bare symbol; the other branch carries the hat
+    symbol with leading coefficient one.
     """
     fl, fr, g = params.floor_gamma, params.frac_gamma, params.gamma
-    if truncation is None:
-        truncation = default_truncation(params)
+    truncation = default_truncation(params)
     if kind == "even":
         if not 0 <= j <= fl // 2:
             raise IndexError(f"scattering jet (even) index {j} out of range for gamma={g}")
         gt = g - 2 * j
-        lead_branch, lead_idx = "a", j
-        if base is None:
-            base = "f"
+        lead_branch, base = "a", "f"
     elif kind == "odd":
         if not 0 <= j <= fl - fl // 2 - 1:
             raise IndexError(f"scattering jet (odd) index {j} out of range for gamma={g}")
         gt = fl - fr - 2 * j
-        lead_branch, lead_idx = "b", j
-        if base is None:
-            base = "phi"
+        lead_branch, base = "b", "phi"
     else:
         raise ValueError(f"unknown scattering kind {kind!r}")
     assert gt > 0 and gt.denominator != 1, f"resonant scattering order {gt}"
@@ -358,8 +332,8 @@ def make_scattering_jet(params: GammaParams, j: int, kind: str, truncation: int 
     lead, co = (a, b) if lead_branch == "a" else (b, a)
     for ell in range(truncation + 1):   # one term per slot of each branch
         coeff = Fraction((-1) ** ell, 4 ** ell * math.factorial(ell))
-        if lead_idx + ell <= truncation:
-            lead[lead_idx + ell] = BoundaryExpr.symbol(
+        if j + ell <= truncation:
+            lead[j + ell] = BoundaryExpr.symbol(
                 base, lap=ell, hat=False, coeff=coeff / pochhammer_ratio(1 - gt, ell)
             )
         if co_idx + ell <= truncation:

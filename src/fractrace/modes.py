@@ -471,23 +471,8 @@ class ModeProfile:
         return float(max(worst, abs(below - at) / max(abs(below), abs(at))))
 
 
-def build_mode_profile(params: GammaParams, j: int, kind: str) -> ModeProfile:
-    g, fl, fr = params.gamma, params.floor_gamma, params.frac_gamma
-    if kind == "even":
-        if not 0 <= j < params.n_even_data:
-            raise IndexError(f"even profile slot {j} out of range for gamma={g}")
-        nu = g - 2 * j
-    elif kind == "odd":
-        if not 0 <= j < params.n_odd_data:
-            raise IndexError(f"odd profile slot {j} out of range for gamma={g}")
-        nu = fl - fr - 2 * j
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
-    return ModeProfile(params, j, kind, nu)
-
-
 def all_profiles(params: GammaParams):
-    return [build_mode_profile(params, j, kind) for kind, j, _ in scattering_orders(params)]
+    return [ModeProfile(params, j, kind, nu) for kind, j, nu in scattering_orders(params)]
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +556,8 @@ class ExtensionSolution:
         """
         fr = self.params.frac_gamma
         flat_xi, zero = self._flat_xi()
-        unit = _unit_dirichlet_matrix(
-            self.params, [p.jets(np.ones(1), self.truncation) for p in self.profiles])
+        unit = _unit_matrix(self.params, self.conds,
+                            [p.jets(np.ones(1), self.truncation) for p in self.profiles])
         e = np.array([float(2 * j if family == "even" else 2 * fr + 2 * j)
                       for family, j in self.conds])
         lead = np.array([float(p.lead_exponent) for p in self.profiles])
@@ -690,51 +675,33 @@ def dtn_apply(sol: ExtensionSolution, alpha2) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def _unit_dirichlet_matrix(params: GammaParams, unit_jets) -> np.ndarray:
-    """The k x k Dirichlet matrix at |xi| = 1: entry (row, col) applies the
-    row's condition from dirichlet_condition_list to profile col, given the
-    profiles' jets at |xi| = 1."""
-    fl, fr = params.floor_gamma, float(params.frac_gamma)
-    conds = dirichlet_condition_list(params)
-    one = np.ones(1)
-    matrix = np.zeros((len(conds), len(unit_jets)), dtype=complex)
-    for col, (a, b) in enumerate(unit_jets):
-        nj = NumericJets(fl, fr, a, b)
-        for row, (family, j) in enumerate(conds):
-            matrix[row, col] = nj.apply_boundary(family, j, one)[0]
-    return matrix
+def _unit_matrix(params: GammaParams, conds, unit_jets) -> np.ndarray:
+    """The k x k matrix at |xi| = 1 whose entry (row, col) applies the row's
+    condition from conds to profile col, given the profiles' jets at
+    |xi| = 1: M1 for dirichlet_condition_list, N1 for neumann_condition_list.
+    The profiles sit side by side in one jet, so each row's operator symbol
+    is built once."""
+    a, b = ([np.concatenate([jet[branch][q] for jet in unit_jets])
+             for q in range(len(unit_jets[0][branch]))] for branch in (0, 1))
+    nj = NumericJets(params.floor_gamma, float(params.frac_gamma), a, b)
+    one = np.ones(len(unit_jets))
+    return np.array([nj.apply_boundary(family, j, one) for family, j in conds])
 
 
 def extract_dtn_constants(params: GammaParams):
-    """Solve the unit-datum Dirichlet problem at |xi| = 1 profile by profile
-    and read off the Neumann outputs.  Returns {('even'|'odd', j): value}
-    where 'even' maps the even datum slot j (c-type constant) and 'odd' the
-    odd slot (d-type constant, sign convention: B = -d (-Lap)^nu phi)."""
-    fl, fr = params.floor_gamma, float(params.frac_gamma)
+    """Neumann outputs of the unit-datum Dirichlet problems at |xi| = 1.  The
+    solution with datum one in slot i alone has profile coefficients
+    M1^-1 e_i, so its paired Neumann output is (N1 M1^-1)[i, i].  Returns
+    {('even'|'odd', j): value} where 'even' maps the even datum slot j
+    (c-type constant) and 'odd' the odd slot (d-type constant, sign
+    convention: B = -d (-Lap)^nu phi)."""
     truncation = params.floor_gamma + JET_ORDERS_ABOVE_FLOOR
-    conds = dirichlet_condition_list(params)
-    k = len(conds)
     jets = [p.jets(np.ones(1), truncation) for p in all_profiles(params)]
-    matrix = _unit_dirichlet_matrix(params, jets)
-    out = {}
-    for slot, (family, j) in enumerate(conds):
-        rhs = np.zeros(k, dtype=complex)
-        rhs[slot] = 1.0
-        c = np.linalg.solve(matrix, rhs)
-        a = [np.zeros(1, dtype=complex) for _ in range(truncation + 1)]
-        b = [np.zeros(1, dtype=complex) for _ in range(truncation + 1)]
-        for col, (pa, pb) in enumerate(jets):
-            for q in range(truncation + 1):
-                a[q] += c[col] * pa[q]
-                b[q] += c[col] * pb[q]
-        nj = NumericJets(fl, fr, a, b)
-        nfam, nj_idx = ("odd", fl - j) if family == "even" else ("even", fl - j)
-        val = nj.apply_boundary(nfam, nj_idx, np.array([1.0]))[0]
-        if family == "even":
-            out[("even", j)] = float(np.real(val))          # c constant
-        else:
-            out[("odd", j)] = float(np.real(-val))          # -d (-Lap)^nu phi
-    return out
+    m1 = _unit_matrix(params, dirichlet_condition_list(params), jets)
+    n1 = _unit_matrix(params, neumann_condition_list(params), jets)
+    diag = np.real(np.diag(np.linalg.solve(m1.T, n1.T)))
+    return {(family, j): float(val if family == "even" else -val)
+            for (family, j), val in zip(dirichlet_condition_list(params), diag)}
 
 
 def verify_dtn_constants(params: GammaParams, tol: float = 1e-8) -> VerificationReport:

@@ -146,8 +146,8 @@ class HalfSpacePoly(_RadialTerms):
         fr = self.frac_gamma
         return 2 * fr.numerator * (self.D // fr.denominator)
 
-    def mul_y2(self, power=1):
-        return self._new(({(S, a, be + power, b): c for (S, a, be, b), c in self.nums.items()},
+    def mul_y2(self):
+        return self._new(({(S, a, be + 1, b): c for (S, a, be, b), c in self.nums.items()},
                           self.den))
 
     # -- derivations ------------------------------------------------------
@@ -351,24 +351,19 @@ class BoundaryPoly(_RadialTerms):
     def _new(self, pair, D: int = None):
         return BoundaryPoly._of(self.n, self.D if D is None else D, pair)
 
-    def lap(self, times: int = 1):
+    def lap(self):
+        """Laplacian: per term c |x|^(2s) x^alpha, c 2s (n + 2|alpha| + 2s - 2)
+        at s - 1 and the x second derivatives, all over D^2."""
         D, n = self.D, self.n
         D2 = D * D
-        out = self
-        for _ in range(times):
-            acc = {}
-            for (S, a), c in out.nums.items():
-                if S:
-                    _add(acc, (S - D, a), c * 2 * S * D * (n + 2 * sum(a)))
-                    w = c * 4 * S * (S - D)
-                    if w:
-                        for i in range(n):
-                            _add(acc, (S - 2 * D, a[:i] + (a[i] + 2,) + a[i + 1:]), w)
-                for i, ai in enumerate(a):
-                    if ai >= 2:
-                        _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:]), c * ai * (ai - 1) * D2)
-            out = out._new(ratmap.canonical(acc, out.den * D2))
-        return out
+        acc = {}
+        for (S, a), c in self.nums.items():
+            if S:
+                _add(acc, (S - D, a), c * 2 * S * ((n + 2 * sum(a) - 2) * D + 2 * S))
+            for i, ai in enumerate(a):
+                if ai >= 2:
+                    _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:]), c * ai * (ai - 1) * D2)
+        return self._new(ratmap.canonical(acc, self.den * D2))
 
     def directional_r2(self, ell: int = 1):
         D = self.D
@@ -424,23 +419,6 @@ def _expand_rn(n: int, t: int) -> tuple:
     return tuple((tuple(2 * e for e in xa), mult) for xa, mult in out)
 
 
-# ---------------------------------------------------------------------------
-# Module-level operation names
-# ---------------------------------------------------------------------------
-
-
-def apply_laplacian(p: HalfSpacePoly) -> HalfSpacePoly:
-    return p.laplacian()
-
-
-def apply_weighted_laplacian(p: HalfSpacePoly, m) -> HalfSpacePoly:
-    return p.weighted_laplacian(Fraction(m))
-
-
-def kelvin_pullback(p: HalfSpacePoly, w) -> HalfSpacePoly:
-    return p.kelvin_pullback(w)
-
-
 def weighted_poly_power(p: HalfSpacePoly, m, k: int) -> HalfSpacePoly:
     out = p
     for _ in range(k):
@@ -477,15 +455,6 @@ def boundary_operators_poly(params: GammaParams, p: HalfSpacePoly) -> dict:
                 nums, den = ratmap.add(nums, den, ladder[lp].nums, ladder[lp].den, *ratmap.ratio(coeff))
             out[(family, j)] = BoundaryPoly._of(p.n, p.D, (nums, den))
     return out
-
-
-def boundary_operator_poly(params: GammaParams, family: str, j: int, p: HalfSpacePoly) -> BoundaryPoly:
-    """B at (family, j) applied to p; see `boundary_operators_poly`."""
-    if family not in ("even", "odd"):
-        raise ValueError(f"unknown boundary family {family!r}")
-    if not 0 <= j <= params.floor_gamma:
-        raise IndexError(f"boundary operator index {j} out of range for gamma={params.gamma}")
-    return boundary_operators_poly(params, p)[(family, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +613,11 @@ def default_samples(n: int, frac_gamma, seed: int = 0, extra: int = 4):
     return samples
 
 
-def verify_commutator(m, k: int, samples, gamma_str="-", n=1) -> VerificationReport:
+def verify_commutator(params: GammaParams, k: int, samples) -> VerificationReport:
     """Conjugating the k-th power by the weight shifts +-2k reproduces the
-    (k+1)-st power, exactly."""
-    m = Fraction(m)
-    report = VerificationReport("weight_shift_commutator", gamma_str, n)
+    (k+1)-st power at the weight m of params, exactly."""
+    m = params.m
+    report = VerificationReport("weight_shift_commutator", str(params), params.n)
     if k < 1:
         raise ValueError("commutator check needs k >= 1")
     for idx, u in enumerate(samples):
@@ -680,12 +649,11 @@ def verify_product_factorization(params: GammaParams, samples) -> VerificationRe
     return report
 
 
-def verify_r2s_commutation(params: GammaParams, k: int, s, samples, n: int = None) -> VerificationReport:
+def verify_r2s_commutation(params: GammaParams, k: int, s, samples) -> VerificationReport:
     """Commuting r^(2s) through the k-th power of the weighted Laplacian,
     interior form and weighted-Neumann boundary form."""
     s = Fraction(s)
-    if n is None:
-        n = params.n
+    n = params.n
     report = VerificationReport("r2s_commutation", str(params), n)
     m, fr = params.m, params.frac_gamma
     half_n = Fraction(n, 2)
@@ -731,20 +699,18 @@ def verify_r2s_commutation(params: GammaParams, k: int, s, samples, n: int = Non
     return report
 
 
-def verify_flat_hyperbolic_correspondence(params: GammaParams, samples=None, n: int = None) -> VerificationReport:
+def verify_flat_hyperbolic_correspondence(params: GammaParams) -> VerificationReport:
     """Conjugating the hyperbolic poly-resolvent product by the boundary-defining
     power of y gives the flat weighted poly-Laplacian, and the two groupings of
     the resolvent product agree."""
-    if n is None:
-        n = params.n
+    n = params.n
     report = VerificationReport("flat_hyperbolic_correspondence", str(params), n)
     fr, fl, g, k, m = params.frac_gamma, params.floor_gamma, params.gamma, params.k, params.m
     half_n = Fraction(n, 2)
     s0 = half_n + g
-    if samples is None:
-        base = default_samples(n, fr, extra=2)
-        samples = [YPowerField.pure_power(n, fr, Fraction(p), w)
-                   for p in (0, 1, Fraction(1, 3)) for w in base[:4] if not any(key[3] for key in w.nums)]
+    samples = [YPowerField.pure_power(n, fr, Fraction(p), w)
+               for p in (0, 1, Fraction(1, 3)) for w in default_samples(n, fr, extra=2)[:4]
+               if not any(key[3] for key in w.nums)]
     for idx, u in enumerate(samples):
         # ordered product, descending resolvent parameter
         lhs_prod = u
@@ -771,11 +737,10 @@ def verify_flat_hyperbolic_correspondence(params: GammaParams, samples=None, n: 
     return report
 
 
-def verify_conformal_covariance(params: GammaParams, alpha_list=None, samples=None, n: int = None) -> VerificationReport:
+def verify_conformal_covariance(params: GammaParams, samples=None) -> VerificationReport:
     """Kelvin-transform covariance of the weighted poly-Laplacian and of every
     boundary operator, as exact identities of radial polynomials."""
-    if n is None:
-        n = params.n
+    n = params.n
     report = VerificationReport("conformal_covariance", str(params), n)
     fr, fl, g, k, m = params.frac_gamma, params.floor_gamma, params.gamma, params.k, params.m
     half_n = Fraction(n, 2)
@@ -785,8 +750,6 @@ def verify_conformal_covariance(params: GammaParams, alpha_list=None, samples=No
         # operator vanishes; the two branch samples reach all of them
         mk = lambda **kw: HalfSpacePoly.monomial(n, fr, **kw)
         samples = default_samples(n, fr, extra=0)[:5] + [mk(b=1), mk(b=1, s=-1)]
-    if alpha_list is None:
-        alpha_list = [("even", j) for j in range(fl + 1)] + [("odd", j) for j in range(fl + 1)]
 
     for idx, u in enumerate(samples):
         pulled = u.kelvin_pullback(w_in)
@@ -798,14 +761,13 @@ def verify_conformal_covariance(params: GammaParams, alpha_list=None, samples=No
         if not (lhs - rhs).is_zero_function():
             report.fail(f"sample {idx}: interior Kelvin covariance fails")
         # boundary covariance for each operator
-        for family, j in alpha_list:
+        for (family, j), got in ops_pulled.items():
             alpha = Fraction(j) if family == "even" else fr + j
-            got = ops_pulled[(family, j)]
             want = ops_u[(family, j)].kelvin_pullback(w_in - 2 * alpha)
             if not (got - want).is_zero_function():
                 report.fail(f"sample {idx}: boundary Kelvin covariance fails at ({family},{j})")
     if report.passed:
         report.details.append(
-            f"interior and {len(alpha_list)} boundary operators covariant on {len(samples)} samples"
+            f"interior and {2 * (fl + 1)} boundary operators covariant on {len(samples)} samples"
         )
     return report

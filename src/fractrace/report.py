@@ -62,9 +62,6 @@ class VerificationReport:
             "details": _format_value(self.details),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
 
 def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2, allow_nan=False) + "\n"

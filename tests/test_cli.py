@@ -37,6 +37,17 @@ def test_verify_identities_exit_zero(tmp_path):
     assert {r["gamma"] for r in reports} == {"1/2", "4/3"}
 
 
+@pytest.mark.parametrize("name", ["TOL_DEFAULTS", "DEFAULT_GAMMAS"])
+def test_benchmark_constants_stay_literals(name):
+    """bench/run.py reads these with ast.literal_eval, without importing cli."""
+    from fractrace import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    (node,) = [n for n in tree.body if isinstance(n, ast.Assign)
+               and any(getattr(t, "id", None) == name for t in n.targets)]
+    assert ast.literal_eval(node.value) == getattr(cli, name)
+
+
 def test_verify_rejects_integer_gamma():
     assert run_cli(["verify", "--gamma", "2"]) == 2
 

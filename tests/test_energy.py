@@ -18,7 +18,6 @@ from fractrace.energy import (
     bubble_tail_p,
     dirichlet_principle_check,
     dtn_rhs,
-    energy,
     energy_trace_check,
     extension_field_view,
     interior_energy,
@@ -214,19 +213,20 @@ def test_classical_energy_identity():
     p = GammaParams(F(1, 2))
     f = gaussian_field(1, (128,), 60.0, width=2.0)
     sol = solve_extension(p, [f])
-    eb = energy(p, sol)
+    u = extension_field_view(sol)
     oracle = plancherel_energy(f, 0.5)
-    assert eb.interior == pytest.approx(oracle, rel=1e-6)
-    assert eb.q_form == pytest.approx(oracle, rel=1e-10)
-    assert eb.dtn_rhs == pytest.approx(oracle, rel=1e-12)
-    assert eb.boundary_correction == 0.0  # empty coupling sum below gamma = 1
+    assert interior_energy(u, u) == pytest.approx(oracle, rel=1e-6)
+    assert q_form(u, u) == pytest.approx(oracle, rel=1e-10)
+    assert dtn_rhs(sol) == pytest.approx(oracle, rel=1e-12)
+    assert boundary_correction(u, u) == 0.0  # empty coupling sum below gamma = 1
 
 
 def test_energy_zero_field():
     p = GammaParams(F(3, 2))
     z = GridField(1, (64,), 30.0, np.zeros(64))
-    eb = energy(p, solve_extension(p, [z, z]))
-    assert eb.interior == eb.q_form == eb.dtn_rhs == 0.0
+    sol = solve_extension(p, [z, z])
+    u = extension_field_view(sol)
+    assert interior_energy(u, u) == q_form(u, u) == dtn_rhs(sol) == 0.0
 
 
 def test_energy_trace_weighted_sums():
@@ -235,12 +235,32 @@ def test_energy_trace_weighted_sums():
     f = gaussian_field(1, (128,), 60.0, width=2.0)
     phi = gaussian_field(1, (128,), 60.0, width=2.5)
     sol = solve_extension(p, [f, phi])
-    eb = energy(p, sol)
+    u = extension_field_view(sol)
     oracle = 2.0 * plancherel_energy(f, 1.5) + 2.0 * plancherel_energy(phi, 0.5)
     # c_{3/2,0} = 2 and d_{3/2,0} = 2
-    assert eb.dtn_rhs == pytest.approx(oracle, rel=1e-12)
-    assert eb.q_form == pytest.approx(oracle, rel=1e-8)
-    assert eb.interior - eb.boundary_correction == pytest.approx(oracle, rel=1e-8)
+    assert dtn_rhs(sol) == pytest.approx(oracle, rel=1e-12)
+    assert q_form(u, u) == pytest.approx(oracle, rel=1e-8)
+    assert interior_energy(u, u) - boundary_correction(u, u) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (64,), (1, 1), (2, 8), (16, 16), (32, 4)])
+def test_canonical_modes_hold_one_of_each_conjugate_pair(shape):
+    """Each +-xi pair is summed once: one flat index of every pair, with
+    multiplicity 1 on a self-conjugate mode and 2 elsewhere, so the
+    multiplicities add up to the grid size.  In 1-D the set is 0..N/2 with
+    multiplicity 2 strictly inside."""
+    template = GridField(len(shape), shape, 10.0, np.zeros(shape))
+    mult = en.canonical_modes(template)
+    idx = np.arange(template.values.size).reshape(shape)
+    conj = {int(i): int(idx[tuple(-np.array(np.unravel_index(i, shape)) % shape)])
+            for i in idx.reshape(-1)}
+    pairs = {frozenset((i, conj[i])) for i in conj}
+    assert sorted(min(pair) for pair in pairs) == sorted(mult)
+    assert all(mult[i] == (1.0 if conj[i] == i else 2.0) for i in mult)
+    assert sum(mult.values()) == template.values.size
+    if len(shape) == 1:
+        half = shape[0] // 2
+        assert mult == {i: 1.0 if i in (0, half) else 2.0 for i in range(half + 1)}
 
 
 @pytest.mark.parametrize("gamma", [F(1, 3), F(4, 5), F(3, 2), F(7, 3), F(5, 2), F(7, 2), F(9, 2)])

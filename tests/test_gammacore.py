@@ -11,7 +11,6 @@ from fractrace.gammacore import (
     ExactConstant,
     GammaDomainError,
     GammaParams,
-    IndexSet2Gamma,
     PoleError,
     brute_force_F,
     brute_force_H,
@@ -30,6 +29,7 @@ from fractrace.gammacore import (
     symmetry_constant,
     yang_constant,
 )
+from fractrace.modes import scattering_orders
 
 GAMMAS = [F(1, 3), F(1, 2), F(4, 5), F(4, 3), F(3, 2), F(9, 4), F(5, 2), F(10, 3), F(7, 2), F(9, 2)]
 
@@ -80,7 +80,7 @@ def test_params_validation():
     with pytest.raises(GammaDomainError):
         GammaParams(F(-1, 2))
     with pytest.raises(GammaDomainError):
-        GammaParams(F(17, 2))  # above the default cap
+        GammaParams(F(17, 2))  # above the cap
     p = GammaParams(F(7, 3))
     assert (p.floor_gamma, p.frac_gamma, p.k, p.m) == (2, F(1, 3), 3, F(1, 3))
     assert p.floor_gamma + p.frac_gamma == p.gamma
@@ -97,12 +97,14 @@ def test_parse_gamma():
 def test_index_set():
     for g in GAMMAS:
         p = GammaParams(g)
-        idx = IndexSet2Gamma.from_params(p)
-        assert len(idx.even_indices) == p.floor_gamma // 2 + 1
-        assert len(idx.odd_indices) == p.floor_gamma - p.floor_gamma // 2
-        assert len(idx.even_indices) + len(idx.odd_indices) == p.k
-        for v in idx.even_indices + idx.odd_indices:
-            assert v > 0 and v.denominator != 1
+        orders = scattering_orders(p)
+        even = [nu for kind, _, nu in orders if kind == "even"]
+        odd = [nu for kind, _, nu in orders if kind == "odd"]
+        assert len(even) == p.floor_gamma // 2 + 1
+        assert len(odd) == p.floor_gamma - p.floor_gamma // 2
+        assert len(orders) == p.k
+        for nu in even + odd:
+            assert nu > 0 and nu.denominator != 1
 
 
 def test_cs_normalization():
@@ -149,9 +151,9 @@ def test_dtn_index_ranges():
 
 def test_half_integer_constants_exact():
     # gamma = kk + 1/2 for kk <= 6: exact rational equality with the
-    # double-factorial closed forms, cap lifted for the top orders
+    # double-factorial closed forms
     for kk in range(0, 7):
-        p = GammaParams(F(2 * kk + 1, 2), cap=8)
+        p = GammaParams(F(2 * kk + 1, 2))
         for j in range(p.n_even_data):
             assert dtn_constant_even(p, j).as_fraction(F(1, 2)) == halfint_dtn_even(kk, j)
         for j in range(p.n_odd_data):

@@ -23,8 +23,6 @@ from fractrace.jets import (
     apply_T,
     apply_tangential,
     apply_weighted_laplacian,
-    boundary_operator,
-    boundary_operator_family,
     boundary_operator_symbol,
     boundary_operators,
     make_generic_jet,
@@ -99,22 +97,20 @@ def test_restrictions():
 def test_boundary_operator_base_cases():
     p = GammaParams(F(4, 3))
     jet = make_generic_jet(p)
-    assert boundary_operator(p, 0, jet) == restrict(jet)
+    ops = boundary_operators(p, jet)
+    assert ops[("even", 0)] == restrict(jet)
     # order-one even operator: -T restriction - ((1-[g])/(1-g)) Lap restriction
     fr, g = p.frac_gamma, p.gamma
-    got = boundary_operator(p, 2, jet)
     want = restrict(apply_T(jet)).scale(-1) - restrict(jet).laplacian().scale(
         (1 - fr) / (1 - g))
-    assert got == want
-    with pytest.raises(IndexError):
-        boundary_operator(p, F(1, 7), jet)
+    assert ops[("even", 1)] == want
 
 
 def test_half_order_neumann_is_classical():
     # gamma = 1/2: the half-order operator is minus the plain normal trace
     p = GammaParams(F(1, 2))
     jet = make_generic_jet(p)
-    got = boundary_operator(p, 1, jet)  # 2 alpha = 2 [gamma] = 1
+    got = boundary_operators(p, jet)[("odd", 0)]  # 2 alpha = 2 [gamma] = 1
     assert got == jet.b[0].scale(-1)  # -2 [g] b0 = -b0 at [g] = 1/2
 
 
@@ -159,10 +155,9 @@ def test_scattering_relation_constants_frozen():
 def test_parity_of_branches():
     # operators never mix branches: even-family output of a pure b jet is zero
     p = GammaParams(F(5, 2))
-    jet = make_scattering_jet(p, 0, "even")
-    for fam, j in [("even", j) for j in range(p.floor_gamma + 1)]:
-        out = boundary_operator_family(p, fam, j, jet)
-        assert out.hat_component().is_zero()
+    ops = boundary_operators(p, make_scattering_jet(p, 0, "even"))
+    for j in range(p.floor_gamma + 1):
+        assert ops[("even", j)].hat_component().is_zero()
 
 
 def test_leading_coefficients_in_operator_algebra():
@@ -187,19 +182,16 @@ def test_homogeneity(gamma):
         if count == 0:
             continue
         jet = make_scattering_jet(p, 0, kind)
-        scaled = jet.dilate(lam2)
-        for fam in ("even", "odd"):
-            for j in range(p.floor_gamma + 1):
-                lhs = boundary_operator_family(p, fam, j, scaled)
-                rhs = boundary_operator_family(p, fam, j, jet).dilate(1 / lam2).scale(lam2 ** j)
-                assert lhs == rhs, (gamma, kind, fam, j)
+        ops, scaled = boundary_operators(p, jet), boundary_operators(p, jet.dilate(lam2))
+        for (fam, j), op in ops.items():
+            assert scaled[(fam, j)] == op.dilate(1 / lam2).scale(lam2 ** j), (gamma, kind, fam, j)
 
 
 def test_above_scattering_range_defined_by_recursion():
     # odd-family indices past the scattering range exist and stay homogeneous
     p = GammaParams(F(7, 3))
     jet = make_generic_jet(p)
-    top = boundary_operator_family(p, "odd", p.floor_gamma, jet)
+    top = boundary_operators(p, jet)[("odd", p.floor_gamma)]
     assert not top.is_zero()
 
 
@@ -214,7 +206,7 @@ def test_dtn_relation_at_jet_level(gamma):
         gt = g - 2 * j
         (fam_d, _, kap_d, _), (fam_h, idx_h, _, _) = scattering_relation_constants(p, j, "even")
         jet = make_scattering_jet(p, j, "even").scale(1 / kap_d)
-        coeff = boundary_operator_family(p, fam_h, idx_h, jet).terms[("f", 0, True)]
+        coeff = boundary_operators(p, jet)[(fam_h, idx_h)].terms[("f", 0, True)]
         symbol = ExactConstant(
             pochhammer_ratio(1 - fr, 2 * j - fl - 1) / pochhammer_ratio(fr, fl - 2 * j),
             gamma_ratio_power=1, two_power=-2 * gt)
@@ -223,7 +215,7 @@ def test_dtn_relation_at_jet_level(gamma):
         gt = fl - fr - 2 * j
         (fam_d, _, kap_d, _), (fam_h, idx_h, _, _) = scattering_relation_constants(p, j, "odd")
         jet = make_scattering_jet(p, j, "odd").scale(1 / kap_d)
-        coeff = boundary_operator_family(p, fam_h, idx_h, jet).terms[("phi", 0, True)]
+        coeff = boundary_operators(p, jet)[(fam_h, idx_h)].terms[("phi", 0, True)]
         symbol = ExactConstant(
             pochhammer_ratio(fr, 2 * j - fl) / pochhammer_ratio(1 - fr, fl - 2 * j - 1),
             gamma_ratio_power=-1, two_power=-2 * gt)
@@ -250,8 +242,8 @@ def test_perturbed_symbol_fails_exact_checks(monkeypatch, family, j):
 
 
 def test_boundary_operators_stop_at_the_truncation():
-    """The table holds j <= min([g], truncation); the single lookup keeps its
-    range checks."""
+    """The table holds j <= min([g], truncation), each entry equal to the
+    full jet's."""
     p = GammaParams(F(9, 2))
     short = make_generic_jet(p, truncation=2)
     ops = boundary_operators(p, short)
@@ -259,13 +251,6 @@ def test_boundary_operators_stop_at_the_truncation():
     full = boundary_operators(p, make_generic_jet(p))
     for key, op in ops.items():
         assert op == full[key]
-        assert boundary_operator_family(p, *key, short) == op
-    with pytest.raises(TruncationError):
-        boundary_operator_family(p, "even", 3, short)
-    with pytest.raises(IndexError):
-        boundary_operator_family(p, "odd", p.floor_gamma + 1, make_generic_jet(p))
-    with pytest.raises(ValueError):
-        boundary_operator_family(p, "neither", 0, short)
 
 
 def _count_apply_T(monkeypatch):

@@ -15,7 +15,6 @@ from fractrace.modes import (
     GridField,
     NumericJets,
     all_profiles,
-    build_mode_profile,
     dtn_apply,
     extract_dtn_constants,
     fractional_laplacian_fft,
@@ -109,7 +108,7 @@ def test_profile_hat_coefficient_sign_and_value():
     # hat-branch leading coefficient equals 2^(-2 nu) Gamma(-nu)/Gamma(nu),
     # negative for nu in (0, 1)
     p = GammaParams(F(4, 5))
-    prof = build_mode_profile(p, 0, "even")
+    prof = all_profiles(p)[0]   # even, j = 0
     nu = float(prof.nu)
     want = 2.0 ** (-2 * nu) * math.gamma(-nu) / math.gamma(nu)
     assert prof.co_series[0] == pytest.approx(want, rel=1e-13)
@@ -142,7 +141,7 @@ def test_profile_series_consistent_with_kernel_eval():
 def test_classical_profile_is_exponential():
     # gamma = 1/2: profile proportional to e^(-t)
     p = GammaParams(F(1, 2))
-    prof = build_mode_profile(p, 0, "even")
+    (prof,) = all_profiles(p)
     t = np.array([0.3, 1.0, 2.5, 6.0])
     assert np.allclose(prof.eval(t), np.exp(-t), rtol=1e-10)
 
@@ -379,18 +378,35 @@ _UNIT_GAMMAS = [F(1, 3), F(4, 3), F(5, 2), F(9, 2)]
 def test_perturbed_unit_matrix_fails_both_checks(gamma, n, monkeypatch):
     """The solve and the DtN extraction share the |xi| = 1 matrix, while the
     boundary jets stay per mode: a 1e-6 error in one entry fails both checks."""
-    original = modes._unit_dirichlet_matrix
-
-    def perturbed(params, unit_jets):
-        matrix = original(params, unit_jets)
-        matrix[0, 0] *= 1 + 1e-6
-        return matrix
-
-    monkeypatch.setattr(modes, "_unit_dirichlet_matrix", perturbed)
+    _perturb_unit_matrix(monkeypatch, modes.dirichlet_condition_list)
     p = GammaParams(gamma, n=n)
     data = [gaussian_field(n, (128,) * n, 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
     assert not verify_self_consistency(solve_extension(p, data)).passed
     assert not verify_dtn_constants(p).passed
+
+
+@pytest.mark.parametrize("gamma", _UNIT_GAMMAS)
+def test_perturbed_neumann_matrix_fails_only_extraction(gamma, monkeypatch):
+    """N1 enters the DtN extraction only: a 1e-6 error in one of its entries
+    fails dtn_bessel_extraction and leaves the solve self-consistent."""
+    _perturb_unit_matrix(monkeypatch, modes.neumann_condition_list)
+    p = GammaParams(gamma)
+    data = [gaussian_field(1, (128,), 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
+    assert verify_self_consistency(solve_extension(p, data)).passed
+    assert not verify_dtn_constants(p).passed
+
+
+def _perturb_unit_matrix(monkeypatch, condition_list):
+    """Scale entry (0, 0) of the |xi| = 1 matrix of condition_list's rows by 1 + 1e-6."""
+    original = modes._unit_matrix
+
+    def perturbed(params, conds, unit_jets):
+        matrix = original(params, conds, unit_jets)
+        if conds == condition_list(params):
+            matrix[0, 0] *= 1 + 1e-6
+        return matrix
+
+    monkeypatch.setattr(modes, "_unit_matrix", perturbed)
 
 
 def test_grid_mismatch_rejected():

@@ -14,13 +14,9 @@ from fractrace.polys import (
     BoundaryPoly,
     HalfSpacePoly,
     YPowerField,
-    apply_laplacian,
-    apply_weighted_laplacian,
-    boundary_operator_poly,
     boundary_operators_poly,
     default_samples,
     hyperbolic_laplacian,
-    kelvin_pullback,
     poly_T,
     verify_commutator,
     verify_conformal_covariance,
@@ -40,12 +36,12 @@ def mono(n=1, fr=F(1, 3), **kw):
 def test_laplacian_basics():
     # Delta r^2 = 2 (n + 1)
     for n in (1, 2, 3):
-        assert (apply_laplacian(mono(n, s=1)) - mono(n, coeff=2 * (n + 1))).is_zero_function()
+        assert (mono(n, s=1).laplacian() - mono(n, coeff=2 * (n + 1))).is_zero_function()
     # Delta_m y^2 = 2 + 2m
     m = F(1, 5)
-    assert (apply_weighted_laplacian(mono(beta=1), m) - mono(coeff=2 + 2 * m)).is_zero_function()
+    assert (mono(beta=1).weighted_laplacian(m) - mono(coeff=2 + 2 * m)).is_zero_function()
     # Delta_m x1^2 = 2
-    assert (apply_weighted_laplacian(mono(2, alpha=(2, 0)), m) - mono(2, coeff=2)).is_zero_function()
+    assert (mono(2, alpha=(2, 0)).weighted_laplacian(m) - mono(2, coeff=2)).is_zero_function()
 
 
 def test_normal_operator_kills_branch_bottom():
@@ -68,11 +64,11 @@ def test_class_closure(alpha1, beta, b, s_int, n):
     alpha = (alpha1,) + (0,) * (n - 1)
     p = HalfSpacePoly.monomial(n, fr, s=F(s_int, 2), alpha=alpha, beta=beta, b=b)
     results = [
-        apply_laplacian(p),
-        apply_weighted_laplacian(p, F(1) - 2 * fr),
+        p.laplacian(),
+        p.weighted_laplacian(F(1) - 2 * fr),
         p.mul_r2(),
         p.directional_r2(2),
-        kelvin_pullback(p, F(5, 3)),
+        p.kelvin_pullback(F(5, 3)),
     ]
     for q in results:
         for (s, a, be, bb), c in q.terms.items():
@@ -84,7 +80,7 @@ def test_double_inversion_identity():
     for n in (1, 2):
         for u in default_samples(n, F(2, 5), seed=3):
             w = F(7, 3)
-            assert (kelvin_pullback(kelvin_pullback(u, w), w) - u).is_zero_function()
+            assert (u.kelvin_pullback(w).kelvin_pullback(w) - u).is_zero_function()
 
 
 def test_commutator_examples():
@@ -96,7 +92,7 @@ def test_commutator_examples():
         rhs = weighted_poly_power(sample, m, 2)
         assert (lhs - rhs).is_zero_function()
     # constant sample trivially zero on both sides
-    assert verify_commutator(m, 3, [mono()], "1/3", 1).passed
+    assert verify_commutator(GammaParams(F(1, 3)), 3, [mono()]).passed   # m = 1/3
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -104,7 +100,7 @@ def test_commutator_sweep(gamma):
     p = GammaParams(gamma)
     samples = default_samples(1, p.frac_gamma, seed=0)
     for k in (1, 2, 4):
-        assert verify_commutator(p.m, k, samples[:7], str(p), 1).passed
+        assert verify_commutator(p, k, samples[:7]).passed
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -126,21 +122,21 @@ def test_factorization_specific_samples():
 def test_r2s_commutation_k_sweep(gamma, k):
     p = GammaParams(gamma)
     samples = default_samples(1, p.frac_gamma, seed=0)[:4]
-    assert verify_r2s_commutation(p, k, F(-3, 2), samples, n=1).passed
+    assert verify_r2s_commutation(p, k, F(-3, 2), samples).passed
 
 
 @pytest.mark.parametrize("s", [F(-2), F(-3, 2), F(-1), F(0), F(1, 2), F(1), F(2)])
 def test_r2s_commutation_s_sweep(s):
     p = GammaParams(F(4, 3))
     samples = default_samples(1, p.frac_gamma, seed=1)[:4]
-    assert verify_r2s_commutation(p, 2, s, samples, n=1).passed
+    assert verify_r2s_commutation(p, 2, s, samples).passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_r2s_commutation_dimensions(n):
     p = GammaParams(F(9, 4), n=n)
     samples = default_samples(n, p.frac_gamma, seed=2)[:3]
-    assert verify_r2s_commutation(p, 2, F(1, 2), samples, n=n).passed
+    assert verify_r2s_commutation(p, 2, F(1, 2), samples).passed
 
 
 def test_hyperbolic_eigenrelation():
@@ -154,16 +150,16 @@ def test_hyperbolic_eigenrelation():
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_flat_hyperbolic_correspondence(gamma):
     for n in (1, 2):
-        assert verify_flat_hyperbolic_correspondence(GammaParams(gamma, n=n), n=n).passed
+        assert verify_flat_hyperbolic_correspondence(GammaParams(gamma, n=n)).passed
 
 
 def test_conformal_covariance_trivial_case():
     # alpha = 0 on the constant: both sides are the same boundary power
     p = GammaParams(F(4, 3), n=1)
     u = mono(1, p.frac_gamma)
-    pulled = kelvin_pullback(u, p.gamma - F(1, 2))
-    got = boundary_operator_poly(p, "even", 0, pulled)
-    want = boundary_operator_poly(p, "even", 0, u).kelvin_pullback(p.gamma - F(1, 2))
+    pulled = u.kelvin_pullback(p.gamma - F(1, 2))
+    got = boundary_operators_poly(p, pulled)[("even", 0)]
+    want = boundary_operators_poly(p, u)[("even", 0)].kelvin_pullback(p.gamma - F(1, 2))
     assert (got - want).is_zero_function()
 
 
@@ -171,21 +167,21 @@ def test_conformal_covariance_trivial_case():
 def test_conformal_covariance(gamma):
     p = GammaParams(gamma, n=1)
     samples = default_samples(1, p.frac_gamma, seed=0, extra=1)[:5]
-    assert verify_conformal_covariance(p, samples=samples, n=1).passed
+    assert verify_conformal_covariance(p, samples=samples).passed
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_conformal_covariance_dimensions(n):
     p = GammaParams(F(5, 2), n=n)
     samples = default_samples(n, p.frac_gamma, seed=1)[:3]
-    assert verify_conformal_covariance(p, samples=samples, n=n).passed
+    assert verify_conformal_covariance(p, samples=samples).passed
 
 
 def test_odd_family_covariance_with_branch_sample():
     # a pure branch sample exercises the odd operators non-trivially
     p = GammaParams(F(1, 2), n=1)
     u = mono(1, p.frac_gamma, alpha=(2,), b=1)
-    assert verify_conformal_covariance(p, samples=[u], n=1).passed
+    assert verify_conformal_covariance(p, samples=[u]).passed
 
 
 def test_boundary_operators_poly_build_one_T_chain(monkeypatch):
@@ -202,9 +198,6 @@ def test_boundary_operators_poly_build_one_T_chain(monkeypatch):
     ops = boundary_operators_poly(p, u)
     assert len(calls) == p.floor_gamma
     assert set(ops) == {(fam, j) for fam in ("even", "odd") for j in range(p.floor_gamma + 1)}
-    assert (boundary_operator_poly(p, "odd", 3, u) - ops[("odd", 3)]).is_zero_function()
-    with pytest.raises(IndexError):
-        boundary_operator_poly(p, "even", p.floor_gamma + 1, u)
 
 
 def _perturb_symbol(monkeypatch, target):
@@ -224,9 +217,9 @@ def test_perturbed_symbol_fails_conformal_covariance(monkeypatch, family, j):
     """The polynomial operators read the shared symbol through the jets module,
     so a wrong coefficient fails covariance on the samples verify uses."""
     p = GammaParams(F(5, 2), n=1)
-    assert verify_conformal_covariance(p, n=1).passed
+    assert verify_conformal_covariance(p).passed
     _perturb_symbol(monkeypatch, (family, j))
-    assert not verify_conformal_covariance(p, n=1).passed
+    assert not verify_conformal_covariance(p).passed
 
 
 @pytest.mark.parametrize("gamma", [F(9, 4), F(15, 2)])
@@ -238,7 +231,7 @@ def test_default_covariance_samples_reach_every_odd_operator(monkeypatch, gamma)
     for j in range(1, p.floor_gamma + 1):
         with monkeypatch.context() as patch:
             _perturb_symbol(patch, ("odd", j))
-            if verify_conformal_covariance(p, n=1).passed:
+            if verify_conformal_covariance(p).passed:
                 missed.append(j)
     assert missed == []
 
@@ -258,10 +251,10 @@ def test_randomized_closure_bulk():
             beta=rng.randint(0, 3),
             b=rng.randint(0, 1),
         )
-        for op in (lambda q: apply_weighted_laplacian(q, F(1, 2)),
+        for op in (lambda q: q.weighted_laplacian(F(1, 2)),
                    lambda q: q.mul_r2(),
                    lambda q: q.directional_r2(1),
-                   lambda q: kelvin_pullback(q, F(1, 3))):
+                   lambda q: q.kelvin_pullback(F(1, 3))):
             out = op(term)
             count += 1
             for (s, a, be, bb), c in out.terms.items():
@@ -297,6 +290,18 @@ def _ref_lap_x(terms, n):
             if a[i] >= 2:
                 a2 = a[:i] + (a[i] - 2,) + a[i + 1:]
                 _ref_add(acc, (s, a2, be, b), c * a[i] * (a[i] - 1))
+    return _ref_clean(acc)
+
+
+def _ref_boundary_lap(terms, n):
+    """Laplacian on {(s, alpha): coeff}, one |x|^(2s-2) term per term."""
+    acc = {}
+    for (s, a), c in terms.items():
+        if s != 0:
+            _ref_add(acc, (s - 1, a), c * 2 * s * (n + 2 * sum(a) + 2 * s - 2))
+        for i in range(n):
+            if a[i] >= 2:
+                _ref_add(acc, (s, a[:i] + (a[i] - 2,) + a[i + 1:]), c * a[i] * (a[i] - 1))
     return _ref_clean(acc)
 
 
@@ -398,6 +403,7 @@ def test_layout_matches_fraction_reference(raw, n, ell):
             want = {(s, a): c * factor for (s, a, be, b), c in ref.items() if be == 0 and b == branch}
             _assert_canonical(bnd)
             assert dict(bnd.terms) == want
+            assert dict(bnd.lap().terms) == _ref_boundary_lap(want, n)
             for out in (bnd.lap(), bnd.directional_r2(ell), bnd.kelvin_pullback(w),
                         bnd.mul_r2(F(1, 2)), bnd - bnd.kelvin_pullback(w)):
                 _assert_canonical(out)
