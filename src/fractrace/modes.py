@@ -23,11 +23,13 @@ cross-check and not a tautology.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,17 +81,14 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise GridError("grid field contains non-finite values")
 
-    def coords(self):
+    def axes(self) -> list:
+        """The grid points along each axis."""
         L = self.box_length
-        axes = [(-L / 2 + L * np.arange(s) / s) for s in self.shape]
-        if self.n == 1:
-            return axes[0]
-        return np.meshgrid(*axes, indexing="ij")
+        return [(-L / 2 + L * np.arange(s) / s) for s in self.shape]
 
     def dist2(self, center) -> np.ndarray:
         """|x - center|^2 at every grid point; center has at least n entries."""
-        coords = self.coords()
-        return sum((x - c) ** 2 for x, c in zip([coords] if self.n == 1 else coords, center))
+        return sum((x - c) ** 2 for x, c in zip(np.ix_(*self.axes()), center))
 
     def same_grid(self, other: "GridField") -> bool:
         return (
@@ -222,8 +221,12 @@ def _rho_odd_f(fl: int, fr: float, j: int, ell: int) -> float:
     )
 
 
-def boundary_symbol_float(fl: int, fr: float, family: str, j: int) -> dict:
-    """{(t_power, lap_power): weight}; same recursion as the exact jets, float."""
+@functools.lru_cache(maxsize=None)
+def boundary_symbol_float(fl: int, fr: float, family: str, j: int) -> MappingProxyType:
+    """{(t_power, lap_power): weight}; same recursion as the exact jets, float.
+
+    Memoized, so a symbol at index j costs j + 1 evaluations instead of
+    2^(j+1) - 1; the result is a read-only view of the cached dict."""
     sign = (-1.0) ** j if family == "even" else (-1.0) ** (j + 1)
     rho = _rho_even_f if family == "even" else _rho_odd_f
     out = {(j, 0): sign}
@@ -231,7 +234,7 @@ def boundary_symbol_float(fl: int, fr: float, family: str, j: int) -> dict:
         w = rho(fl, fr, j, ell)
         for (tp, lp), c in boundary_symbol_float(fl, fr, family, j - ell).items():
             out[(tp, lp + ell)] = out.get((tp, lp + ell), 0.0) - w * c
-    return out
+    return MappingProxyType(out)
 
 
 def _t_chain_even(fr: float, tau: int) -> float:

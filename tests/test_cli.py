@@ -470,3 +470,18 @@ def test_seeded_samples_reach_every_sample_driven_exact_check(monkeypatch, n, se
     for name, terms in seen:
         assert all(u in terms for u in seeded), name
     assert all(r.passed for r in reports)
+
+
+FRACTIONAL_PARTS = sorted({Fraction(p, q) for q in range(2, 10) for p in range(1, q)})
+
+
+def test_exact_checks_pass_at_every_small_denominator():
+    """One order for each of the 27 fractional parts p/q with q <= 9; at
+    {gamma} = 6/7 the H identity's gamma + 1/7 would be an integer, a pole of
+    its closed form, so sum_identities must step past it."""
+    from fractrace import cli
+
+    assert len(FRACTIONAL_PARTS) == 27
+    for frac in FRACTIONAL_PARTS:
+        failed = [(r.check, r.details) for r in cli._exact_checks(2 + frac, 1, 0) if not r.passed]
+        assert not failed, (frac, failed)

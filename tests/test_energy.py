@@ -14,6 +14,7 @@ from fractrace.energy import (
     Bubble,
     ModeFieldView,
     PolyGaussModeFn,
+    SobolevQuotient,
     boundary_correction,
     bubble_tail_p,
     dirichlet_principle_check,
@@ -27,7 +28,6 @@ from fractrace.energy import (
     random_two_branch_field,
     sharp_sobolev_check,
     sharp_sobolev_constant,
-    sobolev_quotient,
     sphere_volume,
     verify_q_symmetry,
     zero_data_perturbation,
@@ -533,10 +533,99 @@ def test_bubble_validation():
 def test_bubble_quotient_near_one():
     bubble = Bubble(n=2, gamma_tilde=0.5, epsilon=1.0)
     template = GridField(2, (512, 512), 200.0, np.zeros((512, 512)))
-    f = bubble.sample(template)
-    r = sobolev_quotient(f, 0.5, tail_p=bubble_tail_p(bubble, 200.0),
-                         smallxi_model=(1.0, 1.0))
+    quotient = SobolevQuotient(template, 0.5)
+    f = bubble.sample(template).values
+    r = quotient(f, quotient.modes(f), tail_p=bubble_tail_p(bubble, 200.0),
+                 smallxi_model=(1.0, 1.0))
     assert r == pytest.approx(1.0, abs=1e-2)
+
+
+def full_fft_quotient(f: GridField, gt: float, tail_p: float, smallxi_model) -> float:
+    """The quotient on the full complex spectrum, symbol and lattice repair
+    rebuilt per field: the reference for SobolevQuotient."""
+    n = f.n
+    p = 2.0 * n / (n - 2.0 * gt)
+    num = plancherel_energy(f, gt)
+    if smallxi_model is not None:
+        a, b = smallxi_model
+        continuum = 2.0 * math.pi * a * a * (1.0 - math.exp(-4.0 * b)) / (2.0 * b)
+        xiabs = np.sqrt(f.xi_abs2())
+        xi = xiabs[(xiabs > 0) & (xiabs <= 2.0)]
+        num += continuum - float(np.sum(
+            (2.0 * math.pi * a * np.exp(-b * xi) / xi) ** 2 * xi)) / f.box_length ** n
+    cell = float(np.prod([f.box_length / s for s in f.shape]))
+    norm_p = float(np.sum(np.abs(f.values) ** p)) * cell + tail_p
+    return num / (sharp_sobolev_constant(n, gt) * norm_p ** (2.0 / p))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (8,), (512,),
+                                   (1, 1), (2, 2), (8, 8), (2, 8), (8, 2), (512, 512)])
+@pytest.mark.parametrize("eps", [1.0, 4.0])
+def test_quotient_matches_full_fft_formula(shape, eps):
+    """One symbol per grid on the half spectrum, with a perturbation's
+    transform by linearity, equals the full-spectrum formula: bubble, shifted
+    bubble and perturbed bubble, with and without the lattice repair."""
+    n = len(shape)
+    gt = 0.5 if n == 2 else 0.25
+    box = 400.0
+    template = GridField(n, shape, box, np.zeros(shape))
+    quotient = SobolevQuotient(template, gt)
+    models = [None, (1.0, math.sqrt(eps))] if n == 2 else [None]
+    center, width, amp = (3.0, -5.0)[:n], 4.0, 0.3
+    bump, bump_modes = quotient.bump(amp, center, width)
+    assert np.allclose(bump, amp * np.exp(-template.dist2(center) / (2 * width ** 2)),
+                       rtol=1e-14, atol=1e-300)
+    for xi0 in [(0.0, 0.0), (10.0, -7.0)]:
+        bubble = Bubble(n, gt, epsilon=eps, xi0=xi0[:n])
+        f = bubble.sample(template).values
+        f_modes = quotient.modes(f)
+        tail_p = bubble_tail_p(bubble, box)
+        perturbed = GridField(n, shape, box,
+                              f + amp * np.exp(-template.dist2(center) / (2 * width ** 2)))
+        for model in models:
+            got = quotient(f, f_modes, tail_p, model)
+            want = full_fft_quotient(GridField(n, shape, box, f), gt, tail_p, model)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+            got = quotient(f + bump, f_modes + bump_modes, tail_p, model)
+            want = full_fft_quotient(perturbed, gt, tail_p, model)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_lattice_repair_only_at_n2_half():
+    template = GridField(1, (8,), 200.0, np.zeros(8))
+    quotient = SobolevQuotient(template, 0.25)
+    f = np.ones(8)
+    with pytest.raises(ValueError):
+        quotient(f, quotient.modes(f), smallxi_model=(1.0, 1.0))
+
+
+def test_wrong_sharp_constant_fails_bubble_record(monkeypatch):
+    """S x (1 + 2e-2) moves the bubble quotient off 1 past the tolerance;
+    the invariance records compare quotients and still pass."""
+    true_constant = en.sharp_sobolev_constant
+    monkeypatch.setattr(en, "sharp_sobolev_constant",
+                        lambda n, gt: true_constant(n, gt) * (1.0 + 2e-2))
+    rep = sharp_sobolev_check(2, gt=0.5, seed=1)
+    assert rep.status == "fail"
+    assert rep.max_rel_err > 1e-2
+    assert rep.details[0].startswith("bubble quotient R = 0.98")
+
+
+def test_sharp_sobolev_check_transforms_each_bubble_once(monkeypatch):
+    """Cost model: one n-D transform for each of the three bubbles; the five
+    perturbations reuse the bubble's transform by linearity."""
+    calls = []
+    for name in ("fftn", "rfftn"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    rep = sharp_sobolev_check(2, gt=0.5, seed=1)
+    assert rep.passed
+    assert len(calls) <= 3, calls
 
 
 def test_sharp_sobolev_report():

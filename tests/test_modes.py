@@ -79,7 +79,7 @@ def test_grid_csv_import(tmp_path):
 def test_fraclap_eigenfunction():
     L = 10.0
     f = GridField(1, (64,), L, np.zeros(64))
-    x = f.coords()
+    x = f.axes()[0]
     f.values = np.sin(2 * np.pi * x / L)
     out = fractional_laplacian_fft(f, 1.0)
     assert np.allclose(out.values, (2 * np.pi / L) ** 2 * f.values, rtol=1e-12, atol=1e-12)
@@ -239,7 +239,7 @@ def test_poisson_kernel_oracle():
     p = GammaParams(F(1, 2))
     f = gaussian_field(1, (512,), 60.0, width=1.5)
     sol = solve_extension(p, [f])
-    x = f.coords()
+    x = f.axes()[0]
     L = f.box_length
     h = x[1] - x[0]
     for y0 in (0.5, 2.0):
@@ -314,6 +314,32 @@ def _summed_profile_jets(sol):
         b[q][zero] = sol.zero_odd[q] if q < sol.zero_odd.size else 0.0
     shape = sol.xi2.shape
     return NumericJets(fl, fr, [x.reshape(shape) for x in a], [x.reshape(shape) for x in b])
+
+
+def _plain_symbol(fl, fr, family, j):
+    """boundary_symbol_float's recursion without the memo."""
+    sign = (-1.0) ** j if family == "even" else (-1.0) ** (j + 1)
+    rho = modes._rho_even_f if family == "even" else modes._rho_odd_f
+    out = {(j, 0): sign}
+    for ell in range(1, j + 1):
+        w = rho(fl, fr, j, ell)
+        for (tp, lp), c in _plain_symbol(fl, fr, family, j - ell).items():
+            out[(tp, lp + ell)] = out.get((tp, lp + ell), 0.0) - w * c
+    return out
+
+
+@pytest.mark.parametrize("fr", [1 / 3, 0.5, 0.8])
+@pytest.mark.parametrize("family", ["even", "odd"])
+def test_memoized_float_symbol_matches_plain_recursion(fr, family):
+    """Same weights, in the same order, as the recursion without the memo;
+    the cached dict cannot be changed through the returned view."""
+    for fl in (0, 3, 7):
+        for j in range(8):
+            got = modes.boundary_symbol_float(fl, fr, family, j)
+            assert list(got.items()) == list(_plain_symbol(fl, fr, family, j).items())
+            assert modes.boundary_symbol_float(fl, fr, family, j) is got
+            with pytest.raises(TypeError):
+                got[(j, 0)] = 0.0
 
 
 @pytest.mark.parametrize("gamma", [F(1, 3), F(4, 3), F(5, 2), F(9, 2), F(31, 4)])
