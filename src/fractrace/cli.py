@@ -22,9 +22,9 @@ from .report import VerificationReport, reports_to_csv, reports_to_json, write_a
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
 ENERGY_GAMMAS = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
-# numeric checks that build a boundary grid of dimension --n
-GRID_CHECKS = ["extension_self_consistency", "yang_extension", "q_symmetry",
-               "dirichlet_principle", "energy_trace"]
+# the most points a grid of --grid ** --n may hold: 128^3, whose numeric
+# checks peak at about 1.6 GB
+MAX_GRID_POINTS = 2 ** 21
 
 # module-documented defaults; loosenable only through --loosen-tol
 TOL_DEFAULTS = {
@@ -75,6 +75,12 @@ def _rational_arg(flag: str, text: str, ok, requirement: str) -> Fraction:
     if not ok(value):
         raise ConfigError(f"{flag} must be {requirement}, got {text!r}")
     return value
+
+
+def _check_grid_points(grid: int, n: int):
+    # grid >= 2 past n = 21 is always too large; testing n first builds no huge integer
+    if n >= MAX_GRID_POINTS.bit_length() or grid ** n > MAX_GRID_POINTS:
+        raise ConfigError(f"--grid {grid} at --n {n} holds more than {MAX_GRID_POINTS} points")
 
 
 def _parse_gammas(text: str):
@@ -203,11 +209,6 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
                    f"profile ({prof.kind},{prof.j}): residual {res:.2e}")
     checks.append(rep)
 
-    if n > 2:
-        for name in GRID_CHECKS:
-            checks.append(_skipped(name, params, "GridField holds n = 1 and 2 only"))
-        return checks
-
     shape = (grid,) * n
     template = modes.GridField(n, shape, box, np.zeros(shape))
     widths = [2.0 + 0.4 * i for i in range(params.k)]
@@ -246,6 +247,7 @@ def cmd_verify(args) -> int:
     if args.grid < 2:
         raise ConfigError(f"--grid must be a power of two >= 2 (a 1-point grid has no "
                           f"mode to perturb), got {args.grid}")
+    _check_grid_points(args.grid, args.n)
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     if args.seed < 0:
@@ -376,6 +378,7 @@ def cmd_sharpness(args) -> int:
         raise ConfigError(f"--eps must be a finite positive number, got {args.eps!r}")
     if args.grid < 1:
         raise ConfigError(f"--grid must be a positive power of two, got {args.grid}")
+    _check_grid_points(args.grid, args.n)
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     if args.seed < 0:

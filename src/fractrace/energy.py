@@ -496,13 +496,13 @@ def _adaptive_gl(fn, lo: float, hi: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def canonical_modes(template: GridField):
-    """A real field's +-xi modes are conjugate: {flat index: multiplicity}
-    over the indices no larger than that of their -xi, with multiplicity one
-    where the two coincide and two elsewhere."""
+def canonical_modes(template: GridField) -> np.ndarray:
+    """A real field's +-xi modes are conjugate: the multiplicity of each flat
+    index, 2 where it is below the index of its -xi, 1 where the two coincide
+    and 0 above, so each pair is summed once."""
     idx = np.arange(template.values.size).reshape(template.shape)
     conj = np.roll(np.flip(idx), 1, axis=tuple(range(idx.ndim))).reshape(-1)
-    return {i: 1.0 if i == c else 2.0 for i, c in enumerate(conj.tolist()) if i <= c}
+    return 1.0 + np.sign(conj - idx.reshape(-1))
 
 
 class ModeFieldView:
@@ -523,8 +523,7 @@ class ModeFieldView:
         self.params = params
         self.template = template
         self.modes = np.asarray(modes, dtype=np.int64)
-        mult = canonical_modes(template)
-        self.mult = np.array([mult[idx] for idx in self.modes])
+        self.mult = canonical_modes(template)[self.modes]
         self.xi2 = template.xi_abs2().reshape(-1)[self.modes]
         self._jets = None
         self._boundary = {}
@@ -563,7 +562,7 @@ class ModeFieldView:
             if self._jets is None:
                 fl = self.params.floor_gamma
                 self._jets = NumericJets(fl, float(self.params.frac_gamma),
-                                         *self._jet_arrays(fl + 2))
+                                         *self._jet_arrays(fl))
             self._boundary[key] = self._jets.apply_boundary(family, j, self.xi2)
         return self._boundary[key]
 
@@ -643,14 +642,14 @@ class SolutionFieldView(ModeFieldView):
         return a, b
 
 
-def _active_modes(template: GridField, hats) -> list:
+def _active_modes(template: GridField, hats) -> np.ndarray:
     """The canonical modes, ascending, where some of the mode-coefficient
     arrays hats exceeds ACTIVE_TOL of the largest magnitude any of them has."""
     weight = np.zeros(template.values.size)
     for h in hats:
         weight = np.maximum(weight, np.abs(h.reshape(-1)))
     scale = weight.max() + 1e-300
-    return sorted(idx for idx in canonical_modes(template) if weight[idx] > ACTIVE_TOL * scale)
+    return np.flatnonzero((canonical_modes(template) > 0) & (weight > ACTIVE_TOL * scale))
 
 
 def _two_branch_terms(params: GammaParams, a_coeffs, b_coeffs) -> dict:

@@ -40,7 +40,6 @@ from .report import VerificationReport, write_atomic
 T_SERIES = 2.0     # below: Frobenius branch series; above: bessel_k
 T_MAX = 30.0       # profiles are below 1e-13 of scale here and treated as zero
 SERIES_ORDER = 34  # branch series order; headroom for repeated T applications
-JET_ORDERS_ABOVE_FLOOR = 4   # jet orders a solution keeps above the [g] its operators read
 # ode_residual sample points on each side of T_SERIES
 SERIES_SAMPLES = np.array([0.25, 0.75, 1.25, 1.75])
 BESSEL_SAMPLES = np.array([2.5, 6.0, 12.0, 24.0])
@@ -70,8 +69,8 @@ class GridField:
         self.shape = tuple(int(s) for s in self.shape)
         if not (math.isfinite(self.box_length) and self.box_length > 0):
             raise GridError(f"box length must be finite and positive, got {self.box_length}")
-        if self.n not in (1, 2):
-            raise GridError(f"boundary dimension must be 1 or 2, got {self.n}")
+        if self.n < 1:
+            raise GridError(f"boundary dimension must be >= 1, got {self.n}")
         if len(self.shape) != self.n:
             raise GridError(f"shape {self.shape} does not match dimension {self.n}")
         for s in self.shape:
@@ -106,11 +105,7 @@ class GridField:
         return [2.0 * np.pi * np.fft.fftfreq(s) * s / L for s in self.shape]
 
     def xi_abs2(self) -> np.ndarray:
-        axes = self.xi_axes()
-        if self.n == 1:
-            return axes[0] ** 2
-        g = np.meshgrid(*axes, indexing="ij")
-        return sum(a ** 2 for a in g)
+        return sum(k ** 2 for k in np.ix_(*self.xi_axes()))
 
     def xi_nyquist(self) -> float:
         return min(np.pi * s / self.box_length for s in self.shape)
@@ -170,7 +165,7 @@ class GridField:
 
 def gaussian_field(n: int, shape, box_length: float, width: float = 1.0) -> GridField:
     f = GridField(n, tuple(shape), box_length, np.zeros(shape))
-    f.values = np.exp(-f.dist2((0.0, 0.0)) / (2.0 * width ** 2))
+    f.values = np.exp(-f.dist2((0.0,) * n) / (2.0 * width ** 2))
     return f
 
 
@@ -382,10 +377,11 @@ class ModeProfile:
             out[zero] = self.lead_series[0]
         return out
 
-    def jets(self, xi_abs: np.ndarray, truncation: int):
+    def jets(self, xi_abs: np.ndarray):
         """Two-branch y-jet coefficient arrays at boundary frequency |xi|.
 
-        The y^(2q) (resp. y^(2[g]+2q)) coefficient of P(|xi| y) / |xi|^lead.
+        The y^(2q) (resp. y^(2[g]+2q)) coefficient of P(|xi| y) / |xi|^lead
+        for q <= [g], the orders every boundary operator reads.
         """
         xi2 = xi_abs * xi_abs
 
@@ -396,10 +392,11 @@ class ModeProfile:
                 out += term
             return out
 
-        return tuple([order(branch, tau) for tau in range(truncation + 1)] for branch in "ab")
+        orders = range(self.params.floor_gamma + 1)
+        return tuple([order(branch, tau) for tau in orders] for branch in "ab")
 
     def jet_term(self, branch: str, tau: int, xi_abs: np.ndarray, xi2: np.ndarray):
-        """The one term of jets(xi_abs, .) at order tau of branch 'a' or 'b',
+        """The one term of jets(xi_abs) at order tau of branch 'a' or 'b',
         as a float array, or None where the profile has no term; xi2 is
         xi_abs * xi_abs."""
         if branch == self.lead_branch:
@@ -515,7 +512,6 @@ class ExtensionSolution:
         for f in data_fields:
             if not f.same_grid(template):
                 raise GridError("Dirichlet fields live on different grids")
-        self.truncation = params.floor_gamma + JET_ORDERS_ABOVE_FLOOR
         self.profiles = all_profiles(params)
         self.conds = conds
 
@@ -560,7 +556,7 @@ class ExtensionSolution:
         fr = self.params.frac_gamma
         flat_xi, zero = self._flat_xi()
         unit = _unit_matrix(self.params, self.conds,
-                            [p.jets(np.ones(1), self.truncation) for p in self.profiles])
+                            [p.jets(np.ones(1)) for p in self.profiles])
         e = np.array([float(2 * j if family == "even" else 2 * fr + 2 * j)
                       for family, j in self.conds])
         lead = np.array([float(p.lead_exponent) for p in self.profiles])
@@ -614,7 +610,7 @@ class ExtensionSolution:
         xi2 = xi_abs * xi_abs
         shape = self.xi2.shape
         a, b = ([self._jet_order(branch, q, xi_abs, xi2, zero).reshape(shape)
-                 for q in range(self.truncation + 1)] for branch in "ab")
+                 for q in range(self.params.floor_gamma + 1)] for branch in "ab")
         return NumericJets(self.params.floor_gamma, float(self.params.frac_gamma), a, b)
 
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
@@ -698,8 +694,7 @@ def extract_dtn_constants(params: GammaParams):
     {('even'|'odd', j): value} where 'even' maps the even datum slot j
     (c-type constant) and 'odd' the odd slot (d-type constant, sign
     convention: B = -d (-Lap)^nu phi)."""
-    truncation = params.floor_gamma + JET_ORDERS_ABOVE_FLOOR
-    jets = [p.jets(np.ones(1), truncation) for p in all_profiles(params)]
+    jets = [p.jets(np.ones(1)) for p in all_profiles(params)]
     m1 = _unit_matrix(params, dirichlet_condition_list(params), jets)
     n1 = _unit_matrix(params, neumann_condition_list(params), jets)
     diag = np.real(np.diag(np.linalg.solve(m1.T, n1.T)))
@@ -756,10 +751,11 @@ def yang_extension_check(params: GammaParams, f: GridField,
     f_hat = sol.data_hat[0]
     scale = np.abs(f_hat).max() + 1e-300
 
-    jets = sol.solution_jets()
-    powers = [jets]
-    for _ in range(fl):
-        powers.append(powers[-1].weighted_laplacian(sol.xi2))
+    # both traces of each weighted Laplacian power, one power held at a time
+    jets, traces = sol.solution_jets(), []
+    for _ in range(fl + 1):
+        traces.append((jets.restrict(), jets.restrict_weighted_neumann()))
+        jets = jets.weighted_laplacian(sol.xi2)
 
     def _masked_max(arr):
         vals = np.abs(arr)[mask]
@@ -767,7 +763,7 @@ def yang_extension_check(params: GammaParams, f: GridField,
 
     # interior traces of the weighted Laplacian powers
     for j in range(1, fl // 2 + 1):
-        got = powers[j].restrict()
+        got = traces[j][0]
         const = (math.factorial(fl) / math.factorial(fl - j)) * _poch_f(g - j, j) ** -1
         # Gamma(g-j)/Gamma(g) = 1/poch(g-j, j)
         want = const * (-sol.xi2) ** j * f_hat
@@ -775,7 +771,7 @@ def yang_extension_check(params: GammaParams, f: GridField,
         report.record(err <= tol_trace, err, f"interior trace at power {j}: rel err {err:.3e}")
     # weighted Neumann traces vanish below the top order
     for j in range(fl - fl // 2):
-        got = powers[j].restrict_weighted_neumann()
+        got = traces[j][1]
         err = _masked_max(got) / scale
         report.record(err <= tol_trace, err, f"neumann trace vanishes at power {j}: rel err {err:.3e}")
 
@@ -788,7 +784,7 @@ def yang_extension_check(params: GammaParams, f: GridField,
         * math.factorial(fl)
         * g * math.gamma(-g) / math.gamma(fr)
     )
-    lhs_modes = powers[fl].restrict_weighted_neumann() / yang
+    lhs_modes = traces[fl][1] / yang
     frac = fractional_laplacian_fft(f, g)
     want_modes = frac.fft()
     scale2 = _masked_max(want_modes) + 1e-300

@@ -231,24 +231,23 @@ def _verify_reports(tmp_path, *extra) -> dict:
     return code, {r["check"]: r for r in json.loads(out.read_text()) if r["gamma"] == "3/2"}
 
 
-def test_verify_n2_runs_grid_checks(tmp_path):
-    """At n = 2 the grid-based numeric checks build 2-D grids and pass."""
-    code, reports = _verify_reports(tmp_path, "--n", "2", "--grid", "32")
+@pytest.mark.parametrize("n, grid", [(2, 32), (3, 16)], ids=["n2", "n3"])
+def test_verify_runs_grid_checks(n, grid, tmp_path):
+    """At n = 2 and 3 the grid-based numeric checks build n-D grids and pass."""
+    code, reports = _verify_reports(tmp_path, "--n", str(n), "--grid", str(grid))
     assert code == 0
     for check in GRID_CHECKS + ("dtn_bessel_extraction", "mode_ode_residual"):
-        assert reports[check]["status"] == "pass" and reports[check]["n"] == 2, check
+        assert reports[check]["status"] == "pass" and reports[check]["n"] == n, check
 
 
-def test_verify_n3_skips_grid_checks(tmp_path):
-    """GridField holds n = 1 and 2 only, so at n = 3 the grid-based checks say
-    so and skip instead of reporting a pass they did not earn."""
-    code, reports = _verify_reports(tmp_path, "--n", "3")
-    assert code == 0
-    for check in GRID_CHECKS:
-        assert reports[check]["status"] == "skip"
-        assert reports[check]["details"] == ["GridField holds n = 1 and 2 only"]
-    for check in ("dtn_bessel_extraction", "mode_ode_residual"):
-        assert reports[check]["status"] == "pass" and reports[check]["n"] == 3
+@pytest.mark.parametrize("argv", [["verify", "--n", "2", "--grid", "65536"], ["verify", "--n", "4"],
+                                  ["sharpness", "--grid", "65536"]])
+def test_grid_too_large_to_hold_exits_two(argv, tmp_path, capsys):
+    """More than 2^21 grid points exit 2 before any job runs, never with a
+    memory error."""
+    out = tmp_path / "r.json"
+    _one_line_error(argv + ["--out", str(out)], capsys, "--grid")
+    assert not out.exists()
 
 
 # Run in a fresh interpreter: reports after the import and after each command

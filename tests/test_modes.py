@@ -37,7 +37,7 @@ def test_grid_validation():
     with pytest.raises(GridError):
         GridField(1, (100,), 10.0, np.zeros(100))  # not a power of two
     with pytest.raises(GridError):
-        GridField(3, (8, 8, 8), 10.0, np.zeros((8, 8, 8)))
+        GridField(0, (), 10.0, np.zeros(()))  # no boundary dimension
     with pytest.raises(GridError):
         GridField(1, (8,), 10.0, np.full(8, np.nan))
     with pytest.raises(GridError):
@@ -270,7 +270,7 @@ def _per_mode_coeffs(sol):
     k = len(sol.profiles)
     matrix = np.zeros((int(nz.sum()), k, k), dtype=complex)
     for col, prof in enumerate(sol.profiles):
-        nj = NumericJets(fl, fr, *prof.jets(xi[nz], sol.truncation))
+        nj = NumericJets(fl, fr, *prof.jets(xi[nz]))
         for row, (family, j) in enumerate(sol.conds):
             matrix[:, row, col] = nj.apply_boundary(family, j, xi[nz] ** 2)
     rhs = np.stack([dh.reshape(-1)[nz] for dh in sol.data_hat], axis=-1)
@@ -301,11 +301,11 @@ def _summed_profile_jets(sol):
     xi = sol.xi_abs.reshape(-1).copy()
     zero = xi == 0.0
     xi[zero] = 1.0
-    size = sol.truncation + 1
+    size = fl + 1
     a = [np.zeros(xi.size, dtype=complex) for _ in range(size)]
     b = [np.zeros(xi.size, dtype=complex) for _ in range(size)]
     for col, prof in enumerate(sol.profiles):
-        pa, pb = prof.jets(xi, sol.truncation)
+        pa, pb = prof.jets(xi)
         for q in range(size):
             a[q] += sol.coeffs[:, col] * pa[q]
             b[q] += sol.coeffs[:, col] * pb[q]
@@ -343,14 +343,14 @@ def test_memoized_float_symbol_matches_plain_recursion(fr, family):
 
 
 @pytest.mark.parametrize("gamma", [F(1, 3), F(4, 3), F(5, 2), F(9, 2), F(31, 4)])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_boundary_values_match_summed_profile_jets(gamma, n):
     """Each boundary operator, built from only the branch orders it reads,
     against the full summed jets, at every Dirichlet and Neumann slot; the
     data have nonzero mean, so the zero mode is checked too.  Measured: equal
     bit for bit."""
     p = GammaParams(gamma, n=n)
-    shape = (128,) if n == 1 else (32, 32)
+    shape = (128,) if n == 1 else (32,) * n
     data = [gaussian_field(n, shape, 30.0, width=1.5 + 0.3 * i) for i in range(p.k)]
     sol = solve_extension(p, data)
     assert sol.data_hat[0].flat[0] != 0
@@ -361,13 +361,20 @@ def test_boundary_values_match_summed_profile_jets(gamma, n):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (family, j)
 
 
-@pytest.mark.parametrize("gamma", [F(4, 3), F(5, 2), F(9, 2)])
-def test_two_dimensional_dtn_matches_closed_form(gamma):
+_DTN_GAMMAS = [F(4, 3), F(5, 2), F(9, 2)]
+
+
+# explicit ids keep the 2-D cases under the names they had before n = 3 joined
+@pytest.mark.parametrize("gamma, n, grid", [(g, 2, 128) for g in _DTN_GAMMAS]
+                         + [(g, 3, 32) for g in _DTN_GAMMAS],
+                         ids=[f"gamma{i}" for i in range(3)] + [f"n3-gamma{i}" for i in range(3)])
+def test_two_dimensional_dtn_matches_closed_form(gamma, n, grid):
     """With only f^(0) nonzero, the Neumann operator at 2 alpha = 2 gamma is
-    c0 (-Lap)^gamma f on the resolved modes (measured: 1.3e-15 at 9/2)."""
-    p = GammaParams(gamma, n=2)
-    f = gaussian_field(2, (128, 128), 60.0, width=2.0)
-    zero = GridField(2, f.shape, f.box_length, np.zeros(f.shape))
+    c0 (-Lap)^gamma f on the resolved modes, on 2-D and 3-D grids (measured:
+    1.3e-15 at 9/2 on 128^2, 2.9e-15 on 32^3)."""
+    p = GammaParams(gamma, n=n)
+    f = gaussian_field(n, (grid,) * n, 60.0, width=2.0)
+    zero = GridField(n, f.shape, f.box_length, np.zeros(f.shape))
     sol = solve_extension(p, [f] + [zero] * (p.k - 1))
     c0 = dtn_constant_even(p, 0).value(p.frac_gamma)
     want = c0 * fractional_laplacian_fft(f, float(gamma)).fft()
@@ -395,18 +402,38 @@ def test_dtn_memory_is_bounded(gamma):
         assert peak <= 7 * grid_array, (alpha2, peak / grid_array)
 
 
+@pytest.mark.parametrize("gamma", [F(4, 3), F(9, 2), F(31, 4)])
+def test_yang_memory_is_linear_in_k(gamma):
+    """yang_extension_check holds one weighted Laplacian power at a time, so
+    its peak on a 2-D grid stays within 6k + 6 complex grid arrays (measured:
+    15.6, 32.6 and 50.7 at these orders; all [g] powers at once held 34.7,
+    89.2 and 161.2)."""
+    p = GammaParams(gamma, n=2)
+    f = gaussian_field(2, (128, 128), 60.0, width=2.0)
+    grid_array = 16 * f.values.size
+    tracemalloc.start()
+    try:
+        assert yang_extension_check(p, f).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (6 * p.k + 6) * grid_array, peak / grid_array
+
+
 _UNIT_GAMMAS = [F(1, 3), F(4, 3), F(5, 2), F(9, 2)]
 
 
 # explicit ids keep the 1-D cases under the names they had before n = 2 joined
-@pytest.mark.parametrize("gamma, n", [(g, 1) for g in _UNIT_GAMMAS] + [(g, 2) for g in _UNIT_GAMMAS],
-                         ids=[f"gamma{i}" for i in range(4)] + [f"n2-gamma{i}" for i in range(4)])
-def test_perturbed_unit_matrix_fails_both_checks(gamma, n, monkeypatch):
+@pytest.mark.parametrize("gamma, n, grid", [(g, 1, 128) for g in _UNIT_GAMMAS]
+                         + [(g, 2, 128) for g in _UNIT_GAMMAS] + [(g, 3, 16) for g in _UNIT_GAMMAS],
+                         ids=[f"gamma{i}" for i in range(4)] + [f"n2-gamma{i}" for i in range(4)]
+                         + [f"n3-gamma{i}" for i in range(4)])
+def test_perturbed_unit_matrix_fails_both_checks(gamma, n, grid, monkeypatch):
     """The solve and the DtN extraction share the |xi| = 1 matrix, while the
     boundary jets stay per mode: a 1e-6 error in one entry fails both checks."""
     _perturb_unit_matrix(monkeypatch, modes.dirichlet_condition_list)
     p = GammaParams(gamma, n=n)
-    data = [gaussian_field(n, (128,) * n, 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
+    data = [gaussian_field(n, (grid,) * n, 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
     assert not verify_self_consistency(solve_extension(p, data)).passed
     assert not verify_dtn_constants(p).passed
 
