@@ -3,24 +3,26 @@
 All interior quantities are assembled per Fourier mode of the boundary grid:
 the x integral is Plancherel-exact on the periodic box and only the y
 integral is quadrature.  Per-mode profiles are polynomial-times-Gaussian
-series (synthetic test fields, lam > 0, and the zero mode, lam = 0), or
-Bessel-type (extension solutions): a lam = 0 series plus Bessel chains, which
-reuses the series algebra and adds only the chains.  Both expose exact
-symbolic application of the weighted mode Laplacian T - |xi|^2, exact
-two-branch jets, branch-split evaluation for small y and direct evaluation
-elsewhere.
+series (synthetic test fields) or Bessel-type (extension solutions): a
+lam = 0 series plus Bessel chains, which reuses the series algebra and adds
+only the chains.  Both expose exact symbolic application of the weighted mode
+Laplacian T - |xi|^2, branch-split evaluation for small y and direct
+evaluation elsewhere.  Boundary values are read off two-branch jets,
+vectorized over modes, which each view takes from where its field is
+defined: the solver's per-profile jet terms, or a synthetic field's
+coefficient transforms.
 
 The mode Laplacian is homogeneous: with t = |xi| y, T_y - |xi|^2 =
 |xi|^2 (T_t - 1).  An extension solution is sum_i s_i P_i(|xi| y) at every
 mode, with the same k unit-coefficient profiles P_i, so each solution-solution
 block (the interior form and the U L^k U term of the quadratic form) is one
 k x k Gram matrix per order, computed once at |xi| = 1, times a power of |xi|.
-Per-mode quadrature remains for cross terms with synthetic fields and for the
-zero mode.  There the solution's atoms of (T - |xi|^2)^j U are rescaled
-copies of (T_t - 1)^j P_i, which the exact rational chain algebra builds once
-per view: the y^p series coefficient gains s_i |xi|^(p + 2j), each Bessel
-chain prefactor s_i |xi|^(2j).  Boundary values are read off the jets,
-vectorized over modes.
+Per-mode quadrature remains for cross terms with synthetic fields.  There the
+solution's atoms of (T - |xi|^2)^j U are rescaled copies of (T_t - 1)^j P_i,
+which the exact rational chain algebra builds once per view: the y^p series
+coefficient gains s_i |xi|^(p + 2j), each Bessel chain prefactor
+s_i |xi|^(2j).  The zero mode, where every contribution is exactly zero, is
+left out (see extension_field_view).
 
 The y quadrature is Gauss-Jacobi with the weight exponent matched per branch
 pair (the two-branch structure makes the integrand a sum of y^kappa times
@@ -81,8 +83,9 @@ def _numerator(p, D: int) -> int:
 
 class PolyGaussModeFn:
     """Per-mode function sum_P c_P y^(P/D) exp(-lam y^2), exact under the mode
-    Laplacian; lam = 0 degenerates to polynomials (zero-mode case).  The
-    constructor takes rational exponents and keys them by numerators over D."""
+    Laplacian.  Synthetic fields have lam > 0; lam = 0 is the series half of a
+    BesselModeFn, which supplies its own outer limit.  The constructor takes
+    rational exponents and keys them by numerators over D."""
 
     def __init__(self, xi: float, m: Fraction, lam: float, terms: dict):
         D = _key_denominator(terms)
@@ -109,8 +112,6 @@ class PolyGaussModeFn:
         """Where y^p exp(-lam y^2) drops below ~1e-20 of scale for the largest
         power present; the polynomial factor matters once operator
         applications have piled up high powers."""
-        if self.lam == 0.0:
-            return np.inf
         p_max = max(self.terms) / self.D if self.terms else 0.0
         return math.sqrt((46.0 + 3.0 * p_max) / self.lam)
 
@@ -160,27 +161,6 @@ class PolyGaussModeFn:
 
     eval_outer = eval_series
 
-    def jet_arrays(self, truncation: int, frac_gamma: Fraction):
-        """Two-branch jets a[q], b[q]: y^(2q0) feeds a[q0 + i] and
-        y^(2[g] + 2q0) feeds b[q0 + i] with the Taylor weight (-lam)^i / i!
-        of the Gaussian (only i = 0 at lam = 0)."""
-        a = [0.0j] * (truncation + 1)
-        b = [0.0j] * (truncation + 1)
-        D, lam = self.D, self.lam
-        shift = 2 * frac_gamma * D            # 2[g] as a numerator over D, if it is one
-        for p, c in self.terms.items():
-            if p % (2 * D) == 0:
-                branch, q0 = a, p // (2 * D)
-            elif shift.denominator == 1 and (p - shift.numerator) % (2 * D) == 0:
-                branch, q0 = b, (p - shift.numerator) // (2 * D)
-            else:
-                continue
-            if q0 < 0:
-                continue
-            for q in range(q0, truncation + 1 if lam else min(q0, truncation) + 1):
-                branch[q] += c * (-lam) ** (q - q0) / math.factorial(q - q0)
-        return a, b
-
 
 class BesselModeFn(PolyGaussModeFn):
     """Per-mode function: a lam = 0 series (valid t = xi y < switchover) plus
@@ -210,11 +190,11 @@ class BesselModeFn(PolyGaussModeFn):
 
     @property
     def series_limit(self) -> float:
-        return T_SERIES / self.xi if self.xi > 0 else np.inf
+        return T_SERIES / self.xi
 
     @property
     def outer_limit(self) -> float:
-        return T_MAX / self.xi if self.xi > 0 else np.inf
+        return T_MAX / self.xi
 
     def _chain_ddt(self, terms: dict, nu2: Fraction) -> dict:
         """One t derivative on a Bessel chain, closed on K and K' through the
@@ -393,14 +373,8 @@ def _gauss_jacobi_01(n: int, beta: float):
 
 def _pair_integral(u, v, m_weight: float) -> complex:
     """integral_0^inf u(y) conj(v(y)) y^m dy via branch-matched quadrature."""
-    split = min(u.series_limit, v.series_limit)
     outer = min(u.outer_limit, v.outer_limit)
-    if not np.isfinite(outer):
-        # both non-decaying: only legitimate when one side vanished identically
-        if not u.terms or not v.terms:
-            return 0.0 + 0.0j
-        raise ArithmeticError("pairing of two non-decaying mode functions")
-    split = min(split, outer)
+    split = min(u.series_limit, v.series_limit, outer)
     total = 0.0 + 0.0j
 
     # inner region: per branch-class pair, weight-matched Gauss-Jacobi; each
@@ -420,7 +394,7 @@ def _pair_integral(u, v, m_weight: float) -> complex:
             total += _adaptive_gj(smooth, 0.0, split, beta)
 
     # outer region: both factors evaluated directly, integrand smooth
-    if np.isfinite(outer) and outer > split * (1.0 + 1e-12):
+    if outer > split * (1.0 + 1e-12):
         def outer_fn(yv):
             fu = u.eval_outer(yv) if yv[0] >= u.series_limit else u.eval_series(yv)
             fv = v.eval_outer(yv) if yv[0] >= v.series_limit else v.eval_series(yv)
@@ -507,25 +481,24 @@ def canonical_modes(template: GridField) -> np.ndarray:
 
 class ModeFieldView:
     """A real boundary-periodic field presented as per-mode profile functions
-    on its active canonical modes, with boundary-operator values and
+    on its active canonical modes, with its two-branch boundary jets and
     Plancherel weights.
 
     modes lists the active canonical flat mode indices in ascending order;
     mult (the conjugate-pair multiplicity used when summing real Plancherel
-    contributions), xi2 and the arrays boundary_modes returns are aligned
-    with it."""
+    contributions), xi2, the columns of jets (orders 0..[g] of each branch)
+    and the arrays boundary_modes returns are aligned with it, and atoms
+    holds each mode's list of profile functions."""
 
-    def __init__(self, params: GammaParams, template: GridField, atoms_by_mode):
-        self._index(params, template, sorted(atoms_by_mode))
-        self._atoms = [atoms_by_mode[idx] for idx in self.modes]
-
-    def _index(self, params: GammaParams, template: GridField, modes):
+    def __init__(self, params: GammaParams, template: GridField, modes, jets: NumericJets,
+                 atoms):
         self.params = params
         self.template = template
         self.modes = np.asarray(modes, dtype=np.int64)
         self.mult = canonical_modes(template)[self.modes]
         self.xi2 = template.xi_abs2().reshape(-1)[self.modes]
-        self._jets = None
+        self.jets = jets
+        self._atoms = atoms
         self._boundary = {}
         self._powers = {}
 
@@ -541,29 +514,11 @@ class ModeFieldView:
             powers.append([a.weighted_laplacian() for a in powers[-1]])
         return powers[j]
 
-    def _add_atom_jets(self, pos: int, a: np.ndarray, b: np.ndarray):
-        for atom in self.atoms(pos):
-            aa, bb = atom.jet_arrays(a.shape[0] - 1, self.params.frac_gamma)
-            a[:, pos] += aa
-            b[:, pos] += bb
-
-    def _jet_arrays(self, truncation: int):
-        """Two-branch jets a[q], b[q] of the field, one column per mode."""
-        a = np.zeros((truncation + 1, self.modes.size), dtype=complex)
-        b = np.zeros_like(a)
-        for pos in range(self.modes.size):
-            self._add_atom_jets(pos, a, b)
-        return a, b
-
     def boundary_modes(self, family: str, j: int) -> np.ndarray:
         """B[family, j] of the field on each mode, computed once per view."""
         key = (family, j)
         if key not in self._boundary:
-            if self._jets is None:
-                fl = self.params.floor_gamma
-                self._jets = NumericJets(fl, float(self.params.frac_gamma),
-                                         *self._jet_arrays(fl))
-            self._boundary[key] = self._jets.apply_boundary(family, j, self.xi2)
+            self._boundary[key] = self.jets.apply_boundary(family, j, self.xi2)
         return self._boundary[key]
 
 
@@ -584,26 +539,40 @@ def _profile_atom(prof: ModeProfile, xi: float, c) -> BesselModeFn:
 
 
 class SolutionFieldView(ModeFieldView):
-    """An extension solution on its active canonical modes.
+    """An extension solution on active canonical modes with |xi| > 0.
 
-    At |xi| > 0 the solution is U(y) = sum_i s_i P_i(|xi| y) with
+    There the solution is U(y) = sum_i s_i P_i(|xi| y) with
     s_i = c_i |xi|^(-lead_i), where the P_i are the unit-coefficient profiles
     at |xi| = 1 (units, from the solution's own profiles) and c_i the solved
-    coefficients; the zero mode is a polynomial.  (T - |xi|^2)^j U is
-    sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y), so the exact operator
-    algebra runs once per unit and power (unit_laplacians) and every mode's
-    atoms are rescaled copies, built only for the modes that ask."""
+    coefficients.  (T - |xi|^2)^j U is sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y),
+    so the exact operator algebra runs once per unit and power
+    (unit_laplacians) and every mode's atoms are rescaled copies, built only
+    for the modes that ask.  The jets sum c_i times profile i's
+    ModeProfile.jet_term, as the solver does, so a profile changed after the
+    solve reaches the atoms and the boundary values alike."""
 
     def __init__(self, sol: ExtensionSolution, modes):
-        self._index(sol.params, sol.template, modes)
+        params = sol.params
         self.sol = sol
-        self.coeffs = sol.coeffs[self.modes]
-        self.xi = np.sqrt(self.xi2)
+        self.coeffs = sol.coeffs[modes]
+        self.xi = sol.xi_abs.reshape(-1)[modes]
+        xi2 = self.xi * self.xi
+
+        def order(branch, tau):
+            out = np.zeros(self.xi.size, dtype=complex)
+            for c, prof in zip(self.coeffs.T, sol.profiles):
+                term = prof.jet_term(branch, tau, self.xi, xi2)
+                if term is not None:
+                    out += c * term
+            return out
+
+        fl = params.floor_gamma
+        jets = NumericJets(fl, float(params.frac_gamma),
+                           *([order(branch, tau) for tau in range(fl + 1)] for branch in "ab"))
+        super().__init__(params, sol.template, modes, jets, None)
         self.units = [_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles]
         lead = np.array([float(prof.lead_exponent) for prof in sol.profiles])
-        nonzero = self.xi > 0.0
-        self.scaled = np.zeros_like(self.coeffs)
-        self.scaled[nonzero] = self.coeffs[nonzero] * self.xi[nonzero, None] ** -lead
+        self.scaled = self.coeffs * self.xi[:, None] ** -lead
 
     @functools.cached_property
     def unit_laplacians(self) -> list:
@@ -611,35 +580,12 @@ class SolutionFieldView(ModeFieldView):
         return [_laplacian_powers(unit, self.params.k) for unit in self.units]
 
     def atoms(self, pos: int) -> list:
-        if self.xi[pos] != 0.0:
-            return self.laplacian_atoms(pos, 0)
-        terms = _two_branch_terms(self.params, self.sol.zero_even, self.sol.zero_odd)
-        return [PolyGaussModeFn(0.0, self.params.m, 0.0, terms)]
+        return self.laplacian_atoms(pos, 0)
 
     def laplacian_atoms(self, pos: int, j: int) -> list:
         xi = float(self.xi[pos])
-        if xi == 0.0:
-            return super().laplacian_atoms(pos, j)
         return [powers[j].rescaled(xi, s, j)
                 for powers, s in zip(self.unit_laplacians, self.scaled[pos]) if s != 0]
-
-    def _jet_arrays(self, truncation: int):
-        """By scale invariance the y^(2q) jet of s_i P_i(|xi| y) is
-        s_i |xi|^(2q) times the unit profile's, and the y^(2[g]+2q) jet carries
-        |xi|^(2[g]+2q): vectorized over modes, the zero mode from its atom."""
-        fr = self.params.frac_gamma
-        q = np.arange(truncation + 1)[:, None]
-        a_scale = self.xi ** (2 * q)
-        b_scale = self.xi ** (2.0 * float(fr) + 2 * q)
-        a = np.zeros((truncation + 1, self.modes.size), dtype=complex)
-        b = np.zeros_like(a)
-        for unit, s in zip(self.units, self.scaled.T):
-            ua, ub = unit.jet_arrays(truncation, fr)
-            a += np.outer(ua, s) * a_scale
-            b += np.outer(ub, s) * b_scale
-        for pos in np.flatnonzero(self.xi == 0.0):
-            self._add_atom_jets(pos, a, b)
-        return a, b
 
 
 def _active_modes(template: GridField, hats) -> np.ndarray:
@@ -652,45 +598,45 @@ def _active_modes(template: GridField, hats) -> np.ndarray:
     return np.flatnonzero((canonical_modes(template) > 0) & (weight > ACTIVE_TOL * scale))
 
 
-def _two_branch_terms(params: GammaParams, a_coeffs, b_coeffs) -> dict:
-    """{exponent: coefficient} of sum_q a_q y^(2q) + b_q y^(2[g]+2q), zeros
-    left out."""
-    terms = {}
-    for q, c in enumerate(a_coeffs):
-        if c != 0:
-            terms[Fraction(2 * q)] = terms.get(Fraction(2 * q), 0.0) + c
-    for q, c in enumerate(b_coeffs):
-        p = 2 * params.frac_gamma + 2 * q
-        if c != 0:
-            terms[p] = terms.get(p, 0.0) + c
-    return terms
-
-
 def extension_field_view(sol: ExtensionSolution) -> SolutionFieldView:
-    """The extension solution on its active canonical modes."""
-    return SolutionFieldView(sol, _active_modes(sol.template, sol.data_hat))
+    """The extension solution on its active canonical modes but xi = 0.
+    There it is sum_q a_q y^(2q) + b_q y^(2[g]+2q), which L^ceil(k/2)
+    annihilates and d/dy L^floor(k/2) kills; each boundary pairing of q_form
+    reads one side past its data slots, and boundary_correction weighs it
+    with (-|xi|^2)^p, p >= 1: every contribution is exactly zero."""
+    modes = _active_modes(sol.template, sol.data_hat)
+    return SolutionFieldView(sol, modes[modes != 0])
 
 
-@dataclass
-class TwoBranchGaussField:
-    """Synthetic test field: two-branch polynomial in y times a Gaussian, with
-    band-limited random boundary coefficient fields."""
+def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
+                           b_coeffs) -> ModeFieldView:
+    """Synthetic test field sum_q (a_q y^(2q) + b_q y^(2[g]+2q)) exp(-y^2) for
+    real boundary fields a_q, b_q, on its active canonical modes.  Order tau
+    of a branch's jet is sum_q hat_q times the Gaussian's Taylor weight
+    (-1)^i / i!, i = tau - q >= 0."""
+    hats_a = [(np.fft.fftn(c) / c.size).reshape(-1) for c in a_coeffs]
+    hats_b = [(np.fft.fftn(c) / c.size).reshape(-1) for c in b_coeffs]
+    modes = _active_modes(template, hats_a + hats_b)
+    hats_a = [h[modes] for h in hats_a]
+    hats_b = [h[modes] for h in hats_b]
+    xi = np.sqrt(template.xi_abs2()).reshape(-1)[modes]
+    fr2 = 2 * params.frac_gamma   # never an even integer, so no b exponent is an a exponent
+    atoms = []
+    for pos in range(modes.size):
+        terms = {Fraction(2 * q): h[pos] for q, h in enumerate(hats_a) if h[pos] != 0}
+        terms.update({fr2 + 2 * q: h[pos] for q, h in enumerate(hats_b) if h[pos] != 0})
+        atoms.append([PolyGaussModeFn(xi[pos], params.m, 1.0, terms)])
 
-    params: GammaParams
-    template: GridField
-    a_coeffs: list  # list of real arrays, coefficient of y^(2q) exp(-y^2)
-    b_coeffs: list  # coefficient of y^(2[g]+2q) exp(-y^2)
+    def order(hats, tau):
+        out = np.zeros(modes.size, dtype=complex)
+        for q, h in enumerate(hats[:tau + 1]):
+            out += h * (-1.0) ** (tau - q) / math.factorial(tau - q)
+        return out
 
-    def view(self) -> ModeFieldView:
-        params = self.params
-        xi_flat = np.sqrt(self.template.xi_abs2()).reshape(-1)
-        hats_a = [(np.fft.fftn(c) / c.size).reshape(-1) for c in self.a_coeffs]
-        hats_b = [(np.fft.fftn(c) / c.size).reshape(-1) for c in self.b_coeffs]
-        atoms = {}
-        for idx in _active_modes(self.template, hats_a + hats_b):
-            terms = _two_branch_terms(params, [h[idx] for h in hats_a], [h[idx] for h in hats_b])
-            atoms[idx] = [PolyGaussModeFn(xi_flat[idx], params.m, 1.0, terms)]
-        return ModeFieldView(params, self.template, atoms)
+    fl = params.floor_gamma
+    jets = NumericJets(fl, float(params.frac_gamma),
+                       *([order(hats, tau) for tau in range(fl + 1)] for hats in (hats_a, hats_b)))
+    return ModeFieldView(params, template, modes, jets, atoms)
 
 
 def _band_limited(template: GridField, rng, scale: float = 1.0) -> np.ndarray:
@@ -704,13 +650,13 @@ def _band_limited(template: GridField, rng, scale: float = 1.0) -> np.ndarray:
 
 
 def random_two_branch_field(params: GammaParams, template: GridField,
-                            seed: int) -> TwoBranchGaussField:
+                            seed: int) -> ModeFieldView:
     """Seeded band-limited random two-branch field for symmetry tests."""
     rng = np.random.default_rng(seed)
     fl = params.floor_gamma
     a = [_band_limited(template, rng) for _ in range(fl // 2 + 2)]
     b = [_band_limited(template, rng) for _ in range(max(fl - fl // 2, 1))]
-    return TwoBranchGaussField(params, template, a, b)
+    return _two_branch_gauss_view(params, template, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +682,7 @@ def _interior_pair(u, v, params: GammaParams, xi2: float) -> complex:
     dau = [a.d_dy() for a in au]
     dav = [a.d_dy() for a in av]
     val = sum(_pair_integral(a, b, m) for a in dau for b in dav)
-    if xi2 != 0.0:  # the tangential-gradient term vanishes on the zero mode
-        val += xi2 * sum(_pair_integral(a, b, m) for a in au for b in av)
-    return val
+    return val + xi2 * sum(_pair_integral(a, b, m) for a in au for b in av)
 
 
 def _ul_mode(u, v, params: GammaParams, xi2: float) -> complex:
@@ -777,17 +721,14 @@ def _unit_laplacians(params: GammaParams) -> list:
 
 def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
     """Plancherel sum of pair(u atoms, v atoms) over the modes both views
-    carry; solution pairs at |xi| > 0 take the unit Gram route instead."""
+    carry; a pair of solution views takes the unit Gram route instead."""
     params = u.params
     _, iu, iv = np.intersect1d(u.modes, v.modes, assume_unique=True, return_indices=True)
-    total = 0.0 + 0.0j
     if isinstance(u, SolutionFieldView) and isinstance(v, SolutionFieldView):
-        scaled = u.xi2[iu] > 0.0
-        su, sv = iu[scaled], iv[scaled]
-        weight = u.mult[su] * u.xi[su] ** (2 * params.k - float(params.m) - 1.0)
-        total += np.einsum("m,mi,ij,mj->", weight, u.scaled[su], _unit_gram(params, pair),
-                           np.conj(v.scaled[sv]))
-        iu, iv = iu[~scaled], iv[~scaled]
+        weight = u.mult[iu] * u.xi[iu] ** (2 * params.k - float(params.m) - 1.0)
+        return np.einsum("m,mi,ij,mj->", weight, u.scaled[iu], _unit_gram(params, pair),
+                         np.conj(v.scaled[iv]))
+    total = 0.0 + 0.0j
     for a, b in zip(iu, iv):
         total += u.mult[a] * pair(functools.partial(u.laplacian_atoms, a),
                                   functools.partial(v.laplacian_atoms, b), params, u.xi2[a])
@@ -875,13 +816,11 @@ def _record_cap_hits(report: VerificationReport, start: int):
     report.record(hits == 0, 0.0, f"quadrature cap hits: {hits}")
 
 
-def verify_q_symmetry(params: GammaParams, u_field, v_field,
+def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
                       tol_sym: float = 1e-8) -> VerificationReport:
     """|Q(U,V) - Q(V,U)| small, and Q = interior - boundary correction."""
     report = VerificationReport("q_symmetry", str(params), params.n)
     hits = QUAD_COUNTS.cap_hits
-    u = u_field.view() if isinstance(u_field, TwoBranchGaussField) else u_field
-    v = v_field.view() if isinstance(v_field, TwoBranchGaussField) else v_field
     quv = q_form(u, v)
     qvu = q_form(v, u)
     scale = abs(quv) + 1.0
@@ -898,7 +837,7 @@ def verify_q_symmetry(params: GammaParams, u_field, v_field,
 
 
 def zero_data_perturbation(params: GammaParams, template: GridField, seed: int,
-                           scale: float = 1.0) -> TwoBranchGaussField:
+                           scale: float = 1.0) -> ModeFieldView:
     """Field with every Dirichlet boundary operator vanishing: the a branch
     starts above the even data range and the b branch above the odd range."""
     rng = np.random.default_rng(seed)
@@ -906,7 +845,7 @@ def zero_data_perturbation(params: GammaParams, template: GridField, seed: int,
     b = [np.zeros(template.shape) for _ in range(params.n_odd_data)]
     a.append(_band_limited(template, rng, scale))
     b.append(_band_limited(template, rng, scale))
-    return TwoBranchGaussField(params, template, a, b)
+    return _two_branch_gauss_view(params, template, a, b)
 
 
 def dirichlet_principle_check(sol: ExtensionSolution, seed: int = 0,
@@ -921,9 +860,8 @@ def dirichlet_principle_check(sol: ExtensionSolution, seed: int = 0,
     report = VerificationReport("dirichlet_principle", str(params), params.n)
     hits = QUAD_COUNTS.cap_hits
     u = extension_field_view(sol)
-    w_field = zero_data_perturbation(
+    w = zero_data_perturbation(
         params, sol.template, seed, scale=0.1 * max(np.abs(f.values).max() for f in sol.data_fields))
-    w = w_field.view()
 
     # confirm the perturbation really has zero Dirichlet data
     for family, j in dirichlet_condition_list(params):
@@ -966,9 +904,8 @@ def energy_trace_check(sol: ExtensionSolution, seed: int = 1,
     err2 = abs((inter - corr) - rhs) / scale
     report.record(err2 <= tol, err2, f"interior-route energy: defect {err2:.3e}")
 
-    w_field = zero_data_perturbation(
+    w = zero_data_perturbation(
         params, sol.template, seed, scale=0.3 * max(np.abs(f.values).max() for f in sol.data_fields))
-    w = w_field.view()
     e_w = q_form(w, w)
     e_pert = e_u + q_form(u, w) + q_form(w, u) + e_w
     gap = e_pert - rhs
@@ -986,14 +923,17 @@ def energy_trace_check(sol: ExtensionSolution, seed: int = 1,
 
 @dataclass
 class Bubble:
-    """Extremal profile (eps + |x - xi0|^2)^(-(n - 2 gt)/2)."""
+    """Extremal profile (eps + |x - xi0|^2)^(-(n - 2 gt)/2), centred at the
+    origin of R^n unless xi0 says otherwise."""
 
     n: int
     gamma_tilde: float
     epsilon: float = 1.0
-    xi0: tuple = (0.0, 0.0)
+    xi0: tuple = None
 
     def __post_init__(self):
+        if self.xi0 is None:
+            self.xi0 = (0.0,) * self.n
         if self.epsilon <= 0:
             raise ValueError("bubble requires epsilon > 0")
         if self.n <= 2 * self.gamma_tilde:
@@ -1138,7 +1078,7 @@ def sharp_sobolev_check(n: int, gt: float = 0.5, bubble: Bubble = None,
 
     # translation / dilation invariance
     variants = [Bubble(n, gt, epsilon=4.0)]
-    shift = (10.0, -7.0) if n > 1 else (10.0,)
+    shift = ((10.0, -7.0) + (0.0,) * n)[:n]
     variants.append(Bubble(n, gt, epsilon=1.0, xi0=shift))
     for variant in variants:
         r_var = bubble_quotient(variant)[2]

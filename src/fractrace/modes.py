@@ -86,7 +86,9 @@ class GridField:
         return [(-L / 2 + L * np.arange(s) / s) for s in self.shape]
 
     def dist2(self, center) -> np.ndarray:
-        """|x - center|^2 at every grid point; center has at least n entries."""
+        """|x - center|^2 at every grid point; center has exactly n entries."""
+        if len(center) != self.n:
+            raise GridError(f"centre {tuple(center)} does not have {self.n} entries")
         return sum((x - c) ** 2 for x, c in zip(np.ix_(*self.axes()), center))
 
     def same_grid(self, other: "GridField") -> bool:

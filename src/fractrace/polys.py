@@ -405,18 +405,9 @@ class BoundaryPoly(_RadialTerms):
 
 @functools.lru_cache(maxsize=None)
 def _expand_rn(n: int, t: int) -> tuple:
-    """Multinomial expansion of (x_1^2 + ... + x_n^2)^t."""
-    out = []
-
-    def rec(balance, idx, alpha, coeff):
-        if idx == n - 1:
-            out.append((tuple(alpha + [balance]), coeff))
-            return
-        for e in range(balance + 1):
-            rec(balance - e, idx + 1, alpha + [e], coeff * math.comb(balance, e))
-
-    rec(t, 0, [], 1)
-    return tuple((tuple(2 * e for e in xa), mult) for xa, mult in out)
+    """Multinomial expansion of (x_1^2 + ... + x_n^2)^t: _expand_r2 in n - 1
+    variables with y as the last x axis, (alpha, coeff) with alpha doubled."""
+    return tuple(((*xa, 2 * ny), mult) for xa, ny, mult in _expand_r2(n - 1, t))
 
 
 def weighted_poly_power(p: HalfSpacePoly, m, k: int) -> HalfSpacePoly:

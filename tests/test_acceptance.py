@@ -133,11 +133,11 @@ def test_criterion_5_symmetry_consistency():
         for seed in range(5):
             u = en.random_two_branch_field(p, template, seed=2 * seed)
             v = en.random_two_branch_field(p, template, seed=2 * seed + 1)
-            quv, qvu = en.q_form(u.view(), v.view()), en.q_form(v.view(), u.view())
+            quv, qvu = en.q_form(u, v), en.q_form(v, u)
             sym = abs(quv - qvu) / (abs(quv) + 1.0)
             worst_sym = max(worst_sym, sym)
-            inter = en.interior_energy(u.view(), v.view())
-            corr = en.boundary_correction(u.view(), v.view())
+            inter = en.interior_energy(u, v)
+            corr = en.boundary_correction(u, v)
             con = abs(quv - (inter - corr)) / (abs(quv) + abs(inter) + 1.0)
             worst_con = max(worst_con, con)
     ok = worst_sym <= 1e-8 and worst_con <= 1e-7

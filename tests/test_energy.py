@@ -9,7 +9,16 @@ from scipy import special
 
 from fractrace import energy as en
 from fractrace.gammacore import GammaParams
-from fractrace.modes import T_SERIES, GridField, gaussian_field, solve_extension
+from fractrace.cli import DEFAULT_GAMMAS
+from fractrace.modes import (
+    T_SERIES,
+    GridField,
+    NumericJets,
+    dirichlet_condition_list,
+    gaussian_field,
+    neumann_condition_list,
+    solve_extension,
+)
 from fractrace.energy import (
     Bubble,
     ModeFieldView,
@@ -34,6 +43,7 @@ from fractrace.energy import (
     _pair_integral,
     _ul_pair,
 )
+from test_modes import _summed_profile_jets
 
 
 def plancherel_energy(f: GridField, power: float) -> float:
@@ -179,7 +189,7 @@ def _paired_atoms(p):
     atoms = []
     for powers in en._unit_laplacians(p):
         atoms += powers
-    view = random_two_branch_field(p, GridField(1, (128,), 60.0, np.zeros(128)), seed=0).view()
+    view = random_two_branch_field(p, GridField(1, (128,), 60.0, np.zeros(128)), seed=0)
     for pos in range(view.modes.size):
         for j in range(p.k + 1):
             atoms += view.laplacian_atoms(pos, j)
@@ -291,14 +301,56 @@ def test_q_symmetry_pure_branch_pair():
     """Pure b-branch against pure a-branch localizes the coupling constant."""
     p = GammaParams(F(7, 3))
     template = GridField(1, (64,), 40.0, np.zeros(64))
-    u = random_two_branch_field(p, template, seed=1)
-    v = random_two_branch_field(p, template, seed=2)
-    for coeff in u.a_coeffs:
-        coeff *= 0.0
-    for coeff in v.b_coeffs:
-        coeff *= 0.0
+    fields = []
+    for seed in (1, 2):   # the coefficients random_two_branch_field draws at 7/3
+        rng = np.random.default_rng(seed)
+        fields.append(([en._band_limited(template, rng) for _ in range(3)],
+                       [en._band_limited(template, rng)]))
+    (a_u, b_u), (a_v, b_v) = fields
+    u = en._two_branch_gauss_view(p, template, [0.0 * c for c in a_u], b_u)
+    v = en._two_branch_gauss_view(p, template, a_v, [0.0 * c for c in b_v])
     rep = verify_q_symmetry(p, u, v)
     assert rep.passed, rep.details
+
+
+@pytest.mark.parametrize("gamma", [F(g) for g in DEFAULT_GAMMAS])
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_mode_contributes_nothing(gamma, n):
+    """Why solution views leave out xi = 0.  There the solution is the
+    polynomial sum_q a_q y^(2q) + b_q y^(2[g]+2q): L^floor(k/2) leaves only a
+    constant, which d/dy kills, and L^ceil(k/2) leaves nothing, so no interior
+    term sees it.  Each boundary pairing of q_form reads one side past its
+    data slots, and each boundary_correction term carries (-|xi|^2)^p with
+    p >= 1.  The data have nonzero mean, yet the view has no zero mode."""
+    p = GammaParams(gamma, n=n)
+    fl, fr = p.floor_gamma, float(p.frac_gamma)
+    sol = solve_extension(p, _gaussian_data(p, 16, n=n))
+    assert sol.zero_even[0] != 0
+    # orders past fl stay zero, so ceil(k/2) Laplacians leave orders 0..fl
+    size = fl + 1 + (p.k + 1) // 2
+    branch = lambda vals: [np.array([vals[q] if q < vals.size else 0.0], dtype=complex)
+                           for q in range(size)]
+    jets = NumericJets(fl, fr, branch(sol.zero_even), branch(sol.zero_odd))
+    for _ in range(p.k // 2):
+        jets = jets.weighted_laplacian(0.0)
+    assert all(np.all(x == 0) for x in jets.a[1:] + jets.b)   # a constant
+    if p.k % 2:
+        jets = jets.weighted_laplacian(0.0)
+    assert all(np.all(x == 0) for x in jets.a + jets.b)
+    jets = NumericJets(fl, fr, branch(sol.zero_even)[:fl + 1], branch(sol.zero_odd)[:fl + 1])
+    for j in range(p.n_even_data):
+        assert np.all(jets.apply_boundary("odd", fl - j, 0.0) == 0)
+    for j in range(p.n_odd_data):
+        assert np.all(jets.apply_boundary("even", fl - j, 0.0) == 0)
+    assert all(fl - j - ell >= 1 for j in range(p.n_even_data) for ell in range(p.n_odd_data))
+    assert 0 not in extension_field_view(sol).modes
+
+
+def test_non_decaying_atom_raises():
+    """A lam = 0 series pairs with nothing: its outer limit divides by lam."""
+    atom = PolyGaussModeFn(0.0, F(1, 3), 0.0, {F(0): 1.0 + 0j})
+    with pytest.raises(ZeroDivisionError):
+        _pair_integral(atom, atom, 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
@@ -313,8 +365,7 @@ def test_dirichlet_principle(gamma):
 def test_zero_perturbation_data_vanishes():
     p = GammaParams(F(5, 2))
     template = GridField(1, (64,), 40.0, np.zeros(64))
-    w = zero_data_perturbation(p, template, seed=0).view()
-    from fractrace.modes import dirichlet_condition_list
+    w = zero_data_perturbation(p, template, seed=0)
     for family, j in dirichlet_condition_list(p):
         vals = w.boundary_modes(family, j)
         assert np.abs(vals).max(initial=0.0) <= 1e-12
@@ -341,13 +392,20 @@ def _gaussian_data(p, grid, box=60.0, n=1):
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2), F(10, 3)])
 def test_gram_route_matches_per_mode_quadrature(gamma):
     """The |xi| = 1 Gram route against the per-mode atom route it replaces: the
-    same solution, presented as a plain per-mode view, goes through per-mode
-    quadrature and per-atom jets.  The U L^k U term is zero for a solution; the
-    per-mode route leaves up to 1.5e-14 of roundoff in it at 10/3, so the two
-    routes are compared at the scale of the form."""
+    same solution, presented as a plain per-mode view with the solution view's
+    jets, goes through per-mode quadrature.  The U L^k U term is zero for a
+    solution; the per-mode route leaves up to 1.5e-14 of roundoff in it at
+    10/3, so the two routes are compared at the scale of the form.  The
+    jets give the boundary values of the per-profile oracle on the view's
+    modes."""
     p = GammaParams(gamma)
-    u = extension_field_view(solve_extension(p, _gaussian_data(p, 32, box=24.0)))
-    ref = ModeFieldView(p, u.template, {idx: u.atoms(pos) for pos, idx in enumerate(u.modes)})
+    sol = solve_extension(p, _gaussian_data(p, 32, box=24.0))
+    u = extension_field_view(sol)
+    oracle = _summed_profile_jets(sol)
+    for family, j in dirichlet_condition_list(p) + neumann_condition_list(p):
+        want = oracle.apply_boundary(family, j, sol.xi2).reshape(-1)[u.modes]
+        assert np.abs(u.boundary_modes(family, j) - want).max() <= 1e-15 * np.abs(want).max()
+    ref = ModeFieldView(p, u.template, u.modes, u.jets, [u.atoms(pos) for pos in range(u.modes.size)])
     want = interior_energy(ref, ref)
     assert abs(interior_energy(u, u) - want) <= 1e-12 * abs(want)
     want = q_form(ref, ref)
@@ -533,6 +591,15 @@ def test_bubble_validation():
         Bubble(n=2, gamma_tilde=0.5, epsilon=0.0)
     with pytest.raises(ValueError):
         Bubble(n=1, gamma_tilde=0.5)  # needs n > 2 gt
+
+
+def test_bubble_in_three_dimensions():
+    """A 3-D bubble is centred at the origin of R^3 by default:
+    (eps + |x|^2)^(-(n - 2 gt)/2) with n = 3, gt = 1/2."""
+    template = GridField(3, (8, 8, 8), 200.0, np.zeros((8, 8, 8)))
+    x, y, z = np.ix_(*template.axes())
+    got = Bubble(3, 0.5, epsilon=2.0).sample(template).values
+    assert np.allclose(got, (2.0 + x * x + y * y + z * z) ** -1.0, rtol=1e-15, atol=0.0)
 
 
 def test_bubble_quotient_near_one():

@@ -47,6 +47,17 @@ def test_grid_validation():
             GridField(1, (8,), box, np.zeros(8))
 
 
+def test_dist2_needs_one_entry_per_axis():
+    """A centre with fewer or more entries than axes is an error, not a
+    distance measured on some of the axes."""
+    f = GridField(3, (8, 8, 8), 10.0, np.zeros((8, 8, 8)))
+    for center in [(0.0, 0.0), (0.0,) * 4]:
+        with pytest.raises(GridError):
+            f.dist2(center)
+    x, y, z = np.ix_(*f.axes())
+    assert np.array_equal(f.dist2((1.0, 0.0, -2.0)), (x - 1.0) ** 2 + y ** 2 + (z + 2.0) ** 2)
+
+
 def test_grid_io_roundtrip(tmp_path):
     f = gaussian_field(2, (16, 16), 20.0, width=2.0)
     path = str(tmp_path / "field.bin")

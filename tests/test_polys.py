@@ -1,5 +1,6 @@
 """Exact radial-polynomial calculus: closure, commutation, covariance."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -42,6 +43,27 @@ def test_laplacian_basics():
     assert (mono(beta=1).weighted_laplacian(m) - mono(coeff=2 + 2 * m)).is_zero_function()
     # Delta_m x1^2 = 2
     assert (mono(2, alpha=(2, 0)).weighted_laplacian(m) - mono(2, coeff=2)).is_zero_function()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_multinomial_expanders(n):
+    """(x_1^2 + ... + x_n^2)^t and (x_1^2 + ... + x_n^2 + y^2)^t against the
+    multinomial theorem, t <= 6: one term per exponent vector e, coefficient
+    t! / prod e_i!."""
+    def multinomial(parts, t):
+        return {e: math.factorial(t) // math.prod(map(math.factorial, e))
+                for e in itertools.product(range(t + 1), repeat=parts) if sum(e) == t}
+
+    for t in range(7):
+        want = multinomial(n, t)
+        got = polys._expand_rn(n, t)
+        assert len(got) == len(want)
+        assert dict(got) == {tuple(2 * x for x in e): c for e, c in want.items()}
+        want = multinomial(n + 1, t)
+        got = polys._expand_r2(n, t)
+        assert len(got) == len(want)
+        assert {(xa, ny): c for xa, ny, c in got} == {
+            (tuple(2 * x for x in e[:-1]), e[-1]): c for e, c in want.items()}
 
 
 def test_normal_operator_kills_branch_bottom():
