@@ -2,6 +2,11 @@
 generalized Dirichlet-to-Neumann maps of weighted poly-Laplacian extension
 problems, with exact operator calculus and sharp trace-inequality checks."""
 
+import os
+
+# fractrace computes on one thread; a second OpenBLAS thread only spins at start-up.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .gammacore import (
     ExactConstant,
     GammaDomainError,

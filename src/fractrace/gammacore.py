@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,6 +63,9 @@ class GammaParams:
             raise GammaDomainError(f"gamma must be positive and non-integer, got {g}")
         if g > GAMMA_CAP:
             raise GammaDomainError(f"gamma={g} exceeds the cap {GAMMA_CAP}")
+        if min(self.frac_gamma, 1 - self.frac_gamma) < sys.float_info.epsilon:
+            raise GammaDomainError(f"gamma is within machine epsilon of the integer {round(g)}; "
+                                   "its fractional part does not survive floating point")
         if self.n < 1:
             raise GammaDomainError(f"boundary dimension must be >= 1, got {self.n}")
 

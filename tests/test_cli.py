@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fractrace
+from fractrace import besselk, modes
 from fractrace.cli import main
 from fractrace.modes import GridField, gaussian_field
 
@@ -48,8 +49,11 @@ def test_benchmark_constants_stay_literals(name):
     assert ast.literal_eval(node.value) == getattr(cli, name)
 
 
-def test_verify_rejects_integer_gamma():
-    assert run_cli(["verify", "--gamma", "2"]) == 2
+def test_verify_rejects_integer_gamma(capsys):
+    """Integers, and orders whose fractional part is below float resolution."""
+    for gamma in ("2", "1e-400", "2.00000000000000000001", "6.0000000000000001",
+                  "7.9999999999999999", "1e-20", "3e-17"):
+        _one_line_error(["verify", "--gamma", gamma], capsys, "gamma")
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -252,6 +256,8 @@ def test_grid_too_large_to_hold_exits_two(argv, tmp_path, capsys):
 
 # Run in a fresh interpreter: reports after the import and after each command
 # which of the watched modules have been loaded.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 _COLD_START = """
 import json, sys
 from fractrace import cli
@@ -264,13 +270,19 @@ print(json.dumps(loaded))
 """
 
 
-def _loaded_after(argvs, watched):
+def _child_env(**blas):
+    """The caller's environment with src/ importable, without any BLAS thread
+    setting (importing fractrace here has set one), plus the given ones."""
     src = os.path.dirname(os.path.dirname(fractrace.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **blas}
+
+
+def _loaded_after(argvs, watched):
     proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs),
                            json.dumps(watched)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_child_env(), check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -295,6 +307,50 @@ def test_field_commands_do_not_import_scipy(field_2d, tmp_path):
     argvs = _field_commands(field_2d, str(tmp_path / "o.bin"))
     argvs.append(["sharpness", "--n", "2", "--grid", "16", "--out", str(tmp_path / "s.json")])
     assert _loaded_after(argvs, ["scipy"]) == [[]] * 7
+
+
+def _threads_after_import(**blas):
+    probe = "import os, fractrace.cli; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env(**blas), check=True)
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_starts_no_blas_worker_thread():
+    """Importing the CLI leaves one thread, unless the caller asks for more."""
+    assert _threads_after_import() == 1
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert _threads_after_import(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def _run_with_blas_threads(argv, threads):
+    subprocess.run([sys.executable, "-m", "fractrace.cli", *argv], capture_output=True,
+                   env=_child_env(OPENBLAS_NUM_THREADS=str(threads)), check=True)
+
+
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+    for threads in (1, 2):
+        _run_with_blas_threads(["verify", "--gamma", "1/2,5/2", "--seed", "1",
+                                "--out", str(tmp_path / f"{threads}.json"),
+                                "--csv", str(tmp_path / f"{threads}.csv")], threads)
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
+
+
+def test_extend_does_not_depend_on_blas_threads(tmp_path):
+    """128^2 on a box of 20 at height 1: most of the grid lies in the Bessel
+    window, more t values than one besselk block holds."""
+    field = gaussian_field(2, (128, 128), 20.0, width=2.0)
+    field.save(str(tmp_path / "f.bin"))
+    t = np.sqrt(field.xi_abs2()).ravel()
+    _, nodes = besselk._nodes(0.5, modes.T_SERIES, float(t.max()))
+    assert np.count_nonzero(t >= modes.T_SERIES) > besselk.BLOCK // nodes.size
+    for threads in (1, 2):
+        _run_with_blas_threads(["extend", "--gamma", "1/2", "--n", "2", "--in",
+                                str(tmp_path / "f.bin"), "--height", "1",
+                                "--out", str(tmp_path / f"{threads}.bin")], threads)
+    assert (tmp_path / "1.bin").read_bytes() == (tmp_path / "2.bin").read_bytes()
 
 
 def test_package_has_no_scipy_import():

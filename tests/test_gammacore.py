@@ -81,6 +81,10 @@ def test_params_validation():
         GammaParams(F(-1, 2))
     with pytest.raises(GammaDomainError):
         GammaParams(F(17, 2))  # above the cap
+    for g in (F(1, 10**20), 2 + F(1, 10**20), 8 - F(1, 10**16)):
+        with pytest.raises(GammaDomainError):
+            GammaParams(g)  # the fractional part does not survive float()
+    assert GammaParams(F(3, 10**16)).frac_gamma == F(3, 10**16)
     p = GammaParams(F(7, 3))
     assert (p.floor_gamma, p.frac_gamma, p.k, p.m) == (2, F(1, 3), 3, F(1, 3))
     assert p.floor_gamma + p.frac_gamma == p.gamma
