@@ -254,10 +254,10 @@ def test_grid_too_large_to_hold_exits_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-# Run in a fresh interpreter: reports after the import and after each command
-# which of the watched modules have been loaded.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+# Run in a fresh interpreter: reports after the import and after each command
+# which of the watched modules have been loaded.
 _COLD_START = """
 import json, sys
 from fractrace import cli
