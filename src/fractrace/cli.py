@@ -23,7 +23,7 @@ from .report import VerificationReport, reports_to_csv, reports_to_json, write_a
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
 ENERGY_GAMMAS = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 # the most points a grid of --grid ** --n may hold: 128^3, whose numeric
-# checks peak at about 1.6 GB
+# checks peak at about 0.88 GB
 MAX_GRID_POINTS = 2 ** 21
 
 # module-documented defaults; loosenable only through --loosen-tol

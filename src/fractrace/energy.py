@@ -2,7 +2,9 @@
 
 All interior quantities are assembled per Fourier mode of the boundary grid:
 the x integral is Plancherel-exact on the periodic box and only the y
-integral is quadrature.  Per-mode profiles are polynomial-times-Gaussian
+integral is quadrature.  The modes are the entries of the rfftn half
+spectrum with a nonzero GridField.pair_weights, one per +-xi pair, each
+summed with its pair weight.  Per-mode profiles are polynomial-times-Gaussian
 series (synthetic test fields) or Bessel-type (extension solutions): a
 lam = 0 series plus Bessel chains, which reuses the series algebra and adds
 only the chains.  Both expose exact symbolic application of the weighted mode
@@ -470,32 +472,23 @@ def _adaptive_gl(fn, lo: float, hi: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def canonical_modes(template: GridField) -> np.ndarray:
-    """A real field's +-xi modes are conjugate: the multiplicity of each flat
-    index, 2 where it is below the index of its -xi, 1 where the two coincide
-    and 0 above, so each pair is summed once."""
-    idx = np.arange(template.values.size).reshape(template.shape)
-    conj = np.roll(np.flip(idx), 1, axis=tuple(range(idx.ndim))).reshape(-1)
-    return 1.0 + np.sign(conj - idx.reshape(-1))
-
-
 class ModeFieldView:
     """A real boundary-periodic field presented as per-mode profile functions
-    on its active canonical modes, with its two-branch boundary jets and
-    Plancherel weights.
+    on its active modes, with its two-branch boundary jets and Plancherel
+    weights.
 
-    modes lists the active canonical flat mode indices in ascending order;
-    mult (the conjugate-pair multiplicity used when summing real Plancherel
-    contributions), xi2, the columns of jets (orders 0..[g] of each branch)
-    and the arrays boundary_modes returns are aligned with it, and atoms
-    holds each mode's list of profile functions."""
+    modes lists the active flat indices of the rfftn half spectrum with a
+    nonzero GridField.pair_weights, in ascending order; weight (those pair
+    weights), xi2, the columns of jets (orders 0..[g] of each branch) and
+    the arrays boundary_modes returns are aligned with it, and atoms holds
+    each mode's list of profile functions."""
 
     def __init__(self, params: GammaParams, template: GridField, modes, jets: NumericJets,
                  atoms):
         self.params = params
         self.template = template
         self.modes = np.asarray(modes, dtype=np.int64)
-        self.mult = canonical_modes(template)[self.modes]
+        self.weight = template.pair_weights().reshape(-1)[self.modes]
         self.xi2 = template.xi_abs2().reshape(-1)[self.modes]
         self.jets = jets
         self._atoms = atoms
@@ -539,7 +532,7 @@ def _profile_atom(prof: ModeProfile, xi: float, c) -> BesselModeFn:
 
 
 class SolutionFieldView(ModeFieldView):
-    """An extension solution on active canonical modes with |xi| > 0.
+    """An extension solution on its active modes with |xi| > 0.
 
     There the solution is U(y) = sum_i s_i P_i(|xi| y) with
     s_i = c_i |xi|^(-lead_i), where the P_i are the unit-coefficient profiles
@@ -547,29 +540,15 @@ class SolutionFieldView(ModeFieldView):
     coefficients.  (T - |xi|^2)^j U is sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y),
     so the exact operator algebra runs once per unit and power
     (unit_laplacians) and every mode's atoms are rescaled copies, built only
-    for the modes that ask.  The jets sum c_i times profile i's
-    ModeProfile.jet_term, as the solver does, so a profile changed after the
-    solve reaches the atoms and the boundary values alike."""
+    for the modes that ask.  The jets are the solver's own on the view's
+    modes, so a profile changed after the solve reaches the atoms and the
+    boundary values alike."""
 
     def __init__(self, sol: ExtensionSolution, modes):
-        params = sol.params
         self.sol = sol
         self.coeffs = sol.coeffs[modes]
         self.xi = sol.xi_abs.reshape(-1)[modes]
-        xi2 = self.xi * self.xi
-
-        def order(branch, tau):
-            out = np.zeros(self.xi.size, dtype=complex)
-            for c, prof in zip(self.coeffs.T, sol.profiles):
-                term = prof.jet_term(branch, tau, self.xi, xi2)
-                if term is not None:
-                    out += c * term
-            return out
-
-        fl = params.floor_gamma
-        jets = NumericJets(fl, float(params.frac_gamma),
-                           *([order(branch, tau) for tau in range(fl + 1)] for branch in "ab"))
-        super().__init__(params, sol.template, modes, jets, None)
+        super().__init__(sol.params, sol.template, modes, sol.solution_jets(modes), None)
         self.units = [_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles]
         lead = np.array([float(prof.lead_exponent) for prof in sol.profiles])
         self.scaled = self.coeffs * self.xi[:, None] ** -lead
@@ -589,17 +568,18 @@ class SolutionFieldView(ModeFieldView):
 
 
 def _active_modes(template: GridField, hats) -> np.ndarray:
-    """The canonical modes, ascending, where some of the mode-coefficient
-    arrays hats exceeds ACTIVE_TOL of the largest magnitude any of them has."""
-    weight = np.zeros(template.values.size)
+    """The half-spectrum flat indices of nonzero pair weight, ascending,
+    where some of the half-spectrum coefficient arrays hats exceeds
+    ACTIVE_TOL of the largest magnitude any of them has."""
+    paired = template.pair_weights().reshape(-1) > 0
+    size = np.zeros(paired.size)
     for h in hats:
-        weight = np.maximum(weight, np.abs(h.reshape(-1)))
-    scale = weight.max() + 1e-300
-    return np.flatnonzero((canonical_modes(template) > 0) & (weight > ACTIVE_TOL * scale))
+        size = np.maximum(size, np.abs(h.reshape(-1)))
+    return np.flatnonzero(paired & (size > ACTIVE_TOL * (size.max() + 1e-300)))
 
 
 def extension_field_view(sol: ExtensionSolution) -> SolutionFieldView:
-    """The extension solution on its active canonical modes but xi = 0.
+    """The extension solution on its active modes but xi = 0.
     There it is sum_q a_q y^(2q) + b_q y^(2[g]+2q), which L^ceil(k/2)
     annihilates and d/dy L^floor(k/2) kills; each boundary pairing of q_form
     reads one side past its data slots, and boundary_correction weighs it
@@ -611,14 +591,12 @@ def extension_field_view(sol: ExtensionSolution) -> SolutionFieldView:
 def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
                            b_coeffs) -> ModeFieldView:
     """Synthetic test field sum_q (a_q y^(2q) + b_q y^(2[g]+2q)) exp(-y^2) for
-    real boundary fields a_q, b_q, on its active canonical modes.  Order tau
-    of a branch's jet is sum_q hat_q times the Gaussian's Taylor weight
+    real boundary fields a_q, b_q, on its active modes.  Order tau of a
+    branch's jet is sum_q hat_q times the Gaussian's Taylor weight
     (-1)^i / i!, i = tau - q >= 0."""
-    hats_a = [(np.fft.fftn(c) / c.size).reshape(-1) for c in a_coeffs]
-    hats_b = [(np.fft.fftn(c) / c.size).reshape(-1) for c in b_coeffs]
-    modes = _active_modes(template, hats_a + hats_b)
-    hats_a = [h[modes] for h in hats_a]
-    hats_b = [h[modes] for h in hats_b]
+    hats = [[template.like(c).fft().reshape(-1) for c in coeffs] for coeffs in (a_coeffs, b_coeffs)]
+    modes = _active_modes(template, hats[0] + hats[1])
+    hats_a, hats_b = ([h[modes] for h in group] for group in hats)
     xi = np.sqrt(template.xi_abs2()).reshape(-1)[modes]
     fr2 = 2 * params.frac_gamma   # never an even integer, so no b exponent is an a exponent
     atoms = []
@@ -640,10 +618,11 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
 
 
 def _band_limited(template: GridField, rng, scale: float = 1.0) -> np.ndarray:
-    """Seeded real field on the five lowest nonzero modes (fewer on grids that
-    have fewer), with peak magnitude scale."""
+    """Seeded real field on the five lowest nonzero modes of the full
+    spectrum (fewer on grids that have fewer), with peak magnitude scale."""
+    axes = [2.0 * np.pi * np.fft.fftfreq(s) * s / template.box_length for s in template.shape]
     flat = np.zeros(template.values.size, dtype=complex)
-    order = np.argsort(template.xi_abs2().reshape(-1))[1:6]
+    order = np.argsort(sum(k ** 2 for k in np.ix_(*axes)).reshape(-1))[1:6]
     flat[order] = rng.normal(size=order.size) + 1j * rng.normal(size=order.size)
     vals = np.real(np.fft.ifftn(flat.reshape(template.shape)) * flat.size)
     return scale * vals / (np.abs(vals).max() + 1e-300)
@@ -725,13 +704,13 @@ def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
     params = u.params
     _, iu, iv = np.intersect1d(u.modes, v.modes, assume_unique=True, return_indices=True)
     if isinstance(u, SolutionFieldView) and isinstance(v, SolutionFieldView):
-        weight = u.mult[iu] * u.xi[iu] ** (2 * params.k - float(params.m) - 1.0)
+        weight = u.weight[iu] * u.xi[iu] ** (2 * params.k - float(params.m) - 1.0)
         return np.einsum("m,mi,ij,mj->", weight, u.scaled[iu], _unit_gram(params, pair),
                          np.conj(v.scaled[iv]))
     total = 0.0 + 0.0j
     for a, b in zip(iu, iv):
-        total += u.mult[a] * pair(functools.partial(u.laplacian_atoms, a),
-                                  functools.partial(v.laplacian_atoms, b), params, u.xi2[a])
+        total += u.weight[a] * pair(functools.partial(u.laplacian_atoms, a),
+                                    functools.partial(v.laplacian_atoms, b), params, u.xi2[a])
     return total
 
 
@@ -753,7 +732,7 @@ def _boundary_pairing(u: ModeFieldView, family_u, j_u, v: ModeFieldView, family_
     _, iu, iv = np.intersect1d(u.modes, v.modes, assume_unique=True, return_indices=True)
     bu = u.boundary_modes(family_u, j_u)[iu]
     bv = v.boundary_modes(family_v, j_v)[iv]
-    total = np.sum(u.mult[iu] * bu * (-u.xi2[iu]) ** lap_power * np.conj(bv))
+    total = np.sum(u.weight[iu] * bu * (-u.xi2[iu]) ** lap_power * np.conj(bv))
     return float(np.real(total)) * _mode_weight(u.template)
 
 
@@ -791,17 +770,17 @@ def dtn_rhs(sol: ExtensionSolution) -> float:
     params = sol.params
     g = float(params.gamma)
     fl, fr = params.floor_gamma, float(params.frac_gamma)
-    xi2 = sol.xi2.reshape(-1)
+    weight = sol.template.pair_weights()
     total = 0.0
     for row, (family, j) in enumerate(sol.conds):
-        dh = sol.data_hat[row].reshape(-1)
+        dh = sol.data_hat[row]
         if family == "even":
             const = dtn_constant_even(params, j).value(params.frac_gamma)
             power = g - 2 * j
         else:
             const = dtn_constant_odd(params, j).value(params.frac_gamma)
             power = fl - fr - 2 * j
-        total += const * float(np.sum(np.abs(dh) ** 2 * xi2 ** power))
+        total += const * float(np.sum(weight * np.abs(dh) ** 2 * sol.xi2 ** power))
     return total * _mode_weight(sol.template)
 
 
@@ -941,8 +920,7 @@ class Bubble:
 
     def sample(self, template: GridField) -> GridField:
         power = -(self.n - 2.0 * self.gamma_tilde) / 2.0
-        vals = (self.epsilon + template.dist2(self.xi0)) ** power
-        return GridField(template.n, template.shape, template.box_length, vals)
+        return template.like((self.epsilon + template.dist2(self.xi0)) ** power)
 
 
 def sphere_volume(n: int) -> float:
@@ -963,11 +941,10 @@ class SobolevQuotient:
     """R = oint f (-Lap)^gt f / (S ||f||_p^2), p = 2n/(n - 2 gt), on one grid.
 
     What depends only on the grid and gt is built once: the symbol
-    |xi|^(2 gt) on the rfftn half spectrum, each entry weighted by the number
-    of modes it stands for (2 for a conjugate pair, 1 on the zero and Nyquist
-    columns of the last axis), the cell volume and the sharp constant.  A
-    field then costs one rfftn, and a field F + amp G costs none once F and G
-    are transformed.
+    |xi|^(2 gt) on the half spectrum of GridField.fft, times each entry's
+    pair weight, the cell volume and the sharp constant.  A field then costs
+    one GridField.fft, and a field F + amp G costs none once F and G are
+    transformed.
 
     smallxi_model = (a, b) activates the exact small-frequency repair for
     n = 2, gt = 1/2 fields with an a/|x| tail: their transform behaves like
@@ -980,31 +957,26 @@ class SobolevQuotient:
         n, shape, L = template.n, template.shape, template.box_length
         self.template, self.gt = template, gt
         self.p = 2.0 * n / (n - 2.0 * gt)
-        axes = template.xi_axes()
-        axes[-1] = 2.0 * np.pi * np.fft.rfftfreq(shape[-1]) * shape[-1] / L
-        self._xi2 = sum(a ** 2 for a in np.ix_(*axes))
-        self._weight = np.full(axes[-1].size, 2.0)
-        self._weight[[0, -1]] = 1.0
-        sym = self._xi2 ** gt
+        sym = template.xi_abs2() ** gt
         sym.flat[0] = 0.0
-        self._symbol = sym * self._weight * (L ** n / math.prod(shape) ** 2)
+        self._symbol = sym * template.pair_weights() * L ** n
         self.cell = float(np.prod([L / s for s in shape]))
         self.constant = sharp_sobolev_constant(n, gt)
         self._corrections = {}
 
     def modes(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values)
+        return self.template.like(values).fft()
 
     def bump(self, amp: float, center, width: float):
-        """amp exp(-|x - center|^2 / (2 width^2)) on the grid and its rfftn,
+        """amp exp(-|x - center|^2 / (2 width^2)) on the grid and its modes,
         each an outer product of 1-D factors: fft on the leading axes, rfft on
-        the last."""
+        the last, each over its size."""
         values = modes = np.full((), amp)
         for axis, (x, c) in enumerate(zip(self.template.axes(), center)):
             g = np.exp(-(x - c) ** 2 / (2 * width ** 2))
             values = np.multiply.outer(values, g)
             last = axis == self.template.n - 1
-            modes = np.multiply.outer(modes, np.fft.rfft(g) if last else np.fft.fft(g))
+            modes = np.multiply.outer(modes, (np.fft.rfft(g) if last else np.fft.fft(g)) / g.size)
         return values, modes
 
     def _smallxi_correction(self, a: float, b: float) -> float:
@@ -1014,21 +986,20 @@ class SobolevQuotient:
             cutoff = 2.0
             # continuum: (2 pi)^-2 int_(|xi|<cutoff) (2 pi a e^(-b xi)/xi)^2 xi dxi^2
             continuum = 2.0 * math.pi * a * a * (1.0 - math.exp(-2.0 * b * cutoff)) / (2.0 * b)
-            xiabs = np.sqrt(self._xi2)
+            xiabs = np.sqrt(self.template.xi_abs2())
             mask = (xiabs > 0) & (xiabs <= cutoff)
             xi = xiabs[mask]
-            lattice = float(np.sum(
-                np.broadcast_to(self._weight, xiabs.shape)[mask]
-                * (2.0 * math.pi * a * np.exp(-b * xi) / xi) ** 2 * xi
-            )) / self.template.box_length ** 2
+            lattice = float(np.sum(self.template.pair_weights()[mask]
+                                   * (2.0 * math.pi * a * np.exp(-b * xi) / xi) ** 2 * xi))
+            lattice /= self.template.box_length ** 2
             self._corrections[(a, b)] = continuum - lattice
         return self._corrections[(a, b)]
 
     def __call__(self, values: np.ndarray, modes: np.ndarray, tail_p: float = 0.0,
                  smallxi_model: tuple = None) -> float:
-        """R of the field with grid values `values` and rfftn `modes`; tail_p
-        is an analytic estimate of the |f|^p mass outside the box (the sampled
-        field is a windowed restriction of a decaying function)."""
+        """R of the field with grid values `values` and half spectrum `modes`;
+        tail_p is an analytic estimate of the |f|^p mass outside the box (the
+        sampled field is a windowed restriction of a decaying function)."""
         num = float(np.sum(np.abs(modes) ** 2 * self._symbol))
         if smallxi_model is not None:
             num += self._smallxi_correction(*smallxi_model)
@@ -1124,11 +1095,9 @@ def lebedev_milin_check(extremal_eps: float = 1.0, extremal_xi: float = 0.0,
     template = GridField(1, (8192,), 600.0, np.zeros(8192))
     x = template.axes()[0]
     f_vals = extremal(x) if f_values is None else np.asarray(f_values, dtype=float)
-    f = GridField(1, template.shape, template.box_length, f_vals)
-
-    modes = f.fft()
-    sym = np.sqrt(f.xi_abs2())
-    lhs = float(np.sum(np.abs(modes) ** 2 * sym)) * f.box_length
+    f = template.like(f_vals)
+    lhs = float(np.sum(f.pair_weights() * np.abs(f.fft()) ** 2 * np.sqrt(f.xi_abs2())))
+    lhs *= f.box_length
 
     # mu-side integrals on the half-angle circle parametrization (x = tan th),
     # spectrally accurate for the decaying integrands

@@ -1,10 +1,13 @@
 """Numerical realization of the extension problem on a periodic boundary grid.
 
-Everything works per Fourier mode.  For a boundary frequency xi != 0 the
-decaying solutions of the per-mode equation are spanned by the profiles
-t^gamma K_nu(t) at t = |xi| y, one for each scattering order nu attached to
-gamma.  Profiles are normalized through their exact Frobenius branch series
-(never by fitting), and boundary operators are read off the two-branch jets.
+Everything works per Fourier mode, on the rfftn half spectrum of the real
+boundary data (GridField.fft; sums over modes weigh each entry with
+GridField.pair_weights), so every +-xi pair is solved, evaluated and summed
+once.  For a boundary frequency xi != 0 the decaying solutions of the
+per-mode equation are spanned by the profiles t^gamma K_nu(t) at t = |xi| y,
+one for each scattering order nu attached to gamma.  Profiles are normalized
+through their exact Frobenius branch series (never by fitting), and boundary
+operators are read off the two-branch jets.
 The problem is homogeneous in t = |xi| y, so the Dirichlet system is one
 k x k matrix per order, built at |xi| = 1 and scaled to each mode by powers of
 |xi|.  The boundary jets of the solution stay per branch order, only the orders
@@ -99,12 +102,27 @@ class GridField:
         )
 
     def fft(self) -> np.ndarray:
-        """Coefficients c_xi with f(x) = sum c_xi exp(i xi . x)."""
-        return np.fft.fftn(self.values) / self.values.size
+        """Coefficients c_xi with f(x) = sum c_xi exp(i xi . x) on the rfftn
+        half spectrum (last axis xi >= 0; c_(-xi) = conj(c_xi) for a real
+        field).  They are the Hermitian part of np.fft.fftn, not rfftn, whose
+        roundoff at a resolved field's noise-floor modes differs, and which
+        |xi|^(2 gamma) multipliers raise to 1e-9 .. 1e-5 of the result; so a
+        multiplier applied here agrees with one applied by fftn and
+        np.real(ifftn) to 1e-15."""
+        full = self.values.astype(complex)
+        np.fft.fftn(full, out=full)
+        half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+        out = full[np.ix_(*(-np.arange(m) % s for m, s in zip(half, self.shape)))]
+        np.conj(out, out=out)
+        out += full[..., :half[-1]]
+        out *= 0.5 / self.values.size   # a power of two: exact
+        return out
 
     def xi_axes(self):
+        """The frequencies along each axis of the half spectrum."""
         L = self.box_length
-        return [2.0 * np.pi * np.fft.fftfreq(s) * s / L for s in self.shape]
+        freqs = [np.fft.fftfreq(s) for s in self.shape[:-1]] + [np.fft.rfftfreq(self.shape[-1])]
+        return [2.0 * np.pi * f * s / L for f, s in zip(freqs, self.shape)]
 
     def xi_abs2(self) -> np.ndarray:
         return sum(k ** 2 for k in np.ix_(*self.xi_axes()))
@@ -112,10 +130,29 @@ class GridField:
     def xi_nyquist(self) -> float:
         return min(np.pi * s / self.box_length for s in self.shape)
 
+    def pair_weights(self) -> np.ndarray:
+        """Each half-spectrum entry's weight in a sum over all modes of a real
+        field: 2 off the zero and Nyquist planes of the last axis, where -xi
+        is not stored.  On them a conjugate pair weighs 2 at its lower flat
+        index and 0 at the other, and a self-conjugate entry 1."""
+        lead = self.shape[:-1]
+        idx = np.arange(math.prod(lead)).reshape(lead)
+        plane = 1.0 + np.sign(idx[np.ix_(*(-np.arange(s) % s for s in lead))] - idx)
+        weights = np.full(lead + (self.shape[-1] // 2 + 1,), 2.0)
+        weights[..., [0, -1]] = plane[..., None]   # one plane when the last axis has 1 point
+        return weights
+
+    def like(self, values) -> "GridField":
+        """A field with the given values on this grid."""
+        return GridField(self.n, self.shape, self.box_length, values)
+
     @classmethod
     def from_modes(cls, template: "GridField", modes: np.ndarray) -> "GridField":
-        values = np.fft.ifftn(modes) * modes.size
-        return cls(template.n, template.shape, template.box_length, np.real(values))
+        """The real field on template's grid with half-spectrum coefficients
+        modes, as fft returns them."""
+        values = np.fft.irfftn(modes, s=template.shape, axes=range(template.n))
+        return cls(template.n, template.shape, template.box_length,
+                   values * template.values.size)
 
     # -- on-disk format: little-endian f64 + JSON sidecar --------------------
 
@@ -167,22 +204,21 @@ class GridField:
 
 def gaussian_field(n: int, shape, box_length: float, width: float = 1.0) -> GridField:
     f = GridField(n, tuple(shape), box_length, np.zeros(shape))
-    f.values = np.exp(-f.dist2((0.0,) * n) / (2.0 * width ** 2))
-    return f
+    return f.like(np.exp(-f.dist2((0.0,) * n) / (2.0 * width ** 2)))
 
 
 def fractional_laplacian_fft(f: GridField, power: float) -> GridField:
     """Spectral fractional Laplacian: multiply modes by |xi|^(2 power)."""
     if power <= 0:
         raise ValueError("fractional_laplacian_fft requires power > 0")
-    modes = f.fft()
     with np.errstate(over="ignore", invalid="ignore"):
         sym = f.xi_abs2() ** power
         sym.flat[0] = 0.0
-        out = np.real(np.fft.ifftn(modes * sym) * f.values.size)
-    if not (np.all(np.isfinite(sym)) and np.all(np.isfinite(out))):
-        raise OverflowError("the multiplier |xi|^(2 power) or the result overflows float64")
-    return GridField(f.n, f.shape, f.box_length, out)
+        try:
+            return GridField.from_modes(f, f.fft() * sym)
+        except GridError:
+            raise OverflowError("the multiplier |xi|^(2 power) or the result overflows "
+                                "float64") from None
 
 
 # ---------------------------------------------------------------------------
@@ -573,58 +609,58 @@ class ExtensionSolution:
         # tangential symbol at zero the conditions diagonalize on monomials
         self.zero_even = np.zeros(self.params.n_even_data, dtype=complex)
         self.zero_odd = np.zeros(self.params.n_odd_data, dtype=complex)
-        zero_idx = np.where(self.xi2.reshape(-1) == 0.0)[0]
-        if zero_idx.size:
-            i0 = zero_idx[0]
-            for row, (family, j) in enumerate(self.conds):
-                val = self.data_hat[row].reshape(-1)[i0]
-                if family == "even":
-                    self.zero_even[j] = val / ((-1.0) ** j * _t_chain_even(fr, j))
-                else:
-                    self.zero_odd[j] = val / ((-1.0) ** (j + 1) * _t_chain_odd(fr, j))
+        for row, (family, j) in enumerate(self.conds):
+            val = self.data_hat[row].flat[0]   # flat index 0 is xi = 0
+            if family == "even":
+                self.zero_even[j] = val / ((-1.0) ** j * _t_chain_even(fr, j))
+            else:
+                self.zero_odd[j] = val / ((-1.0) ** (j + 1) * _t_chain_odd(fr, j))
 
-    def _flat_xi(self):
-        """Flat |xi| with the zero mode set to 1 (a placeholder: the zero
-        mode is handled separately), and the zero-mode mask."""
-        flat_xi = self.xi_abs.reshape(-1).copy()
+    def _flat_xi(self, modes=slice(None)):
+        """Flat |xi| on the modes (an index array or a slice) with the zero
+        mode set to 1 (a placeholder: the zero mode is handled separately),
+        and the zero-mode mask."""
+        flat_xi = self.xi_abs.reshape(-1)[modes].copy()
         zero = flat_xi == 0.0
         flat_xi[zero] = 1.0
         return flat_xi, zero
 
-    def _jet_order(self, branch: str, tau: int, xi_abs, xi2, zero) -> np.ndarray:
-        """Order tau of the solution's y-jet in branch 'a' (y^(2 tau)) or 'b'
-        (y^(2{g} + 2 tau)) over the flat modes: each profile's coefficient
-        times its one series term at the true |xi|, and the zero mode from the
-        polynomial data."""
-        out = np.zeros(xi_abs.size, dtype=complex)
-        for col, prof in enumerate(self.profiles):
-            term = prof.jet_term(branch, tau, xi_abs, xi2)
-            if term is not None:
-                out += self.coeffs[:, col] * term
-        if np.any(zero):
-            zero_vals = self.zero_even if branch == "a" else self.zero_odd
-            out[zero] = zero_vals[tau] if tau < zero_vals.size else 0.0
-        return out
-
-    def solution_jets(self) -> NumericJets:
-        """Jets of the assembled solution over all modes (zero mode included)."""
-        xi_abs, zero = self._flat_xi()
+    def _jet_order(self, branch: str, modes=slice(None)):
+        """The function tau -> order tau of the solution's y-jet in branch 'a'
+        (y^(2 tau)) or 'b' (y^(2{g} + 2 tau)) over the flat modes (an index
+        array or a slice): each profile's coefficient times its one series
+        term at the true |xi|, and the zero mode from the polynomial data."""
+        xi_abs, zero = self._flat_xi(modes)
         xi2 = xi_abs * xi_abs
-        shape = self.xi2.shape
-        a, b = ([self._jet_order(branch, q, xi_abs, xi2, zero).reshape(shape)
-                 for q in range(self.params.floor_gamma + 1)] for branch in "ab")
-        return NumericJets(self.params.floor_gamma, float(self.params.frac_gamma), a, b)
+        coeffs = self.coeffs[modes]
+        zero_vals = self.zero_even if branch == "a" else self.zero_odd
+
+        def order(tau):
+            out = np.zeros(xi_abs.size, dtype=complex)
+            for col, prof in enumerate(self.profiles):
+                term = prof.jet_term(branch, tau, xi_abs, xi2)
+                if term is not None:
+                    out += coeffs[:, col] * term
+            out[zero] = zero_vals[tau] if tau < zero_vals.size else 0.0
+            return out
+
+        return order
+
+    def solution_jets(self, modes=slice(None)) -> NumericJets:
+        """Jets of the assembled solution over the flat modes, all of them
+        (zero mode included) by default."""
+        fl = self.params.floor_gamma
+        a, b = ([order(q) for q in range(fl + 1)]
+                for order in (self._jet_order(branch, modes) for branch in "ab"))
+        return NumericJets(fl, float(self.params.frac_gamma), a, b)
 
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
         """B[family, j] of the solution over all modes.  The operator reads
         branch a (even) or b (odd) up to order j only; each order is built at
         the true |xi| and added into the output before the next is built."""
-        xi_abs, zero = self._flat_xi()
-        xi2 = xi_abs * xi_abs
-        branch = "a" if family == "even" else "b"
         out = _apply_symbol(self.params.floor_gamma, float(self.params.frac_gamma),
                             family, j, self.xi2.reshape(-1),
-                            lambda tau: self._jet_order(branch, tau, xi_abs, xi2, zero))
+                            self._jet_order("a" if family == "even" else "b"))
         return out.reshape(self.xi2.shape)
 
     def boundary_value(self, family: str, j: int) -> GridField:
@@ -632,21 +668,14 @@ class ExtensionSolution:
 
     def evaluate(self, y: float) -> GridField:
         """The solution restricted to height y, as a boundary grid field."""
-        flat_xi = self.xi_abs.reshape(-1)
+        flat_xi, zero = self._flat_xi()
         out = np.zeros(flat_xi.size, dtype=complex)
         for col, prof in enumerate(self.profiles):
-            t = flat_xi * y
-            vals = prof.eval(t)
-            scale = np.ones_like(flat_xi)
-            nz = flat_xi > 0
-            scale[nz] = flat_xi[nz] ** (-float(prof.lead_exponent))
-            out += self.coeffs[:, col] * vals * scale
-        zero = flat_xi == 0.0
-        if np.any(zero):
-            fr = float(self.params.frac_gamma)
-            val = sum(self.zero_even[q] * y ** (2 * q) for q in range(self.zero_even.size))
-            val += sum(self.zero_odd[q] * y ** (2 * fr + 2 * q) for q in range(self.zero_odd.size))
-            out[zero] = val
+            scale = flat_xi ** -float(prof.lead_exponent)
+            out += self.coeffs[:, col] * prof.eval(flat_xi * y) * scale
+        fr = float(self.params.frac_gamma)
+        out[zero] = sum(self.zero_even[q] * y ** (2 * q) for q in range(self.zero_even.size))
+        out[zero] += sum(self.zero_odd[q] * y ** (2 * fr + 2 * q) for q in range(self.zero_odd.size))
         return GridField.from_modes(self.template, out.reshape(self.xi2.shape))
 
 
@@ -746,18 +775,19 @@ def yang_extension_check(params: GammaParams, f: GridField,
     fl, fr = params.floor_gamma, float(params.frac_gamma)
     g = float(params.gamma)
     conds = dirichlet_condition_list(params)
-    zero = GridField(f.n, f.shape, f.box_length, np.zeros(f.shape))
+    zero = f.like(np.zeros(f.shape))
     data = [f if (fam, j) == ("even", 0) else zero for (fam, j) in conds]
     sol = solve_extension(params, data)
-    mask = sol.resolved_mask()
-    f_hat = sol.data_hat[0]
+    mask = sol.resolved_mask().reshape(-1)
+    xi2 = sol.xi2.reshape(-1)
+    f_hat = sol.data_hat[0].reshape(-1)
     scale = np.abs(f_hat).max() + 1e-300
 
     # both traces of each weighted Laplacian power, one power held at a time
     jets, traces = sol.solution_jets(), []
     for _ in range(fl + 1):
         traces.append((jets.restrict(), jets.restrict_weighted_neumann()))
-        jets = jets.weighted_laplacian(sol.xi2)
+        jets = jets.weighted_laplacian(xi2)
 
     def _masked_max(arr):
         vals = np.abs(arr)[mask]
@@ -768,7 +798,7 @@ def yang_extension_check(params: GammaParams, f: GridField,
         got = traces[j][0]
         const = (math.factorial(fl) / math.factorial(fl - j)) * _poch_f(g - j, j) ** -1
         # Gamma(g-j)/Gamma(g) = 1/poch(g-j, j)
-        want = const * (-sol.xi2) ** j * f_hat
+        want = const * (-xi2) ** j * f_hat
         err = _masked_max(got - want) / scale
         report.record(err <= tol_trace, err, f"interior trace at power {j}: rel err {err:.3e}")
     # weighted Neumann traces vanish below the top order
@@ -788,7 +818,7 @@ def yang_extension_check(params: GammaParams, f: GridField,
     )
     lhs_modes = traces[fl][1] / yang
     frac = fractional_laplacian_fft(f, g)
-    want_modes = frac.fft()
+    want_modes = frac.fft().reshape(-1)
     scale2 = _masked_max(want_modes) + 1e-300
     err = _masked_max(lhs_modes - want_modes) / scale2
     report.record(err <= tol_cs, err, f"fractional Laplacian via weighted Neumann: rel err {err:.3e}")

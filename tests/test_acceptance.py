@@ -15,6 +15,7 @@ import pytest
 from fractrace import energy as en
 from fractrace import gammacore as gc
 from fractrace import jets, modes, polys
+from test_energy import plancherel_energy
 
 warnings.simplefilter("ignore")
 
@@ -111,13 +112,12 @@ def test_criterion_4_classical_case():
     dtn = modes.dtn_apply(sol, 1)
     oracle = modes.fractional_laplacian_fft(f, 0.5)
     mask = sol.resolved_mask()
-    dm = np.fft.fftn(dtn.values) / dtn.values.size
-    om = np.fft.fftn(oracle.values) / oracle.values.size
+    dm = dtn.fft()
+    om = oracle.fft()
     rel_dtn = np.abs(dm - om)[mask].max() / np.abs(om)[mask].max()
 
     view = en.extension_field_view(sol)
-    modes_hat = f.fft()
-    plancherel = float(np.sum(np.abs(modes_hat) ** 2 * np.sqrt(f.xi_abs2()))) * f.box_length
+    plancherel = plancherel_energy(f, 0.5)
     rel_energy = abs(en.interior_energy(view, view) - plancherel) / plancherel
     ok = rel_dtn <= 1e-6 and rel_energy <= 1e-6
     _line(4, ok, f"classical case: DtN vs FFT symbol {rel_dtn:.2e} (<= 1e-6), "

@@ -46,10 +46,17 @@ from fractrace.energy import (
 from test_modes import _summed_profile_jets
 
 
+def full_spectrum(f: GridField):
+    """c_xi on every mode of the grid by plain np.fft.fftn, and |xi|^2 there:
+    the full-spectrum reference for the half-spectrum sums."""
+    axes = [2.0 * np.pi * np.fft.fftfreq(s) * s / f.box_length for s in f.shape]
+    return np.fft.fftn(f.values) / f.values.size, sum(k ** 2 for k in np.ix_(*axes))
+
+
 def plancherel_energy(f: GridField, power: float) -> float:
     """oint f (-Lap)^power f via the Fourier symbol (the classical oracle)."""
-    modes = f.fft()
-    sym = f.xi_abs2() ** power
+    modes, xi2 = full_spectrum(f)
+    sym = xi2 ** power
     sym.flat[0] = 0.0
     return float(np.sum(np.abs(modes) ** 2 * sym)) * f.box_length ** f.n
 
@@ -255,26 +262,66 @@ def test_energy_trace_weighted_sums():
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (64,), (1, 1), (2, 8), (16, 16), (32, 4),
                                    (4, 2, 8)])
-def test_canonical_modes_hold_one_of_each_conjugate_pair(shape):
-    """Each +-xi pair is summed once: one flat index of every pair, with
-    multiplicity 1 on a self-conjugate mode and 2 elsewhere, 0 on the other
-    index of a pair, so the multiplicities add up to the grid size.  In 1-D
-    the set is 0..N/2 with multiplicity 2 strictly inside."""
-    template = GridField(len(shape), shape, 10.0, np.zeros(shape))
-    mult = en.canonical_modes(template)
-    idx = np.arange(template.values.size).reshape(shape)
-    conj = {int(i): int(idx[tuple(-np.array(np.unravel_index(i, shape)) % shape)])
-            for i in idx.reshape(-1)}
-    pairs = {frozenset((i, conj[i])) for i in conj}
-    assert sorted(min(pair) for pair in pairs) == np.flatnonzero(mult).tolist()
-    assert all(mult[i] == (1.0 if conj[i] == i else 2.0) for i in np.flatnonzero(mult))
-    assert mult.shape == (template.values.size,) and mult.sum() == template.values.size
-    if len(shape) == 1:
-        half = shape[0] // 2
-        want = np.zeros(shape[0])
-        want[1:half] = 2.0
-        want[[0, half]] = 1.0
-        assert np.array_equal(mult, want)
+def test_pair_weights_count_each_conjugate_pair_once(shape):
+    """On the rfftn half spectrum an entry whose -xi is not stored weighs 2.
+    Of a pair stored twice (on the zero and Nyquist planes of the last axis)
+    the lower flat index weighs 2 and the other 0, and a self-conjugate entry
+    weighs 1, so the weights add up to the grid size.  from_modes inverts
+    fft, and the weighted sum of |c|^2 is the mean of f^2 (Plancherel), which
+    weight 2 on every plane entry breaks."""
+    n = len(shape)
+    f = GridField(n, shape, 10.0, np.random.default_rng(0).normal(size=shape))
+    c, w = f.fft(), f.pair_weights()
+    assert w.shape == c.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+    index = {k: i for i, k in enumerate(np.ndindex(c.shape))}
+    for k, i in index.items():
+        j = index.get(tuple(-np.array(k) % shape))   # None where -xi is not stored
+        if j is None:
+            assert w.flat[i] == 2.0
+        elif j == i:
+            assert w.flat[i] == 1.0
+        else:
+            assert (w.flat[i], w.flat[j]) == ((2.0, 0.0) if i < j else (0.0, 2.0))
+    assert w.sum() == f.values.size
+    back = GridField.from_modes(f, c).values
+    assert np.abs(back - f.values).max() <= 1e-14 * np.abs(f.values).max()
+    mean_square = np.mean(f.values ** 2)
+    assert abs(np.sum(w * np.abs(c) ** 2) - mean_square) <= 1e-14 * mean_square
+    planes_doubled = w.copy()
+    planes_doubled[..., [0, -1]] = 2.0
+    assert abs(np.sum(planes_doubled * np.abs(c) ** 2) - mean_square) > 1e-3 * mean_square
+
+
+def _planes_doubled(pair_weights):
+    def weights(self):
+        w = pair_weights(self)
+        w[..., [0, -1]] = 2.0
+        return w
+    return weights
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (8, 2), (8, 8, 8), (4, 8, 2)])
+@pytest.mark.parametrize("doubled", [False, True], ids=["pair-weights", "planes-doubled"])
+def test_half_spectrum_sums_match_full_fftn(shape, doubled, monkeypatch):
+    """dtn_rhs and the SobolevQuotient numerator, summed on the half
+    spectrum with the pair weights, against the same sums over every mode of
+    plain np.fft.fftn, for random real fields at n = 2 and 3.  Weight 2 on
+    every entry of the zero and Nyquist planes of the last axis breaks both;
+    with a last axis of 2 points every entry is on a plane."""
+    if doubled:
+        monkeypatch.setattr(GridField, "pair_weights", _planes_doubled(GridField.pair_weights))
+    n = len(shape)
+    p = GammaParams(F(3, 2), n=n)
+    rng = np.random.default_rng(7)
+    f, phi = (GridField(n, shape, 10.0, rng.normal(size=shape)) for _ in range(2))
+    c0 = en.dtn_constant_even(p, 0).value(p.frac_gamma)
+    d0 = en.dtn_constant_odd(p, 0).value(p.frac_gamma)
+    quotient = SobolevQuotient(f, 0.5)
+    pairs = [(dtn_rhs(solve_extension(p, [f, phi])),
+              c0 * plancherel_energy(f, 1.5) + d0 * plancherel_energy(phi, 0.5)),
+             (quotient(f.values, quotient.modes(f.values)), full_fft_quotient(f, 0.5, 0.0, None))]
+    for got, want in pairs:
+        assert (abs(got - want) <= 1e-13 * abs(want)) != doubled, (got, want)
 
 
 @pytest.mark.parametrize("gamma", [F(1, 3), F(4, 5), F(3, 2), F(7, 3), F(5, 2), F(7, 2), F(9, 2)])
@@ -412,6 +459,19 @@ def test_gram_route_matches_per_mode_quadrature(gamma):
     assert abs(q_form(u, u) - want) <= 1e-12 * abs(want)
     assert abs(_ul_pair(u, u)) <= 1e-14
     assert abs(_ul_pair(u, u) - _ul_pair(ref, ref)) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("gamma", [F(1, 3), F(5, 2), F(9, 2)])
+def test_view_boundary_values_are_the_solvers(gamma, n):
+    """The solution view's boundary values on its modes are the solver's
+    B[family, j] there, at every Dirichlet and Neumann slot."""
+    p = GammaParams(gamma, n=n)
+    sol = solve_extension(p, _gaussian_data(p, 128 if n == 1 else 32, box=24.0, n=n))
+    u = extension_field_view(sol)
+    for family, j in dirichlet_condition_list(p) + neumann_condition_list(p):
+        want = sol.boundary_value_modes(family, j).reshape(-1)[u.modes]
+        assert np.abs(u.boundary_modes(family, j) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
@@ -621,7 +681,7 @@ def full_fft_quotient(f: GridField, gt: float, tail_p: float, smallxi_model) -> 
     if smallxi_model is not None:
         a, b = smallxi_model
         continuum = 2.0 * math.pi * a * a * (1.0 - math.exp(-4.0 * b)) / (2.0 * b)
-        xiabs = np.sqrt(f.xi_abs2())
+        xiabs = np.sqrt(full_spectrum(f)[1])
         xi = xiabs[(xiabs > 0) & (xiabs <= 2.0)]
         num += continuum - float(np.sum(
             (2.0 * math.pi * a * np.exp(-b * xi) / xi) ** 2 * xi)) / f.box_length ** n
