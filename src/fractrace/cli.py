@@ -258,12 +258,19 @@ def cmd_verify(args) -> int:
     def submit(fn, *a):
         jobs.append((fn, a))
 
+    def numeric_checks(*a):   # errstate set in the job's thread, which does not inherit it
+        try:
+            with np.errstate(over="raise"):
+                return _numeric_checks(*a)
+        except (OverflowError, FloatingPointError) as exc:
+            raise ConfigError(f"--box {args.box!r} overflows the numeric checks: {exc}") from None
+
     if args.only in (None, "identities"):
         for g in gammas:
             submit(_exact_checks, g, args.n, args.seed)
     if args.only in (None, "numeric"):
         for g in gammas:
-            submit(_numeric_checks, g, args.n, args.grid, args.box, args.seed, args.full, tols)
+            submit(numeric_checks, g, args.n, args.grid, args.box, args.seed, args.full, tols)
         submit(lambda: [en.sharp_sobolev_check(2, gt=0.5, seed=args.seed,
                                                tol=tols["sharp_sobolev"])])
         submit(lambda: [en.lebedev_milin_check(extremal_eps=4.0,

@@ -6,8 +6,8 @@ integral is quadrature.  The modes are the entries of the rfftn half
 spectrum with a nonzero GridField.pair_weights, one per +-xi pair, each
 summed with its pair weight.  Per-mode profiles are polynomial-times-Gaussian
 series (synthetic test fields) or Bessel-type (extension solutions): a
-lam = 0 series plus Bessel chains, which reuses the series algebra and adds
-only the chains.  Both expose exact symbolic application of the weighted mode
+lam = 0 series plus a Bessel chain, which reuses the series algebra and adds
+only the chain.  Both expose exact symbolic application of the weighted mode
 Laplacian T - |xi|^2, branch-split evaluation for small y and direct
 evaluation elsewhere.  Boundary values are read off two-branch jets,
 vectorized over modes, which each view takes from where its field is
@@ -22,7 +22,7 @@ k x k Gram matrix per order, computed once at |xi| = 1, times a power of |xi|.
 Per-mode quadrature remains for cross terms with synthetic fields.  There the
 solution's atoms of (T - |xi|^2)^j U are rescaled copies of (T_t - 1)^j P_i,
 which the exact rational chain algebra builds once per view: the y^p series
-coefficient gains s_i |xi|^(p + 2j), each Bessel chain prefactor
+coefficient gains s_i |xi|^(p + 2j), the Bessel chain prefactor
 s_i |xi|^(2j).  The zero mode, where every contribution is exactly zero, is
 left out (see extension_field_view).
 
@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .besselk import bessel_k, bessel_k_dt
+from .besselk import bessel_k
 from .gammacore import GammaParams, symmetry_constant, dtn_constant_even, dtn_constant_odd
 from .modes import (
     GridField,
@@ -166,29 +167,31 @@ class PolyGaussModeFn:
 
 class BesselModeFn(PolyGaussModeFn):
     """Per-mode function: a lam = 0 series (valid t = xi y < switchover) plus
-    Bessel-kernel chains for larger y.  The series half is the inherited
-    PolyGaussModeFn algebra; this class adds only the chains.
+    one Bessel-kernel chain for larger y.  The series half is the inherited
+    PolyGaussModeFn algebra; this class adds only the chain.
 
     terms: {P: complex coeff}, meaning coeff y^(P/D), already in the y variable.
-    chains: list of (nu: Fraction, prefactor: complex,
-                     {(A, d in {0,1}): Fraction coeff})
-    meaning prefactor * sum coeff (xi y)^(A/D) K_nu^(d)(xi y).  Exponents are
+    chain: None once it has cancelled, else (nu: Fraction, prefactor: complex,
+                                              {(A, d in {0,1}): Fraction coeff})
+    meaning prefactor * sum coeff (xi y)^(A/D) K_(nu-d)(xi y).  Exponents are
     keyed by integer numerators over the exponent denominator D; the
     constructor takes them as rationals.  Chain coefficients stay exact
     rationals so that kernel membership cancels exactly under repeated
     operator application (float coefficients would leave residue amplified
-    by nu^2-sized factors at every step).
+    by nu-sized factors at every step).
     """
 
-    def __init__(self, xi: float, m: Fraction, terms: dict, chains: list):
-        D = _key_denominator([*terms, *(a for _, _, ch in chains for a, _ in ch)])
+    def __init__(self, xi: float, m: Fraction, terms: dict, chain: tuple):
+        nu, pre, ch = chain
+        D = _key_denominator([*terms, *(a for a, _ in ch)])
         self._set(xi, Fraction(m), 0.0, D, {_numerator(p, D): c for p, c in terms.items()},
-                  chains=[(nu, pre, {(_numerator(a, D), d): c for (a, d), c in ch.items()})
-                          for nu, pre, ch in chains])
+                  chain=(nu, pre, {(_numerator(a, D), d): c for (a, d), c in ch.items()}))
 
-    def _set(self, xi, m, lam, D, terms, chains=()):
+    def _set(self, xi, m, lam, D, terms, chain=None):
         super()._set(xi, m, lam, D, terms)
-        self.chains = [(nu, pre, ch) for nu, pre, ch in chains if ch and pre != 0]
+        nu, pre, ch = chain or (None, 0, {})
+        ch = {key: c for key, c in ch.items() if c != 0}
+        self.chain = (nu, pre, ch) if ch and pre != 0 else None
 
     @property
     def series_limit(self) -> float:
@@ -198,76 +201,64 @@ class BesselModeFn(PolyGaussModeFn):
     def outer_limit(self) -> float:
         return T_MAX / self.xi
 
-    def _chain_ddt(self, terms: dict, nu2: Fraction) -> dict:
-        """One t derivative on a Bessel chain, closed on K and K' through the
-        second-derivative reduction K'' = (1 + nu^2/t^2) K - K'/t."""
+    def _derived(self, terms: dict, xi: float, scale, chain_op) -> "BesselModeFn":
+        """These series terms at xi, with the chain's prefactor times scale and
+        its terms mapped by chain_op(nu, terms)."""
+        if self.chain is None:
+            return self._new(terms, xi)
+        nu, pre, ch = self.chain
+        return self._new(terms, xi, chain=(nu, pre * scale, chain_op(nu, ch)))
+
+    def _chain_ddt(self, nu: Fraction, terms: dict) -> dict:
+        """One t derivative on a chain by DLMF 10.29.2:
+        (t^A K_nu)' = (A - nu) t^(A-1) K_nu - t^A K_(nu-1) and
+        (t^A K_(nu-1))' = (A + nu - 1) t^(A-1) K_(nu-1) - t^A K_nu."""
         D = self.D
-        out = {}
-
-        def add(key, val):
-            acc = out.get(key, 0) + val
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-
+        p, q = nu.numerator, nu.denominator
+        out = Counter()
         for (a, d), c in terms.items():
-            if d == 0:
-                add((a - D, 0), Fraction(c.numerator * a, c.denominator * D))
-                add((a, 1), c)
-            else:
-                add((a - D, 1), Fraction(c.numerator * (a - D), c.denominator * D))
-                add((a, 0), c)
-                add((a - 2 * D, 0), c * nu2)
+            shift = a * q - p * D if d == 0 else a * q + (p - q) * D   # the shift times D q
+            out[a - D, d] += Fraction(c.numerator * shift, c.denominator * D * q)
+            out[a, 1 - d] -= c
+        return out
+
+    def _chain_laplacian(self, nu: Fraction, terms: dict) -> dict:
+        """T_t - 1 = d^2/dt^2 + (m/t) d/dt - 1 on a chain."""
+        d1 = self._chain_ddt(nu, terms)
+        out = self._chain_ddt(nu, d1)
+        for (a, d), c in d1.items():
+            out[a - self.D, d] += self.m * c
+        for key, c in terms.items():
+            out[key] -= c
         return out
 
     def weighted_laplacian(self) -> "BesselModeFn":
         """T_y - xi^2: equals xi^2 (T_t - 1) on functions of t = xi y."""
-        xi2 = self.xi * self.xi
-        D = self.D
-        chains = []
-        for nu, pre, terms in self.chains:
-            nu2 = nu * nu
-            d1 = self._chain_ddt(terms, nu2)
-            out = self._chain_ddt(d1, nu2)
-
-            def acc(key, val):
-                cur = out.get(key, 0) + val
-                if cur == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
-
-            for (a, d), c in d1.items():  # + (m/t) d/dt
-                acc((a - D, d), self.m * c)
-            for (a, d), c in terms.items():  # - identity
-                acc((a, d), -c)
-            chains.append((nu, pre * xi2, out))
-        return self._new(super().weighted_laplacian().terms, chains=chains)
+        return self._derived(super().weighted_laplacian().terms, self.xi, self.xi * self.xi,
+                             self._chain_laplacian)
 
     def d_dy(self) -> "BesselModeFn":
-        chains = [(nu, pre * self.xi, self._chain_ddt(terms, nu * nu))
-                  for nu, pre, terms in self.chains]
-        return self._new(super().d_dy().terms, chains=chains)
+        return self._derived(super().d_dy().terms, self.xi, self.xi, self._chain_ddt)
 
     def rescaled(self, xi: float, s: complex, j: int) -> "BesselModeFn":
         """s |xi|^(2j) F(|xi| y) for this function F of t at |xi| = 1.
 
         With F = (T_t - 1)^j P this is (T_y - |xi|^2)^j applied to s P(|xi| y):
-        the series coefficient of y^p gains s |xi|^(p + 2j), each chain
+        the series coefficient of y^p gains s |xi|^(p + 2j), the chain
         prefactor s |xi|^(2j), and the chain terms are unchanged."""
         D = self.D
         terms = {p: c * (s * xi ** (p / D + 2 * j)) for p, c in self.terms.items()}
-        scale = s * xi ** (2 * j)
-        return self._new(terms, xi, chains=[(nu, pre * scale, ch) for nu, pre, ch in self.chains])
+        return self._derived(terms, xi, s * xi ** (2 * j), lambda nu, ch: ch)
 
     def eval_outer(self, y: np.ndarray) -> np.ndarray:
-        t = self.xi * y
         out = np.zeros(y.shape, dtype=complex)
-        for nu, pre, terms in self.chains:
-            k0, k1 = bessel_k(float(nu), t), bessel_k_dt(float(nu), t)
-            for (a, d), c in terms.items():
-                out += pre * float(c) * t ** (a / self.D) * (k0 if d == 0 else k1)
+        if self.chain is None:
+            return out
+        t = self.xi * y
+        nu, pre, terms = self.chain
+        kernels = bessel_k(float(nu), t), bessel_k(float(nu - 1), t)
+        for (a, d), c in terms.items():
+            out += pre * float(c) * t ** (a / self.D) * kernels[d]
         return out
 
 
@@ -527,8 +518,8 @@ def _profile_atom(prof: ModeProfile, xi: float, c) -> BesselModeFn:
             2 * prof.nu + 2 * i
         )
     chain_coeff = c / (prof.bessel_norm * xi ** float(prof.lead_exponent))
-    chains = [(prof.nu, chain_coeff, {(prof.params.gamma, 0): Fraction(1)})]
-    return BesselModeFn(xi, prof.params.m, series, chains)
+    return BesselModeFn(xi, prof.params.m, series,
+                        (prof.nu, chain_coeff, {(prof.params.gamma, 0): Fraction(1)}))
 
 
 class SolutionFieldView(ModeFieldView):
@@ -619,10 +610,12 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
 
 def _band_limited(template: GridField, rng, scale: float = 1.0) -> np.ndarray:
     """Seeded real field on the five lowest nonzero modes of the full
-    spectrum (fewer on grids that have fewer), with peak magnitude scale."""
+    spectrum (fewer on grids that have fewer), with peak magnitude scale.
+    Ties in |xi| go to the lower flat index: the sort is stable, so the
+    choice does not depend on which SIMD path numpy dispatches to."""
     axes = [2.0 * np.pi * np.fft.fftfreq(s) * s / template.box_length for s in template.shape]
     flat = np.zeros(template.values.size, dtype=complex)
-    order = np.argsort(sum(k ** 2 for k in np.ix_(*axes)).reshape(-1))[1:6]
+    order = np.argsort(sum(k ** 2 for k in np.ix_(*axes)).reshape(-1), kind="stable")[1:6]
     flat[order] = rng.normal(size=order.size) + 1j * rng.normal(size=order.size)
     vals = np.real(np.fft.ifftn(flat.reshape(template.shape)) * flat.size)
     return scale * vals / (np.abs(vals).max() + 1e-300)

@@ -155,7 +155,7 @@ def tiny_field(tmp_path_factory):
 
 FLAG = {"dtn": "--alpha2", "fraclap": "--power", "sharpness": "--gamma-tilde",
         "sharpness-eps": "--eps", "sharpness-grid": "--grid", "sharpness-box": "--box",
-        "sharpness-seed": "--seed", "extend-height": "--height"}
+        "sharpness-seed": "--seed", "extend-height": "--height", "verify-box": "--box"}
 
 
 def _malformed_argv(command, value, n, field, out):
@@ -175,6 +175,9 @@ def _malformed_argv(command, value, n, field, out):
         return ["sharpness", f"--seed={value}", "--n", str(n), "--grid", "8", "--out", out]
     if command == "sharpness-box":
         return ["sharpness", f"--box={value}", "--n", str(n), "--grid", "8", "--out", out]
+    if command == "verify-box":
+        return ["verify", "--gamma", "1/2", "--only", "numeric", "--grid", "8",
+                f"--box={value}", "--out", out]
     return ["sharpness", f"--gamma-tilde={value}", "--n", str(n), "--grid", "8", "--out", out]
 
 
@@ -195,6 +198,7 @@ def _one_line_error(argv, capsys, flag):
     ("extend-height", "inf", 2), ("fraclap", "2000", 2), ("sharpness-box", "0", 2),
     ("sharpness-box", "-5", 2), ("sharpness-box", "nan", 2), ("sharpness-box", "inf", 2),
     ("sharpness-box", "1e300", 2), ("sharpness-box", "10", 2), ("sharpness-seed", "-1", 2),
+    ("verify-box", "1e-300", 1), ("verify-box", "1e300", 1),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
@@ -202,10 +206,10 @@ def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path,
 
 
 @given(command=st.sampled_from(["dtn", "fraclap", "sharpness", "sharpness-eps",
-                                "sharpness-box", "extend-height"]),
+                                "sharpness-box", "extend-height", "verify-box"]),
        value=st.one_of(
            st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "", " ",
-                            "1/2", "1", "2", "3", "7", "abc", "3/2/1"]),
+                            "1/2", "1", "2", "3", "7", "abc", "3/2/1", "1e300", "1e-300"]),
            st.fractions(min_value=-10, max_value=10, max_denominator=8).map(str),
            st.floats().map(repr),
            st.text(max_size=6)),

@@ -1,6 +1,9 @@
 """Energies, quadratic forms, and the sharp-inequality bench."""
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,6 +17,7 @@ from fractrace.modes import (
     T_SERIES,
     GridField,
     NumericJets,
+    all_profiles,
     dirichlet_condition_list,
     gaussian_field,
     neumann_condition_list,
@@ -43,6 +47,7 @@ from fractrace.energy import (
     _pair_integral,
     _ul_pair,
 )
+from test_cli import _child_env
 from test_modes import _summed_profile_jets
 
 
@@ -360,6 +365,45 @@ def test_q_symmetry_pure_branch_pair():
     assert rep.passed, rep.details
 
 
+_SEEDED_FIELDS = """
+import json
+from fractions import Fraction
+import numpy as np
+from fractrace import energy as en
+from fractrace.gammacore import GammaParams
+from fractrace.modes import GridField
+out = []
+for n, grid in ((1, 128), (2, 32), (3, 16)):
+    p = GammaParams(Fraction(15, 2), n=n)
+    template = GridField(n, (grid,) * n, 60.0, np.zeros((grid,) * n))
+    for seed in (0, 1):
+        for view in (en.random_two_branch_field(p, template, seed),
+                     en.zero_data_perturbation(p, template, seed)):
+            terms = [[(str(e), c.real.hex(), c.imag.hex()) for e, c in atom.terms.items()]
+                     for pos in range(view.modes.size) for atom in view.atoms(pos)]
+            out.append([view.modes.tolist(), terms])
+print(json.dumps(out))
+"""
+
+
+def _seeded_fields(**env):
+    proc = subprocess.run([sys.executable, "-c", _SEEDED_FIELDS], capture_output=True,
+                          text=True, env=_child_env(**env), check=True)
+    return json.loads(proc.stdout)
+
+
+def test_seeded_fields_do_not_depend_on_simd_dispatch():
+    """The seeded synthetic fields pick the same modes and coefficients, bit
+    for bit, on numpy's baseline code paths as on the best ones this host
+    dispatches to: the lowest modes are chosen by a stable sort, so ties in
+    |xi| break by index on every host."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    baseline = _seeded_fields(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    assert _seeded_fields() == baseline
+
+
 @pytest.mark.parametrize("gamma", [F(g) for g in DEFAULT_GAMMAS])
 @pytest.mark.parametrize("n", [1, 2])
 def test_zero_mode_contributes_nothing(gamma, n):
@@ -507,7 +551,7 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
     laps = []
 
     def counting(self):
-        laps.append(bool(self.chains))
+        laps.append(self.chain is not None)
         return real(self)
 
     monkeypatch.setattr(en.BesselModeFn, "weighted_laplacian", counting)
@@ -591,6 +635,58 @@ def test_rescaled_laplacian_atoms_match_direct_powers(gamma):
             scale = max(size * xi ** (2 * (j - i)) for i, size in enumerate(sizes))
             assert np.abs(got - want).max() <= 1e-13 * scale, (pos, j)
             direct = [a.weighted_laplacian() for a in direct]
+
+
+# Measured worst error of d/dy on the unit profiles: 2.46e-13 of the largest
+# value, at the default and verify-high orders.
+CHAIN_RULE_RTOL = 5e-13
+
+
+def _chain_rule_defects():
+    """d/dy of every unit profile's atom against scipy's
+    (gamma t^(gamma-1) K_nu + t^gamma K_nu') / bessel_norm on t in [2, 30],
+    as the worst error over the largest value, and the profiles P whose
+    (T_t - 1)^k P keeps a chain term."""
+    t = np.linspace(2.0, 30.0, 57)
+    worst, survivors = 0.0, []
+    for g in DEFAULT_GAMMAS + ["11/2", "13/2", "15/2", "31/4"]:
+        p = GammaParams(F(g))
+        gamma = float(p.gamma)
+        for prof in all_profiles(p):
+            atom = en._profile_atom(prof, 1.0, 1.0)
+            nu = float(prof.nu)
+            want = (gamma * t ** (gamma - 1.0) * special.kv(nu, t)
+                    + t ** gamma * special.kvp(nu, t)) / prof.bessel_norm
+            got = atom.d_dy().eval_outer(t)
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+            if en._laplacian_powers(atom, p.k)[-1].chain is not None:
+                survivors.append((g, prof.kind, prof.j))
+    return worst, survivors
+
+
+def test_chain_rule_matches_scipy_and_cancels_exactly():
+    """The order-recurrence chain rule: d/dy agrees with scipy's K', and
+    (T_t - 1)^k leaves no chain term of any unit profile."""
+    worst, survivors = _chain_rule_defects()
+    assert worst <= CHAIN_RULE_RTOL
+    assert not survivors
+
+
+def test_chain_rule_check_catches_a_wrong_shift(monkeypatch):
+    """(A - nu + 1) in place of the shift (A + nu - 1) of
+    (t^A K_(nu-1))' = (A + nu - 1) t^(A-1) K_(nu-1) - t^A K_nu leaves chain
+    terms after (T_t - 1)^k."""
+    real = en.BesselModeFn._chain_ddt
+
+    def wrong(self, nu, terms):
+        out = real(self, nu, terms)
+        for (a, d), c in terms.items():
+            if d == 1:
+                out[a - self.D, 1] += c * (2 - 2 * nu)
+        return out
+
+    monkeypatch.setattr(en.BesselModeFn, "_chain_ddt", wrong)
+    assert _chain_rule_defects()[1]
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2)])
