@@ -1,8 +1,9 @@
 """Command-line front end: verification sweeps, extension/DtN file runs, and
 sharpness reports with a CI-friendly exit-code contract.
 
-exit 0: all checks passed; exit 1: at least one check failed; exit 2: bad
-configuration or input files.
+exit 0: all checks passed; exit 1: at least one check failed, or verify's
+exact-suite process ended without its reports; exit 2: bad configuration or
+input files.
 """
 
 from __future__ import annotations
@@ -239,8 +240,70 @@ def _skipped(check: str, params, reason: str) -> VerificationReport:
     return rep
 
 
+class ExactSuiteError(RuntimeError):
+    """The exact suite's child process ended without sending its reports."""
+
+
+def _fork_exact_suite(gammas, n: int, seed: int):
+    """Run _exact_checks at every order in a forked child process, which
+    shares no state with the caller after the fork.  The child sends its
+    reports, or the exception it raised, pickled through a pipe and ends with
+    os._exit.  Returns (pid, read end of the pipe) for _exact_suite_reports."""
+    import os
+    import pickle
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:   # the child never returns into the caller's code
+        os.close(read_fd)
+        try:
+            result = True, [rep for g in gammas for rep in _exact_checks(g, n, seed)]
+        except Exception as exc:
+            result = False, exc
+        payload = pickle.dumps(result)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _exact_suite_reports(pid: int, read_fd: int) -> list:
+    """Read the child's result to EOF, reap the child, and return its reports
+    or raise the exception it raised."""
+    import os
+    import pickle
+
+    with os.fdopen(read_fd, "rb") as pipe:
+        payload = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not payload:
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ExactSuiteError(f"the exact suite's process {ended} before sending its "
+                              "reports; no report written")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
+def _kill_exact_suite(pid: int, read_fd: int):
+    import os
+    import signal
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    os.close(read_fd)
+
+
 def cmd_verify(args) -> int:
-    from . import energy as en
+    import os
 
     gammas = _parse_gammas(args.gamma)
     tols = _parse_tolerances(args.loosen_tol)
@@ -252,6 +315,15 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    # The exact suite is pure-Python rational arithmetic, which a thread cannot
+    # overlap with the numeric jobs.  With a second CPU it runs in a child
+    # process, forked before the pool starts its thread and before energy loads.
+    child = None
+    if (args.only is None and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        child = _fork_exact_suite(gammas, args.n, args.seed)
+    from . import energy as en
+
     reports = []
     jobs = []
 
@@ -265,7 +337,7 @@ def cmd_verify(args) -> int:
         except (OverflowError, FloatingPointError) as exc:
             raise ConfigError(f"--box {args.box!r} overflows the numeric checks: {exc}") from None
 
-    if args.only in (None, "identities"):
+    if child is None and args.only in (None, "identities"):
         for g in gammas:
             submit(_exact_checks, g, args.n, args.seed)
     if args.only in (None, "numeric"):
@@ -277,12 +349,20 @@ def cmd_verify(args) -> int:
                                                tol_equality=tols["lebedev_milin"]),
                         en.lebedev_milin_check(perturbation=0.5)])
 
-    # The jobs run one after another in submission order.  The one-worker
-    # executor stays only as the hook bench/tracer.py wraps to time each job.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        futures = [pool.submit(fn, *a) for fn, a in jobs]
-        for fut in futures:
-            reports.extend(fut.result())
+    # These jobs run one after another in submission order, beside the exact
+    # suite's child if there is one.  The one-worker executor stays only as the
+    # hook bench/tracer.py wraps to time each job.
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            futures = [pool.submit(fn, *a) for fn, a in jobs]
+            for fut in futures:
+                reports.extend(fut.result())
+    except BaseException:
+        if child is not None:
+            _kill_exact_suite(*child)
+        raise
+    if child is not None:   # inline, the exact jobs come first
+        reports[:0] = _exact_suite_reports(*child)
 
     reports.sort(key=lambda r: (r.gamma, r.check))
     payload = reports_to_json(reports).encode()
@@ -480,6 +560,9 @@ def main(argv=None) -> int:
     except (ConfigError, gc.GammaDomainError, modes.GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExactSuiteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

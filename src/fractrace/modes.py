@@ -98,7 +98,7 @@ class GridField:
         return (
             self.n == other.n
             and self.shape == other.shape
-            and abs(self.box_length - other.box_length) < 1e-12 * self.box_length
+            and abs(self.box_length - other.box_length) <= 1e-12 * self.box_length
         )
 
     def fft(self) -> np.ndarray:

@@ -198,7 +198,7 @@ def _one_line_error(argv, capsys, flag):
     ("extend-height", "inf", 2), ("fraclap", "2000", 2), ("sharpness-box", "0", 2),
     ("sharpness-box", "-5", 2), ("sharpness-box", "nan", 2), ("sharpness-box", "inf", 2),
     ("sharpness-box", "1e300", 2), ("sharpness-box", "10", 2), ("sharpness-seed", "-1", 2),
-    ("verify-box", "1e-300", 1), ("verify-box", "1e300", 1),
+    ("verify-box", "1e-300", 1), ("verify-box", "1e300", 1), ("verify-box", "5e-324", 1),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))
@@ -209,7 +209,8 @@ def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path,
                                 "sharpness-box", "extend-height", "verify-box"]),
        value=st.one_of(
            st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "", " ",
-                            "1/2", "1", "2", "3", "7", "abc", "3/2/1", "1e300", "1e-300"]),
+                            "1/2", "1", "2", "3", "7", "abc", "3/2/1", "1e300", "1e-300",
+                            "5e-324"]),
            st.fractions(min_value=-10, max_value=10, max_denominator=8).map(str),
            st.floats().map(repr),
            st.text(max_size=6)),
@@ -423,22 +424,115 @@ def test_verify_rejects_negative_seed(only, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_verify_jobs_run_on_one_thread_in_order(monkeypatch, tmp_path):
+def _cpus(monkeypatch, cpus):
+    """Make verify see this many CPUs: with two or more it forks the exact suite."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _spy_on_jobs(monkeypatch, log):
+    """Both suites' job functions log (pid, thread, name, gamma) to a file,
+    which a forked child appends to as well, and return no report."""
     from fractrace import cli
 
-    calls = []
     for name in ("_exact_checks", "_numeric_checks"):
         def spy(gamma, *args, name=name):
-            calls.append((threading.get_ident(), name, gamma))
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {threading.get_ident()} {name} {gamma}\n")
             return []
 
         monkeypatch.setattr(cli, name, spy)
-    assert run_cli(["verify", "--gamma", "1/2,4/3,5/2",
+
+
+SPY_GAMMAS = ["1/2", "4/3", "5/2"]
+
+
+def _spied_jobs(log):
+    return [(int(pid), int(tid), name, g)
+            for pid, tid, name, g in map(str.split, log.read_text().splitlines())]
+
+
+def test_verify_jobs_run_on_one_thread_in_order(monkeypatch, tmp_path):
+    """On one CPU every job runs inline, exact then numeric, in order."""
+    log = tmp_path / "jobs.txt"
+    _spy_on_jobs(monkeypatch, log)
+    _cpus(monkeypatch, 1)
+    assert run_cli(["verify", "--gamma", ",".join(SPY_GAMMAS),
                     "--out", str(tmp_path / "r.json")]) == 0
-    gammas = [Fraction(1, 2), Fraction(4, 3), Fraction(5, 2)]
-    assert len({tid for tid, _, _ in calls}) == 1
-    assert [(name, g) for _, name, g in calls] == (
-        [("_exact_checks", g) for g in gammas] + [("_numeric_checks", g) for g in gammas])
+    rows = _spied_jobs(log)
+    assert {(pid, tid) for pid, tid, _, _ in rows} == {(os.getpid(), rows[0][1])}
+    assert [(name, g) for _, _, name, g in rows] == (
+        [("_exact_checks", g) for g in SPY_GAMMAS] + [("_numeric_checks", g) for g in SPY_GAMMAS])
+
+
+def test_verify_forks_the_exact_suite(monkeypatch, tmp_path):
+    """With two CPUs the numeric jobs run in order on one thread of this
+    process, and the exact jobs in order in one other process."""
+    log = tmp_path / "jobs.txt"
+    _spy_on_jobs(monkeypatch, log)
+    _cpus(monkeypatch, 2)
+    assert run_cli(["verify", "--gamma", ",".join(SPY_GAMMAS),
+                    "--out", str(tmp_path / "r.json")]) == 0
+    _no_child_left()
+    rows = _spied_jobs(log)
+    numeric = [(pid, tid, g) for pid, tid, name, g in rows if name == "_numeric_checks"]
+    exact = [(pid, g) for pid, _, name, g in rows if name == "_exact_checks"]
+    assert {(pid, tid) for pid, tid, _ in numeric} == {(os.getpid(), numeric[0][1])}
+    assert len({pid for pid, _ in exact}) == 1 and exact[0][0] != os.getpid()
+    assert [g for _, _, g in numeric] == [g for _, g in exact] == SPY_GAMMAS
+
+
+def test_forked_and_inline_reports_are_the_same_bytes(monkeypatch, tmp_path, capsys):
+    outputs = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out, csv = tmp_path / f"{cpus}.json", tmp_path / f"{cpus}.csv"
+        code = run_cli(["verify", "--gamma", ",".join(SPY_GAMMAS), "--grid", "32",
+                        "--out", str(out), "--csv", str(csv)])
+        outputs.append((code, out.read_bytes(), csv.read_bytes(), capsys.readouterr().err))
+    _no_child_left()
+    assert outputs[0] == outputs[1]
+
+
+def test_an_error_in_the_exact_suite_reaches_the_parent(monkeypatch, tmp_path, capsys):
+    from fractrace import cli
+
+    def boom(*args):
+        raise cli.ConfigError("boom")
+
+    monkeypatch.setattr(cli, "_exact_checks", boom)
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "r.json"
+    _one_line_error(["verify", "--gamma", "1/2", "--grid", "8", "--out", str(out)], capsys,
+                    "error: boom")
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_a_lost_exact_suite_writes_no_report(monkeypatch, tmp_path, capsys):
+    from fractrace import cli
+
+    monkeypatch.setattr(cli, "_exact_checks", lambda *args: os._exit(3))
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--gamma", "1/2", "--grid", "8", "--out", str(out)]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "status 3" in err
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_a_failed_numeric_job_stops_the_exact_suite(monkeypatch, tmp_path, capsys):
+    """The first numeric job raises while the child still works on ten orders."""
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "r.json"
+    _one_line_error(["verify", "--grid", "8", "--box", "1e300", "--out", str(out)], capsys, "--box")
+    assert not out.exists()
+    _no_child_left()
 
 
 def test_verify_builds_each_gauss_rule_once(monkeypatch, tmp_path):

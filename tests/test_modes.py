@@ -58,6 +58,16 @@ def test_dist2_needs_one_entry_per_axis():
     assert np.array_equal(f.dist2((1.0, 0.0, -2.0)), (x - 1.0) ** 2 + y ** 2 + (z + 2.0) ** 2)
 
 
+@pytest.mark.parametrize("box", [5e-324, 1e-300, 1.0, 60.0, 1e300])
+def test_a_field_is_on_its_own_grid(box):
+    """Box lengths agree within 1e-12 relative, inclusive, so a subnormal box
+    (where 1e-12 * box rounds to 0) still matches itself."""
+    f = GridField(1, (8,), box, np.zeros(8))
+    assert f.same_grid(f)
+    assert not f.same_grid(GridField(1, (8,), 2 * box, np.zeros(8)))
+    assert not f.same_grid(GridField(1, (16,), box, np.zeros(16)))
+
+
 def test_grid_io_roundtrip(tmp_path):
     f = gaussian_field(2, (16, 16), 20.0, width=2.0)
     path = str(tmp_path / "field.bin")
