@@ -350,13 +350,14 @@ def cmd_verify(args) -> int:
                         en.lebedev_milin_check(perturbation=0.5)])
 
     # These jobs run one after another in submission order, beside the exact
-    # suite's child if there is one.  The one-worker executor stays only as the
-    # hook bench/tracer.py wraps to time each job.
+    # suite's child if there is one, and the first that raises stops the rest:
+    # each is submitted only once the one before it has returned.  The
+    # one-worker executor stays only as the hook bench/tracer.py wraps to time
+    # each job.
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            futures = [pool.submit(fn, *a) for fn, a in jobs]
-            for fut in futures:
-                reports.extend(fut.result())
+            for fn, a in jobs:
+                reports.extend(pool.submit(fn, *a).result())
     except BaseException:
         if child is not None:
             _kill_exact_suite(*child)

@@ -911,9 +911,17 @@ class Bubble:
         if self.n <= 2 * self.gamma_tilde:
             raise ValueError("bubble requires n > 2 gamma_tilde")
 
-    def sample(self, template: GridField) -> GridField:
-        power = -(self.n - 2.0 * self.gamma_tilde) / 2.0
-        return template.like((self.epsilon + template.dist2(self.xi0)) ** power)
+    def evaluate(self, template: GridField, rows: slice, out: np.ndarray):
+        """Write the profile at template's grid points whose first index is in
+        rows into out, in place: |x - xi0|^2 axis by axis, plus eps, to the
+        power."""
+        axes = template.axes()
+        axes[0] = axes[0][rows]
+        out.fill(0.0)
+        for x, c in zip(np.ix_(*axes), self.xi0, strict=True):
+            out += (x - c) ** 2
+        out += self.epsilon
+        out **= -(self.n - 2.0 * self.gamma_tilde) / 2.0
 
 
 def sphere_volume(n: int) -> float:
@@ -930,74 +938,152 @@ def sharp_sobolev_constant(n: int, gt: float) -> float:
     )
 
 
-class SobolevQuotient:
-    """R = oint f (-Lap)^gt f / (S ||f||_p^2), p = 2n/(n - 2 gt), on one grid.
+BLOCK_POINTS = 1 << 14   # grid points per block of SobolevQuotient's pass
 
-    What depends only on the grid and gt is built once: the symbol
-    |xi|^(2 gt) on the half spectrum of GridField.fft, times each entry's
-    pair weight, the cell volume and the sharp constant.  A field then costs
-    one GridField.fft, and a field F + amp G costs none once F and G are
-    transformed.
+
+def _pairwise(sums: list) -> float:
+    """A sum of block sums, halving as numpy's pairwise summation does: over
+    equal power-of-two blocks it repeats np.sum of the whole array."""
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _pairwise(sums[:half]) + _pairwise(sums[half:])
+
+
+class SobolevQuotient:
+    """R = oint f (-Lap)^gt f / (S ||f||_p^2), p = 2n/(n - 2 gt), on one grid,
+    for a bubble and for the bubble plus each of some Gaussian bumps.
+
+    Two arrays of grid size are held, and no other is ever made: the symbol
+    |xi|^(2 gt) on the rfftn half spectrum, times each entry's pair weight and
+    the box volume, and one half spectrum F for the bubble.  A call makes one
+    pass over blocks of rows of the leading axis (the whole axis at n = 1).
+    Each block evaluates the bubble in place, adds its share of sum |f|^p for
+    the bubble and for every perturbed field, and writes its rfft along the
+    last axis into F; np.fft.fft then runs over the leading axes in place.
+    That is rfftn's route, not GridField.fft's Hermitian part of fftn; their
+    roundoff differs only at noise-floor modes, which sum symbol |F|^2 does
+    not see.
+
+    A bump amp exp(-|x - c|^2 / (2 w^2)) is an outer product of 1-D factors on
+    the grid and on the half spectrum (fft on the leading axes, rfft on the
+    last, each over its size).  So num(f + g) = num(f) + 2 Re sum symbol
+    conj(F) G + sum symbol |G|^2 contracts each block of F against the outer
+    product of the trailing factors, and a perturbation transforms no grid.
 
     smallxi_model = (a, b) activates the exact small-frequency repair for
     n = 2, gt = 1/2 fields with an a/|x| tail: their transform behaves like
     2 pi a e^(-b|xi|)/|xi| near zero, which the mode lattice undersamples by
     O(1/L); the continuum-minus-lattice difference of the model is added,
-    computed once per (a, b).
+    computed once per (a, b) on the sub-box of axis frequencies inside its
+    cutoff.
     """
 
     def __init__(self, template: GridField, gt: float):
         n, shape, L = template.n, template.shape, template.box_length
         self.template, self.gt = template, gt
         self.p = 2.0 * n / (n - 2.0 * gt)
-        sym = template.xi_abs2() ** gt
+        sym = template.xi_abs2()
+        sym **= gt
         sym.flat[0] = 0.0
-        self._symbol = sym * template.pair_weights() * L ** n
+        sym *= template.pair_weights()
+        sym *= L ** n
+        self._symbol = sym
+        self._spectrum = np.empty(sym.shape, complex)
+        if n == 1:
+            self._blocks, self._block_shape = [slice(None)], shape
+        else:
+            rows = min(shape[0], max(1, BLOCK_POINTS // math.prod(shape[1:])))
+            self._blocks = [slice(i, i + rows) for i in range(0, shape[0], rows)]
+            self._block_shape = (rows,) + shape[1:]
         self.cell = float(np.prod([L / s for s in shape]))
         self.constant = sharp_sobolev_constant(n, gt)
         self._corrections = {}
 
-    def modes(self, values: np.ndarray) -> np.ndarray:
-        return self.template.like(values).fft()
-
-    def bump(self, amp: float, center, width: float):
-        """amp exp(-|x - center|^2 / (2 width^2)) on the grid and its modes,
-        each an outer product of 1-D factors: fft on the leading axes, rfft on
-        the last, each over its size."""
-        values = modes = np.full((), amp)
-        for axis, (x, c) in enumerate(zip(self.template.axes(), center)):
+    def _bump_factors(self, amp: float, center, width: float):
+        """amp exp(-|x - center|^2 / (2 width^2)) on the grid and on the half
+        spectrum, each as (lead, tail): the first axis's factor times amp, and
+        the outer product of the others (1 at n = 1)."""
+        n = self.template.n
+        grid, half = [], []
+        for axis, (x, c) in enumerate(zip(self.template.axes(), center, strict=True)):
             g = np.exp(-(x - c) ** 2 / (2 * width ** 2))
-            values = np.multiply.outer(values, g)
-            last = axis == self.template.n - 1
-            modes = np.multiply.outer(modes, (np.fft.rfft(g) if last else np.fft.fft(g)) / g.size)
-        return values, modes
+            grid.append(g)
+            half.append((np.fft.rfft(g) if axis == n - 1 else np.fft.fft(g)) / g.size)
+        return tuple((amp * fs[0], functools.reduce(np.multiply.outer, fs[1:], np.ones(())))
+                     for fs in (grid, half))
+
+    def _transform(self, bubble: Bubble, bumps: list) -> list:
+        """The pass: F of the bubble, and sum |f|^p for the bubble, then for
+        the bubble plus each bump."""
+        F, n = self._spectrum, self.template.n
+        f, g = np.empty(self._block_shape), np.empty(self._block_shape)
+        sums = [[] for _ in range(len(bumps) + 1)]
+        for rows in self._blocks:
+            bubble.evaluate(self.template, rows, f)
+            np.abs(f, out=g)
+            g **= self.p
+            sums[0].append(float(g.sum()))
+            for ((lead, tail), _), block_sums in zip(bumps, sums[1:]):
+                np.multiply(lead[rows].reshape((-1,) + (1,) * (n - 1)), tail, out=g)
+                g += f
+                np.abs(g, out=g)
+                g **= self.p
+                block_sums.append(float(g.sum()))
+            np.fft.rfft(f, out=F[rows])
+        for axis in range(n - 1):
+            np.fft.fft(F, axis=axis, out=F)
+        F *= 1.0 / math.prod(self.template.shape)   # a power of two: exact
+        return [_pairwise(block_sums) for block_sums in sums]
+
+    def _numerators(self, bumps: list) -> list:
+        """sum symbol |F + G|^2 for G = 0, then for each bump, block by block."""
+        F = self._spectrum
+        block_shape = F[self._blocks[0]].shape
+        a, w = np.empty(block_shape), np.empty(block_shape, complex)
+        sums = [[] for _ in range(len(bumps) + 1)]
+        for rows in self._blocks:
+            sym = self._symbol[rows]
+            np.abs(F[rows], out=a)
+            a **= 2
+            a *= sym
+            sums[0].append(float(a.sum()))
+            np.conjugate(F[rows], out=w)
+            w *= sym                                  # symbol conj(F)
+            w2, sym2 = w.reshape(len(w), -1), sym.reshape(len(sym), -1)
+            for (_, (lead, tail)), block_sums in zip(bumps, sums[1:]):
+                lead = lead[rows]
+                block_sums.append(2.0 * float((lead @ (w2 @ tail.ravel())).real)
+                                  + float(np.abs(lead) ** 2 @ (sym2 @ np.abs(tail.ravel()) ** 2)))
+        num = _pairwise(sums[0])
+        return [num] + [num + _pairwise(block_sums) for block_sums in sums[1:]]
 
     def _smallxi_correction(self, a: float, b: float) -> float:
         if (a, b) not in self._corrections:
             if not (self.template.n == 2 and abs(self.gt - 0.5) < 1e-12):
                 raise ValueError("small-xi repair implemented for n=2, gt=1/2 only")
-            cutoff = 2.0
+            cutoff, L = 2.0, self.template.box_length
             # continuum: (2 pi)^-2 int_(|xi|<cutoff) (2 pi a e^(-b xi)/xi)^2 xi dxi^2
             continuum = 2.0 * math.pi * a * a * (1.0 - math.exp(-2.0 * b * cutoff)) / (2.0 * b)
-            xiabs = np.sqrt(self.template.xi_abs2())
-            mask = (xiabs > 0) & (xiabs <= cutoff)
-            xi = xiabs[mask]
-            lattice = float(np.sum(self.template.pair_weights()[mask]
-                                   * (2.0 * math.pi * a * np.exp(-b * xi) / xi) ** 2 * xi))
-            lattice /= self.template.box_length ** 2
+            # lattice: every mode of the full spectrum with 0 < |xi| <= cutoff
+            axes = (2.0 * np.pi * np.fft.fftfreq(s) * s / L for s in self.template.shape)
+            xiabs = np.sqrt(sum(k ** 2 for k in np.ix_(*(k[np.abs(k) <= cutoff] for k in axes))))
+            xi = xiabs[(xiabs > 0) & (xiabs <= cutoff)]
+            lattice = float(np.sum((2.0 * math.pi * a * np.exp(-b * xi) / xi) ** 2 * xi)) / L ** 2
             self._corrections[(a, b)] = continuum - lattice
         return self._corrections[(a, b)]
 
-    def __call__(self, values: np.ndarray, modes: np.ndarray, tail_p: float = 0.0,
-                 smallxi_model: tuple = None) -> float:
-        """R of the field with grid values `values` and half spectrum `modes`;
-        tail_p is an analytic estimate of the |f|^p mass outside the box (the
-        sampled field is a windowed restriction of a decaying function)."""
-        num = float(np.sum(np.abs(modes) ** 2 * self._symbol))
-        if smallxi_model is not None:
-            num += self._smallxi_correction(*smallxi_model)
-        norm_p = float(np.sum(np.abs(values) ** self.p)) * self.cell + tail_p
-        return num / (self.constant * norm_p ** (2.0 / self.p))
+    def __call__(self, bubble: Bubble, bumps, tail_p: float = 0.0,
+                 smallxi_model: tuple = None) -> list:
+        """R of the bubble, then of the bubble plus each bump (amp, center,
+        width).  tail_p is an analytic estimate of the |f|^p mass outside the
+        box (the sampled field is a windowed restriction of a decaying
+        function), added for every field."""
+        repair = 0.0 if smallxi_model is None else self._smallxi_correction(*smallxi_model)
+        bumps = [self._bump_factors(*bump) for bump in bumps]
+        sums = self._transform(bubble, bumps)
+        return [(num + repair) / (self.constant * (s * self.cell + tail_p) ** (2.0 / self.p))
+                for num, s in zip(self._numerators(bumps), sums)]
 
 
 def bubble_tail_p(bubble: Bubble, box_length: float) -> float:
@@ -1018,25 +1104,30 @@ def sharp_sobolev_check(n: int, gt: float = 0.5, bubble: Bubble = None,
     """Bubble quotient R = 1 within windowing tolerance, strictly larger for
     perturbations, and invariance of R under translation/dilation.
 
-    One SobolevQuotient serves every quotient, each bubble is transformed
-    once, and a perturbed field's transform is the bubble's plus its bump's
-    closed-form separable one."""
+    One SobolevQuotient serves every quotient: one pass per bubble, and the
+    five perturbations ride along the main bubble's pass."""
     report = VerificationReport("sharp_sobolev", f"{gt}", n)
     if bubble is None:
         bubble = Bubble(n=n, gamma_tilde=gt, epsilon=1.0)
     if box_length < 200.0 * math.sqrt(bubble.epsilon):
         report.fail(f"box {box_length} too small for epsilon={bubble.epsilon}")
         return report
-    template = GridField(n, shape, box_length, np.zeros(shape))
+    # the template carries the grid only: its zero values are a broadcast view
+    template = GridField(n, shape, box_length, np.broadcast_to(0.0, shape))
     quotient = SobolevQuotient(template, gt)
 
-    def bubble_quotient(b: Bubble):
-        values = b.sample(template).values
-        modes = quotient.modes(values)
-        tail_p, model = bubble_tail_p(b, box_length), (1.0, math.sqrt(b.epsilon))
-        return values, modes, quotient(values, modes, tail_p=tail_p, smallxi_model=model)
+    def quotients(b: Bubble, bumps):
+        return quotient(b, bumps, tail_p=bubble_tail_p(b, box_length),
+                        smallxi_model=(1.0, math.sqrt(b.epsilon)))
 
-    f, f_modes, r_bubble = bubble_quotient(bubble)
+    # perturbations by seeded Gaussian bumps (amp, center, width)
+    rng = np.random.default_rng(seed)
+    bumps = []
+    for _ in range(5):
+        width = rng.uniform(2.0, 6.0)
+        amp = rng.uniform(0.2, 0.4)
+        bumps.append((amp, rng.uniform(-8.0, 8.0, size=n), width))
+    r_bubble, *r_perts = quotients(bubble, bumps)
     err = abs(r_bubble - 1.0)
     report.record(err <= tol, err, f"bubble quotient R = {r_bubble:.6f}")
 
@@ -1045,26 +1136,14 @@ def sharp_sobolev_check(n: int, gt: float = 0.5, bubble: Bubble = None,
     shift = ((10.0, -7.0) + (0.0,) * n)[:n]
     variants.append(Bubble(n, gt, epsilon=1.0, xi0=shift))
     for variant in variants:
-        r_var = bubble_quotient(variant)[2]
+        r_var = quotients(variant, [])[0]
         err = abs(r_var - r_bubble)
         report.record(err <= tol, err,
                       f"invariance: R = {r_var:.6f} (eps={variant.epsilon}, xi0={variant.xi0})")
 
     # perturbations: strictly super-optimal quotient, margins recorded
-    rng = np.random.default_rng(seed)
-    margins = []
-    tail_p, model = bubble_tail_p(bubble, box_length), (1.0, math.sqrt(bubble.epsilon))
-    for i in range(5):
-        width = rng.uniform(2.0, 6.0)
-        amp = rng.uniform(0.2, 0.4)
-        center = rng.uniform(-8.0, 8.0, size=n)
-        # the bump's fresh arrays become the perturbed field in place
-        pert, pert_modes = quotient.bump(amp, center, width)
-        pert += f
-        pert_modes += f_modes
-        r_pert = quotient(pert, pert_modes, tail_p=tail_p, smallxi_model=model)
-        margin = r_pert - r_bubble
-        margins.append(margin)
+    margins = [r_pert - r_bubble for r_pert in r_perts]
+    for i, (r_pert, margin) in enumerate(zip(r_perts, margins)):
         report.record(margin > 0.0, 0.0, f"perturbation {i}: R = {r_pert:.6f}, margin {margin:.4e}")
     report.details.append(f"min margin {min(margins):.4e}")
     return report

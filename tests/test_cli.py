@@ -535,6 +535,22 @@ def test_a_failed_numeric_job_stops_the_exact_suite(monkeypatch, tmp_path, capsy
     _no_child_left()
 
 
+def test_a_failed_numeric_job_stops_the_jobs_after_it(monkeypatch, capsys):
+    """--box 1e300 overflows the first numeric job; the other nine orders and
+    the sharp-inequality jobs never start."""
+    from fractrace import cli
+
+    real, calls = cli._numeric_checks, []
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_numeric_checks", spy)
+    _one_line_error(["verify", "--only", "numeric", "--box", "1e300"], capsys, "--box")
+    assert len(calls) == 1
+
+
 def test_verify_builds_each_gauss_rule_once(monkeypatch, tmp_path):
     """Each rule build calls _gatteschi_pittaluga twice, once per end."""
     from fractrace import energy as en

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -310,9 +311,10 @@ def _planes_doubled(pair_weights):
 def test_half_spectrum_sums_match_full_fftn(shape, doubled, monkeypatch):
     """dtn_rhs and the SobolevQuotient numerator, summed on the half
     spectrum with the pair weights, against the same sums over every mode of
-    plain np.fft.fftn, for random real fields at n = 2 and 3.  Weight 2 on
-    every entry of the zero and Nyquist planes of the last axis breaks both;
-    with a last axis of 2 points every entry is on a plane."""
+    plain np.fft.fftn, for random real fields (dtn_rhs) and an off-centre
+    bubble (the quotient) at n = 2 and 3.  Weight 2 on every entry of the zero
+    and Nyquist planes of the last axis breaks both; with a last axis of 2
+    points every entry is on a plane."""
     if doubled:
         monkeypatch.setattr(GridField, "pair_weights", _planes_doubled(GridField.pair_weights))
     n = len(shape)
@@ -321,10 +323,11 @@ def test_half_spectrum_sums_match_full_fftn(shape, doubled, monkeypatch):
     f, phi = (GridField(n, shape, 10.0, rng.normal(size=shape)) for _ in range(2))
     c0 = en.dtn_constant_even(p, 0).value(p.frac_gamma)
     d0 = en.dtn_constant_odd(p, 0).value(p.frac_gamma)
-    quotient = SobolevQuotient(f, 0.5)
+    bubble = Bubble(n, 0.5, epsilon=1.0, xi0=(1.3, -0.7, 0.4)[:n])
     pairs = [(dtn_rhs(solve_extension(p, [f, phi])),
               c0 * plancherel_energy(f, 1.5) + d0 * plancherel_energy(phi, 0.5)),
-             (quotient(f.values, quotient.modes(f.values)), full_fft_quotient(f, 0.5, 0.0, None))]
+             (SobolevQuotient(f, 0.5)(bubble, [])[0],
+              full_fft_quotient(bubble_field(bubble, f), 0.5, 0.0, None))]
     for got, want in pairs:
         assert (abs(got - want) <= 1e-13 * abs(want)) != doubled, (got, want)
 
@@ -754,7 +757,7 @@ def test_bubble_in_three_dimensions():
     (eps + |x|^2)^(-(n - 2 gt)/2) with n = 3, gt = 1/2."""
     template = GridField(3, (8, 8, 8), 200.0, np.zeros((8, 8, 8)))
     x, y, z = np.ix_(*template.axes())
-    got = Bubble(3, 0.5, epsilon=2.0).sample(template).values
+    got = bubble_field(Bubble(3, 0.5, epsilon=2.0), template).values
     assert np.allclose(got, (2.0 + x * x + y * y + z * z) ** -1.0, rtol=1e-15, atol=0.0)
 
 
@@ -762,10 +765,15 @@ def test_bubble_quotient_near_one():
     bubble = Bubble(n=2, gamma_tilde=0.5, epsilon=1.0)
     template = GridField(2, (512, 512), 200.0, np.zeros((512, 512)))
     quotient = SobolevQuotient(template, 0.5)
-    f = bubble.sample(template).values
-    r = quotient(f, quotient.modes(f), tail_p=bubble_tail_p(bubble, 200.0),
-                 smallxi_model=(1.0, 1.0))
+    r, = quotient(bubble, [], tail_p=bubble_tail_p(bubble, 200.0), smallxi_model=(1.0, 1.0))
     assert r == pytest.approx(1.0, abs=1e-2)
+
+
+def bubble_field(bubble: Bubble, template: GridField) -> GridField:
+    """The bubble on template's whole grid, as one block."""
+    values = np.empty(template.shape)
+    bubble.evaluate(template, slice(None), values)
+    return template.like(values)
 
 
 def full_fft_quotient(f: GridField, gt: float, tail_p: float, smallxi_model) -> float:
@@ -787,44 +795,37 @@ def full_fft_quotient(f: GridField, gt: float, tail_p: float, smallxi_model) -> 
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (8,), (512,),
-                                   (1, 1), (2, 2), (8, 8), (2, 8), (8, 2), (512, 512)])
+                                   (1, 1), (2, 2), (8, 8), (2, 8), (8, 2), (512, 512),
+                                   (8, 4, 2), (4, 8, 8)])
 @pytest.mark.parametrize("eps", [1.0, 4.0])
 def test_quotient_matches_full_fft_formula(shape, eps):
-    """One symbol per grid on the half spectrum, with a perturbation's
-    transform by linearity, equals the full-spectrum formula: bubble, shifted
-    bubble and perturbed bubble, with and without the lattice repair."""
+    """One symbol per grid on the half spectrum, a blockwise real transform
+    and a perturbation's cross terms from its separable transform equal the
+    full-spectrum formula: bubble, shifted bubble and perturbed bubble, with
+    and without the lattice repair, at n = 1, 2 and 3."""
     n = len(shape)
     gt = 0.5 if n == 2 else 0.25
     box = 400.0
     template = GridField(n, shape, box, np.zeros(shape))
     quotient = SobolevQuotient(template, gt)
     models = [None, (1.0, math.sqrt(eps))] if n == 2 else [None]
-    center, width, amp = (3.0, -5.0)[:n], 4.0, 0.3
-    bump, bump_modes = quotient.bump(amp, center, width)
-    assert np.allclose(bump, amp * np.exp(-template.dist2(center) / (2 * width ** 2)),
-                       rtol=1e-14, atol=1e-300)
-    for xi0 in [(0.0, 0.0), (10.0, -7.0)]:
+    center, width, amp = (3.0, -5.0, 2.0)[:n], 4.0, 0.3
+    bump = amp * np.exp(-template.dist2(center) / (2 * width ** 2))
+    for xi0 in [(0.0, 0.0, 0.0), (10.0, -7.0, 4.0)]:
         bubble = Bubble(n, gt, epsilon=eps, xi0=xi0[:n])
-        f = bubble.sample(template).values
-        f_modes = quotient.modes(f)
+        f = bubble_field(bubble, template)
         tail_p = bubble_tail_p(bubble, box)
-        perturbed = GridField(n, shape, box,
-                              f + amp * np.exp(-template.dist2(center) / (2 * width ** 2)))
         for model in models:
-            got = quotient(f, f_modes, tail_p, model)
-            want = full_fft_quotient(GridField(n, shape, box, f), gt, tail_p, model)
-            assert got == pytest.approx(want, rel=1e-13, abs=0)
-            got = quotient(f + bump, f_modes + bump_modes, tail_p, model)
-            want = full_fft_quotient(perturbed, gt, tail_p, model)
+            got = quotient(bubble, [(amp, center, width)], tail_p, model)
+            want = [full_fft_quotient(g, gt, tail_p, model) for g in (f, f.like(f.values + bump))]
             assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_lattice_repair_only_at_n2_half():
     template = GridField(1, (8,), 200.0, np.zeros(8))
     quotient = SobolevQuotient(template, 0.25)
-    f = np.ones(8)
     with pytest.raises(ValueError):
-        quotient(f, quotient.modes(f), smallxi_model=(1.0, 1.0))
+        quotient(Bubble(1, 0.25), [], smallxi_model=(1.0, 1.0))
 
 
 def test_wrong_sharp_constant_fails_bubble_record(monkeypatch):
@@ -840,20 +841,47 @@ def test_wrong_sharp_constant_fails_bubble_record(monkeypatch):
 
 
 def test_sharp_sobolev_check_transforms_each_bubble_once(monkeypatch):
-    """Cost model: one n-D transform for each of the three bubbles; the five
-    perturbations reuse the bubble's transform by linearity."""
-    calls = []
-    for name in ("fftn", "rfftn"):
+    """Cost model: one pass over the grid for each of the three bubbles, which
+    evaluates and rffts each of the 512 rows once, then one fft along the
+    leading axis.  The five perturbations add no pass: they transform only
+    their 1-D factors."""
+    rows, grid_ffts = [], []
+    evaluate = Bubble.evaluate
+
+    def counted_evaluate(self, template, block, out):
+        rows.append(len(out))
+        return evaluate(self, template, block, out)
+
+    monkeypatch.setattr(Bubble, "evaluate", counted_evaluate)
+    for name in ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn"):
         real = getattr(np.fft, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            if np.ndim(a) > 1:
+                grid_ffts.append((_name, len(a)))
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     rep = sharp_sobolev_check(2, gt=0.5, seed=1)
     assert rep.passed
-    assert len(calls) <= 3, calls
+    assert sum(rows) == 3 * 512
+    assert {name for name, _ in grid_ffts} == {"fft", "rfft"}
+    assert sum(n for name, n in grid_ffts if name == "rfft") == 3 * 512
+    assert [name for name, _ in grid_ffts].count("fft") == 3
+
+
+def test_sharp_sobolev_check_peak_memory():
+    """On 512^2 the check holds the symbol and one half spectrum (3.2 MB) and
+    blocks of rows; a full-grid temporary per bubble or per perturbation
+    would take the traced peak past 8 MB (16 MB with full-grid arrays)."""
+    tracemalloc.start()
+    try:
+        rep = sharp_sobolev_check(2, gt=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 8e6, peak
 
 
 def test_sharp_sobolev_report():
