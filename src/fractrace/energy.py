@@ -942,8 +942,9 @@ BLOCK_POINTS = 1 << 14   # grid points per block of SobolevQuotient's pass
 
 
 def _pairwise(sums: list) -> float:
-    """A sum of block sums, halving as numpy's pairwise summation does: over
-    equal power-of-two blocks it repeats np.sum of the whole array."""
+    """A sum of block sums, halving as numpy's pairwise summation does: when
+    the blocks end at its split points (equal power-of-two blocks of at least
+    8 points) it repeats np.sum's total over the whole array bit for bit."""
     if len(sums) == 1:
         return sums[0]
     half = len(sums) // 2
@@ -954,9 +955,10 @@ class SobolevQuotient:
     """R = oint f (-Lap)^gt f / (S ||f||_p^2), p = 2n/(n - 2 gt), on one grid,
     for a bubble and for the bubble plus each of some Gaussian bumps.
 
-    Two arrays of grid size are held, and no other is ever made: the symbol
-    |xi|^(2 gt) on the rfftn half spectrum, times each entry's pair weight and
-    the box volume, and one half spectrum F for the bubble.  A call makes one
+    Two arrays of grid size are held: the symbol |xi|^(2 gt) on the rfftn
+    half spectrum, times each entry's pair weight and the box volume, and one
+    half spectrum F for the bubble.  The only other one ever made is the pair
+    weights, while the symbol is built.  A call makes one
     pass over blocks of rows of the leading axis (the whole axis at n = 1).
     Each block evaluates the bubble in place, adds its share of sum |f|^p for
     the bubble and for every perturbed field, and writes its rfft along the
