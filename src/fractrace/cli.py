@@ -27,8 +27,10 @@ ENERGY_GAMMAS = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 # checks peak at about 0.88 GB
 MAX_GRID_POINTS = 2 ** 21
 
-# module-documented defaults; loosenable only through --loosen-tol
+# verify's fixed acceptance bounds, one per check that has one; each check
+# function's own default bound is the same value
 TOL_DEFAULTS = {
+    "gamma_constants": 1e-12,
     "dtn_bessel_extraction": 1e-8,
     "mode_ode_residual": 1e-7,
     "self_consistency": 1e-9,
@@ -44,25 +46,6 @@ TOL_DEFAULTS = {
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_tolerances(entries) -> dict:
-    tols = dict(TOL_DEFAULTS)
-    for entry in entries or []:
-        if "=" not in entry:
-            raise ConfigError(f"--loosen-tol expects NAME=VALUE, got {entry!r}")
-        name, _, value = entry.partition("=")
-        if name not in tols:
-            raise ConfigError(f"unknown tolerance {name!r}; known: {sorted(tols)}")
-        try:
-            val = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value {value!r}") from exc
-        if val < tols[name]:
-            raise ConfigError(
-                f"tolerance {name} may only be loosened (default {tols[name]:g}, got {val:g})")
-        tols[name] = val
-    return tols
 
 
 def _rational_arg(flag: str, text: str, ok, requirement: str) -> Fraction:
@@ -107,13 +90,14 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     rep = VerificationReport("gamma_constants", str(params), n)
     try:
         worst = 0.0
-        for j in range(params.n_even_data):
-            c = gc.dtn_constant_even(params, j)
-            worst = max(worst, _float_gamma_defect_even(params, j, c))
-        for j in range(params.n_odd_data):
-            d = gc.dtn_constant_odd(params, j)
-            worst = max(worst, _float_gamma_defect_odd(params, j, d))
-        rep.record(worst <= 1e-12, worst, f"closed forms vs direct Gamma evaluation: {worst:.2e}")
+        for even, count, constant in [(True, params.n_even_data, gc.dtn_constant_even),
+                                      (False, params.n_odd_data, gc.dtn_constant_odd)]:
+            for j in range(count):
+                direct = _dtn_constant_reference(params, j, even)
+                mine = constant(params, j).value(params.frac_gamma)
+                worst = max(worst, abs(mine - direct) / abs(direct))
+        rep.record(worst <= TOL_DEFAULTS["gamma_constants"], worst,
+                   f"closed forms vs direct Gamma evaluation: {worst:.2e}")
         yc = gc.yang_constant(params)
         c0 = gc.dtn_constant_even(params, 0)
         rep.record(yc.equals_at(c0, params.frac_gamma), 0.0, "order-zero energy constant matches")
@@ -170,43 +154,51 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     return checks
 
 
-def _float_gamma_defect_even(params, j, const) -> float:
-    g = float(params.gamma)
-    fl = params.floor_gamma
-    fr = g - fl
-    direct = ((-1.0) ** (1 + fl) * 2.0 ** (1 - 2 * fr) * math.factorial(fl - j)
-              * math.gamma(1 - fr) * math.gamma(1 - j + g) * math.gamma(2 * j - g)
-              / (math.factorial(j) * math.gamma(fr) * math.gamma(1 + j - fr) * math.gamma(-2 * j + g)))
-    mine = const.value(params.frac_gamma)
-    return abs(mine - direct) / abs(direct)
+def _gamma_at(m: int, f: Fraction) -> float:
+    """Gamma(m + f) for an integer m and an exact f in (0, 1).  Below zero it
+    reflects, Gamma(m + f) = (-1)^m pi / (sin(pi f) Gamma(1 - m - f)), so no
+    float argument sits near a pole, and takes the sine at the nearer end."""
+    if m >= 0:
+        return math.gamma(float(m + f))
+    sin = math.sin(math.pi * float(min(f, 1 - f)))
+    return (-1) ** m * math.pi / (sin * math.gamma(float(1 - m - f)))
 
 
-def _float_gamma_defect_odd(params, j, const) -> float:
-    g = float(params.gamma)
-    fl = params.floor_gamma
-    fr = g - fl
-    direct = ((-1.0) ** fl * 2.0 ** (2 * fr - 1) * math.factorial(fl - j)
-              * math.gamma(fr) * math.gamma(1 + fl - j - fr) * math.gamma(2 * j - fl + fr)
-              / (math.factorial(j) * math.gamma(1 - fr) * math.gamma(1 + j + fr)
-                 * math.gamma(-2 * j + fl - fr)))
-    mine = const.value(params.frac_gamma)
-    return abs(mine - direct) / abs(direct)
+def _dtn_constant_reference(params, j: int, even: bool) -> float:
+    """The even or odd DtN constant from its Gamma closed form (see the
+    gammacore docstrings), each argument m + [g] or m + (1 - [g]) with both
+    fractions from the exact order; independent of the Pochhammer reduction."""
+    fl, fr = params.floor_gamma, params.frac_gamma
+    co = 1 - fr
+    if even:
+        sign, two = (-1) ** (1 + fl), 1 - 2 * fr
+        num = [(0, co), (1 - j + fl, fr), (2 * j - fl - 1, co)]
+        den = [(0, fr), (j, co), (fl - 2 * j, fr)]
+    else:
+        sign, two = (-1) ** fl, 2 * fr - 1
+        num = [(0, fr), (fl - j, co), (2 * j - fl, fr)]
+        den = [(0, co), (1 + j, fr), (fl - 2 * j - 1, co)]
+    value = sign * 2.0 ** float(two) * math.factorial(fl - j) / math.factorial(j)
+    for m, f in num:
+        value *= _gamma_at(m, f)
+    for m, f in den:
+        value /= _gamma_at(m, f)
+    return value
 
 
-def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, full: bool,
-                    tols: dict):
+def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, full: bool):
     from . import energy as en
 
     params = gc.GammaParams(gamma, n=n)
     checks = []
-    checks.append(modes.verify_dtn_constants(params, tol=tols["dtn_bessel_extraction"]))
+    checks.append(modes.verify_dtn_constants(params, tol=TOL_DEFAULTS["dtn_bessel_extraction"]))
 
     rep = VerificationReport("mode_ode_residual", str(params), n)
     worst = 0.0
     for prof in modes.all_profiles(params):
         res = prof.ode_residual()
         worst = max(worst, res)
-        rep.record(res <= tols["mode_ode_residual"], res,
+        rep.record(res <= TOL_DEFAULTS["mode_ode_residual"], res,
                    f"profile ({prof.kind},{prof.j}): residual {res:.2e}")
     checks.append(rep)
 
@@ -215,19 +207,19 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     widths = [2.0 + 0.4 * i for i in range(params.k)]
     data = [modes.gaussian_field(n, shape, box, width=w) for w in widths]
     sol = modes.solve_extension(params, data)
-    checks.append(modes.verify_self_consistency(sol, tol=tols["self_consistency"]))
+    checks.append(modes.verify_self_consistency(sol, tol=TOL_DEFAULTS["self_consistency"]))
     checks.append(modes.yang_extension_check(params, data[0],
-                                             tol_trace=tols["yang_trace"],
-                                             tol_cs=tols["yang_cs"]))
+                                             tol_trace=TOL_DEFAULTS["yang_trace"],
+                                             tol_cs=TOL_DEFAULTS["yang_cs"]))
 
     u = en.random_two_branch_field(params, template, seed=seed)
     v = en.random_two_branch_field(params, template, seed=seed + 1)
-    checks.append(en.verify_q_symmetry(params, u, v, tol_sym=tols["q_symmetry"]))
+    checks.append(en.verify_q_symmetry(params, u, v, tol_sym=TOL_DEFAULTS["q_symmetry"]))
 
     if full or gamma in ENERGY_GAMMAS:
         checks.append(en.dirichlet_principle_check(sol, seed=seed,
-                                                   tol=tols["dirichlet_principle"]))
-        checks.append(en.energy_trace_check(sol, seed=seed + 1, tol=tols["energy_trace"]))
+                                                   tol=TOL_DEFAULTS["dirichlet_principle"]))
+        checks.append(en.energy_trace_check(sol, seed=seed + 1, tol=TOL_DEFAULTS["energy_trace"]))
     else:
         checks.append(_skipped("dirichlet_principle", params, "run with --full to include this gamma"))
         checks.append(_skipped("energy_trace", params, "run with --full to include this gamma"))
@@ -306,7 +298,6 @@ def cmd_verify(args) -> int:
     import os
 
     gammas = _parse_gammas(args.gamma)
-    tols = _parse_tolerances(args.loosen_tol)
     if args.grid < 2:
         raise ConfigError(f"--grid must be a power of two >= 2 (a 1-point grid has no "
                           f"mode to perturb), got {args.grid}")
@@ -342,11 +333,11 @@ def cmd_verify(args) -> int:
             submit(_exact_checks, g, args.n, args.seed)
     if args.only in (None, "numeric"):
         for g in gammas:
-            submit(numeric_checks, g, args.n, args.grid, args.box, args.seed, args.full, tols)
+            submit(numeric_checks, g, args.n, args.grid, args.box, args.seed, args.full)
         submit(lambda: [en.sharp_sobolev_check(2, gt=0.5, seed=args.seed,
-                                               tol=tols["sharp_sobolev"])])
+                                               tol=TOL_DEFAULTS["sharp_sobolev"])])
         submit(lambda: [en.lebedev_milin_check(extremal_eps=4.0,
-                                               tol_equality=tols["lebedev_milin"]),
+                                               tol_equality=TOL_DEFAULTS["lebedev_milin"]),
                         en.lebedev_milin_check(perturbation=0.5)])
 
     # These jobs run one after another in submission order, beside the exact
@@ -508,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--full", action="store_true",
                    help="run the heavy energy checks for every gamma")
-    v.add_argument("--loosen-tol", action="append", metavar="NAME=VALUE",
-                   help="loosen a named tolerance (may repeat); defaults are "
-                        "the documented values and can only be made larger")
     v.add_argument("--out", default=None, help="JSON report path")
     v.add_argument("--csv", default=None, help="CSV report path")
     v.set_defaults(func=cmd_verify)

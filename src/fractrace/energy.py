@@ -941,16 +941,6 @@ def sharp_sobolev_constant(n: int, gt: float) -> float:
 BLOCK_POINTS = 1 << 14   # grid points per block of SobolevQuotient's pass
 
 
-def _pairwise(sums: list) -> float:
-    """A sum of block sums, halving as numpy's pairwise summation does: when
-    the blocks end at its split points (equal power-of-two blocks of at least
-    8 points) it repeats np.sum's total over the whole array bit for bit."""
-    if len(sums) == 1:
-        return sums[0]
-    half = len(sums) // 2
-    return _pairwise(sums[:half]) + _pairwise(sums[half:])
-
-
 class SobolevQuotient:
     """R = oint f (-Lap)^gt f / (S ||f||_p^2), p = 2n/(n - 2 gt), on one grid,
     for a bubble and for the bubble plus each of some Gaussian bumps.
@@ -965,7 +955,8 @@ class SobolevQuotient:
     last axis into F; np.fft.fft then runs over the leading axes in place.
     That is rfftn's route, not GridField.fft's Hermitian part of fftn; their
     roundoff differs only at noise-floor modes, which sum symbol |F|^2 does
-    not see.
+    not see.  Every sum is taken per block and the block sums are added with
+    math.fsum, so the block size moves a quotient by a few ulps at most.
 
     A bump amp exp(-|x - c|^2 / (2 w^2)) is an outer product of 1-D factors on
     the grid and on the half spectrum (fft on the leading axes, rfft on the
@@ -1036,7 +1027,7 @@ class SobolevQuotient:
         for axis in range(n - 1):
             np.fft.fft(F, axis=axis, out=F)
         F *= 1.0 / math.prod(self.template.shape)   # a power of two: exact
-        return [_pairwise(block_sums) for block_sums in sums]
+        return [math.fsum(block_sums) for block_sums in sums]
 
     def _numerators(self, bumps: list) -> list:
         """sum symbol |F + G|^2 for G = 0, then for each bump, block by block."""
@@ -1057,8 +1048,8 @@ class SobolevQuotient:
                 lead = lead[rows]
                 block_sums.append(2.0 * float((lead @ (w2 @ tail.ravel())).real)
                                   + float(np.abs(lead) ** 2 @ (sym2 @ np.abs(tail.ravel()) ** 2)))
-        num = _pairwise(sums[0])
-        return [num] + [num + _pairwise(block_sums) for block_sums in sums[1:]]
+        num = math.fsum(sums[0])
+        return [num] + [num + math.fsum(block_sums) for block_sums in sums[1:]]
 
     def _smallxi_correction(self, a: float, b: float) -> float:
         if (a, b) not in self._corrections:

@@ -228,8 +228,8 @@ class ExactConstant:
         return rat
 
     def value(self, frac_gamma: Fraction) -> float:
-        g = float(frac_gamma)
-        ratio = math.gamma(1.0 - g) / math.gamma(g)
+        # 1 - [g] from the exact fraction: in floats it loses digits as [g] -> 1
+        ratio = math.gamma(float(1 - frac_gamma)) / math.gamma(float(frac_gamma))
         return (
             float(self.rational_part)
             * ratio ** self.gamma_ratio_power
@@ -244,10 +244,10 @@ class ExactConstant:
 
 def cs_normalization(gamma) -> float:
     """The order-(0,1) extension normalization 2^(1-2g) Gamma(1-g)/Gamma(g)."""
-    g = float(gamma)
-    if not 0.0 < g < 1.0:
+    g = Fraction(gamma)
+    if not 0 < g < 1:
         raise GammaDomainError(f"cs_normalization requires gamma in (0,1), got {gamma}")
-    return 2.0 ** (1.0 - 2.0 * g) * math.gamma(1.0 - g) / math.gamma(g)
+    return 2.0 ** float(1 - 2 * g) * math.gamma(float(1 - g)) / math.gamma(float(g))
 
 
 def dtn_constant_even(params: GammaParams, j: int) -> ExactConstant:

@@ -64,7 +64,9 @@ def _add(acc: dict, key, v: int):
 class _RadialTerms:
     """Storage shared by the two polynomial classes: ``nums`` maps keys
     (S, alpha, ...) to nonzero ints over ``den`` (canonical, see `ratmap`),
-    and the r exponent of a key is S / D."""
+    and the r exponent of a key is S / D.  Each class supplies
+    ``_degree(key, D)``, D times the degree of the key's x, y and branch
+    factors, which is all the Euler operator and the Kelvin pullback read."""
 
     __slots__ = ()
 
@@ -94,6 +96,31 @@ class _RadialTerms:
         D = math.lcm(self.D, q)
         shift = p * (D // q)
         nums = {(key[0] + shift,) + key[1:]: c for key, c in self._rekeyed(D).items()}
+        return self._new((nums, self.den), D)
+
+    def directional_r2(self, ell: int = 1):
+        """ell-th covariant derivative contracted with the r^2 gradient.
+
+        On a monomial of homogeneity d this is 2^ell d(d-1)...(d-ell+1), the
+        falling-factorial of the Euler operator.
+        """
+        D = self.D
+        nums = {}
+        for key, c in self.nums.items():
+            dD = 2 * key[0] + self._degree(key, D)
+            for t in range(ell):
+                c *= 2 * (dD - t * D)
+            nums[key] = c
+        return self._new(ratmap.canonical(nums, self.den * D ** ell))
+
+    def kelvin_pullback(self, w):
+        """r^(2w) times the composition with the inversion z -> z / r^2: a
+        factor of degree d in x, y or the branch picks up r^(-2d)."""
+        p, q = ratmap.ratio(w)
+        D = math.lcm(self.D, q)
+        W = p * (D // q)
+        nums = {(W - key[0] - self._degree(key, D),) + key[1:]: c
+                for key, c in self._rekeyed(D).items()}
         return self._new((nums, self.den), D)
 
     @property
@@ -224,35 +251,11 @@ class HalfSpacePoly(_RadialTerms):
                     _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:], be, b), c * ai * (ai - 1) * xx)
         return self._new(ratmap.canonical(acc, self.den * xx))
 
-    def directional_r2(self, ell: int = 1):
-        """ell-th covariant derivative contracted with the r^2 gradient.
-
-        On a monomial of homogeneity d this is 2^ell d(d-1)...(d-ell+1), the
-        falling-factorial of the Euler operator.
-        """
-        D, fq = self.D, self._branch_q()
-        nums = {}
-        for key, c in self.nums.items():
-            S, a, be, b = key
-            dD = 2 * S + (sum(a) + 2 * be) * D + b * fq
-            for t in range(ell):
-                c *= 2 * (dD - t * D)
-            nums[key] = c
-        return self._new(ratmap.canonical(nums, self.den * D ** ell))
-
-    def kelvin_pullback(self, w):
-        """r^(2w) times the composition with the inversion z -> z / r^2.
-
-        x^alpha picks up r^(-2|alpha|), y^(2 beta) picks up r^(-4 beta), and
-        the branch factor y^(2[g]) picks up r^(-4[g]).
-        """
-        p, q = ratmap.ratio(w)
-        D = math.lcm(self.D, q)
-        W = p * (D // q)
-        fq = 2 * self.frac_gamma.numerator * (D // self.frac_gamma.denominator)
-        nums = {(W - S - (sum(a) + 2 * be) * D - b * fq, a, be, b): c
-                for (S, a, be, b), c in self._rekeyed(D).items()}
-        return self._new((nums, self.den), D)
+    def _degree(self, key, D: int) -> int:
+        """D times the degree of x^alpha y^(2 beta) (y^(2[g]))^b."""
+        _, a, be, b = key
+        fr = self.frac_gamma
+        return (sum(a) + 2 * be) * D + b * 2 * fr.numerator * (D // fr.denominator)
 
     # -- restriction to the boundary --------------------------------------
 
@@ -365,22 +368,9 @@ class BoundaryPoly(_RadialTerms):
                     _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:]), c * ai * (ai - 1) * D2)
         return self._new(ratmap.canonical(acc, self.den * D2))
 
-    def directional_r2(self, ell: int = 1):
-        D = self.D
-        nums = {}
-        for key, c in self.nums.items():
-            dD = 2 * key[0] + sum(key[1]) * D
-            for t in range(ell):
-                c *= 2 * (dD - t * D)
-            nums[key] = c
-        return self._new(ratmap.canonical(nums, self.den * D ** ell))
-
-    def kelvin_pullback(self, w):
-        p, q = ratmap.ratio(w)
-        D = math.lcm(self.D, q)
-        W = p * (D // q)
-        return self._new(({(W - S - sum(a) * D, a): c for (S, a), c in self._rekeyed(D).items()},
-                          self.den), D)
+    def _degree(self, key, D: int) -> int:
+        """D times the degree of x^alpha."""
+        return sum(key[1]) * D
 
     def is_zero_function(self) -> bool:
         """Exact zero test: expand integer powers of |x|^2 multinomially

@@ -5,6 +5,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fractrace
-from fractrace import besselk, modes
+from fractrace import besselk, cli, modes
+from fractrace import gammacore as gc
 from fractrace.cli import main
 from fractrace.modes import GridField, gaussian_field
 
@@ -133,17 +135,84 @@ def test_module_entrypoint():
     assert proc.returncode == 2
 
 
-def test_loosen_tol_flag(tmp_path):
-    # unknown name and tightening are rejected; loosening is accepted
-    assert run_cli(["verify", "--gamma", "1/2", "--only", "numeric",
-                    "--loosen-tol", "nope=1", "--out", str(tmp_path / "r.json")]) == 2
-    assert run_cli(["verify", "--gamma", "1/2", "--only", "numeric",
-                    "--loosen-tol", "q_symmetry=1e-12",
-                    "--out", str(tmp_path / "r.json")]) == 2
-    code = run_cli(["verify", "--gamma", "1/2", "--only", "numeric",
-                    "--loosen-tol", "q_symmetry=1e-6",
-                    "--out", str(tmp_path / "r.json")])
-    assert code == 0
+def test_verify_bounds_are_fixed(tmp_path):
+    """verify has no option to loosen a bound: argparse exits 2 and no report
+    is written."""
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--gamma", "1/2", "--loosen-tol", "q_symmetry=1e-6",
+                 "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_check_defaults_are_verify_bounds():
+    """Each check function's own default bound, which direct callers and
+    sharpness use, is verify's bound for it; the two bounds verify applies
+    itself complete the table."""
+    from fractrace import energy as en
+
+    pinned = {
+        "dtn_bessel_extraction": (modes.verify_dtn_constants, "tol"),
+        "self_consistency": (modes.verify_self_consistency, "tol"),
+        "yang_trace": (modes.yang_extension_check, "tol_trace"),
+        "yang_cs": (modes.yang_extension_check, "tol_cs"),
+        "q_symmetry": (en.verify_q_symmetry, "tol_sym"),
+        "dirichlet_principle": (en.dirichlet_principle_check, "tol"),
+        "energy_trace": (en.energy_trace_check, "tol"),
+        "sharp_sobolev": (en.sharp_sobolev_check, "tol"),
+        "lebedev_milin": (en.lebedev_milin_check, "tol_equality"),
+    }
+    for name, (check, param) in pinned.items():
+        assert inspect.signature(check).parameters[param].default == cli.TOL_DEFAULTS[name], name
+    assert set(cli.TOL_DEFAULTS) == set(pinned) | {"gamma_constants", "mode_ode_residual"}
+
+
+def _exact_report(gamma: str, check: str):
+    (rep,) = [r for r in cli._exact_checks(gc.parse_gamma(gamma), 1, 0) if r.check == check]
+    return rep
+
+
+@pytest.mark.parametrize("gamma", ["0.99999999", "0.999999999999999", "1.000001", "2.999999",
+                                   "5.0000001", "7.9999999", "1e-6", "1e-9", "3e-16"])
+def test_gamma_constants_near_integers(gamma):
+    """The reference reflects every Gamma argument below zero and takes both
+    fractions from the exact order, so it stays accurate next to the poles."""
+    rep = _exact_report(gamma, "gamma_constants")
+    assert rep.status == "pass", rep.details
+
+
+def test_gamma_constants_sees_a_float_complement(monkeypatch):
+    """ExactConstant.value with 1 - [g] taken in floats is off by 5e-9 at
+    0.99999999, and the check sees it."""
+    def float_complement(self, frac_gamma):
+        g = float(frac_gamma)
+        ratio = math.gamma(1.0 - g) / math.gamma(g)
+        return (float(self.rational_part) * ratio ** self.gamma_ratio_power
+                * 2.0 ** float(self.two_power))
+
+    monkeypatch.setattr(gc.ExactConstant, "value", float_complement)
+    rep = _exact_report("0.99999999", "gamma_constants")
+    assert rep.status == "fail"
+    assert rep.max_rel_err > 1e-9
+
+
+def test_gamma_constants_sees_a_wrong_constant(monkeypatch):
+    value = gc.ExactConstant.value
+    monkeypatch.setattr(gc.ExactConstant, "value",
+                        lambda self, frac_gamma: value(self, frac_gamma) * (1.0 + 1e-9))
+    rep = _exact_report("1/3", "gamma_constants")
+    assert rep.status == "fail"
+    assert rep.max_rel_err == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_sum_identities_sees_a_wrong_closed_form(monkeypatch):
+    closed_form_F = gc.closed_form_F
+    monkeypatch.setattr(gc, "closed_form_F", lambda j, ell, params: (
+        closed_form_F(j, ell, params) + (1 if (j, ell) == (2, 3) else 0)))
+    rep = _exact_report("4/3", "sum_identities")
+    assert rep.status == "fail"
+    assert rep.details == ["F(2,3) mismatch"]
 
 
 @pytest.fixture(scope="module")

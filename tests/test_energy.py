@@ -189,7 +189,7 @@ def test_numeric_checks_run_without_lapack(monkeypatch):
                         (np.polynomial.legendre, "leggauss")]:
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(en, "_gj_cache", {})
-    reports = cli._numeric_checks(F(1, 2), 1, 128, 60.0, 0, False, dict(cli.TOL_DEFAULTS))
+    reports = cli._numeric_checks(F(1, 2), 1, 128, 60.0, 0, False)
     assert {"q_symmetry", "dirichlet_principle", "energy_trace"} <= {r.check for r in reports}
     assert all(r.passed for r in reports)
     betas = {beta for _, beta in en._gj_cache}
@@ -821,6 +821,24 @@ def test_quotient_matches_full_fft_formula(shape, eps):
             assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("shape", [(512, 512), (32, 64, 16)])
+def test_quotient_block_size(monkeypatch, shape):
+    """The block sums are added with math.fsum, so the block size moves a
+    quotient by a few ulps at most: one row per block, the default, and the
+    whole grid as one block."""
+    n = len(shape)
+    template = GridField(n, shape, 200.0, np.broadcast_to(0.0, shape))
+    bubble = Bubble(n, 0.5, epsilon=1.0, xi0=(3.0, -2.0, 1.0)[:n])
+    bumps = [(0.3, (1.0, -2.0, 0.5)[:n], 3.0), (0.25, (-4.0, 5.0, 0.0)[:n], 2.5)]
+    got = {}
+    for points in (math.prod(shape[1:]), en.BLOCK_POINTS, math.prod(shape)):
+        monkeypatch.setattr(en, "BLOCK_POINTS", points)
+        got[points] = SobolevQuotient(template, 0.5)(bubble, bumps, tail_p=0.1)
+    first, *others = got.values()
+    for other in others:
+        assert other == pytest.approx(first, rel=1e-15, abs=0)
+
+
 def test_lattice_repair_only_at_n2_half():
     template = GridField(1, (8,), 200.0, np.zeros(8))
     quotient = SobolevQuotient(template, 0.25)
@@ -915,6 +933,16 @@ def test_lebedev_milin_constant_function():
     rep = lebedev_milin_check(f_values=np.zeros(8192))
     gap = float(rep.details[-1].split("lhs=")[1].split()[0])
     assert gap == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lebedev_milin_sees_a_wrong_energy(monkeypatch):
+    """lhs x (1 + 1e-2), through every pair weight, fails the equality record
+    against its bound of 1e-3."""
+    pair_weights = GridField.pair_weights
+    monkeypatch.setattr(GridField, "pair_weights", lambda self: pair_weights(self) * (1.0 + 1e-2))
+    rep = lebedev_milin_check(extremal_eps=4.0)
+    assert rep.status == "fail"
+    assert rep.max_rel_err > 5e-3
 
 
 @pytest.mark.parametrize("amp", [0.3, 0.6, 1.0])

@@ -138,6 +138,36 @@ def test_dtn_constants_match_direct_gamma():
             assert mine == pytest.approx(dtn_odd_oracle(float(g), j), rel=1e-12)
 
 
+NEAR_INTEGER_ORDERS = ["1e-4", "1e-6", "1e-9", "1e-12", "3e-16", "0.99999999", "0.999999999999",
+                       "0.999999999999999", "1.000001", "2.999999", "5.0000001", "7.9999999"]
+
+
+@pytest.mark.parametrize("text", NEAR_INTEGER_ORDERS + ["1/3", "1/2", "4/5", "9/4", "10/3",
+                                                        "9/2", "31/4", "63/8", "71/9"])
+def test_dtn_constants_match_mpmath(text):
+    """Against the closed forms at 60 digits: 1 - [g] taken in floats would
+    be off by up to 8e-4 at 0.999999999999999."""
+    mp = pytest.importorskip("mpmath")
+    p = GammaParams(parse_gamma(text))
+    fl = p.floor_gamma
+    with mp.workdps(60):
+        g = mp.mpf(p.gamma.numerator) / p.gamma.denominator
+        fr = g - fl
+        G = mp.gamma
+        for j in range(p.n_even_data):
+            want = ((-1) ** (1 + fl) * mp.power(2, 1 - 2 * fr) * mp.factorial(fl - j)
+                    * G(1 - fr) * G(1 - j + g) * G(2 * j - g)
+                    / (mp.factorial(j) * G(fr) * G(1 + j - fr) * G(-2 * j + g)))
+            got = dtn_constant_even(p, j).value(p.frac_gamma)
+            assert abs(got - want) <= 1e-14 * abs(want), (j, got, want)
+        for j in range(p.n_odd_data):
+            want = ((-1) ** fl * mp.power(2, 2 * fr - 1) * mp.factorial(fl - j)
+                    * G(fr) * G(1 + fl - j - fr) * G(2 * j - fl + fr)
+                    / (mp.factorial(j) * G(1 - fr) * G(1 + j + fr) * G(-2 * j + fl - fr)))
+            got = dtn_constant_odd(p, j).value(p.frac_gamma)
+            assert abs(got - want) <= 1e-14 * abs(want), (j, got, want)
+
+
 def test_dtn_even_reduces_to_cs_normalization():
     for g in (F(1, 3), F(1, 2), F(4, 5), F(1, 100)):
         p = GammaParams(g)

@@ -125,6 +125,20 @@ def test_commutator_sweep(gamma):
         assert verify_commutator(p, k, samples[:7]).passed
 
 
+def test_commutator_sees_a_shifted_weight(monkeypatch):
+    """The outer factor of the left side at weight m + 2k + 1/7 instead of
+    m + 2k fails the check."""
+    p, k = GammaParams(F(4, 3)), 2
+    power = polys.weighted_poly_power
+
+    def shifted(u, m, kk):
+        return power(u, m + F(1, 7) if (m, kk) == (p.m + 2 * k, 1) else m, kk)
+
+    monkeypatch.setattr(polys, "weighted_poly_power", shifted)
+    rep = verify_commutator(p, k, default_samples(1, p.frac_gamma, seed=0)[:7])
+    assert rep.status == "fail"
+
+
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_product_factorization(gamma):
     p = GammaParams(gamma)
