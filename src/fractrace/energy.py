@@ -1,18 +1,24 @@
 """Quadratic forms, trace energies, and the sharp-inequality test bench.
 
 All interior quantities are assembled per Fourier mode of the boundary grid:
-the x integral is Plancherel-exact on the periodic box and only the y
-integral is quadrature.  The modes are the entries of the rfftn half
-spectrum with a nonzero GridField.pair_weights, one per +-xi pair, each
-summed with its pair weight.  Per-mode profiles are polynomial-times-Gaussian
-series (synthetic test fields) or Bessel-type (extension solutions): a
-lam = 0 series plus a Bessel chain, which reuses the series algebra and adds
-only the chain.  Both expose exact symbolic application of the weighted mode
-Laplacian T - |xi|^2, branch-split evaluation for small y and direct
-evaluation elsewhere.  Boundary values are read off two-branch jets,
-vectorized over modes, which each view takes from where its field is
-defined: the solver's per-profile jet terms, or a synthetic field's
-coefficient transforms.
+the x integral is Plancherel-exact on the periodic box, and only the y
+integral remains.  The modes are the entries of the rfftn half spectrum with
+a nonzero GridField.pair_weights, one per +-xi pair, each summed with its
+pair weight.  Per-mode profiles are polynomial-times-Gaussian series with
+exact rational coefficients (synthetic test fields), or Bessel-type
+(extension solutions): a lam = 0 float series plus a Bessel chain.  Both
+expose symbolic application of the weighted mode Laplacian T - |xi|^2,
+branch-split evaluation for small y and direct evaluation elsewhere.
+Boundary values are read off two-branch jets, vectorized over modes, which
+each view takes from where its field is defined: the solver's per-profile
+jet terms, or a synthetic field's coefficient transforms.
+
+Two synthetic atoms pair in closed form, by integral_0^inf y^(2b-1)
+exp(-lam y^2) dy = Gamma(b)/(2 lam^b): each branch-class pair is a sum of
+Pochhammer-weighted coefficient products, exact in integers and rounded
+once (_gauss_pair).  Every pair of q_symmetry and the W-W blocks of the
+energy checks go this way.  Quadrature remains only where a Bessel chain is
+involved: the unit Gram matrices and the solution-synthetic cross terms.
 
 The mode Laplacian is homogeneous: with t = |xi| y, T_y - |xi|^2 =
 |xi|^2 (T_t - 1).  An extension solution is sum_i s_i P_i(|xi| y) at every
@@ -33,10 +39,9 @@ smooth factors), plus panels on the smooth outer region, each the exponent-0
 Node counts double until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|),
 the integral of |f| taken on the same nodes: a cancelling integrand then
 stops at its roundoff floor instead of running to the node cap.  QUAD_COUNTS
-tallies integrals, nodes and cap hits; the energy and symmetry checks fail on
-a cap hit of their own.
+tallies integrals, nodes and cap hits; the energy checks fail on a cap hit
+of their own.
 """
-
 from __future__ import annotations
 
 import functools
@@ -47,6 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ratmap
 from .besselk import bessel_k
 from .gammacore import GammaParams, symmetry_constant, dtn_constant_even, dtn_constant_odd
 from .modes import (
@@ -84,70 +90,11 @@ def _numerator(p, D: int) -> int:
     return p.numerator * (D // p.denominator)
 
 
-class PolyGaussModeFn:
-    """Per-mode function sum_P c_P y^(P/D) exp(-lam y^2), exact under the mode
-    Laplacian.  Synthetic fields have lam > 0; lam = 0 is the series half of a
-    BesselModeFn, which supplies its own outer limit.  The constructor takes
-    rational exponents and keys them by numerators over D."""
+class _SeriesModeFn:
+    """Float terms {P: c}, meaning c y^(P/D) exp(-lam y^2), keyed by integer
+    numerators over the exponent denominator D: what both atom kinds share."""
 
-    def __init__(self, xi: float, m: Fraction, lam: float, terms: dict):
-        D = _key_denominator(terms)
-        self._set(xi, Fraction(m), lam, D, {_numerator(p, D): c for p, c in terms.items()})
-
-    def _set(self, xi, m, lam, D, terms):
-        self.xi = xi
-        self.m = m
-        self.lam = lam
-        self.D = D
-        self.terms = {p: c for p, c in terms.items() if c != 0}
-
-    def _new(self, terms, xi=None, **extra) -> "PolyGaussModeFn":
-        out = object.__new__(type(self))
-        out._set(self.xi if xi is None else xi, self.m, self.lam, self.D, terms, **extra)
-        return out
-
-    @property
-    def series_limit(self) -> float:
-        return np.inf
-
-    @property
-    def outer_limit(self) -> float:
-        """Where y^p exp(-lam y^2) drops below ~1e-20 of scale for the largest
-        power present; the polynomial factor matters once operator
-        applications have piled up high powers."""
-        p_max = max(self.terms) / self.D if self.terms else 0.0
-        return math.sqrt((46.0 + 3.0 * p_max) / self.lam)
-
-    def weighted_laplacian(self) -> "PolyGaussModeFn":
-        """T_y - xi^2 by the power rule T y^p = p (p - 1 + m) y^(p-2) and the
-        Gaussian's product rule."""
-        xi2 = self.xi * self.xi
-        lam = self.lam
-        D, (mp, mq), mf = self.D, (self.m.numerator, self.m.denominator), float(self.m)
-        out = {}
-
-        def add(p, v):
-            if v != 0:
-                out[p] = out.get(p, 0.0) + v
-
-        for p, c in self.terms.items():
-            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
-            if w != 0:
-                add(p - 2 * D, c * (w / (D * D * mq)))
-            add(p, -c * 2.0 * lam * (2.0 * (p / D) + 1.0 + mf))
-            add(p + 2 * D, c * 4.0 * lam * lam)
-            add(p, -c * xi2)
-        return self._new(out)
-
-    def d_dy(self) -> "PolyGaussModeFn":
-        D = self.D
-        out = {}
-        for p, c in self.terms.items():
-            if p != 0:
-                out[p - D] = out.get(p - D, 0.0) + c * (p / D)
-            if self.lam:
-                out[p + D] = out.get(p + D, 0.0) - 2.0 * self.lam * c
-        return self._new(out)
+    lam = 0.0
 
     @functools.cached_property
     def branch_components(self) -> dict:
@@ -162,13 +109,109 @@ class PolyGaussModeFn:
             out += c * y ** (p / self.D)
         return out * np.exp(-self.lam * y * y) if self.lam else out
 
-    eval_outer = eval_series
+
+class PolyGaussModeFn(_SeriesModeFn):
+    """Synthetic per-mode function sum_P c_P y^(P/D) exp(-lam y^2), lam > 0,
+    with exact coefficients.
+
+    A binary float is a dyadic rational, so the constructor takes |xi|^2, lam
+    and the complex coefficients exactly: xi2 and rate (lam) as Fractions,
+    the coefficients as integer numerators nums over one denominator den
+    (ratmap's layout), keyed (P, 0) for the real part and (P, 1) for the
+    imaginary part.  The mode Laplacian and d/dy run in integers.  terms holds
+    each coefficient rounded once, for evaluation and for quadrature against
+    Bessel atoms; two of these atoms pair in closed form (_gauss_pair)."""
+
+    def __init__(self, xi2: float, m: Fraction, lam: float, terms: dict):
+        D = _key_denominator(terms)
+        ratios = {(_numerator(p, D), part): x.as_integer_ratio()
+                  for p, c in terms.items() for part, x in enumerate((c.real, c.imag))}
+        den = math.lcm(*(q for _, q in ratios.values()))
+        self.nums, self.den = ratmap.canonical({key: a * (den // q) for key, (a, q) in ratios.items()},
+                                               den)
+        self.xi2, self.m, self.rate, self.D = Fraction(xi2), Fraction(m), Fraction(lam), D
+        self.lam = float(lam)
+
+    def _new(self, nums: dict, den: int) -> "PolyGaussModeFn":
+        out = object.__new__(PolyGaussModeFn)
+        out.xi2, out.m, out.rate, out.D, out.lam = self.xi2, self.m, self.rate, self.D, self.lam
+        out.nums, out.den = ratmap.canonical(nums, den)
+        return out
+
+    @functools.cached_property
+    def _parts(self) -> dict:
+        """{P: [real numerator, imaginary numerator]}."""
+        out = {}
+        for (p, part), c in self.nums.items():
+            out.setdefault(p, [0, 0])[part] = c
+        return out
+
+    @functools.cached_property
+    def terms(self) -> dict:
+        """{P: complex}, each part its exact numerator over den rounded once."""
+        return {p: complex(re / self.den, im / self.den) for p, (re, im) in self._parts.items()}
+
+    series_limit = np.inf
+
+    @property
+    def outer_limit(self) -> float:
+        """Where y^p exp(-lam y^2) drops below ~1e-20 of scale for the largest
+        power present; the polynomial factor matters once operator
+        applications have piled up high powers."""
+        p_max = max(self.terms) / self.D if self.terms else 0.0
+        return math.sqrt((46.0 + 3.0 * p_max) / self.lam)
+
+    def weighted_laplacian(self) -> "PolyGaussModeFn":
+        """T_y - |xi|^2 by the power rule T y^p = p (p - 1 + m) y^(p-2) and the
+        Gaussian's product rule,
+        T (y^p g) = (p (p - 1 + m) y^(p-2) - 2 lam (2p + 1 + m) y^p + 4 lam^2 y^(p+2)) g,
+        every factor over the common denominator D^2 mq lq^2 xq."""
+        D = self.D
+        (mp, mq), (lp, lq), (xp, xq) = (ratmap.ratio(r) for r in (self.m, self.rate, self.xi2))
+        low, mid, high = lq * lq * xq, D * (2 * lp * lq * xq), 4 * lp * lp * D * D * mq * xq
+        shift = xp * D * D * mq * lq * lq
+        out, factors = {}, {}
+        for (p, part), c in self.nums.items():
+            if p not in factors:
+                factors[p] = (p * ((p - D) * mq + mp * D) * low,   # 0 at branch bottoms
+                              -(mid * ((2 * p + D) * mq + mp * D) + shift))
+            down, same = factors[p]
+            key = p - 2 * D, part
+            out[key] = out.get(key, 0) + c * down
+            key = p, part
+            out[key] = out.get(key, 0) + c * same
+            key = p + 2 * D, part
+            out[key] = out.get(key, 0) + c * high
+        return self._new(out, self.den * D * D * mq * lq * lq * xq)
+
+    def d_dy(self) -> "PolyGaussModeFn":
+        """d/dy (y^p g) = p y^(p-1) g - 2 lam y^(p+1) g, over D lq."""
+        D, (lp, lq) = self.D, ratmap.ratio(self.rate)
+        out = {}
+        for (p, part), c in self.nums.items():
+            for key, v in (((p - D, part), c * p * lq), ((p + D, part), -c * 2 * lp * D)):
+                out[key] = out.get(key, 0) + v
+        return self._new(out, self.den * D * lq)
+
+    @functools.cached_property
+    def exact_classes(self) -> dict:
+        """{P_min: (real, imaginary)}, each an object array of the integer
+        numerators over den of the class's (y^2)^k, dense in k: the exact
+        counterpart of branch_components."""
+        out = {}
+        for low, group in _group_by_class(self._parts, self.D).items():
+            arrays = np.zeros((2, max(k for k, _ in group) + 1), dtype=object)
+            for k, c in group:
+                arrays[:, k] = c
+            out[low] = arrays
+        return out
+
+    eval_outer = _SeriesModeFn.eval_series
 
 
-class BesselModeFn(PolyGaussModeFn):
+class BesselModeFn(_SeriesModeFn):
     """Per-mode function: a lam = 0 series (valid t = xi y < switchover) plus
-    one Bessel-kernel chain for larger y.  The series half is the inherited
-    PolyGaussModeFn algebra; this class adds only the chain.
+    one Bessel-kernel chain for larger y.
 
     terms: {P: complex coeff}, meaning coeff y^(P/D), already in the y variable.
     chain: None once it has cancelled, else (nu: Fraction, prefactor: complex,
@@ -184,14 +227,20 @@ class BesselModeFn(PolyGaussModeFn):
     def __init__(self, xi: float, m: Fraction, terms: dict, chain: tuple):
         nu, pre, ch = chain
         D = _key_denominator([*terms, *(a for a, _ in ch)])
-        self._set(xi, Fraction(m), 0.0, D, {_numerator(p, D): c for p, c in terms.items()},
-                  chain=(nu, pre, {(_numerator(a, D), d): c for (a, d), c in ch.items()}))
+        self._set(xi, Fraction(m), D, {_numerator(p, D): c for p, c in terms.items()},
+                  (nu, pre, {(_numerator(a, D), d): c for (a, d), c in ch.items()}))
 
-    def _set(self, xi, m, lam, D, terms, chain=None):
-        super()._set(xi, m, lam, D, terms)
+    def _set(self, xi, m, D, terms, chain=None):
+        self.xi, self.m, self.D = xi, m, D
+        self.terms = {p: c for p, c in terms.items() if c != 0}
         nu, pre, ch = chain or (None, 0, {})
         ch = {key: c for key, c in ch.items() if c != 0}
         self.chain = (nu, pre, ch) if ch and pre != 0 else None
+
+    def _new(self, terms, xi, chain=None) -> "BesselModeFn":
+        out = object.__new__(BesselModeFn)
+        out._set(xi, self.m, self.D, terms, chain)
+        return out
 
     @property
     def series_limit(self) -> float:
@@ -233,12 +282,30 @@ class BesselModeFn(PolyGaussModeFn):
         return out
 
     def weighted_laplacian(self) -> "BesselModeFn":
-        """T_y - xi^2: equals xi^2 (T_t - 1) on functions of t = xi y."""
-        return self._derived(super().weighted_laplacian().terms, self.xi, self.xi * self.xi,
-                             self._chain_laplacian)
+        """T_y - xi^2: the power rule T y^p = p (p - 1 + m) y^(p-2) on the
+        series, and xi^2 (T_t - 1) on the chain, a function of t = xi y."""
+        xi2 = self.xi * self.xi
+        D, (mp, mq) = self.D, (self.m.numerator, self.m.denominator)
+        out = {}
+
+        def add(p, v):
+            if v != 0:
+                out[p] = out.get(p, 0.0) + v
+
+        for p, c in self.terms.items():
+            w = p * ((p - D) * mq + mp * D)   # p (p - 1 + m) D^2 mq, exact; vanishes at branch bottoms
+            if w != 0:
+                add(p - 2 * D, c * (w / (D * D * mq)))
+            add(p, -c * xi2)
+        return self._derived(out, self.xi, xi2, self._chain_laplacian)
 
     def d_dy(self) -> "BesselModeFn":
-        return self._derived(super().d_dy().terms, self.xi, self.xi, self._chain_ddt)
+        D = self.D
+        out = {}
+        for p, c in self.terms.items():
+            if p != 0:
+                out[p - D] = out.get(p - D, 0.0) + c * (p / D)
+        return self._derived(out, self.xi, self.xi, self._chain_ddt)
 
     def rescaled(self, xi: float, s: complex, j: int) -> "BesselModeFn":
         """s |xi|^(2j) F(|xi| y) for this function F of t at |xi| = 1.
@@ -364,8 +431,58 @@ def _gauss_jacobi_01(n: int, beta: float):
     return _gj_cache[key]
 
 
-def _pair_integral(u, v, m_weight: float) -> complex:
-    """integral_0^inf u(y) conj(v(y)) y^m dy via branch-matched quadrature."""
+def _gauss_pair(u: PolyGaussModeFn, v: PolyGaussModeFn) -> complex:
+    """integral_0^inf u(y) conj(v(y)) y^m dy for two synthetic atoms, in closed
+    form.
+
+    A branch-class pair of minima P0/D_u, Q0/D_v gives the integrand
+    y^(2 b0 - 1) sum_n s_n y^(2n) exp(-lam y^2), with b0 = (P0/D_u + Q0/D_v
+    + m + 1)/2, lam = lam_u + lam_v and s_n = sum_(i+j=n) c_i conj(d_j).  By
+    integral_0^inf y^(2b-1) exp(-lam y^2) dy = Gamma(b)/(2 lam^b) (DLMF 5.9.1)
+    it is Gamma(b0)/(2 lam^b0) sum_n s_n (b0)_n / lam^n.  The sum is exact in
+    integers and rounded once, and one math.gamma call serves the class pair.
+    b0 >= {gamma} > 0: the lowest exponents are 0 and 2{gamma} - 1 (after
+    d/dy), and m = 1 - 2{gamma}."""
+    lp, lq = ratmap.ratio(u.rate + v.rate)
+    mp, mq = ratmap.ratio(u.m)
+    du, dv = u.D, v.D
+    total = 0j
+    for pu, (ar, ai) in u.exact_classes.items():
+        for pv, (br, bi) in v.exact_classes.items():
+            # b0 = bp/bq; (b0)_n / lam^n = weights[n] / (bq lp)^top
+            bp, bq = (pu * dv + pv * du) * mq + (mp + mq) * du * dv, 2 * du * dv * mq
+            g = math.gcd(bp, bq)
+            bp, bq = bp // g, bq // g
+            top = ar.size + br.size - 2
+            weights = np.empty(top + 1, dtype=object)
+            weights[top] = 1
+            for n in range(top, 0, -1):
+                weights[n - 1] = weights[n] * bq * lp
+            poch = 1
+            for n in range(1, top + 1):
+                poch *= (bp + (n - 1) * bq) * lq
+                weights[n] *= poch
+            wr, wi = np.correlate(weights, br), np.correlate(weights, bi)   # sum_j weights[i + j] b_j
+            re = ar @ wr + ai @ wi
+            im = ai @ wr - ar @ wi
+            den = (bq * lp) ** top * u.den * v.den
+            scale = math.gamma(bp / bq) / (2.0 * (lp / lq) ** (bp / bq))
+            total += scale * complex(re / den, im / den)
+    return total
+
+
+def _pair_integral(u, v) -> complex:
+    """integral_0^inf u(y) conj(v(y)) y^m dy: in closed form for two synthetic
+    atoms, else by branch-matched quadrature."""
+    if isinstance(u, PolyGaussModeFn) and isinstance(v, PolyGaussModeFn):
+        return _gauss_pair(u, v)
+    return _quadrature_pair(u, v)
+
+
+def _quadrature_pair(u, v) -> complex:
+    """integral_0^inf u(y) conj(v(y)) y^m dy via branch-matched quadrature on
+    the float terms."""
+    m_weight = float(u.m)
     outer = min(u.outer_limit, v.outer_limit)
     split = min(u.series_limit, v.series_limit, outer)
     total = 0.0 + 0.0j
@@ -588,13 +705,13 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
     hats = [[template.like(c).fft().reshape(-1) for c in coeffs] for coeffs in (a_coeffs, b_coeffs)]
     modes = _active_modes(template, hats[0] + hats[1])
     hats_a, hats_b = ([h[modes] for h in group] for group in hats)
-    xi = np.sqrt(template.xi_abs2()).reshape(-1)[modes]
+    xi2 = template.xi_abs2().reshape(-1)[modes]
     fr2 = 2 * params.frac_gamma   # never an even integer, so no b exponent is an a exponent
     atoms = []
     for pos in range(modes.size):
         terms = {Fraction(2 * q): h[pos] for q, h in enumerate(hats_a) if h[pos] != 0}
         terms.update({fr2 + 2 * q: h[pos] for q, h in enumerate(hats_b) if h[pos] != 0})
-        atoms.append([PolyGaussModeFn(xi[pos], params.m, 1.0, terms)])
+        atoms.append([PolyGaussModeFn(xi2[pos], params.m, 1.0, terms)])
 
     def order(hats, tau):
         out = np.zeros(modes.size, dtype=complex)
@@ -646,21 +763,19 @@ def _interior_pair(u, v, params: GammaParams, xi2: float) -> complex:
     u and v map a power j to the atoms of (T - |xi|^2)^j applied to the field
     at this mode."""
     k = params.k
-    m = float(params.m)
     au = u(k // 2)
     av = v(k // 2)
     if k % 2 == 0:
-        return sum(_pair_integral(a, b, m) for a in au for b in av)
+        return sum(_pair_integral(a, b) for a in au for b in av)
     dau = [a.d_dy() for a in au]
     dav = [a.d_dy() for a in av]
-    val = sum(_pair_integral(a, b, m) for a in dau for b in dav)
-    return val + xi2 * sum(_pair_integral(a, b, m) for a in au for b in av)
+    val = sum(_pair_integral(a, b) for a in dau for b in dav)
+    return val + xi2 * sum(_pair_integral(a, b) for a in au for b in av)
 
 
 def _ul_mode(u, v, params: GammaParams, xi2: float) -> complex:
     """<u, (T - |xi|^2)^k v> at one mode, the raw interior term of the form."""
-    m = float(params.m)
-    return sum(_pair_integral(a, b, m) for a in u(0) for b in v(params.k))
+    return sum(_pair_integral(a, b) for a in u(0) for b in v(params.k))
 
 
 def _laplacian_powers(fn, k: int) -> list:
@@ -792,7 +907,6 @@ def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
                       tol_sym: float = 1e-8) -> VerificationReport:
     """|Q(U,V) - Q(V,U)| small, and Q = interior - boundary correction."""
     report = VerificationReport("q_symmetry", str(params), params.n)
-    hits = QUAD_COUNTS.cap_hits
     quv = q_form(u, v)
     qvu = q_form(v, u)
     scale = abs(quv) + 1.0
@@ -804,7 +918,6 @@ def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
     err2 = abs(quv - (inter - corr)) / scale2
     report.record(err2 <= Q_CONSISTENCY_TOL, err2,
                   f"Q vs interior-minus-correction defect {err2:.3e}")
-    _record_cap_hits(report, hits)
     return report
 
 

@@ -630,14 +630,31 @@ def verify_product_factorization(params: GammaParams, samples) -> VerificationRe
     return report
 
 
+def _r2s_weights(k: int, s: Fraction, base: Fraction) -> list:
+    """The nonzero weights (j, ell, w) of the r^(2s) commutation formula:
+    w = 2^(2j - ell) C(k, j) C(j, ell) s (s-1)...(s-j+1) times the rising
+    product (q)_(j - ell), q = base - 2j + ell, for 0 <= ell <= j <= k."""
+    out = []
+    for j in range(k + 1):
+        for ell in range(j + 1):
+            w = (Fraction(2) ** (2 * j - ell) * math.comb(k, j) * math.comb(j, ell)
+                 * _falling(s, j) * _rising_or_zero(base - 2 * j + ell, j - ell))
+            if w != 0:
+                out.append((j, ell, w))
+    return out
+
+
 def verify_r2s_commutation(params: GammaParams, k: int, s, samples) -> VerificationReport:
     """Commuting r^(2s) through the k-th power of the weighted Laplacian,
-    interior form and weighted-Neumann boundary form."""
+    interior form and weighted-Neumann boundary form.  The weights depend on
+    (k, s, n, [g]) only, so each list is built once for every sample."""
     s = Fraction(s)
     n = params.n
     report = VerificationReport("r2s_commutation", str(params), n)
     m, fr = params.m, params.frac_gamma
     half_n = Fraction(n, 2)
+    interior = _r2s_weights(k, s, half_n + 1 + s + k - fr)
+    boundary = _r2s_weights(k, s, half_n + 1 + fr + s + k)
     for idx, u in enumerate(samples):
         if u.n != n:
             raise ValueError("sample dimension mismatch")
@@ -646,33 +663,15 @@ def verify_r2s_commutation(params: GammaParams, k: int, s, samples) -> Verificat
             powers.append(powers[-1].weighted_laplacian(m))
         lhs = weighted_poly_power(u.mul_r2(s), m, k)
         rhs = HalfSpacePoly(n, fr)
-        for j in range(k + 1):
-            for ell in range(j + 1):
-                w = (
-                    Fraction(2) ** (2 * j - ell)
-                    * math.comb(k, j) * math.comb(j, ell)
-                    * _falling(s, j)
-                    * _rising_or_zero(half_n + 1 + s + k - 2 * j + ell - fr, j - ell)
-                )
-                if w == 0:
-                    continue
-                rhs = rhs + powers[k - j].directional_r2(ell).mul_r2(s - j).scale(w)
+        for j, ell, w in interior:
+            rhs = rhs + powers[k - j].directional_r2(ell).mul_r2(s - j).scale(w)
         if not (lhs - rhs).is_zero_function():
             report.fail(f"sample {idx}: interior r^2s commutation fails (k={k}, s={s})")
 
         blhs = lhs.iota_weighted_neumann()
         brhs = BoundaryPoly(n)
-        for j in range(k + 1):
-            for ell in range(j + 1):
-                w = (
-                    Fraction(2) ** (2 * j - ell)
-                    * math.comb(k, j) * math.comb(j, ell)
-                    * _falling(s, j)
-                    * _rising_or_zero(half_n + 1 + fr + s + k - 2 * j + ell, j - ell)
-                )
-                if w == 0:
-                    continue
-                brhs = brhs + powers[k - j].iota_weighted_neumann().directional_r2(ell).mul_r2(s - j).scale(w)
+        for j, ell, w in boundary:
+            brhs = brhs + powers[k - j].iota_weighted_neumann().directional_r2(ell).mul_r2(s - j).scale(w)
         if not (blhs - brhs).is_zero_function():
             report.fail(f"sample {idx}: boundary r^2s commutation fails (k={k}, s={s})")
     if report.passed:

@@ -71,7 +71,7 @@ def test_pair_integral_against_closed_form():
     # int_0^inf y^4 e^(-2y^2) y^m dy = Gamma((5+m)/2) / (2 * 2^((5+m)/2))
     m = 1.0 / 3.0
     atom = PolyGaussModeFn(0.7, F(1, 3), 1.0, {F(2): 1.0 + 0j})
-    got = complex(_pair_integral(atom, atom, m)).real
+    got = complex(_pair_integral(atom, atom)).real
     a = (5 + m) / 2
     want = math.gamma(a) / (2.0 * 2.0 ** a)
     assert got == pytest.approx(want, rel=1e-11)
@@ -368,6 +368,172 @@ def test_q_symmetry_pure_branch_pair():
     assert rep.passed, rep.details
 
 
+def _q_symmetry_fields(gamma, seed=0):
+    """The synthetic fields verify pairs in its q_symmetry row at this order
+    and seed, on its default 1-D grid (128 points, box 60)."""
+    p = GammaParams(F(gamma))
+    template = GridField(1, (128,), 60.0, np.zeros(128))
+    return p, random_two_branch_field(p, template, seed), random_two_branch_field(p, template, seed + 1)
+
+
+def _synthetic_atoms(view, pos, k):
+    """Every atom the checks pair at one mode of a synthetic view: the
+    Laplacian powers 0..k and their y derivatives."""
+    atoms = [a for j in range(k + 1) for a in view.laplacian_atoms(pos, j)]
+    return atoms + [a.d_dy() for a in atoms]
+
+
+@pytest.mark.parametrize("gamma", ["1/3", "5/2", "9/2"])
+def test_closed_form_matches_quadrature(gamma):
+    """Each pair of synthetic atoms in closed form on the exact coefficients
+    against branch-matched quadrature on the rounded float terms.  Worst
+    measured: 1.1e-13 at 1/3, 9.4e-14 at 5/2, 4.3e-13 at 9/2."""
+    p, u, v = _q_symmetry_fields(gamma)
+    for pos in range(u.modes.size):
+        for a in _synthetic_atoms(u, pos, p.k):
+            for b in _synthetic_atoms(v, pos, p.k):
+                closed = en._pair_integral(a, b)
+                assert abs(closed - en._quadrature_pair(a, b)) <= 1e-12 * abs(closed)
+
+
+def _exact_terms(atom):
+    """{exponent: (real, imaginary)} of a synthetic atom, as Fractions."""
+    out = {}
+    for (p, part), c in atom.nums.items():
+        out.setdefault(F(p, atom.D), [F(0), F(0)])[part] = F(c, atom.den)
+    return {a: tuple(c) for a, c in out.items()}
+
+
+def _fraction_apply(terms, rule):
+    """sum_a c_a y^a exp(-y^2) mapped term by term in Fractions: rule(a) lists
+    (exponent, weight) of the image of y^a exp(-y^2)."""
+    out = {}
+    for a, (re, im) in terms.items():
+        for e, w in rule(a):
+            r0, i0 = out.get(e, (F(0), F(0)))
+            out[e] = (r0 + w * re, i0 + w * im)
+    return {a: c for a, c in out.items() if c != (0, 0)}
+
+
+def _fraction_laplacian(terms, m, xi2):
+    """T_y - xi2, by T (y^a g) = (a (a - 1 + m) y^(a-2) - 2 (2a + 1 + m) y^a
+    + 4 y^(a+2)) g for g = exp(-y^2)."""
+    return _fraction_apply(terms, lambda a: ((a - 2, a * (a - 1 + m)),
+                                             (a, -2 * (2 * a + 1 + m) - xi2), (a + 2, F(4))))
+
+
+def _fraction_d_dy(terms):
+    return _fraction_apply(terms, lambda a: ((a - 1, a), (a + 1, F(-2))))
+
+
+@pytest.mark.parametrize("gamma", ["7/3", "9/2"])
+def test_exact_laplacian_matches_fraction_reference(gamma):
+    """The integer Laplacian powers and y derivatives of one synthetic atom
+    equal a Fraction-only computation from its float hats and the view's
+    float |xi|^2, and each float term is its exact coefficient rounded once."""
+    p, u, _ = _q_symmetry_fields(gamma)
+    pos = u.modes.size - 1
+    atom = u.atoms(pos)[0]
+    want = {F(key, atom.D): (F(c.real), F(c.imag)) for key, c in atom.terms.items()}
+    assert _exact_terms(atom) == want
+    xi2 = F(float(u.xi2[pos]))
+    for j in range(p.k + 1):
+        got = u.laplacian_atoms(pos, j)[0]
+        assert _exact_terms(got) == want
+        assert _exact_terms(got.d_dy()) == _fraction_d_dy(want)
+        for key, c in got.terms.items():
+            re, im = want[F(key, got.D)]
+            assert c == complex(float(re), float(im))
+        want = _fraction_laplacian(want, p.m, xi2)
+
+
+def test_closed_form_matches_mpmath_at_15_2():
+    """The U L^k V pair at one mode of verify's 15/2, seed-1 fields (the row
+    that failed at 1.571e-8 by quadrature) against the per-term Gamma sum at
+    50 digits.  Measured: 2.1e-16; quadrature on the float terms, 1.7e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    p, u, v = _q_symmetry_fields("15/2", seed=1)
+    mpmath.mp.dps = 50
+    pos = 0
+    a, b = u.atoms(pos)[0], v.laplacian_atoms(pos, p.k)[0]
+    want = mpmath.mpc(0)
+    for ea, (ar, ai) in _exact_terms(a).items():
+        for eb, (br, bi) in _exact_terms(b).items():
+            e = (ea + eb + p.m + 1) / 2
+            c = mpmath.mpc(mpmath.mpf(ar.numerator) / ar.denominator,
+                           mpmath.mpf(ai.numerator) / ai.denominator)
+            d = mpmath.mpc(mpmath.mpf(br.numerator) / br.denominator,
+                           -mpmath.mpf(bi.numerator) / bi.denominator)
+            x = mpmath.mpf(e.numerator) / e.denominator
+            want += c * d * mpmath.gamma(x) / (2 * mpmath.power(2, x))
+    got = en._pair_integral(a, b)
+    assert abs(got - complex(want)) <= 1e-15 * abs(complex(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", ["1e-6", "1e-9", "1e-12", "3e-16", "2.999999", "7.9999999"])
+def test_q_symmetry_near_integers(gamma):
+    """Orders whose Gauss-Jacobi exponent 2[g] - 1 nears -1 once failed this
+    row with cap hits, nan and RuntimeWarnings; the closed form has none."""
+    p, u, v = _q_symmetry_fields(gamma)
+    rep = verify_q_symmetry(p, u, v)
+    assert rep.status == "pass", rep.details
+    assert math.isfinite(rep.max_rel_err)
+
+
+def test_verify_passes_q_symmetry_at_15_2(tmp_path):
+    """verify's 15/2, seed-1 q_symmetry row, which read 1.571e-8 against its
+    1e-8 bound by quadrature, passes."""
+    from fractrace import cli
+
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--gamma", "15/2", "--seed", "1", "--only", "numeric",
+                     "--out", str(out)]) == 0
+    row, = (r for r in json.loads(out.read_text()) if r["check"] == "q_symmetry")
+    assert row["status"] == "pass" and row["max_rel_err"] <= 1e-8
+
+
+def test_q_symmetry_sees_a_wrong_boundary_sign(monkeypatch):
+    """q_form's first boundary pairing, B[even, 0] U against B[odd, [g]] V,
+    with its sign flipped fails both rows."""
+    real = en._boundary_pairing
+
+    def flipped(u, family_u, j_u, v, family_v, j_v, lap_power=0):
+        value = real(u, family_u, j_u, v, family_v, j_v, lap_power)
+        return -value if (family_u, j_u, lap_power) == ("even", 0, 0) else value
+
+    monkeypatch.setattr(en, "_boundary_pairing", flipped)
+    p, u, v = _q_symmetry_fields("5/2")
+    rep = verify_q_symmetry(p, u, v)
+    assert rep.status == "fail"
+    assert all(err > 1e-3 for err in _defects(rep, "symmetry defect")
+               + _defects(rep, "Q vs interior-minus-correction defect"))
+
+
+def test_q_symmetry_sees_a_wrong_laplacian_coefficient(monkeypatch):
+    """One exact coefficient of the first Laplacian the check builds, one
+    mode's L V, times (1 + 1e-6): every higher power of that atom inherits
+    it, and the routes disagree past the 1e-8 bound."""
+    real = en.PolyGaussModeFn.weighted_laplacian
+    done = []
+
+    def faulty(self):
+        out = real(self)
+        if not done:
+            done.append(True)
+            key = max(out.nums, key=lambda key: abs(out.nums[key]))
+            nums = dict(out.nums)
+            nums[key] *= 1_000_001
+            out = out._new(nums, out.den * 1_000_000)
+        return out
+
+    monkeypatch.setattr(en.PolyGaussModeFn, "weighted_laplacian", faulty)
+    p, u, v = _q_symmetry_fields("5/2")
+    rep = verify_q_symmetry(p, u, v)
+    assert done and rep.status == "fail"
+    assert rep.max_rel_err > 1e-7
+
+
 _SEEDED_FIELDS = """
 import json
 from fractions import Fraction
@@ -441,10 +607,11 @@ def test_zero_mode_contributes_nothing(gamma, n):
 
 
 def test_non_decaying_atom_raises():
-    """A lam = 0 series pairs with nothing: its outer limit divides by lam."""
+    """A lam = 0 synthetic atom pairs with nothing: its closed form divides
+    by lam^b0."""
     atom = PolyGaussModeFn(0.0, F(1, 3), 0.0, {F(0): 1.0 + 0j})
     with pytest.raises(ZeroDivisionError):
-        _pair_integral(atom, atom, 1.0 / 3.0)
+        _pair_integral(atom, atom)
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
@@ -590,13 +757,10 @@ def test_cap_hits_fail_each_check(monkeypatch):
     check that runs quadrature reports its cap hits and fails."""
     p = GammaParams(F(3, 2))
     sol = solve_extension(p, _gaussian_data(p, 64))
-    template = sol.template
     monkeypatch.setattr(en, "GJ_CAP", en.GJ_START)
     en._unit_gram.cache_clear()
     try:
-        reps = [dirichlet_principle_check(sol), energy_trace_check(sol),
-                verify_q_symmetry(p, random_two_branch_field(p, template, seed=0),
-                                  random_two_branch_field(p, template, seed=1))]
+        reps = [dirichlet_principle_check(sol), energy_trace_check(sol)]
     finally:
         en._unit_gram.cache_clear()   # drop Gram matrices built at the low cap
     for rep in reps:

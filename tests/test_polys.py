@@ -175,6 +175,38 @@ def test_r2s_commutation_dimensions(n):
     assert verify_r2s_commutation(p, 2, F(1, 2), samples).passed
 
 
+@pytest.mark.parametrize("side", ["interior", "boundary"])
+def test_r2s_commutation_sees_a_wrong_weight(side, monkeypatch):
+    """Each weight of the interior or the boundary list, built once per call,
+    times 1 + 1/7 fails that side's identity on some of verify's samples at
+    k = 2, s = -3/2, and the other side still holds."""
+    real = polys._r2s_weights
+    p = GammaParams(F(4, 3))
+    samples = default_samples(1, p.frac_gamma, seed=0, extra=2)
+    samples = samples[:5] + samples[9:]   # verify's r^2s samples
+    target = ("interior", "boundary").index(side)
+    lists = []
+
+    def faulty(k, s, base):
+        out = real(k, s, base)
+        if len(lists) == target and index is not None:
+            j, ell, w = out[index]
+            out[index] = (j, ell, w * F(8, 7))
+        lists.append(out)
+        return out
+
+    monkeypatch.setattr(polys, "_r2s_weights", faulty)
+    index = None
+    assert verify_r2s_commutation(p, 2, F(-3, 2), samples).passed
+    size = len(lists[target])
+    assert size == 6
+    for index in range(size):
+        lists.clear()
+        rep = verify_r2s_commutation(p, 2, F(-3, 2), samples)
+        assert rep.status == "fail" and len(lists) == 2, index
+        assert all(f"{side} r^2s commutation fails" in d for d in rep.details), index
+
+
 def test_hyperbolic_eigenrelation():
     # Delta_hyp y^s = s (s - n) y^s
     for n in (1, 2):
