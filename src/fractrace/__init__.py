@@ -4,8 +4,8 @@ problems, with exact operator calculus and sharp trace-inequality checks."""
 
 import os
 
-# fractrace's numpy work runs on one thread (verify forks only its pure-Python
-# exact suite); a second OpenBLAS thread only spins at start-up.
+# fractrace's numpy work runs on one thread per process (verify's second
+# worker is a forked process); a second OpenBLAS thread only spins at start-up.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .gammacore import (

@@ -2,8 +2,13 @@
 sharpness reports with a CI-friendly exit-code contract.
 
 exit 0: all checks passed; exit 1: at least one check failed, or verify's
-exact-suite process ended without its reports; exit 2: bad configuration or
-input files.
+helper process ended without sending its reports; exit 2: bad configuration
+or input files.
+
+With two or more CPUs, verify forks one helper process, and the two drain
+its job list together: two job queues carried by pipes, one of the numeric
+and sharp-inequality jobs and one of the exact jobs (see _run_jobs).  The
+reports are the same bytes as on one CPU, where every job runs in turn.
 """
 
 from __future__ import annotations
@@ -232,15 +237,76 @@ def _skipped(check: str, params, reason: str) -> VerificationReport:
     return rep
 
 
-class ExactSuiteError(RuntimeError):
-    """The exact suite's child process ended without sending its reports."""
+class HelperError(RuntimeError):
+    """verify's helper process ended without sending its reports."""
 
 
-def _fork_exact_suite(gammas, n: int, seed: int):
-    """Run _exact_checks at every order in a forked child process, which
-    shares no state with the caller after the fork.  The child sends its
-    reports, or the exception it raised, pickled through a pipe and ends with
-    os._exit.  Returns (pid, read end of the pipe) for _exact_suite_reports."""
+RECORD = 2   # bytes per job index in a job queue
+
+
+def _job_queue(indexes: list) -> int:
+    """The read end of a pipe that holds these job indexes in order, its
+    write end closed.  Each read of one record claims the next job (a pipe
+    read is atomic), and end of file means the queue is empty; nothing is
+    held between claims, so a process that dies takes no job with it but
+    the one it runs."""
+    import os
+
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, b"".join(i.to_bytes(RECORD, "little") for i in indexes))
+    os.close(write_fd)
+    return read_fd
+
+
+def _claim(queue: int):
+    """The next unclaimed job index of the queue, or None once it is empty."""
+    import os
+
+    record = os.read(queue, RECORD)
+    return int.from_bytes(record, "little") if record else None
+
+
+def _pending(queue: int) -> int:
+    """How many jobs are left in the queue."""
+    import fcntl
+    import termios
+
+    left = fcntl.ioctl(queue, termios.FIONREAD, bytes(4))
+    return int.from_bytes(left, sys.byteorder) // RECORD
+
+
+def _end_queues(queues: list):
+    """Claim every job left, so neither process starts another."""
+    import os
+    import select
+
+    for queue in queues:
+        while os.read(queue, select.PIPE_BUF):
+            pass
+
+
+def _drain(jobs: list, queues: list, run) -> dict:
+    """{job index: run(fn, args)} for every job this process claims: from
+    its own queue, queues[0], while it has jobs, else from another while two
+    or more are left there (the other process takes the last one after its
+    current job, without loading another job kind's modules)."""
+    done = {}
+    while True:
+        for queue in queues:
+            i = _claim(queue) if queue == queues[0] or _pending(queue) >= 2 else None
+            if i is not None:
+                break
+        else:
+            return done
+        fn, a = jobs[i]
+        done[i] = run(fn, a)
+
+
+def _fork_helper(jobs: list, queues: list):
+    """Fork a helper that drains the queues, its own first, running each job
+    inline.  It sends {job index: reports}, or the exception a job raised
+    (after ending the queues), pickled through a pipe and ends with
+    os._exit.  Returns (pid, read end of the pipe) for _helper_reports."""
     import os
     import pickle
 
@@ -252,11 +318,12 @@ def _fork_exact_suite(gammas, n: int, seed: int):
         os.close(write_fd)
         return pid, read_fd
     status = 1
-    try:   # the child never returns into the caller's code
+    try:   # the helper never returns into the caller's code
         os.close(read_fd)
         try:
-            result = True, [rep for g in gammas for rep in _exact_checks(g, n, seed)]
+            result = True, _drain(jobs, queues, lambda fn, a: fn(*a))
         except Exception as exc:
+            _end_queues(queues)
             result = False, exc
         payload = pickle.dumps(result)
         with os.fdopen(write_fd, "wb") as pipe:
@@ -266,9 +333,9 @@ def _fork_exact_suite(gammas, n: int, seed: int):
         os._exit(status)
 
 
-def _exact_suite_reports(pid: int, read_fd: int) -> list:
-    """Read the child's result to EOF, reap the child, and return its reports
-    or raise the exception it raised."""
+def _helper_reports(pid: int, read_fd: int) -> dict:
+    """Read the helper's result to EOF, reap the helper, and return its
+    {job index: reports} or raise the exception its job raised."""
     import os
     import pickle
 
@@ -277,15 +344,15 @@ def _exact_suite_reports(pid: int, read_fd: int) -> list:
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not payload:
         ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise ExactSuiteError(f"the exact suite's process {ended} before sending its "
-                              "reports; no report written")
+        raise HelperError(f"verify's helper process {ended} before sending its reports; "
+                          "no report written")
     ok, value = pickle.loads(payload)
     if not ok:
         raise value
     return value
 
 
-def _kill_exact_suite(pid: int, read_fd: int):
+def _kill_helper(pid: int, read_fd: int):
     import os
     import signal
 
@@ -294,9 +361,70 @@ def _kill_exact_suite(pid: int, read_fd: int):
     os.close(read_fd)
 
 
-def cmd_verify(args) -> int:
-    import os
+def _run_jobs(jobs: list, groups: list) -> list:
+    """Every job's reports, concatenated in job order.  groups splits the
+    job indexes by kind, each group in list order.
 
+    With one CPU, or one job, every job runs here in list order.  With two
+    or more CPUs each group becomes one job queue (_job_queue), and this
+    process and one forked helper drain them together: this process starts
+    on the first group's queue and the helper on the last one's (the same
+    queue when there is one group), and either takes from the other queue
+    once its own is empty (_drain).  A job kind loads its modules at its
+    first job in a process: energy with numpy's fft and random for the
+    numeric jobs, jets and polys for the exact ones, which compile on every
+    run where no bytecode cache is written.  Starting each process on its
+    own kind keeps those loads in parallel, and a process loads the other
+    kind's only to take over two or more of its jobs.  The helper is forked
+    before any thread starts.  Here each job runs on the one-worker
+    executor, which stays only as the hook bench/tracer.py wraps to time
+    each job (the helper's jobs go untimed).  The first job that raises ends
+    the queues for both processes: an error here wins and kills the helper;
+    else the helper's error is raised once this process has finished its
+    current job."""
+    import os
+    import select
+
+    helper, queues = None, []
+    if (len(jobs) >= 2 and max(map(len, groups)) * RECORD <= select.PIPE_BUF
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        queues = [_job_queue(group) for group in groups]
+        helper = _fork_helper(jobs, queues[::-1])
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            def run(fn, a):
+                return pool.submit(fn, *a).result()
+
+            if helper is None:
+                done = {i: run(*jobs[i]) for i in range(len(jobs))}
+            else:
+                done = _drain(jobs, queues, run)
+    except BaseException:
+        if helper is not None:
+            _kill_helper(*helper)
+        raise
+    finally:
+        for queue in queues:
+            os.close(queue)
+    if helper is not None:
+        done.update(_helper_reports(*helper))
+    return [rep for i in sorted(done) for rep in done[i]]
+
+
+def _sharp_sobolev_job(seed: int) -> list:
+    from . import energy as en
+
+    return [en.sharp_sobolev_check(2, gt=0.5, seed=seed, tol=TOL_DEFAULTS["sharp_sobolev"])]
+
+
+def _lebedev_milin_job() -> list:
+    from . import energy as en
+
+    return [en.lebedev_milin_check(extremal_eps=4.0, tol_equality=TOL_DEFAULTS["lebedev_milin"]),
+            en.lebedev_milin_check(perturbation=0.5)]
+
+
+def cmd_verify(args) -> int:
     gammas = _parse_gammas(args.gamma)
     if args.grid < 2:
         raise ConfigError(f"--grid must be a power of two >= 2 (a 1-point grid has no "
@@ -306,20 +434,6 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    # The exact suite is pure-Python rational arithmetic, which a thread cannot
-    # overlap with the numeric jobs.  With a second CPU it runs in a child
-    # process, forked before the pool starts its thread and before energy loads.
-    child = None
-    if (args.only is None and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        child = _fork_exact_suite(gammas, args.n, args.seed)
-    from . import energy as en
-
-    reports = []
-    jobs = []
-
-    def submit(fn, *a):
-        jobs.append((fn, a))
 
     def numeric_checks(*a):   # errstate set in the job's thread, which does not inherit it
         try:
@@ -328,34 +442,19 @@ def cmd_verify(args) -> int:
         except (OverflowError, FloatingPointError) as exc:
             raise ConfigError(f"--box {args.box!r} overflows the numeric checks: {exc}") from None
 
-    if child is None and args.only in (None, "identities"):
-        for g in gammas:
-            submit(_exact_checks, g, args.n, args.seed)
+    # The job list: the numeric jobs per order, then the two sharp-inequality
+    # jobs, then the exact jobs from the highest order down, since their cost
+    # grows with the order: a process takes the small ones last.
+    numeric, exact = [], []
     if args.only in (None, "numeric"):
-        for g in gammas:
-            submit(numeric_checks, g, args.n, args.grid, args.box, args.seed, args.full)
-        submit(lambda: [en.sharp_sobolev_check(2, gt=0.5, seed=args.seed,
-                                               tol=TOL_DEFAULTS["sharp_sobolev"])])
-        submit(lambda: [en.lebedev_milin_check(extremal_eps=4.0,
-                                               tol_equality=TOL_DEFAULTS["lebedev_milin"]),
-                        en.lebedev_milin_check(perturbation=0.5)])
-
-    # These jobs run one after another in submission order, beside the exact
-    # suite's child if there is one, and the first that raises stops the rest:
-    # each is submitted only once the one before it has returned.  The
-    # one-worker executor stays only as the hook bench/tracer.py wraps to time
-    # each job.
-    try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for fn, a in jobs:
-                reports.extend(pool.submit(fn, *a).result())
-    except BaseException:
-        if child is not None:
-            _kill_exact_suite(*child)
-        raise
-    if child is not None:   # inline, the exact jobs come first
-        reports[:0] = _exact_suite_reports(*child)
-
+        numeric = [(numeric_checks, (g, args.n, args.grid, args.box, args.seed, args.full))
+                   for g in gammas]
+        numeric += [(_sharp_sobolev_job, (args.seed,)), (_lebedev_milin_job, ())]
+    if args.only in (None, "identities"):
+        exact = [(_exact_checks, (g, args.n, args.seed)) for g in sorted(gammas, reverse=True)]
+    jobs = numeric + exact
+    kinds = [range(len(numeric)), range(len(numeric), len(jobs))]
+    reports = _run_jobs(jobs, [list(kind) for kind in kinds if kind])
     reports.sort(key=lambda r: (r.gamma, r.check))
     payload = reports_to_json(reports).encode()
     if args.out:
@@ -549,7 +648,7 @@ def main(argv=None) -> int:
     except (ConfigError, gc.GammaDomainError, modes.GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExactSuiteError as exc:
+    except HelperError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

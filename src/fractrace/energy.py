@@ -32,15 +32,24 @@ coefficient gains s_i |xi|^(p + 2j), the Bessel chain prefactor
 s_i |xi|^(2j).  The zero mode, where every contribution is exactly zero, is
 left out (see extension_field_view).
 
-The y quadrature is Gauss-Jacobi with the weight exponent matched per branch
-pair (the two-branch structure makes the integrand a sum of y^kappa times
-smooth factors), plus panels on the smooth outer region, each the exponent-0
-(Gauss-Legendre) rule mapped to its interval.
-Node counts double until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|),
-the integral of |f| taken on the same nodes: a cancelling integrand then
-stops at its roundoff floor instead of running to the node cap.  QUAD_COUNTS
-tallies integrals, nodes and cap hits; the energy checks fail on a cap hit
-of their own.
+The y quadrature works on two lists of atoms at one |xi| at a time
+(_pair_matrix), so each atom is evaluated once per node set for all its
+pairs.  Below the series limits each side's terms fall into classes by
+exponent mod 1, each y^anchor times a polynomial in y, and a pair of classes
+is one integral by the Gauss-Jacobi rule whose weight exponent is the two
+anchors plus m; the class pairs of one exponent share the rule's node sets
+as one matrix product.  The smooth outer region is cut into geometric
+panels, each one integral per atom pair by the exponent-0 (Gauss-Legendre)
+rule mapped to it, again as one product.  Every integral doubles its nodes
+until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|), the integral of
+|f| taken on the same nodes: a cancelling integrand then stops at its
+roundoff floor instead of running to the node cap.  One whose integral of
+|f| is below the smallest normal float has converged: on a huge box
+(--box 1e50 and up) some cross terms are subnormal, 1e-312 and smaller,
+where a relative test cannot be met and nothing is left to resolve.  That
+is the chosen route, rather than a bound on --box.  QUAD_COUNTS tallies
+integrals, nodes and cap hits; the energy checks fail on a cap hit of their
+own.
 """
 from __future__ import annotations
 
@@ -95,13 +104,6 @@ class _SeriesModeFn:
     numerators over the exponent denominator D: what both atom kinds share."""
 
     lam = 0.0
-
-    @functools.cached_property
-    def branch_components(self) -> dict:
-        """The terms grouped by exponent class (p mod 2), anchored at the
-        group minimum so the residual factor is a genuine power series in y^2:
-        {P_min: coefficient vector over (y^2)^k}, P_min over D."""
-        return _class_coefficients(self.terms, self.D)
 
     def eval_series(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=complex)
@@ -196,8 +198,7 @@ class PolyGaussModeFn(_SeriesModeFn):
     @functools.cached_property
     def exact_classes(self) -> dict:
         """{P_min: (real, imaginary)}, each an object array of the integer
-        numerators over den of the class's (y^2)^k, dense in k: the exact
-        counterpart of branch_components."""
+        numerators over den of the class's (y^2)^k, dense in k."""
         out = {}
         for low, group in _group_by_class(self._parts, self.D).items():
             arrays = np.zeros((2, max(k for k, _ in group) + 1), dtype=object)
@@ -343,17 +344,6 @@ def _group_by_class(series: dict, D: int) -> dict:
     return out
 
 
-def _class_coefficients(series: dict, D: int) -> dict:
-    """{P_min: coefficients of the class's power series in y^2}, dense in k."""
-    out = {}
-    for low, group in _group_by_class(series, D).items():
-        coeffs = np.zeros(max(k for k, _ in group) + 1, dtype=complex)
-        for k, c in group:
-            coeffs[k] = c
-        out[low] = coeffs
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
@@ -471,47 +461,100 @@ def _gauss_pair(u: PolyGaussModeFn, v: PolyGaussModeFn) -> complex:
     return total
 
 
-def _pair_integral(u, v) -> complex:
-    """integral_0^inf u(y) conj(v(y)) y^m dy: in closed form for two synthetic
-    atoms, else by branch-matched quadrature."""
-    if isinstance(u, PolyGaussModeFn) and isinstance(v, PolyGaussModeFn):
-        return _gauss_pair(u, v)
-    return _quadrature_pair(u, v)
+def _pair_matrix(us: list, vs: list) -> np.ndarray:
+    """[integral_0^inf u_i(y) conj(v_j(y)) y^m dy] over two lists of atoms at
+    one |xi|: in closed form where both atoms are synthetic, else by batched
+    quadrature."""
+    out = np.zeros((len(us), len(vs)), dtype=complex)
+    closed = np.array([[isinstance(a, PolyGaussModeFn) and isinstance(b, PolyGaussModeFn)
+                        for b in vs] for a in us], dtype=bool).reshape(out.shape)
+    for i, j in zip(*np.nonzero(closed)):
+        out[i, j] = _gauss_pair(us[i], vs[j])
+    if not closed.all():
+        out[~closed] = _quadrature_matrix(us, vs, ~closed)[~closed]
+    return out
 
 
-def _quadrature_pair(u, v) -> complex:
-    """integral_0^inf u(y) conj(v(y)) y^m dy via branch-matched quadrature on
-    the float terms."""
-    m_weight = float(u.m)
-    outer = min(u.outer_limit, v.outer_limit)
-    split = min(u.series_limit, v.series_limit, outer)
-    total = 0.0 + 0.0j
-
-    # inner region: per branch-class pair, weight-matched Gauss-Jacobi; each
-    # class factor is its coefficient vector times the powers (y^2)^k
-    lam = u.lam + v.lam
-    vg = {cv: np.conj(dv) for cv, dv in v.branch_components.items()}
-    for cu, du in u.branch_components.items():
-        for cv, dv in vg.items():
-            beta = (cu * v.D + cv * u.D) / (u.D * v.D) + m_weight
-
-            def smooth(yv):
-                y2 = yv * yv
-                powers = y2 ** np.arange(max(du.size, dv.size))[:, None]
-                f = (du @ powers[:du.size]) * (dv @ powers[:dv.size])
-                return f * np.exp(-lam * y2) if lam else f
-
-            total += _adaptive_gj(smooth, 0.0, split, beta)
-
-    # outer region: both factors evaluated directly, integrand smooth
+def _quadrature_matrix(us: list, vs: list, members: np.ndarray) -> np.ndarray:
+    """The pair integrals at the entries members marks, by quadrature on the
+    float terms over [0, min(max_i outer_u, max_j outer_v)], which holds
+    every pair's own range: below the series limits by exponent class
+    (_inner_matrix), above on geometric panels, one integral per atom pair
+    and panel.  Every atom is evaluated once per node set."""
+    m = float(us[0].m)
+    outer = min(max(a.outer_limit for a in us), max(b.outer_limit for b in vs))
+    split = min(*(a.series_limit for a in us), *(b.series_limit for b in vs), outer)
+    total = _inner_matrix(us, vs, members, split, m)
     if outer > split * (1.0 + 1e-12):
-        def outer_fn(yv):
-            fu = u.eval_outer(yv) if yv[0] >= u.series_limit else u.eval_series(yv)
-            fv = v.eval_outer(yv) if yv[0] >= v.series_limit else v.eval_series(yv)
-            return fu * np.conj(fv) * yv ** m_weight
+        def values(atoms, y):
+            return np.array([a.eval_outer(y) if y[0] >= a.series_limit else a.eval_series(y)
+                             for a in atoms])
 
-        total += _adaptive_gl(outer_fn, split, outer)
+        total += _adaptive_gl(lambda y: values(us, y), lambda y: np.conj(values(vs, y)) * y ** m,
+                              split, outer, members)
     return total
+
+
+def _exponent_classes(atoms: list, conj: bool) -> list:
+    """The series terms of the atoms, in classes by exponent mod 1 over the
+    list: per class (anchor, C, lam, has), anchor the least exponent of the
+    class (a Fraction) and C[i, j] atom i's coefficient of y^(anchor + j),
+    so each row is y^anchor times a polynomial in y.  has[i] says atom i has
+    a term in the class, and lam holds each atom's lam, for its
+    exp(-lam y^2).  Exponents are integer numerators over the lcm L of the
+    atoms' denominators, so every offset j is exact."""
+    L = math.lcm(*(a.D for a in atoms))
+    classes = {}
+    for i, a in enumerate(atoms):
+        for p, c in a.terms.items():
+            q = p * (L // a.D)
+            classes.setdefault(q % L, []).append((i, q, np.conj(c) if conj else c))
+    lam = np.array([a.lam for a in atoms])
+    out = []
+    for group in classes.values():
+        anchor = min(q for _, q, _ in group)
+        coeffs = np.zeros((len(atoms), (max(q for _, q, _ in group) - anchor) // L + 1), dtype=complex)
+        has = np.zeros(len(atoms), dtype=bool)
+        for i, q, c in group:
+            coeffs[i, (q - anchor) // L] = c
+            has[i] = True
+        out.append((Fraction(anchor, L), coeffs, lam, has))
+    return out
+
+
+def _class_values(coeffs: np.ndarray, lam: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of coeffs as a polynomial in y on y, times exp(-lam y^2)."""
+    f = coeffs @ y ** np.arange(coeffs.shape[1])[:, None]
+    return f * np.exp(-lam[:, None] * (y * y)) if lam.any() else f
+
+
+def _inner_matrix(us: list, vs: list, members: np.ndarray, split: float, m: float) -> np.ndarray:
+    """The inner region [0, split].  Each exponent-class pair of each atom
+    pair (_exponent_classes) is one integral, by the Gauss-Jacobi rule of
+    exponent beta = the two anchors plus m, its smooth factor the product of
+    the two polynomials in y.  The class pairs of one beta share its node
+    sets: their classes stack into one product, whose diagonal blocks are
+    their integrals."""
+    right = _exponent_classes(vs, conj=True)
+    groups = {}
+    for anchor_u, *cu in _exponent_classes(us, conj=False):
+        for anchor_v, *cv in right:
+            groups.setdefault(anchor_u + anchor_v, []).append((cu, cv))
+    nu, nv = members.shape
+    out = np.zeros(members.shape, dtype=complex)
+    for beta, pairs in groups.items():
+        size = len(pairs)
+        mask = np.zeros((size, nu, size, nv), dtype=bool)
+        for p, ((_, _, has_u), (_, _, has_v)) in enumerate(pairs):
+            mask[p, :, p, :] = members & np.outer(has_u, has_v)
+
+        def side(y, s):
+            return np.concatenate([_class_values(*pair[s][:2], y) for pair in pairs])
+
+        vals = _adaptive_gj(functools.partial(side, s=0), functools.partial(side, s=1), 0.0, split,
+                            float(beta) + m, mask.reshape(size * nu, size * nv))
+        out += np.einsum("pipj->ij", vals.reshape(size, nu, size, nv))
+    return out
 
 
 class _QuadCounts:
@@ -527,51 +570,66 @@ class _QuadCounts:
 QUAD_COUNTS = _QuadCounts()
 
 
-def _adaptive(rule, start: int) -> complex:
-    """Double the node count n from start until |I_n - I_(n/2)| <=
-    QUAD_REL_TOL (|I_n| + A_n), where rule(n) returns I_n and A_n, the
-    integral of |f| on the same nodes and weights.  The A_n term bounds the
-    roundoff of a cancelling integrand, which a purely relative rule would
-    chase to the cap; reaching GJ_CAP unconverged counts a cap hit."""
+TINY = np.finfo(float).tiny
+
+
+def _adaptive(rule, members: np.ndarray) -> np.ndarray:
+    """The integrals at the entries members marks, each by doubling the node
+    count n from GJ_START until |I_n - I_(n/2)| <= QUAD_REL_TOL (|I_n| + A_n),
+    where rule(n) returns the matrices I_n and A_n, the integral of |f| on the
+    same nodes and weights.  The A_n term bounds the roundoff of a cancelling
+    integrand, which a purely relative rule would chase to the cap.  Every
+    member stops on its own test and keeps its I_n from there; the batch
+    doubles while any is open.  A member whose A_n is below the smallest
+    normal float has converged: a subnormal integrand cannot meet a relative
+    test, and it is below every other term's roundoff.  Each member still
+    open at GJ_CAP counts a cap hit."""
     counts = QUAD_COUNTS
-    counts.integrals += 1
-    prev = None
-    n = start
-    while True:
+    counts.integrals += int(members.sum())
+    out = np.zeros(members.shape, dtype=complex)
+    active = members.copy()
+    prev, n = None, GJ_START
+    while active.any():
         val, mass = rule(n)
-        counts.nodes += n
-        if prev is not None and abs(val - prev) <= QUAD_REL_TOL * (abs(val) + mass):
-            return val
-        if n >= GJ_CAP:
-            counts.cap_hits += 1
-            return val
-        prev = val
-        n *= 2
+        counts.nodes += n * int(active.sum())
+        if prev is not None:
+            done = active & ((np.abs(val - prev) <= QUAD_REL_TOL * (np.abs(val) + mass))
+                             | (mass < TINY))
+            out[done] = val[done]
+            active &= ~done
+        if n >= GJ_CAP and active.any():
+            counts.cap_hits += int(active.sum())
+            out[active] = val[active]
+            break
+        prev, n = val, 2 * n
+    return out
 
 
-def _adaptive_gj(fn, lo: float, hi: float, beta: float) -> complex:
-    """integral_lo^hi (y - lo)^beta fn(y) dy by the Gauss-Jacobi rule mapped
-    to [lo, hi]."""
+def _adaptive_gj(left, right, lo: float, hi: float, beta: float, members) -> np.ndarray:
+    """[integral_lo^hi (y - lo)^beta l_a(y) r_b(y) dy] over the rows l_a of
+    left(y) and r_b of right(y), by the Gauss-Jacobi rule mapped to [lo, hi]:
+    one product (l w) @ r^T per node set."""
     width = hi - lo
     scale = width ** (beta + 1.0)
 
     def rule(n):
         uu, w = _gauss_jacobi_01(n, beta)
-        f = fn(lo + width * uu)
-        return scale * np.sum(w * f), scale * np.sum(w * np.abs(f))
+        y = lo + width * uu
+        fl, fr = left(y) * (scale * w), right(y)
+        return fl @ fr.T, np.abs(fl) @ np.abs(fr).T
 
-    return _adaptive(rule, GJ_START)
+    return _adaptive(rule, members)
 
 
-def _adaptive_gl(fn, lo: float, hi: float) -> complex:
-    """integral_lo^hi fn(y) dy on geometric panels, each by the mapped
-    exponent-0 rule: the integrand decays exponentially."""
+def _adaptive_gl(left, right, lo: float, hi: float, members) -> np.ndarray:
+    """[integral_lo^hi l_a(y) r_b(y) dy] on geometric panels, each by the
+    mapped exponent-0 rule: the integrands decay exponentially."""
     edges = [lo]
     while edges[-1] < hi:
         edges.append(min(hi, edges[-1] * 2.5 + 1.0))
-    total = 0.0 + 0.0j
+    total = np.zeros(members.shape, dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
-        total += _adaptive_gj(fn, a, b, 0.0)
+        total += _adaptive_gj(left, right, a, b, 0.0, members)
     return total
 
 
@@ -757,8 +815,9 @@ def _mode_weight(template: GridField) -> float:
     return template.box_length ** template.n
 
 
-def _interior_pair(u, v, params: GammaParams, xi2: float) -> complex:
-    """<Delta_m^(k/2) u, Delta_m^(k/2) v> with the gradient form for odd k.
+def _interior_pair(u, v, params: GammaParams, xi2: float) -> np.ndarray:
+    """<Delta_m^(k/2) u_a, Delta_m^(k/2) v_b> with the gradient form for odd
+    k, over the atoms a of u and b of v.
 
     u and v map a power j to the atoms of (T - |xi|^2)^j applied to the field
     at this mode."""
@@ -766,16 +825,15 @@ def _interior_pair(u, v, params: GammaParams, xi2: float) -> complex:
     au = u(k // 2)
     av = v(k // 2)
     if k % 2 == 0:
-        return sum(_pair_integral(a, b) for a in au for b in av)
-    dau = [a.d_dy() for a in au]
-    dav = [a.d_dy() for a in av]
-    val = sum(_pair_integral(a, b) for a in dau for b in dav)
-    return val + xi2 * sum(_pair_integral(a, b) for a in au for b in av)
+        return _pair_matrix(au, av)
+    return (_pair_matrix([a.d_dy() for a in au], [b.d_dy() for b in av])
+            + xi2 * _pair_matrix(au, av))
 
 
-def _ul_mode(u, v, params: GammaParams, xi2: float) -> complex:
-    """<u, (T - |xi|^2)^k v> at one mode, the raw interior term of the form."""
-    return sum(_pair_integral(a, b) for a in u(0) for b in v(params.k))
+def _ul_mode(u, v, params: GammaParams, xi2: float) -> np.ndarray:
+    """<u_a, (T - |xi|^2)^k v_b> at one mode over the atoms a and b, the raw
+    interior term of the form."""
+    return _pair_matrix(u(0), v(params.k))
 
 
 def _laplacian_powers(fn, k: int) -> list:
@@ -793,9 +851,10 @@ def _unit_gram(params: GammaParams, pair) -> np.ndarray:
     With t = |xi| y the mode Laplacian is T_y - |xi|^2 = |xi|^2 (T_t - 1), so
     at |xi| > 0 the pair block of two extension solutions is
     sum_ij s_i conj(s'_j) G_ij |xi|^(2k - m - 1), and 2k - m - 1 = 2 gamma:
-    one matrix per order and pairing, built by the per-mode quadrature."""
-    sides = [lambda j, powers=powers: [powers[j]] for powers in _unit_laplacians(params)]
-    return np.array([[pair(a, b, params, 1.0) for b in sides] for a in sides])
+    one matrix per order and pairing, built by one call of the per-mode
+    quadrature over all unit profiles."""
+    side = [list(atoms) for atoms in zip(*_unit_laplacians(params))].__getitem__
+    return pair(side, side, params, 1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -818,7 +877,7 @@ def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
     total = 0.0 + 0.0j
     for a, b in zip(iu, iv):
         total += u.weight[a] * pair(functools.partial(u.laplacian_atoms, a),
-                                    functools.partial(v.laplacian_atoms, b), params, u.xi2[a])
+                                    functools.partial(v.laplacian_atoms, b), params, u.xi2[a]).sum()
     return total
 
 

@@ -7,9 +7,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -494,7 +496,7 @@ def test_verify_rejects_negative_seed(only, tmp_path, capsys):
 
 
 def _cpus(monkeypatch, cpus):
-    """Make verify see this many CPUs: with two or more it forks the exact suite."""
+    """Make verify see this many CPUs: with two or more it forks a helper."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -503,15 +505,18 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _spy_on_jobs(monkeypatch, log):
-    """Both suites' job functions log (pid, thread, name, gamma) to a file,
-    which a forked child appends to as well, and return no report."""
+def _spy_on_jobs(monkeypatch, log, act=None):
+    """Both kinds of per-order job log (pid, thread, name, gamma) to a file,
+    which a forked helper appends to as well, then call act(name), if given,
+    and return no report."""
     from fractrace import cli
 
     for name in ("_exact_checks", "_numeric_checks"):
         def spy(gamma, *args, name=name):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()} {threading.get_ident()} {name} {gamma}\n")
+            if act is not None:
+                act(name)
             return []
 
         monkeypatch.setattr(cli, name, spy)
@@ -526,7 +531,8 @@ def _spied_jobs(log):
 
 
 def test_verify_jobs_run_on_one_thread_in_order(monkeypatch, tmp_path):
-    """On one CPU every job runs inline, exact then numeric, in order."""
+    """On one CPU every job runs here on one thread, in list order: numeric,
+    then exact from the highest order down."""
     log = tmp_path / "jobs.txt"
     _spy_on_jobs(monkeypatch, log)
     _cpus(monkeypatch, 1)
@@ -535,24 +541,71 @@ def test_verify_jobs_run_on_one_thread_in_order(monkeypatch, tmp_path):
     rows = _spied_jobs(log)
     assert {(pid, tid) for pid, tid, _, _ in rows} == {(os.getpid(), rows[0][1])}
     assert [(name, g) for _, _, name, g in rows] == (
-        [("_exact_checks", g) for g in SPY_GAMMAS] + [("_numeric_checks", g) for g in SPY_GAMMAS])
+        [("_numeric_checks", g) for g in SPY_GAMMAS]
+        + [("_exact_checks", g) for g in reversed(SPY_GAMMAS)])
 
 
-def test_verify_forks_the_exact_suite(monkeypatch, tmp_path):
-    """With two CPUs the numeric jobs run in order on one thread of this
-    process, and the exact jobs in order in one other process."""
+def _by_process(rows):
+    """{pid: [(name, gamma), ...]} in the order each process ran its jobs."""
+    out = {}
+    for pid, _, name, g in rows:
+        out.setdefault(pid, []).append((name, g))
+    return out
+
+
+def test_verify_runs_every_job_once_in_two_processes(monkeypatch, tmp_path):
+    """With two CPUs this process (on one thread) and one helper both take
+    jobs, this one starting on the numeric queue and the helper on the exact
+    one.  Every job runs exactly once, and each process takes each queue's
+    jobs in list order."""
     log = tmp_path / "jobs.txt"
-    _spy_on_jobs(monkeypatch, log)
+    _spy_on_jobs(monkeypatch, log, act=lambda name: time.sleep(0.05))
     _cpus(monkeypatch, 2)
     assert run_cli(["verify", "--gamma", ",".join(SPY_GAMMAS),
                     "--out", str(tmp_path / "r.json")]) == 0
     _no_child_left()
     rows = _spied_jobs(log)
-    numeric = [(pid, tid, g) for pid, tid, name, g in rows if name == "_numeric_checks"]
-    exact = [(pid, g) for pid, _, name, g in rows if name == "_exact_checks"]
-    assert {(pid, tid) for pid, tid, _ in numeric} == {(os.getpid(), numeric[0][1])}
-    assert len({pid for pid, _ in exact}) == 1 and exact[0][0] != os.getpid()
-    assert [g for _, _, g in numeric] == [g for _, g in exact] == SPY_GAMMAS
+    jobs = ([("_numeric_checks", g) for g in SPY_GAMMAS]
+            + [("_exact_checks", g) for g in reversed(SPY_GAMMAS)])
+    assert sorted((name, g) for _, _, name, g in rows) == sorted(jobs)
+    assert len({tid for pid, tid, _, _ in rows if pid == os.getpid()}) == 1
+    taken = _by_process(rows)
+    assert len(taken) == 2 and os.getpid() in taken
+    helper = [pid for pid in taken if pid != os.getpid()][0]
+    assert taken[os.getpid()][0][0] == "_numeric_checks" and taken[helper][0][0] == "_exact_checks"
+    for sequence in taken.values():
+        for kind in ("_numeric_checks", "_exact_checks"):
+            order = [jobs.index(job) for job in sequence if job[0] == kind]
+            assert order == sorted(order)
+
+
+def test_an_idle_process_takes_over_the_other_queue(monkeypatch, tmp_path):
+    """Exact jobs return at once and numeric ones take 0.1 s: the helper,
+    done with its own queue, takes numeric jobs too."""
+    log = tmp_path / "jobs.txt"
+    _spy_on_jobs(monkeypatch, log, act=lambda name: time.sleep(0.1 if "numeric" in name else 0))
+    _cpus(monkeypatch, 2)
+    gammas = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4"]
+    assert run_cli(["verify", "--gamma", ",".join(gammas), "--out", str(tmp_path / "r.json")]) == 0
+    _no_child_left()
+    taken = _by_process(_spied_jobs(log))
+    helper = [pid for pid in taken if pid != os.getpid()][0]
+    assert [name for name, _ in taken[os.getpid()]] == ["_numeric_checks"] * len(taken[os.getpid()])
+    assert ("_numeric_checks" in {name for name, _ in taken[helper]}
+            and len(taken[os.getpid()]) + len(taken[helper]) == 2 * len(gammas))
+
+
+def test_job_queue_counts_what_is_left():
+    from fractrace import cli
+
+    queue = cli._job_queue([4, 0, 7])
+    try:
+        assert cli._pending(queue) == 3
+        assert cli._claim(queue) == 4 and cli._pending(queue) == 2
+        cli._end_queues([queue])
+        assert cli._pending(queue) == 0 and cli._claim(queue) is None
+    finally:
+        os.close(queue)
 
 
 def test_forked_and_inline_reports_are_the_same_bytes(monkeypatch, tmp_path, capsys):
@@ -568,6 +621,7 @@ def test_forked_and_inline_reports_are_the_same_bytes(monkeypatch, tmp_path, cap
 
 
 def test_an_error_in_the_exact_suite_reaches_the_parent(monkeypatch, tmp_path, capsys):
+    """Every exact job raises, in whichever process takes it."""
     from fractrace import cli
 
     def boom(*args):
@@ -582,21 +636,81 @@ def test_an_error_in_the_exact_suite_reaches_the_parent(monkeypatch, tmp_path, c
     _no_child_left()
 
 
-def test_a_lost_exact_suite_writes_no_report(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("where", ["parent", "helper"])
+def test_a_raising_job_stops_both_processes(where, monkeypatch, tmp_path, capsys):
+    """Every job raises in one process and takes 0.05 s in the other.  The
+    first raise ends the queue: of the 22 jobs, each process starts at most
+    one after it, and the error is the one line of the raise."""
     from fractrace import cli
 
-    monkeypatch.setattr(cli, "_exact_checks", lambda *args: os._exit(3))
+    here = os.getpid()
+
+    def act(name):
+        if (os.getpid() == here) == (where == "parent"):
+            raise cli.ConfigError("boom")
+        time.sleep(0.05)
+
+    log = tmp_path / "jobs.txt"
+    _spy_on_jobs(monkeypatch, log, act)
     _cpus(monkeypatch, 2)
     out = tmp_path / "r.json"
-    assert run_cli(["verify", "--gamma", "1/2", "--grid", "8", "--out", str(out)]) != 0
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "status 3" in err
+    _one_line_error(["verify", "--out", str(out)], capsys, "error: boom")
     assert not out.exists()
     _no_child_left()
+    rows = _spied_jobs(log)
+    assert len([pid for pid, *_ in rows if (pid == here) == (where == "parent")]) == 1
+    assert len(rows) <= 3
+
+
+def _helper_dies(monkeypatch, tmp_path, capsys, *, job=None, claim=None) -> str:
+    """Run verify with two CPUs where the helper dies inside its first job
+    (job) or right after it claims one (claim); every job here takes 0.02 s.
+    Returns the one line of stderr, after checking exit 1, no report and no
+    child left."""
+    from fractrace import cli
+
+    here = os.getpid()
+
+    def act(name):
+        if os.getpid() != here:
+            job()
+        time.sleep(0.02)
+
+    _spy_on_jobs(monkeypatch, tmp_path / "jobs.txt", act if job else None)
+    if claim:
+        real = cli._claim
+
+        def claiming(queue):
+            index = real(queue)
+            if os.getpid() != here:
+                claim()
+            return index
+
+        monkeypatch.setattr(cli, "_claim", claiming)
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--gamma", "1/2,4/3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    _no_child_left()
+    return err
+
+
+def test_a_lost_helper_writes_no_report(monkeypatch, tmp_path, capsys):
+    assert "status 3" in _helper_dies(monkeypatch, tmp_path, capsys, job=lambda: os._exit(3))
+
+
+def test_a_helper_killed_while_it_claims_writes_no_report(monkeypatch, tmp_path, capsys):
+    """SIGKILL right after the helper read a job index from the queue."""
+    err = _helper_dies(monkeypatch, tmp_path, capsys,
+                       claim=lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert f"signal {int(signal.SIGKILL)}" in err
 
 
 def test_a_failed_numeric_job_stops_the_exact_suite(monkeypatch, tmp_path, capsys):
-    """The first numeric job raises while the child still works on ten orders."""
+    """Every numeric job raises on this box, whichever process takes it,
+    while ten exact jobs wait in the queue."""
     _cpus(monkeypatch, 2)
     out = tmp_path / "r.json"
     _one_line_error(["verify", "--grid", "8", "--box", "1e300", "--out", str(out)], capsys, "--box")
@@ -604,20 +718,28 @@ def test_a_failed_numeric_job_stops_the_exact_suite(monkeypatch, tmp_path, capsy
     _no_child_left()
 
 
-def test_a_failed_numeric_job_stops_the_jobs_after_it(monkeypatch, capsys):
-    """--box 1e300 overflows the first numeric job; the other nine orders and
-    the sharp-inequality jobs never start."""
-    from fractrace import cli
+def test_a_failed_numeric_job_stops_the_jobs_after_it(monkeypatch, tmp_path, capsys):
+    """--box 1e300 overflows every numeric job: each process starts at most
+    one of the ten orders, and the sharp-inequality jobs never start."""
+    from fractrace import cli, energy as en
 
-    real, calls = cli._numeric_checks, []
+    real, log = cli._numeric_checks, tmp_path / "jobs.txt"
 
     def spy(*args):
-        calls.append(args[0])
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {args[0]}\n")
         return real(*args)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sharp-inequality job ran")
+
     monkeypatch.setattr(cli, "_numeric_checks", spy)
+    monkeypatch.setattr(en, "sharp_sobolev_check", refuse)
+    monkeypatch.setattr(en, "lebedev_milin_check", refuse)
     _one_line_error(["verify", "--only", "numeric", "--box", "1e300"], capsys, "--box")
-    assert len(calls) == 1
+    pids = [line.split()[0] for line in log.read_text().splitlines()]
+    assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+    _no_child_left()
 
 
 def test_verify_builds_each_gauss_rule_once(monkeypatch, tmp_path):

@@ -45,7 +45,7 @@ from fractrace.energy import (
     sphere_volume,
     verify_q_symmetry,
     zero_data_perturbation,
-    _pair_integral,
+    _pair_matrix,
     _ul_pair,
 )
 from test_cli import _child_env
@@ -71,7 +71,7 @@ def test_pair_integral_against_closed_form():
     # int_0^inf y^4 e^(-2y^2) y^m dy = Gamma((5+m)/2) / (2 * 2^((5+m)/2))
     m = 1.0 / 3.0
     atom = PolyGaussModeFn(0.7, F(1, 3), 1.0, {F(2): 1.0 + 0j})
-    got = complex(_pair_integral(atom, atom)).real
+    got = complex(_pair_matrix([atom], [atom])[0, 0]).real
     a = (5 + m) / 2
     want = math.gamma(a) / (2.0 * 2.0 ** a)
     assert got == pytest.approx(want, rel=1e-11)
@@ -82,12 +82,19 @@ def test_pair_integral_against_closed_form():
 _EXP_ANTIDERIVATIVE = {0: lambda y: -math.exp(-y), 2: lambda y: -(y * y + 2 * y + 2) * math.exp(-y)}
 
 
+def _panels(fn, lo, hi):
+    """integral_lo^hi fn(y) dy on the outer region's panels, as a one-by-one
+    batch: fn times the constant 1."""
+    one = np.ones((1, 1), dtype=bool)
+    return en._adaptive_gl(lambda y: fn(y)[None], lambda y: np.ones((1, y.size)), lo, hi, one)[0, 0]
+
+
 @pytest.mark.parametrize("j", [0, 2])
 def test_outer_panels_against_closed_form(j):
     """The outer region's geometric panels, each the Gauss-Jacobi rule at
     beta = 0 mapped to [a, b] with a > 0, on e^(-y) and y^2 e^(-y)."""
     lo, hi = 0.8, 40.0
-    got = complex(en._adaptive_gl(lambda y: y ** j * np.exp(-y), lo, hi))
+    got = complex(_panels(lambda y: y ** j * np.exp(-y), lo, hi))
     want = _EXP_ANTIDERIVATIVE[j](hi) - _EXP_ANTIDERIVATIVE[j](lo)
     assert got.imag == 0.0
     assert got.real == pytest.approx(want, rel=1e-12)
@@ -98,7 +105,7 @@ def test_outer_panels_fail_with_a_shifted_rule(monkeypatch):
     real = en._gauss_jacobi_01
     monkeypatch.setattr(en, "_gauss_jacobi_01", lambda n, beta: real(n, beta + 1e-6))
     lo, hi = 0.8, 40.0
-    got = complex(en._adaptive_gl(lambda y: y * y * np.exp(-y), lo, hi)).real
+    got = complex(_panels(lambda y: y * y * np.exp(-y), lo, hi)).real
     want = _EXP_ANTIDERIVATIVE[2](hi) - _EXP_ANTIDERIVATIVE[2](lo)
     assert got != pytest.approx(want, rel=1e-12)
 
@@ -211,23 +218,26 @@ def _paired_atoms(p):
 
 @pytest.mark.parametrize("gamma", [F(4, 5), F(4, 3), F(10, 3)])
 def test_series_offsets_are_exact(gamma):
-    """Every branch-class offset (p - p_min)/2 is an exact int, so the series
-    as the Gauss-Jacobi integrand evaluates it, sum over classes of y^p_min
-    times coefficients @ (y^2)^k, equals eval_series term for term on the
+    """Every atom the energy checks integrate, in exponent classes as one
+    list: each term sits at its own exponent, anchor plus an exact integer
+    offset, so the classes as the Gauss-Jacobi integrand evaluates them,
+    y^anchor times each row's polynomial in y, equal eval_series on the
     quadrature nodes.  At these orders float(p) - float(p_min) reads
     1.9999999999999998 for some exponents, and truncating that to an int
     moves a term to the wrong power."""
     p = GammaParams(gamma)
-    for atom in _paired_atoms(p):
-        exponent = lambda key: float(F(key, atom.D))   # keys are numerators over atom.D
-        for group in en._group_by_class(atom.terms, atom.D).values():
-            assert all(type(k) is int for k, _ in group)
-        u, _ = en._gauss_jacobi_01(en.GJ_START, 2.0 * exponent(min(atom.terms)) + float(p.m))
+    atoms = _paired_atoms(p)
+    classes = en._exponent_classes(atoms, conj=False)
+    u, _ = en._gauss_jacobi_01(en.GJ_START, 0.0)
+    for i, atom in enumerate(atoms):
+        placed = {anchor + j: coeffs[i, j] for anchor, coeffs, _, _ in classes
+                  for j in np.flatnonzero(coeffs[i])}
+        assert placed == {F(key, atom.D): c for key, c in atom.terms.items()}
         y = min(atom.series_limit, atom.outer_limit) * u
-        product = sum(y ** exponent(low) * (c @ (y * y) ** np.arange(c.size)[:, None])
-                      for low, c in atom.branch_components.items())
-        size = sum(abs(c) * y ** exponent(q) for q, c in atom.terms.items())
-        product, size = (f * np.exp(-atom.lam * y * y) for f in (product, size))
+        product = sum(y ** float(anchor) * en._class_values(coeffs[i:i + 1], lam[i:i + 1], y)[0]
+                      for anchor, coeffs, lam, has in classes if has[i])
+        size = sum(abs(c) * y ** float(F(key, atom.D)) for key, c in atom.terms.items())
+        size = size * np.exp(-atom.lam * y * y)
         assert np.all(np.abs(product - atom.eval_series(y)) <= 1e-13 * size)
 
 
@@ -386,14 +396,15 @@ def _synthetic_atoms(view, pos, k):
 @pytest.mark.parametrize("gamma", ["1/3", "5/2", "9/2"])
 def test_closed_form_matches_quadrature(gamma):
     """Each pair of synthetic atoms in closed form on the exact coefficients
-    against branch-matched quadrature on the rounded float terms.  Worst
-    measured: 1.1e-13 at 1/3, 9.4e-14 at 5/2, 4.3e-13 at 9/2."""
+    against the batched quadrature on the rounded float terms, one matrix
+    per mode.  Worst measured: 1.1e-13 at 1/3, 1.1e-13 at 5/2, 4.1e-13 at
+    9/2 (1.1e-13, 9.4e-14 and 4.3e-13 with one quadrature per pair)."""
     p, u, v = _q_symmetry_fields(gamma)
     for pos in range(u.modes.size):
-        for a in _synthetic_atoms(u, pos, p.k):
-            for b in _synthetic_atoms(v, pos, p.k):
-                closed = en._pair_integral(a, b)
-                assert abs(closed - en._quadrature_pair(a, b)) <= 1e-12 * abs(closed)
+        us, vs = _synthetic_atoms(u, pos, p.k), _synthetic_atoms(v, pos, p.k)
+        closed = en._pair_matrix(us, vs)
+        quad = en._quadrature_matrix(us, vs, np.ones(closed.shape, dtype=bool))
+        assert np.all(np.abs(closed - quad) <= 1e-12 * np.abs(closed))
 
 
 def _exact_terms(atom):
@@ -466,7 +477,7 @@ def test_closed_form_matches_mpmath_at_15_2():
                            -mpmath.mpf(bi.numerator) / bi.denominator)
             x = mpmath.mpf(e.numerator) / e.denominator
             want += c * d * mpmath.gamma(x) / (2 * mpmath.power(2, x))
-    got = en._pair_integral(a, b)
+    got = en._pair_matrix([a], [b])[0, 0]
     assert abs(got - complex(want)) <= 1e-15 * abs(complex(want))
 
 
@@ -611,7 +622,7 @@ def test_non_decaying_atom_raises():
     by lam^b0."""
     atom = PolyGaussModeFn(0.0, F(1, 3), 0.0, {F(0): 1.0 + 0j})
     with pytest.raises(ZeroDivisionError):
-        _pair_integral(atom, atom)
+        _pair_matrix([atom], [atom])
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
@@ -692,14 +703,14 @@ def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
     """The solution-solution block costs one Gram matrix per order, so the
     quadrature count does not grow with the grid."""
     p = GammaParams(F(5, 2))
-    real = en._pair_integral
+    real = en._pair_matrix
     calls = []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(en, "_pair_integral", counting)
+    monkeypatch.setattr(en, "_pair_matrix", counting)
     counts = []
     for grid in (64, 256):
         en._unit_gram.cache_clear()
@@ -776,6 +787,98 @@ def _values(atom, y):
     out[inner] = atom.eval_series(y[inner])
     out[~inner] = atom.eval_outer(y[~inner])
     return out
+
+
+def test_subnormal_integrals_converge():
+    """Of two integrals that never settle, the one whose integral of |f| is
+    subnormal stops at its second node set and the one of normal size runs
+    to the cap: a relative test cannot be met on 1e-316."""
+    def rule(n):
+        sign = (-1.0) ** (n // en.GJ_START).bit_length()   # flips at every doubling, ends at +1
+        val = np.array([[5e-316 * sign, 1.0 * sign]])
+        return val, np.abs(val)
+
+    hits = en.QUAD_COUNTS.cap_hits
+    out = en._adaptive(rule, np.ones((1, 2), dtype=bool))
+    assert en.QUAD_COUNTS.cap_hits == hits + 1
+    assert out[0, 0] == 5e-316 and out[0, 1] == -1.0
+
+
+@pytest.mark.parametrize("box", ["1e50", "1e100", "1.4e101"])
+def test_huge_boxes_verify(box, tmp_path):
+    """On these boxes some cross terms are subnormal, and their integrals
+    used to end in cap hits that failed both energy checks."""
+    from fractrace.cli import main
+
+    out = tmp_path / "r.json"
+    assert main(["verify", "--gamma", "1/2", "--only", "numeric", "--grid", "8", "--box", box,
+                 "--out", str(out)]) == 0
+    reports = {r["check"]: r for r in json.loads(out.read_text())}
+    for check in ("dirichlet_principle", "energy_trace"):
+        assert "quadrature cap hits: 0" in reports[check]["details"]
+
+
+def _scalar_values(atom):
+    """_values at one point, with the series terms as two arrays."""
+    exponents = np.array([key / atom.D for key in atom.terms])
+    coeffs = np.array(list(atom.terms.values()), dtype=complex)
+
+    def value(y):
+        if y >= atom.series_limit:
+            return atom.eval_outer(np.array([y]))[0]
+        return coeffs @ y ** exponents * math.exp(-atom.lam * y * y)
+
+    return value
+
+
+def _scipy_pair(a, b, m):
+    """integral of a conj(b) y^m over [0, min(outer limits)] by
+    scipy.integrate.quad on the atoms' own values, split at the series
+    limits, and the integral of its modulus (to 1e-6); the absolute
+    tolerance is 1e-15 of the latter."""
+    from scipy import integrate
+
+    hi = min(a.outer_limit, b.outer_limit)
+    points = [x for x in (a.series_limit, b.series_limit) if x < hi] or None
+
+    fa, fb = _scalar_values(a), _scalar_values(b)
+
+    def f(y):
+        return fa(y) * np.conj(fb(y)) * y ** m
+
+    def quad(g, epsabs, epsrel=1e-13):
+        return integrate.quad(g, 0.0, hi, points=points, limit=400, epsabs=epsabs, epsrel=epsrel)[0]
+
+    mass = quad(lambda y: abs(f(y)), 0.0, 1e-6)
+    return complex(quad(lambda y: f(y).real, 1e-15 * mass), quad(lambda y: f(y).imag, 1e-15 * mass)), mass
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("gamma", [F(1, 3), F(5, 2), F(9, 2)])
+def test_pair_matrix_matches_scipy_quad(gamma):
+    """The batched quadrature against scipy.integrate.quad on each pair's own
+    range: the unit Gram block of U L^k U, and the cross block of a
+    solution's atoms at its lowest shared mode against a zero-data
+    perturbation's L^k atoms, and the reverse at the highest; also the
+    y derivatives of the unit L^(k/2) atoms with each other.  Error over |I| + integral of |f|, the stop
+    rule's scale.  Worst measured before this bound was set: 3.1e-14 at 9/2
+    (solution against perturbation), 1e-14 or less in every other block."""
+    p = GammaParams(gamma)
+    m = float(p.m)
+    powers = en._unit_laplacians(p)
+    sol = solve_extension(p, _gaussian_data(p, 128))
+    u = extension_field_view(sol)
+    w = zero_data_perturbation(p, sol.template, 0, 0.1)
+    _, iu, iv = np.intersect1d(u.modes, w.modes, assume_unique=True, return_indices=True)
+    mid = [pw[p.k // 2].d_dy() for pw in powers]
+    for us, vs in [([pw[0] for pw in powers], [pw[p.k] for pw in powers]), (mid, mid),
+                   (u.laplacian_atoms(iu[0], 0), w.laplacian_atoms(iv[0], p.k)),
+                   (w.laplacian_atoms(iv[-1], 0), u.laplacian_atoms(iu[-1], p.k))]:
+        got = en._pair_matrix(us, vs)
+        for i, a in enumerate(us):
+            for j, b in enumerate(vs):
+                want, mass = _scipy_pair(a, b, m)
+                assert abs(got[i, j] - want) <= 1e-13 * (abs(want) + mass), (i, j)
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2), F(10, 3)])

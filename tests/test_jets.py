@@ -129,6 +129,16 @@ def test_scattering_annihilation(gamma):
     assert verify_scattering_annihilation(GammaParams(gamma)).passed
 
 
+@pytest.mark.parametrize("gamma", [F(1, 3), F(5, 2), F(9, 2)])
+def test_scattering_annihilation_sees_a_wrong_gamma_ratio(gamma, monkeypatch):
+    """The Pochhammer (Gamma) ratio of the scattering jets' first order x
+    (1 + 1e-3): the weighted Laplacian powers no longer annihilate them."""
+    real = jets.pochhammer_ratio
+    monkeypatch.setattr(jets, "pochhammer_ratio",
+                        lambda a, n: real(a, n) * (F(1001, 1000) if n == 1 else 1))
+    assert verify_scattering_annihilation(GammaParams(gamma)).status == "fail"
+
+
 def test_scattering_jet_frozen_coefficients():
     # leading-order coefficients of the even order-zero jet: y^2 slot holds
     # -Lap f / (4 (1 - gamma))

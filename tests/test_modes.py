@@ -510,6 +510,20 @@ def test_yang_extension(gamma):
     assert rep.passed, rep.details
 
 
+@pytest.mark.parametrize("gamma", [F(1, 2), F(5, 2)])
+def test_yang_extension_sees_a_wrong_neumann_constant(gamma, monkeypatch):
+    """The weighted Neumann trace's constant 2[g] x (1 + 1e-3): the top-order
+    trace misses the fractional Laplacian by 1e-3."""
+    monkeypatch.setattr(modes.NumericJets, "restrict_weighted_neumann",
+                        lambda self: 2.0 * self.fr * 1.001 * self.b[0])
+    p = GammaParams(gamma)
+    f = gaussian_field(1, (128,), 60.0, width=2.0)
+    rep = yang_extension_check(p, f)
+    assert rep.status == "fail"
+    assert any(d.startswith("fractional Laplacian via weighted Neumann") and float(d.split()[-1]) > 1e-4
+               for d in rep.details)
+
+
 def test_yang_zero_field():
     p = GammaParams(F(4, 3))
     z = GridField(1, (64,), 30.0, np.zeros(64))

@@ -145,6 +145,27 @@ def test_product_factorization(gamma):
     assert verify_product_factorization(p, default_samples(1, p.frac_gamma, seed=0)[:8]).passed
 
 
+@pytest.mark.parametrize("gamma", [F(4, 3), F(10, 3)])
+def test_product_factorization_sees_a_wrong_weight(gamma, monkeypatch):
+    """The k-th power's weight m x (1 + 1e-3) on the right side."""
+    p = GammaParams(gamma)
+    power = polys.weighted_poly_power
+    monkeypatch.setattr(polys, "weighted_poly_power", lambda u, m, k: power(u, m * F(1001, 1000), k))
+    rep = verify_product_factorization(p, default_samples(1, p.frac_gamma, seed=0)[:8])
+    assert rep.status == "fail"
+
+
+@pytest.mark.parametrize("gamma", [F(4, 3), F(10, 3)])
+def test_flat_hyperbolic_correspondence_sees_a_wrong_weight(gamma, monkeypatch):
+    """The flat weighted Laplacian's weight m x (1 + 1e-3)."""
+    flat = polys.flat_weighted_laplacian_on_ypower
+    monkeypatch.setattr(polys, "flat_weighted_laplacian_on_ypower",
+                        lambda f, m: flat(f, m * F(1001, 1000)))
+    rep = verify_flat_hyperbolic_correspondence(GammaParams(gamma))
+    assert rep.status == "fail"
+    assert all("flat/hyperbolic conjugation fails" in d for d in rep.details)
+
+
 def test_factorization_specific_samples():
     # k=2 at gamma=3/2 on y^4 x1^2; k=3 at gamma=5/2 on r^2 y^2
     p = GammaParams(F(3, 2))
@@ -153,19 +174,51 @@ def test_factorization_specific_samples():
     assert verify_product_factorization(p, [mono(fr=p.frac_gamma, s=1, beta=1)]).passed
 
 
+def _r2s_samples(p):
+    """verify's r^2s samples at seed 0 (five fixed ones and two drawn, which
+    have s != 0 on the b branch and so reach the boundary weights), plus
+    r^2 x^2 y^4 on the b branch, which L^4 does not annihilate at the
+    half-integer orders."""
+    samples = default_samples(1, p.frac_gamma, seed=0, extra=2)
+    high = HalfSpacePoly.monomial(1, p.frac_gamma, s=1, alpha=(2,), beta=2, b=1)
+    return samples[:5] + samples[9:] + [high]
+
+
 @pytest.mark.parametrize("gamma", GAMMAS)
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_r2s_commutation_k_sweep(gamma, k):
     p = GammaParams(gamma)
-    samples = default_samples(1, p.frac_gamma, seed=0)[:4]
-    assert verify_r2s_commutation(p, k, F(-3, 2), samples).passed
+    assert verify_r2s_commutation(p, k, F(-3, 2), _r2s_samples(p)).passed
 
 
 @pytest.mark.parametrize("s", [F(-2), F(-3, 2), F(-1), F(0), F(1, 2), F(1), F(2)])
 def test_r2s_commutation_s_sweep(s):
     p = GammaParams(F(4, 3))
-    samples = default_samples(1, p.frac_gamma, seed=1)[:4]
-    assert verify_r2s_commutation(p, 2, s, samples).passed
+    assert verify_r2s_commutation(p, 2, s, _r2s_samples(p)).passed
+
+
+@pytest.mark.parametrize("gamma, k, s", [(F(1, 2), 4, F(-3, 2)), (F(9, 2), 3, F(-3, 2)),
+                                         (F(4, 3), 2, F(2)), (F(4, 3), 2, F(-2))])
+def test_r2s_sweep_samples_see_each_boundary_weight(gamma, k, s, monkeypatch):
+    """Each boundary weight x (1 + 1/7) fails the sweeps' samples."""
+    real, calls = polys._r2s_weights, []
+
+    def faulty(kk, ss, base):
+        out = real(kk, ss, base)
+        calls.append(1)
+        if len(calls) == 2 and index is not None:   # the second list is the boundary one
+            j, ell, w = out[index]
+            out[index] = (j, ell, w * F(8, 7))
+        return out
+
+    monkeypatch.setattr(polys, "_r2s_weights", faulty)
+    p = GammaParams(gamma)
+    index = None
+    assert verify_r2s_commutation(p, k, s, _r2s_samples(p)).passed
+    size = len(real(k, s, F(p.n, 2) + 1 + p.frac_gamma + s + k))
+    for index in range(size):
+        calls.clear()
+        assert verify_r2s_commutation(p, k, s, _r2s_samples(p)).status == "fail", index
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
