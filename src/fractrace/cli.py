@@ -150,6 +150,9 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     # the nine fixed samples, then the two monomials drawn from --seed
     samples = polys.default_samples(n, params.frac_gamma, seed=seed, extra=2)
     wide, narrow = samples[:7] + samples[9:], samples[:5] + samples[9:]
+    # r^4 y^(2[g]) reaches every boundary weight of the r^2s formula, which
+    # the fixed samples never do and the drawn ones only at some seeds
+    narrow.append(polys.HalfSpacePoly.monomial(n, params.frac_gamma, s=2, b=1))
     checks.append(polys.verify_commutator(params, 2, wide))
     checks.append(polys.verify_product_factorization(params, wide))
     checks.append(polys.verify_r2s_commutation(params, 2, Fraction(-3, 2), narrow))

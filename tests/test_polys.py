@@ -14,10 +14,9 @@ from fractrace.gammacore import GammaParams
 from fractrace.polys import (
     BoundaryPoly,
     HalfSpacePoly,
-    YPowerField,
     boundary_operators_poly,
     default_samples,
-    hyperbolic_laplacian,
+    hyperbolic_resolvent,
     poly_T,
     verify_commutator,
     verify_conformal_covariance,
@@ -77,11 +76,43 @@ def test_zero_test_cross_multiplication():
     assert (lhs - mono()).is_zero_function()
 
 
+def test_zero_test_sees_powers_of_y_inside_r():
+    """y^(1/3) (r^2 - x^2) - y^(7/3) is the zero function at n = 1, and the
+    same with y^(4/3) is not: r^2 hides a y^2, so no y power can be decided
+    on its own."""
+    third = F(1, 3)
+    left = HalfSpacePoly(1, third, {(1, (0,), third): 1, (0, (2,), third): -1})
+    assert left.is_zero_function() is False
+    for top, zero in ((F(7, 3), True), (F(4, 3), False)):
+        right = HalfSpacePoly(1, third, {(0, (0,), top): 1})
+        assert (left - right).is_zero_function() is zero
+        assert (left == right) is zero
+
+
+@given(st.integers(-4, 4), st.integers(1, 3), st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=60, deadline=None)
+def test_zero_test_decides_r2_at_any_y_power(s2, n, alpha, qn, qd):
+    """r^(2s+2) x^alpha y^q - sum_i r^(2s) x^(alpha+2e_i) y^q - r^(2s) x^alpha y^(q+2)
+    is zero for any rational s and q, and each term alone is not."""
+    fr, s, q, alpha = F(2, 7), F(s2, 2), F(qn, qd), tuple(alpha[:n])
+    terms = {(s + 1, alpha, q): 1, (s, alpha, q + 2): -1}
+    for i in range(n):
+        terms[(s, alpha[:i] + (alpha[i] + 2,) + alpha[i + 1:], q)] = -1
+    assert HalfSpacePoly(n, fr, terms).is_zero_function()
+    for key in terms:
+        del_one = dict(terms)
+        del del_one[key]
+        assert not HalfSpacePoly(n, fr, del_one).is_zero_function()
+
+
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2),
        st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_class_closure(alpha1, beta, b, s_int, n):
-    """Structural closure of the class under every generator."""
+    """Structural closure of the class under every generator: the exponents
+    stay Fractions, the multi-indices nonnegative, and the y exponent keeps
+    its class mod 2 (no generator moves a term off the fractional branch)."""
     fr = F(2, 7)
     alpha = (alpha1,) + (0,) * (n - 1)
     p = HalfSpacePoly.monomial(n, fr, s=F(s_int, 2), alpha=alpha, beta=beta, b=b)
@@ -92,9 +123,10 @@ def test_class_closure(alpha1, beta, b, s_int, n):
         p.directional_r2(2),
         p.kelvin_pullback(F(5, 3)),
     ]
-    for q in results:
-        for (s, a, be, bb), c in q.terms.items():
-            assert isinstance(s, F) and bb in (0, 1)
+    for out in results:
+        for (s, a, q), c in out.terms.items():
+            assert isinstance(s, F) and isinstance(q, F)
+            assert (q - 2 * fr * b) % 2 == 0
             assert all(e >= 0 for e in a)
 
 
@@ -157,10 +189,10 @@ def test_product_factorization_sees_a_wrong_weight(gamma, monkeypatch):
 
 @pytest.mark.parametrize("gamma", [F(4, 3), F(10, 3)])
 def test_flat_hyperbolic_correspondence_sees_a_wrong_weight(gamma, monkeypatch):
-    """The flat weighted Laplacian's weight m x (1 + 1e-3)."""
-    flat = polys.flat_weighted_laplacian_on_ypower
-    monkeypatch.setattr(polys, "flat_weighted_laplacian_on_ypower",
-                        lambda f, m: flat(f, m * F(1001, 1000)))
+    """The flat weighted poly-Laplacian's weight m x (1 + 1e-3); the
+    hyperbolic groupings, which do not use it, still agree."""
+    power = polys.weighted_poly_power
+    monkeypatch.setattr(polys, "weighted_poly_power", lambda u, m, k: power(u, m * F(1001, 1000), k))
     rep = verify_flat_hyperbolic_correspondence(GammaParams(gamma))
     assert rep.status == "fail"
     assert all("flat/hyperbolic conjugation fails" in d for d in rep.details)
@@ -175,10 +207,10 @@ def test_factorization_specific_samples():
 
 
 def _r2s_samples(p):
-    """verify's r^2s samples at seed 0 (five fixed ones and two drawn, which
-    have s != 0 on the b branch and so reach the boundary weights), plus
-    r^2 x^2 y^4 on the b branch, which L^4 does not annihilate at the
-    half-integer orders."""
+    """The five fixed and two drawn samples of verify's r^2s checks at seed 0
+    (the drawn ones have s != 0 on the b branch and so reach the boundary
+    weights), plus r^2 x^2 y^4 on the b branch, which L^4 does not annihilate
+    at the half-integer orders."""
     samples = default_samples(1, p.frac_gamma, seed=0, extra=2)
     high = HalfSpacePoly.monomial(1, p.frac_gamma, s=1, alpha=(2,), beta=2, b=1)
     return samples[:5] + samples[9:] + [high]
@@ -228,20 +260,46 @@ def test_r2s_commutation_dimensions(n):
     assert verify_r2s_commutation(p, 2, F(1, 2), samples).passed
 
 
-@pytest.mark.parametrize("side", ["interior", "boundary"])
-def test_r2s_commutation_sees_a_wrong_weight(side, monkeypatch):
+def _verify_r2s_samples(monkeypatch, gamma, n, seed):
+    """The samples verify passes to both of its r^2s commutation checks."""
+    from fractrace import cli
+
+    real, seen = polys.verify_r2s_commutation, []
+
+    def spy(params, k, s, samples):
+        seen.append(samples)
+        return real(params, k, s, samples)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polys, "verify_r2s_commutation", spy)
+        cli._exact_checks(gamma, n, seed)
+    assert len(seen) == 2 and seen[0] == seen[1]
+    return seen[0]
+
+
+_R2S_FAULTS = [pytest.param(side, F(4, 3), 1, 0, 2, F(-3, 2), id=side) for side in ("interior", "boundary")]
+_R2S_FAULTS += [
+    pytest.param("boundary", gamma, n, seed, k, s,
+                 id=f"boundary-{gamma.numerator}_{gamma.denominator}-n{n}-seed{seed}-k{k}")
+    for n, gammas in ((1, (F(1, 3), F(4, 3), F(9, 4), F(7, 2))), (2, (F(4, 3), F(9, 4))))
+    for gamma in gammas for seed in range(4) for k, s in ((2, F(-3, 2)), (1, F(1, 2)))
+    if (n, gamma, seed, k) != (1, F(4, 3), 0, 2)
+]
+
+
+@pytest.mark.parametrize("side, gamma, n, seed, k, s", _R2S_FAULTS)
+def test_r2s_commutation_sees_a_wrong_weight(side, gamma, n, seed, k, s, monkeypatch):
     """Each weight of the interior or the boundary list, built once per call,
-    times 1 + 1/7 fails that side's identity on some of verify's samples at
-    k = 2, s = -3/2, and the other side still holds."""
+    times 1 + 1/7 fails that side's identity on verify's samples at both of
+    verify's (k, s), every seed, and the other side still holds."""
     real = polys._r2s_weights
-    p = GammaParams(F(4, 3))
-    samples = default_samples(1, p.frac_gamma, seed=0, extra=2)
-    samples = samples[:5] + samples[9:]   # verify's r^2s samples
+    p = GammaParams(gamma, n=n)
+    samples = _verify_r2s_samples(monkeypatch, gamma, n, seed)
     target = ("interior", "boundary").index(side)
     lists = []
 
-    def faulty(k, s, base):
-        out = real(k, s, base)
+    def faulty(kk, ss, base):
+        out = real(kk, ss, base)
         if len(lists) == target and index is not None:
             j, ell, w = out[index]
             out[index] = (j, ell, w * F(8, 7))
@@ -250,22 +308,23 @@ def test_r2s_commutation_sees_a_wrong_weight(side, monkeypatch):
 
     monkeypatch.setattr(polys, "_r2s_weights", faulty)
     index = None
-    assert verify_r2s_commutation(p, 2, F(-3, 2), samples).passed
+    assert verify_r2s_commutation(p, k, s, samples).passed
     size = len(lists[target])
-    assert size == 6
+    assert size == (k + 1) * (k + 2) // 2   # no weight vanishes at these orders
     for index in range(size):
         lists.clear()
-        rep = verify_r2s_commutation(p, 2, F(-3, 2), samples)
+        rep = verify_r2s_commutation(p, k, s, samples)
         assert rep.status == "fail" and len(lists) == 2, index
         assert all(f"{side} r^2s commutation fails" in d for d in rep.details), index
 
 
 def test_hyperbolic_eigenrelation():
-    # Delta_hyp y^s = s (s - n) y^s
+    # Delta_hyp y^s = s (s - n) y^s, so D_s y^s = 0
     for n in (1, 2):
         for s in (F(3, 2), F(-1, 3), F(2)):
-            f = YPowerField.pure_power(n, F(1, 3), s)
-            assert (hyperbolic_laplacian(f, n) - f.scale(s * (s - n))).is_zero_function()
+            f = mono(n).mul_y(s)
+            assert (hyperbolic_resolvent(f, 0) - f.scale(s * (s - n))).is_zero_function()
+            assert hyperbolic_resolvent(f, s).is_zero_function()
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -359,37 +418,39 @@ def test_default_covariance_samples_reach_every_odd_operator(monkeypatch, gamma)
 
 def test_randomized_closure_bulk():
     """1000 randomized terms stay in the representable class under the
-    generators (structural invariant)."""
+    generators (structural invariant), each on its branch: y exponents keep
+    their class mod 2."""
     rng = random.Random(11)
     fr = F(3, 7)
     count = 0
     for _ in range(250):
         n = rng.choice((1, 2))
+        b = rng.randint(0, 1)
         term = HalfSpacePoly.monomial(
             n, fr,
             s=F(rng.randint(-4, 4), rng.choice((1, 2))),
             alpha=tuple(rng.randint(0, 3) for _ in range(n)),
             beta=rng.randint(0, 3),
-            b=rng.randint(0, 1),
+            b=b,
         )
-        for op in (lambda q: q.weighted_laplacian(F(1, 2)),
-                   lambda q: q.mul_r2(),
-                   lambda q: q.directional_r2(1),
-                   lambda q: q.kelvin_pullback(F(1, 3))):
+        for op in (lambda p: p.weighted_laplacian(F(1, 2)),
+                   lambda p: p.mul_r2(),
+                   lambda p: p.directional_r2(1),
+                   lambda p: p.kelvin_pullback(F(1, 3))):
             out = op(term)
             count += 1
-            for (s, a, be, bb), c in out.terms.items():
-                assert bb in (0, 1) and all(e >= 0 for e in a)
+            for (s, a, q), c in out.terms.items():
+                assert isinstance(q, F) and (q - 2 * fr * b) % 2 == 0 and all(e >= 0 for e in a)
     assert count == 1000
 
 
 # ---------------------------------------------------------------------------
 # Storage layout against a Fraction reference
 # ---------------------------------------------------------------------------
-# The classes keep integer numerators over one denominator and key r exponents
-# by integers over an exponent denominator D.  The reference below applies the
-# per-term formulas of each generator directly in Fraction arithmetic on
-# {(s, alpha, beta, b): coeff} maps.
+# The classes keep integer numerators over one denominator and key the r and y
+# exponents by integers over an exponent denominator D.  The reference below
+# applies the per-term formulas of each generator directly in Fraction
+# arithmetic on {(s, alpha, q): coeff} maps.
 
 
 def _ref_add(acc, key, c):
@@ -403,14 +464,14 @@ def _ref_clean(acc):
 
 def _ref_lap_x(terms, n):
     acc = {}
-    for (s, a, be, b), c in terms.items():
+    for (s, a, q), c in terms.items():
         if s != 0:
-            _ref_add(acc, (s - 1, a, be, b), c * (2 * s * n + 4 * s * sum(a) + 4 * s * (s - 1)))
-            _ref_add(acc, (s - 2, a, be + 1, b), -c * 4 * s * (s - 1))
+            _ref_add(acc, (s - 1, a, q), c * (2 * s * n + 4 * s * sum(a) + 4 * s * (s - 1)))
+            _ref_add(acc, (s - 2, a, q + 2), -c * 4 * s * (s - 1))
         for i in range(n):
             if a[i] >= 2:
                 a2 = a[:i] + (a[i] - 2,) + a[i + 1:]
-                _ref_add(acc, (s, a2, be, b), c * a[i] * (a[i] - 1))
+                _ref_add(acc, (s, a2, q), c * a[i] * (a[i] - 1))
     return _ref_clean(acc)
 
 
@@ -426,24 +487,31 @@ def _ref_boundary_lap(terms, n):
     return _ref_clean(acc)
 
 
-def _ref_dy2(terms, fr):
+def _ref_dy2(terms):
     acc = {}
-    for (s, a, be, b), c in terms.items():
-        q = 2 * be + 2 * fr * b
+    for (s, a, q), c in terms.items():
         if s != 0:
-            _ref_add(acc, (s - 2, a, be + 1, b), c * 4 * s * (s - 1))
-            _ref_add(acc, (s - 1, a, be, b), c * 2 * s * (2 * q + 1))
-        _ref_add(acc, (s, a, be - 1, b), c * q * (q - 1))
+            _ref_add(acc, (s - 2, a, q + 2), c * 4 * s * (s - 1))
+            _ref_add(acc, (s - 1, a, q), c * 2 * s * (2 * q + 1))
+        _ref_add(acc, (s, a, q - 2), c * q * (q - 1))
     return _ref_clean(acc)
 
 
-def _ref_dy_over_y(terms, fr):
+def _ref_dy_over_y(terms):
     acc = {}
-    for (s, a, be, b), c in terms.items():
-        q = 2 * be + 2 * fr * b
+    for (s, a, q), c in terms.items():
         if s != 0:
-            _ref_add(acc, (s - 1, a, be, b), c * 2 * s)
-        _ref_add(acc, (s, a, be - 1, b), c * q)
+            _ref_add(acc, (s - 1, a, q), c * 2 * s)
+        _ref_add(acc, (s, a, q - 2), c * q)
+    return _ref_clean(acc)
+
+
+def _ref_y_dy(terms):
+    acc = {}
+    for (s, a, q), c in terms.items():
+        if s != 0:
+            _ref_add(acc, (s - 1, a, q + 2), c * 2 * s)
+        _ref_add(acc, (s, a, q), c * q)
     return _ref_clean(acc)
 
 
@@ -455,19 +523,19 @@ def _ref_sum(*maps):
     return _ref_clean(acc)
 
 
-def _ref_directional(terms, fr, ell):
+def _ref_directional(terms, ell):
     acc = {}
-    for (s, a, be, b), c in terms.items():
-        d = 2 * s + sum(a) + 2 * be + 2 * fr * b
+    for (s, a, q), c in terms.items():
+        d = 2 * s + sum(a) + q
         falling = F(1)
         for t in range(ell):
             falling *= d - t
-        _ref_add(acc, (s, a, be, b), c * 2 ** ell * falling)
+        _ref_add(acc, (s, a, q), c * 2 ** ell * falling)
     return _ref_clean(acc)
 
 
-def _ref_kelvin(terms, fr, w):
-    return {(w - s - sum(a) - 2 * be - 2 * fr * b, a, be, b): c for (s, a, be, b), c in terms.items()}
+def _ref_kelvin(terms, w):
+    return {(w - s - sum(a) - q, a, q): c for (s, a, q), c in terms.items()}
 
 
 def _assert_canonical(x):
@@ -477,6 +545,7 @@ def _assert_canonical(x):
     if isinstance(x, (HalfSpacePoly, BoundaryPoly)):
         assert all(type(key[0]) is int for key in x.nums)
     if isinstance(x, HalfSpacePoly):
+        assert all(type(key[2]) is int for key in x.nums)
         assert x.D % math.lcm(2, x.frac_gamma.denominator) == 0
 
 
@@ -484,7 +553,8 @@ _monomial_terms = st.tuples(
     st.integers(-6, 6),                 # s = k/2
     st.integers(0, 3), st.integers(0, 3),
     st.integers(-1, 2),                 # beta
-    st.integers(0, 1),                  # branch flag
+    st.integers(0, 1),                  # b: the fractional branch y^(2[g])
+    st.sampled_from([0, 0, F(1, 3), F(-5, 2)]),  # y exponent off both lattices
     st.integers(-5, 5).filter(bool), st.integers(1, 6),
 )
 
@@ -494,41 +564,49 @@ _monomial_terms = st.tuples(
 def test_layout_matches_fraction_reference(raw, n, ell):
     """Every generator on a random sum of monomials reads back, through
     ``terms``, exactly the Fraction reference; exponent denominators that [g]
-    does not fix ([g] = 2/7 against w = 5/3, m = 1/5 and s = k/2) included,
-    and every result is canonical."""
+    does not fix ([g] = 2/7 against w = 5/3, m = 1/5, s = k/2, y^(1/3) and
+    y^(ell/3)) included, and every result is canonical.  The restrictions
+    raise on a y exponent with no boundary limit."""
     fr, m, w = F(2, 7), F(1, 5), F(5, 3)
     p = HalfSpacePoly(n, fr)
-    for s2, a1, a2, be, b, num, den in raw:
+    for s2, a1, a2, be, b, extra, num, den in raw:
         p = p + HalfSpacePoly.monomial(n, fr, s=F(s2, 2), alpha=(a1, a2)[:n], beta=be, b=b,
-                                       coeff=F(num, den))
+                                       coeff=F(num, den)).mul_y(extra)
     _assert_canonical(p)
     ref = dict(p.terms)
-    lap, dy2, dyy = _ref_lap_x(ref, n), _ref_dy2(ref, fr), _ref_dy_over_y(ref, fr)
+    lap, dy2, dyy = _ref_lap_x(ref, n), _ref_dy2(ref), _ref_dy_over_y(ref)
     cases = [
-        (p.lap_x(), lap),
         (p.dy2(), dy2),
         (p.dy_over_y(), dyy),
+        (p.y_dy(), _ref_y_dy(ref)),
         (p.weighted_laplacian(m), _ref_sum((1, lap), (1, dy2), (m, dyy))),
         (p.laplacian(), _ref_sum((1, lap), (1, dy2))),
-        (p.directional_r2(ell), _ref_directional(ref, fr, ell)),
-        (p.mul_r2(F(ell, 2)), {(s + F(ell, 2), a, be, b): c for (s, a, be, b), c in ref.items()}),
-        (p.kelvin_pullback(w), _ref_kelvin(ref, fr, w)),
+        (p.directional_r2(ell), _ref_directional(ref, ell)),
+        (p.mul_r2(F(ell, 2)), {(s + F(ell, 2), a, q): c for (s, a, q), c in ref.items()}),
+        (p.mul_y(F(ell, 3)), {(s, a, q + F(ell, 3)): c for (s, a, q), c in ref.items()}),
+        (p.kelvin_pullback(w), _ref_kelvin(ref, w)),
         (p.scale(F(-3, 4)), _ref_sum((F(-3, 4), ref))),
-        (p - p.kelvin_pullback(w), _ref_sum((1, ref), (-1, _ref_kelvin(ref, fr, w)))),
+        (p - p.kelvin_pullback(w), _ref_sum((1, ref), (-1, _ref_kelvin(ref, w)))),
+        (p.mul_y(F(ell, 3)) - p, _ref_sum((1, {(s, a, q + F(ell, 3)): c for (s, a, q), c in ref.items()}),
+                                          (-1, ref))),
     ]
     for got, want in cases:
         _assert_canonical(got)
         assert dict(got.terms) == want
-    if all(be >= 0 for _, _, be, _ in p.nums):
-        for bnd, branch, factor in ((p.iota(), 0, 1), (p.iota_weighted_neumann(), 1, 2 * fr)):
-            want = {(s, a): c * factor for (s, a, be, b), c in ref.items() if be == 0 and b == branch}
-            _assert_canonical(bnd)
-            assert dict(bnd.terms) == want
-            assert dict(bnd.lap().terms) == _ref_boundary_lap(want, n)
-            for out in (bnd.lap(), bnd.directional_r2(ell), bnd.kelvin_pullback(w),
-                        bnd.mul_r2(F(1, 2)), bnd - bnd.kelvin_pullback(w)):
-                _assert_canonical(out)
-            assert (bnd.kelvin_pullback(w).kelvin_pullback(w) - bnd).is_zero_function()
+    for restrict, q0, factor in ((p.iota, 0, 1), (p.iota_weighted_neumann, 2 * fr, 2 * fr)):
+        if any(q < q0 and q != 0 for _, _, q in ref):
+            with pytest.raises(ValueError):
+                restrict()
+            continue
+        bnd = restrict()
+        want = {(s, a): c * factor for (s, a, q), c in ref.items() if q == q0}
+        _assert_canonical(bnd)
+        assert dict(bnd.terms) == want
+        assert dict(bnd.lap().terms) == _ref_boundary_lap(want, n)
+        for out in (bnd.lap(), bnd.directional_r2(ell), bnd.kelvin_pullback(w),
+                    bnd.mul_r2(F(1, 2)), bnd - bnd.kelvin_pullback(w)):
+            _assert_canonical(out)
+        assert (bnd.kelvin_pullback(w).kelvin_pullback(w) - bnd).is_zero_function()
 
 
 def _count_fractions(monkeypatch, fn, arg):
@@ -556,7 +634,7 @@ def test_inner_loops_build_no_fraction_per_term(monkeypatch):
     def half_space(size):
         terms = {}
         for i in range(size):
-            terms[(F(i % 7 - 3, 2), (i % 4, i // 40), i // 4 % 3, i // 12 % 2)] = F(i + 1, i % 5 + 1)
+            terms[(F(i % 7 - 3, 2), (i % 4, i // 40), 2 * (i // 4 % 3) + 2 * fr * (i // 12 % 2))] = F(i + 1, i % 5 + 1)
         return HalfSpacePoly(2, fr, terms)
 
     def boundary(size):
