@@ -682,28 +682,23 @@ class ModeFieldView:
 
 
 def _profile_atom(prof: ModeProfile, xi: float, c) -> BesselModeFn:
-    """c P(xi y) / xi^lead for a Frobenius-normalized profile P: its two branch
-    series in y plus the chain t^gamma K_nu(t) / bessel_norm at t = xi y."""
-    series = {}
-    for i in range(len(prof.lead_series)):
-        p = prof.lead_exponent + 2 * i
-        series[p] = series.get(p, 0.0) + c * prof.lead_series[i] * xi ** (2 * i)
-        p2 = prof.co_exponent + 2 * i
-        series[p2] = series.get(p2, 0.0) + c * prof.co_series[i] * xi ** float(
-            2 * prof.nu + 2 * i
-        )
-    chain_coeff = c / (prof.bessel_norm * xi ** float(prof.lead_exponent))
+    """c P(xi y) for a Frobenius-normalized profile P: its two branch series
+    in y plus the chain t^gamma K_nu(t) / bessel_norm at t = xi y."""
+    series = {}   # the branches differ by 2 nu, never an even integer: no exponent repeats
+    for i, pair in enumerate(zip(prof.lead_series, prof.co_series)):
+        for exponent, a in zip((prof.lead_exponent, prof.co_exponent), pair):
+            series[exponent + 2 * i] = c * a * xi ** float(exponent + 2 * i)
     return BesselModeFn(xi, prof.params.m, series,
-                        (prof.nu, chain_coeff, {(prof.params.gamma, 0): Fraction(1)}))
+                        (prof.nu, c / prof.bessel_norm, {(prof.params.gamma, 0): Fraction(1)}))
 
 
 class SolutionFieldView(ModeFieldView):
     """An extension solution on its active modes with |xi| > 0.
 
-    There the solution is U(y) = sum_i s_i P_i(|xi| y) with
-    s_i = c_i |xi|^(-lead_i), where the P_i are the unit-coefficient profiles
-    at |xi| = 1 (units, from the solution's own profiles) and c_i the solved
-    coefficients.  (T - |xi|^2)^j U is sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y),
+    There the solution is U(y) = sum_i s_i P_i(|xi| y), where the P_i are the
+    unit-coefficient profiles at |xi| = 1 (units, from the solution's own
+    profiles) and s the solved coefficients on the view's modes.
+    (T - |xi|^2)^j U is sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y),
     so the exact operator algebra runs once per unit and power
     (unit_laplacians) and every mode's atoms are rescaled copies, built only
     for the modes that ask.  The jets are the solver's own on the view's
@@ -712,12 +707,10 @@ class SolutionFieldView(ModeFieldView):
 
     def __init__(self, sol: ExtensionSolution, modes):
         self.sol = sol
-        self.coeffs = sol.coeffs[modes]
+        self.s = sol.s[modes]
         self.xi = sol.xi_abs.reshape(-1)[modes]
         super().__init__(sol.params, sol.template, modes, sol.solution_jets(modes), None)
         self.units = [_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles]
-        lead = np.array([float(prof.lead_exponent) for prof in sol.profiles])
-        self.scaled = self.coeffs * self.xi[:, None] ** -lead
 
     @functools.cached_property
     def unit_laplacians(self) -> list:
@@ -730,7 +723,7 @@ class SolutionFieldView(ModeFieldView):
     def laplacian_atoms(self, pos: int, j: int) -> list:
         xi = float(self.xi[pos])
         return [powers[j].rescaled(xi, s, j)
-                for powers, s in zip(self.unit_laplacians, self.scaled[pos]) if s != 0]
+                for powers, s in zip(self.unit_laplacians, self.s[pos]) if s != 0]
 
 
 def _active_modes(template: GridField, hats) -> np.ndarray:
@@ -778,7 +771,7 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
         return out
 
     fl = params.floor_gamma
-    jets = NumericJets(fl, float(params.frac_gamma),
+    jets = NumericJets(fl, params.frac_gamma,
                        *([order(hats, tau) for tau in range(fl + 1)] for hats in (hats_a, hats_b)))
     return ModeFieldView(params, template, modes, jets, atoms)
 
@@ -852,7 +845,8 @@ def _unit_gram(params: GammaParams, pair) -> np.ndarray:
     at |xi| > 0 the pair block of two extension solutions is
     sum_ij s_i conj(s'_j) G_ij |xi|^(2k - m - 1), and 2k - m - 1 = 2 gamma:
     one matrix per order and pairing, built by one call of the per-mode
-    quadrature over all unit profiles."""
+    quadrature over all unit profiles.  _block puts |xi|^gamma on each side,
+    so the power never underflows on its own while s is large."""
     side = [list(atoms) for atoms in zip(*_unit_laplacians(params))].__getitem__
     return pair(side, side, params, 1.0)
 
@@ -871,9 +865,8 @@ def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
     params = u.params
     _, iu, iv = np.intersect1d(u.modes, v.modes, assume_unique=True, return_indices=True)
     if isinstance(u, SolutionFieldView) and isinstance(v, SolutionFieldView):
-        weight = u.weight[iu] * u.xi[iu] ** (2 * params.k - float(params.m) - 1.0)
-        return np.einsum("m,mi,ij,mj->", weight, u.scaled[iu], _unit_gram(params, pair),
-                         np.conj(v.scaled[iv]))
+        su, sv = (w.s[i] * w.xi[i, None] ** float(params.gamma) for w, i in ((u, iu), (v, iv)))
+        return np.einsum("m,mi,ij,mj->", u.weight[iu], su, _unit_gram(params, pair), np.conj(sv))
     total = 0.0 + 0.0j
     for a, b in zip(iu, iv):
         total += u.weight[a] * pair(functools.partial(u.laplacian_atoms, a),

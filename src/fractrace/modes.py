@@ -8,11 +8,13 @@ per-mode equation are spanned by the profiles t^gamma K_nu(t) at t = |xi| y,
 one for each scattering order nu attached to gamma.  Profiles are normalized
 through their exact Frobenius branch series (never by fitting), and boundary
 operators are read off the two-branch jets.
-The problem is homogeneous in t = |xi| y, so the Dirichlet system is one
-k x k matrix per order, built at |xi| = 1 and scaled to each mode by powers of
-|xi|.  The boundary jets of the solution stay per branch order, only the orders
-an operator reads, at the true |xi| of every mode, so the self-consistency
-check still tests that scaling independently.
+The problem is homogeneous in t = |xi| y: at every mode the solution is
+sum_i s_i P_i(|xi| y) with the same unit profiles P_i, so the Dirichlet system
+is one k x k matrix M1 per order, built at |xi| = 1, whose row of exponent e
+gains |xi|^e at each mode.  The boundary jets of the solution stay per branch
+order, only the orders an operator reads, each profile's term raised to its
+own exponent at the true |xi| of every mode, so the self-consistency check
+still tests that scaling independently.
 The profile ODE (T_t - 1)^k P = 0 is checked by applying the operator exactly,
 through the Bessel recurrence on the kernel side and the power rule on the
 branch series, and evaluating only the result; no finite difference enters.
@@ -226,19 +228,39 @@ def fractional_laplacian_fft(f: GridField, power: float) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def _poch_f(q: float, i: int) -> float:
+def _shifted(q, count: int) -> list:
+    """q, q + 1, ..., q + count - 1 as floats, each within one rounding of
+    its exact value for a Fraction q: q = n + r with n the nearest integer,
+    so a factor near zero is r itself, never a float difference.  Near an
+    integer order a float q would lose about 1e-16/r of that factor."""
+    n = round(q)
+    r = float(q - n)
+    return [(n + t) + r for t in range(count)]
+
+
+def _poch_f(q, i: int) -> float:
+    """Gamma(q + i) / Gamma(q) in floats, from the factors _shifted gives."""
     if i >= 0:
-        out = 1.0
-        for t in range(i):
-            out *= q + t
-        return out
-    out = 1.0
-    for t in range(1, -i + 1):
-        out *= q - t
-    return 1.0 / out
+        return math.prod(_shifted(q, i), start=1.0)
+    return 1.0 / math.prod(_shifted(q + i, -i), start=1.0)
 
 
-def _rho_even_f(fl: int, fr: float, j: int, ell: int) -> float:
+def _gamma_f(x) -> float:
+    """Gamma(x) for a Fraction x: Gamma(1 + r) times the Pochhammer factors
+    from 1 + r to x, with r = x - n for the nearest integer n, so a pole's
+    small factor is r itself."""
+    n = round(x)
+    return math.gamma(1.0 + float(x - n)) * _poch_f(1 + (x - n), n - 1)
+
+
+def _branch_series(q, first: float) -> np.ndarray:
+    """first / (4^i i! (q)_i) for i < SERIES_ORDER: the t^(2i) coefficients
+    of one Frobenius branch, q = 1 -+ nu."""
+    steps = 4.0 * np.arange(1, SERIES_ORDER) * _shifted(q, SERIES_ORDER - 1)
+    return first / np.cumprod(np.concatenate(([1.0], steps)))
+
+
+def _rho_even_f(fl: int, fr: Fraction, j: int, ell: int) -> float:
     return (
         math.comb(j, ell)
         * _poch_f(1 - fr, j) / _poch_f(1 - fr, j - ell)
@@ -246,7 +268,7 @@ def _rho_even_f(fl: int, fr: float, j: int, ell: int) -> float:
     )
 
 
-def _rho_odd_f(fl: int, fr: float, j: int, ell: int) -> float:
+def _rho_odd_f(fl: int, fr: Fraction, j: int, ell: int) -> float:
     return (
         math.comb(j, ell)
         * _poch_f(fr, 1 + j) / _poch_f(fr, 1 + j - ell)
@@ -255,7 +277,7 @@ def _rho_odd_f(fl: int, fr: float, j: int, ell: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def boundary_symbol_float(fl: int, fr: float, family: str, j: int) -> MappingProxyType:
+def boundary_symbol_float(fl: int, fr: Fraction, family: str, j: int) -> MappingProxyType:
     """{(t_power, lap_power): weight}; same recursion as the exact jets, float.
 
     Memoized, so a symbol at index j costs j + 1 evaluations instead of
@@ -270,21 +292,17 @@ def boundary_symbol_float(fl: int, fr: float, family: str, j: int) -> MappingPro
     return MappingProxyType(out)
 
 
-def _t_chain_even(fr: float, tau: int) -> float:
-    out = 1.0
-    for i in range(1, tau + 1):
-        out *= 4.0 * i * (i - fr)
-    return out
+@functools.lru_cache(maxsize=None)
+def _t_chain_even(fr: Fraction, tau: int) -> float:
+    return 4.0 ** tau * math.factorial(tau) * _poch_f(1 - fr, tau)
 
 
-def _t_chain_odd(fr: float, tau: int) -> float:
-    out = 2.0 * fr
-    for i in range(1, tau + 1):
-        out *= 4.0 * i * (i + fr)
-    return out
+@functools.lru_cache(maxsize=None)
+def _t_chain_odd(fr: Fraction, tau: int) -> float:
+    return 2.0 * float(fr) * 4.0 ** tau * math.factorial(tau) * _poch_f(1 + fr, tau)
 
 
-def _apply_symbol(fl: int, fr: float, family: str, j: int, xi2, order) -> np.ndarray:
+def _apply_symbol(fl: int, fr: Fraction, family: str, j: int, xi2, order) -> np.ndarray:
     """The boundary operator B[family, j] with the tangential symbol -|xi|^2.
 
     order(tau) gives the jet coefficient array at y-order tau of the family's
@@ -306,7 +324,7 @@ def _apply_symbol(fl: int, fr: float, family: str, j: int, xi2, order) -> np.nda
 class NumericJets:
     """Two-branch jet coefficient arrays over a mode grid (vectorized)."""
 
-    def __init__(self, fl: int, fr: float, a, b):
+    def __init__(self, fl: int, fr: Fraction, a, b):
         self.fl, self.fr = fl, fr
         self.a = a  # list of complex arrays, index = y^(2q) order
         self.b = b  # list of complex arrays, index = y^(2 fr + 2q) order
@@ -318,10 +336,10 @@ class NumericJets:
 
     def weighted_laplacian(self, xi2) -> "NumericJets":
         fr = self.fr
-        a = [4.0 * (q + 1) * (q + 1 - fr) * self.a[q + 1] + (-xi2) * self.a[q]
-             for q in range(len(self.a) - 1)]
-        b = [4.0 * (q + 1) * (q + 1 + fr) * self.b[q + 1] + (-xi2) * self.b[q]
-             for q in range(len(self.b) - 1)]
+        a = [4.0 * (q + 1) * shift * self.a[q + 1] + (-xi2) * self.a[q]
+             for q, shift in enumerate(_shifted(1 - fr, len(self.a) - 1))]
+        b = [4.0 * (q + 1) * shift * self.b[q + 1] + (-xi2) * self.b[q]
+             for q, shift in enumerate(_shifted(1 + fr, len(self.b) - 1))]
         return NumericJets(self.fl, fr, a, b)
 
     def restrict(self):
@@ -360,11 +378,10 @@ class ModeProfile:
     nu: Fraction
 
     def __post_init__(self):
-        g = self.params.gamma
         fr = self.params.frac_gamma
         fl = self.params.floor_gamma
-        nu = float(self.nu)
-        self.nu_f = nu
+        nu = self.nu
+        self.nu_f = float(nu)
         if self.kind == "even":
             self.lead_exponent = Fraction(2 * self.j)
             self.lead_branch = "a"
@@ -374,20 +391,15 @@ class ModeProfile:
         self.lead_index = self.j
         self.co_index = fl - self.j
         self.co_exponent = self.lead_exponent + 2 * self.nu
-        # scattering symbol at |xi| = 1 (signed float Gamma, stdlib)
-        self.sigma = 2.0 ** (-2.0 * nu) * math.gamma(-nu) / math.gamma(nu)
-        # branch series: coefficient of t^(lead + 2j) is 1/(4^j j! poch(1 -+ nu, j))
-        self.lead_series = np.array(
-            [1.0 / (4.0 ** i * math.factorial(i) * _poch_f(1.0 - nu, i))
-             for i in range(SERIES_ORDER)]
-        )
-        self.co_series = self.sigma * np.array(
-            [1.0 / (4.0 ** i * math.factorial(i) * _poch_f(1.0 + nu, i))
-             for i in range(SERIES_ORDER)]
-        )
-        # norm so that t^gamma K_nu(t) = C * (branch sum)
-        s = math.sin(math.pi * nu)
-        self.bessel_norm = 2.0 ** nu * math.pi / (2.0 * s * math.gamma(1.0 - nu))
+        # scattering symbol at |xi| = 1; every Gamma and Pochhammer factor
+        # is taken from the exact nu (_gamma_f, _shifted)
+        self.sigma = 2.0 ** (-2.0 * self.nu_f) * _gamma_f(-nu) / _gamma_f(nu)
+        # branch series: coefficient of t^(lead + 2i) is 1/(4^i i! poch(1 -+ nu, i))
+        self.lead_series = _branch_series(1 - nu, 1.0)
+        self.co_series = _branch_series(1 + nu, self.sigma)
+        # norm so that t^gamma K_nu(t) = C * (branch sum): 2^nu pi / (2 sin(pi nu)
+        # Gamma(1 - nu)), which is 2^(nu - 1) Gamma(nu) by the reflection formula
+        self.bessel_norm = 2.0 ** (self.nu_f - 1.0) * _gamma_f(nu)
 
     def eval(self, t):
         """Profile values; series below the switchover, Bessel kernel above."""
@@ -418,14 +430,12 @@ class ModeProfile:
     def jets(self, xi_abs: np.ndarray):
         """Two-branch y-jet coefficient arrays at boundary frequency |xi|.
 
-        The y^(2q) (resp. y^(2[g]+2q)) coefficient of P(|xi| y) / |xi|^lead
-        for q <= [g], the orders every boundary operator reads.
+        The y^(2q) (resp. y^(2{g}+2q)) coefficient of P(|xi| y) for q <= [g],
+        the orders every boundary operator reads.
         """
-        xi2 = xi_abs * xi_abs
-
         def order(branch, tau):
             out = np.zeros_like(xi_abs, dtype=complex)
-            term = self.jet_term(branch, tau, xi_abs, xi2)
+            term = self.jet_term(branch, tau, xi_abs)
             if term is not None:
                 out += term
             return out
@@ -433,17 +443,15 @@ class ModeProfile:
         orders = range(self.params.floor_gamma + 1)
         return tuple([order(branch, tau) for tau in orders] for branch in "ab")
 
-    def jet_term(self, branch: str, tau: int, xi_abs: np.ndarray, xi2: np.ndarray):
+    def jet_term(self, branch: str, tau: int, xi_abs: np.ndarray):
         """The one term of jets(xi_abs) at order tau of branch 'a' or 'b',
-        as a float array, or None where the profile has no term; xi2 is
-        xi_abs * xi_abs."""
+        series coefficient i times |xi|^(lead + 2i) (or co + 2i), as a float
+        array, or None where the profile has no term."""
         if branch == self.lead_branch:
-            i = tau - self.lead_index
-            return self.lead_series[i] * xi2 ** i if i >= 0 else None
-        i = tau - self.co_index
-        if i < 0:
-            return None
-        return self.co_series[i] * xi_abs ** (2.0 * float(self.nu)) * xi2 ** i
+            i, exponent, series = tau - self.lead_index, self.lead_exponent, self.lead_series
+        else:
+            i, exponent, series = tau - self.co_index, self.co_exponent, self.co_series
+        return series[i] * xi_abs ** float(exponent + 2 * i) if i >= 0 else None
 
     def ode_residual(self) -> float:
         """Relative residual of (T_t - 1)^k on the profile, T_t = d^2/dt^2 + (m/t) d/dt.
@@ -585,11 +593,11 @@ class ExtensionSolution:
         return mask & any_data
 
     def _solve(self):
-        """Coefficients per mode from the one |xi| = 1 matrix M1.
+        """Unit-scaled coefficients per mode from the one |xi| = 1 matrix M1.
 
-        The problem is homogeneous, so the Dirichlet matrix at |xi| is
-        M1[row, col] |xi|^(e_row - lead_col), with e_row = 2j for even rows and
-        2[g] + 2j for odd rows; hence coeffs = |xi|^lead (M1^-1 (|xi|^-e f)).
+        U = sum_i s_i P_i(|xi| y), so the Dirichlet matrix at |xi| is
+        diag(|xi|^e) M1, with e = 2j for even rows and 2{g} + 2j for odd rows;
+        hence s = M1^-1 (|xi|^-e f).
         """
         fr = self.params.frac_gamma
         flat_xi, zero = self._flat_xi()
@@ -597,13 +605,10 @@ class ExtensionSolution:
                             [p.jets(np.ones(1)) for p in self.profiles])
         e = np.array([float(2 * j if family == "even" else 2 * fr + 2 * j)
                       for family, j in self.conds])
-        lead = np.array([float(p.lead_exponent) for p in self.profiles])
-        coeffs = np.linalg.solve(
-            unit, np.stack([dh.reshape(-1) for dh in self.data_hat]) * flat_xi ** -e[:, None])
-        coeffs *= flat_xi ** lead[:, None]
-        coeffs = coeffs.T
-        coeffs[zero, :] = 0.0
-        self.coeffs = coeffs  # [modes, profile]
+        s = np.linalg.solve(
+            unit, np.stack([dh.reshape(-1) for dh in self.data_hat]) * flat_xi ** -e[:, None]).T
+        s[zero, :] = 0.0
+        self.s = s  # [modes, profile]
 
         # zero mode: polynomial kernel of the pure normal operator; with the
         # tangential symbol at zero the conditions diagonalize on monomials
@@ -631,16 +636,15 @@ class ExtensionSolution:
         array or a slice): each profile's coefficient times its one series
         term at the true |xi|, and the zero mode from the polynomial data."""
         xi_abs, zero = self._flat_xi(modes)
-        xi2 = xi_abs * xi_abs
-        coeffs = self.coeffs[modes]
+        s = self.s[modes]
         zero_vals = self.zero_even if branch == "a" else self.zero_odd
 
         def order(tau):
             out = np.zeros(xi_abs.size, dtype=complex)
             for col, prof in enumerate(self.profiles):
-                term = prof.jet_term(branch, tau, xi_abs, xi2)
+                term = prof.jet_term(branch, tau, xi_abs)
                 if term is not None:
-                    out += coeffs[:, col] * term
+                    out += s[:, col] * term
             out[zero] = zero_vals[tau] if tau < zero_vals.size else 0.0
             return out
 
@@ -652,13 +656,13 @@ class ExtensionSolution:
         fl = self.params.floor_gamma
         a, b = ([order(q) for q in range(fl + 1)]
                 for order in (self._jet_order(branch, modes) for branch in "ab"))
-        return NumericJets(fl, float(self.params.frac_gamma), a, b)
+        return NumericJets(fl, self.params.frac_gamma, a, b)
 
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
         """B[family, j] of the solution over all modes.  The operator reads
         branch a (even) or b (odd) up to order j only; each order is built at
         the true |xi| and added into the output before the next is built."""
-        out = _apply_symbol(self.params.floor_gamma, float(self.params.frac_gamma),
+        out = _apply_symbol(self.params.floor_gamma, self.params.frac_gamma,
                             family, j, self.xi2.reshape(-1),
                             self._jet_order("a" if family == "even" else "b"))
         return out.reshape(self.xi2.shape)
@@ -671,8 +675,7 @@ class ExtensionSolution:
         flat_xi, zero = self._flat_xi()
         out = np.zeros(flat_xi.size, dtype=complex)
         for col, prof in enumerate(self.profiles):
-            scale = flat_xi ** -float(prof.lead_exponent)
-            out += self.coeffs[:, col] * prof.eval(flat_xi * y) * scale
+            out += self.s[:, col] * prof.eval(flat_xi * y)
         fr = float(self.params.frac_gamma)
         out[zero] = sum(self.zero_even[q] * y ** (2 * q) for q in range(self.zero_even.size))
         out[zero] += sum(self.zero_odd[q] * y ** (2 * fr + 2 * q) for q in range(self.zero_odd.size))
@@ -713,7 +716,7 @@ def _unit_matrix(params: GammaParams, conds, unit_jets) -> np.ndarray:
     is built once."""
     a, b = ([np.concatenate([jet[branch][q] for jet in unit_jets])
              for q in range(len(unit_jets[0][branch]))] for branch in (0, 1))
-    nj = NumericJets(params.floor_gamma, float(params.frac_gamma), a, b)
+    nj = NumericJets(params.floor_gamma, params.frac_gamma, a, b)
     one = np.ones(len(unit_jets))
     return np.array([nj.apply_boundary(family, j, one) for family, j in conds])
 
@@ -796,8 +799,8 @@ def yang_extension_check(params: GammaParams, f: GridField,
     # interior traces of the weighted Laplacian powers
     for j in range(1, fl // 2 + 1):
         got = traces[j][0]
-        const = (math.factorial(fl) / math.factorial(fl - j)) * _poch_f(g - j, j) ** -1
         # Gamma(g-j)/Gamma(g) = 1/poch(g-j, j)
+        const = math.factorial(fl) / math.factorial(fl - j) / _poch_f(params.gamma - j, j)
         want = const * (-xi2) ** j * f_hat
         err = _masked_max(got - want) / scale
         report.record(err <= tol_trace, err, f"interior trace at power {j}: rel err {err:.3e}")
@@ -810,12 +813,10 @@ def yang_extension_check(params: GammaParams, f: GridField,
     # top-order weighted Neumann trace recovers the fractional Laplacian.
     # The representation constant is the reciprocal of the energy constant
     # 2^(1-2[g]) fl! gamma Gamma(-gamma)/Gamma([g]) (the half-integer
-    # specialization (-1)^(k+1) (2k-1)!!/(2^k k!) pins the convention).
-    yang = (
-        2.0 ** (1.0 - 2.0 * fr)
-        * math.factorial(fl)
-        * g * math.gamma(-g) / math.gamma(fr)
-    )
+    # specialization (-1)^(k+1) (2k-1)!!/(2^k k!) pins the convention), with
+    # gamma Gamma(-gamma) = -Gamma(1 - gamma) from the exact order.
+    yang = (-2.0 ** (1.0 - 2.0 * fr) * math.factorial(fl)
+            * _gamma_f(1 - params.gamma) / math.gamma(fr))
     lhs_modes = traces[fl][1] / yang
     frac = fractional_laplacian_fft(f, g)
     want_modes = frac.fft().reshape(-1)

@@ -1,5 +1,6 @@
 """Energies, quadratic forms, and the sharp-inequality bench."""
 
+import copy
 import json
 import math
 import subprocess
@@ -818,6 +819,25 @@ def test_huge_boxes_verify(box, tmp_path):
         assert "quadrature cap hits: 0" in reports[check]["details"]
 
 
+@pytest.mark.parametrize("gamma, box", [("9/2", "1e40"), ("9/2", "1e50"), ("5/2", "1e100"),
+                                        ("5/2", "1.4e101")])
+def test_huge_boxes_pass_both_energy_routes(gamma, box, tmp_path):
+    """On --box 1e40 |xi| starts at 6.3e-40, so |xi|^9 underflows to 0 while
+    the unit-scaled coefficients reach 1e154: the Gram route once formed
+    |xi|^(2 gamma) before contracting, and the interior-route energy read 0
+    (defect 1).  With |xi|^gamma on each side both routes pass."""
+    from fractrace.cli import main
+
+    out = tmp_path / "r.json"
+    assert main(["verify", "--gamma", gamma, "--only", "numeric", "--grid", "8", "--full",
+                 "--box", box, "--out", str(out)]) == 0
+    report = next(r for r in json.loads(out.read_text()) if r["check"] == "energy_trace")
+    for prefix in ("energy equals DtN sum", "interior-route energy"):
+        row = next(d for d in report["details"] if d.startswith(prefix))
+        assert float(row.rsplit(" ", 1)[1]) <= 1e-13, row
+    assert report["status"] == "pass"
+
+
 def _scalar_values(atom):
     """_values at one point, with the series terms as two arrays."""
     exponents = np.array([key / atom.D for key in atom.terms])
@@ -896,7 +916,7 @@ def test_rescaled_laplacian_atoms_match_direct_powers(gamma):
         xi = float(view.xi[pos])
         y = np.linspace(0.1, 3.0, 59) * T_SERIES / xi
         direct = [en._profile_atom(prof, xi, c)
-                  for prof, c in zip(view.sol.profiles, view.coeffs[pos]) if c != 0]
+                  for prof, c in zip(view.sol.profiles, view.s[pos]) if c != 0]
         sizes = []
         for j in range(p.k + 1):
             want = np.array([_values(a, y) for a in direct])
@@ -993,6 +1013,27 @@ def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, n, grid, monkeypatch
     rep = energy_trace_check(solve_extension(p, _gaussian_data(p, grid, n=n)))
     assert min(_defects(rep, "energy equals DtN sum")) > 1e-6
     assert min(_defects(rep, "interior-route energy")) > 1e-6
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("gamma", [F(5, 2), F(9, 2)])
+def test_energy_trace_sees_a_skewed_gram_power(gamma, monkeypatch):
+    """The Gram route's |xi|^gamma on one side raised to |xi|^(gamma (1 + 1e-6)),
+    by handing interior_energy a view whose |xi| is |xi|^(1 + 1e-6): only the
+    interior-route row fails.  At 1/2 and 3/2 the same skew reads 4.8e-7 and
+    7.6e-7, inside the bound."""
+    p = GammaParams(gamma)
+    real = en.interior_energy
+
+    def skewed(u, v):
+        w = copy.copy(u)
+        w.xi = u.xi ** (1.0 + 1e-6)
+        return real(w, v)
+
+    monkeypatch.setattr(en, "interior_energy", skewed)
+    rep = energy_trace_check(solve_extension(p, _gaussian_data(p, 128)))
+    assert _defects(rep, "energy equals DtN sum")[0] <= 1e-14
+    assert _defects(rep, "interior-route energy")[0] > 3e-6
     assert not rep.passed
 
 

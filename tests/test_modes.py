@@ -224,6 +224,31 @@ def test_dtn_constants_independent_extraction(gamma):
             dtn_constant_odd(p, j).value(p.frac_gamma), rel=1e-8)
 
 
+NEAR_INTEGER_GAMMAS = ["1e-9", "1e-12", "0.9999999999", "0.999999999999", "0.999999999999999",
+                      "5.0000001", "7.9999999"]
+
+
+@pytest.mark.parametrize("gamma", NEAR_INTEGER_GAMMAS)
+def test_dtn_extraction_near_an_integer_order(gamma):
+    """nu, 1 - nu and 1 - {g} come from the exact order, so the extraction
+    stays at roundoff near an integer; from a rounded float order it read up
+    to 8.0e-4 (at 0.999999999999999), about 1e-16 over the distance."""
+    rep = verify_dtn_constants(GammaParams(F(gamma)))
+    assert rep.max_rel_err <= 1e-14, rep.details
+
+
+def test_gamma_near_a_pole_matches_mpmath():
+    """modes._gamma_f against 40-digit mpmath, near poles and away from
+    them; math.gamma of the rounded float argument is off by 8.9e-5 at
+    -2 + 1e-12 and by 2.8e-9 at -7 - 1e-7."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in (F(-2) + F(1, 10 ** 12), F(-1, 10 ** 15), F(-7) - F(1, 10 ** 7), F(1) - F(1, 10 ** 12),
+              F(9, 2), F(-31, 4)):
+        want = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
+        assert abs(modes._gamma_f(x) - want) <= 1e-14 * abs(want), x
+
+
 def test_self_consistency_multiple_data():
     p = GammaParams(F(3, 2))
     f = gaussian_field(1, (256,), 60.0, width=1.5)
@@ -284,8 +309,9 @@ def test_per_mode_constant_at_unit_frequency():
 
 def _per_mode_coeffs(sol):
     """Oracle: the Dirichlet matrix built at every mode's true |xi| from the
-    profiles' jets there, solved mode by mode."""
-    fl, fr = sol.params.floor_gamma, float(sol.params.frac_gamma)
+    profiles' jets there, solved mode by mode for the s of
+    U = sum_i s_i P_i(|xi| y)."""
+    fl, fr = sol.params.floor_gamma, sol.params.frac_gamma
     xi = sol.xi_abs.reshape(-1)
     nz = xi > 0
     k = len(sol.profiles)
@@ -310,7 +336,7 @@ def test_scaled_solve_matches_per_mode_solve(gamma, n):
     data = [gaussian_field(n, shape, 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
     sol = solve_extension(p, data)
     want = _per_mode_coeffs(sol)
-    rel = np.abs(sol.coeffs - want).max(axis=0) / np.abs(want).max(axis=0)
+    rel = np.abs(sol.s - want).max(axis=0) / np.abs(want).max(axis=0)
     assert rel.max() <= 1e-13
 
 
@@ -318,7 +344,7 @@ def _summed_profile_jets(sol):
     """Oracle: every profile's full two-branch jets from ModeProfile.jets at
     the true |xi|, summed with the solved coefficients; the zero mode from the
     polynomial data."""
-    fl, fr = sol.params.floor_gamma, float(sol.params.frac_gamma)
+    fl, fr = sol.params.floor_gamma, sol.params.frac_gamma
     xi = sol.xi_abs.reshape(-1).copy()
     zero = xi == 0.0
     xi[zero] = 1.0
@@ -328,8 +354,8 @@ def _summed_profile_jets(sol):
     for col, prof in enumerate(sol.profiles):
         pa, pb = prof.jets(xi)
         for q in range(size):
-            a[q] += sol.coeffs[:, col] * pa[q]
-            b[q] += sol.coeffs[:, col] * pb[q]
+            a[q] += sol.s[:, col] * pa[q]
+            b[q] += sol.s[:, col] * pb[q]
     for q in range(size):
         a[q][zero] = sol.zero_even[q] if q < sol.zero_even.size else 0.0
         b[q][zero] = sol.zero_odd[q] if q < sol.zero_odd.size else 0.0
