@@ -95,25 +95,24 @@ def _exact_checks(gamma: Fraction, n: int, seed: int):
     rep = VerificationReport("gamma_constants", str(params), n)
     try:
         worst = 0.0
-        for even, count, constant in [(True, params.n_even_data, gc.dtn_constant_even),
-                                      (False, params.n_odd_data, gc.dtn_constant_odd)]:
+        slots = [("even", params.n_even_data, gc.halfint_dtn_even),
+                 ("odd", params.n_odd_data, gc.halfint_dtn_odd)]
+        for family, count, _ in slots:
             for j in range(count):
-                direct = _dtn_constant_reference(params, j, even)
-                mine = constant(params, j).value(params.frac_gamma)
+                direct = _dtn_constant_reference(params, j, family == "even")
+                mine = gc.dtn_constant(params, family, j).value(params.frac_gamma)
                 worst = max(worst, abs(mine - direct) / abs(direct))
         rep.record(worst <= TOL_DEFAULTS["gamma_constants"], worst,
                    f"closed forms vs direct Gamma evaluation: {worst:.2e}")
         yc = gc.yang_constant(params)
-        c0 = gc.dtn_constant_even(params, 0)
+        c0 = gc.dtn_constant(params, "even", 0)
         rep.record(yc.equals_at(c0, params.frac_gamma), 0.0, "order-zero energy constant matches")
         if params.frac_gamma == Fraction(1, 2):
             kk = params.floor_gamma
-            for j in range(params.n_even_data):
-                ok = gc.dtn_constant_even(params, j).as_fraction(Fraction(1, 2)) == gc.halfint_dtn_even(kk, j)
-                rep.record(ok, 0.0 if ok else 1.0, f"half-integer even constant j={j}")
-            for j in range(params.n_odd_data):
-                ok = gc.dtn_constant_odd(params, j).as_fraction(Fraction(1, 2)) == gc.halfint_dtn_odd(kk, j)
-                rep.record(ok, 0.0 if ok else 1.0, f"half-integer odd constant j={j}")
+            for family, count, halfint in slots:
+                for j in range(count):
+                    ok = gc.dtn_constant(params, family, j).as_fraction(Fraction(1, 2)) == halfint(kk, j)
+                    rep.record(ok, 0.0 if ok else 1.0, f"half-integer {family} constant j={j}")
     except Exception as exc:  # report, never crash the suite
         rep.fail(f"exception: {exc!r}")
     checks.append(rep)

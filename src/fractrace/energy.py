@@ -63,7 +63,7 @@ import numpy as np
 
 from . import ratmap
 from .besselk import bessel_k
-from .gammacore import GammaParams, symmetry_constant, dtn_constant_even, dtn_constant_odd
+from .gammacore import FAMILIES, GammaParams, dtn_constant, symmetry_constant
 from .modes import (
     GridField,
     ExtensionSolution,
@@ -73,6 +73,8 @@ from .modes import (
     T_MAX,
     all_profiles,
     dirichlet_condition_list,
+    neumann_condition_list,
+    scattering_orders,
 )
 from .report import VerificationReport
 
@@ -748,11 +750,11 @@ def extension_field_view(sol: ExtensionSolution) -> SolutionFieldView:
 
 
 def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
-                           b_coeffs) -> ModeFieldView:
-    """Synthetic test field sum_q (a_q y^(2q) + b_q y^(2[g]+2q)) exp(-y^2) for
-    real boundary fields a_q, b_q, on its active modes.  Order tau of a
+                           b_coeffs, lam: float) -> ModeFieldView:
+    """Synthetic test field sum_q (a_q y^(2q) + b_q y^(2[g]+2q)) exp(-lam y^2)
+    for real boundary fields a_q, b_q, on its active modes.  Order tau of a
     branch's jet is sum_q hat_q times the Gaussian's Taylor weight
-    (-1)^i / i!, i = tau - q >= 0."""
+    (-lam)^i / i!, i = tau - q >= 0."""
     hats = [[template.like(c).fft().reshape(-1) for c in coeffs] for coeffs in (a_coeffs, b_coeffs)]
     modes = _active_modes(template, hats[0] + hats[1])
     hats_a, hats_b = ([h[modes] for h in group] for group in hats)
@@ -762,12 +764,12 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
     for pos in range(modes.size):
         terms = {Fraction(2 * q): h[pos] for q, h in enumerate(hats_a) if h[pos] != 0}
         terms.update({fr2 + 2 * q: h[pos] for q, h in enumerate(hats_b) if h[pos] != 0})
-        atoms.append([PolyGaussModeFn(xi2[pos], params.m, 1.0, terms)])
+        atoms.append([PolyGaussModeFn(xi2[pos], params.m, lam, terms)])
 
     def order(hats, tau):
         out = np.zeros(modes.size, dtype=complex)
         for q, h in enumerate(hats[:tau + 1]):
-            out += h * (-1.0) ** (tau - q) / math.factorial(tau - q)
+            out += h * (-lam) ** (tau - q) / math.factorial(tau - q)
         return out
 
     fl = params.floor_gamma
@@ -796,7 +798,7 @@ def random_two_branch_field(params: GammaParams, template: GridField,
     fl = params.floor_gamma
     a = [_band_limited(template, rng) for _ in range(fl // 2 + 2)]
     b = [_band_limited(template, rng) for _ in range(max(fl - fl // 2, 1))]
-    return _two_branch_gauss_view(params, template, a, b)
+    return _two_branch_gauss_view(params, template, a, b, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -897,14 +899,13 @@ def _boundary_pairing(u: ModeFieldView, family_u, j_u, v: ModeFieldView, family_
 
 
 def q_form(u: ModeFieldView, v: ModeFieldView) -> float:
-    """The Dirichlet form: interior U L V term plus the two boundary sums."""
+    """The Dirichlet form: interior U L V term plus the boundary sum over the
+    Dirichlet slots, each paired with its Neumann output, with sign (-1)^s
+    for the slot's branch shift s."""
     params = u.params
-    fl = params.floor_gamma
     total = _ul_pair(u, v)
-    for j in range(params.n_even_data):
-        total += _boundary_pairing(u, "even", j, v, "odd", fl - j)
-    for j in range(params.n_odd_data):
-        total -= _boundary_pairing(u, "odd", j, v, "even", fl - j)
+    for (family, j), neumann in zip(dirichlet_condition_list(params), neumann_condition_list(params)):
+        total += (-1) ** FAMILIES.index(family) * _boundary_pairing(u, family, j, v, *neumann)
     return total
 
 
@@ -926,21 +927,14 @@ def boundary_correction(u: ModeFieldView, v: ModeFieldView) -> float:
 
 def dtn_rhs(sol: ExtensionSolution) -> float:
     """Trace-inequality right side: weighted sums of the Dirichlet data
-    against the fractional symbol, Plancherel over all modes."""
+    against the fractional symbol |xi|^(2 nu) of each slot's scattering order
+    nu, Plancherel over all modes."""
     params = sol.params
-    g = float(params.gamma)
-    fl, fr = params.floor_gamma, float(params.frac_gamma)
     weight = sol.template.pair_weights()
     total = 0.0
-    for row, (family, j) in enumerate(sol.conds):
-        dh = sol.data_hat[row]
-        if family == "even":
-            const = dtn_constant_even(params, j).value(params.frac_gamma)
-            power = g - 2 * j
-        else:
-            const = dtn_constant_odd(params, j).value(params.frac_gamma)
-            power = fl - fr - 2 * j
-        total += const * float(np.sum(weight * np.abs(dh) ** 2 * sol.xi2 ** power))
+    for dh, (family, j, nu) in zip(sol.data_hat, scattering_orders(params)):
+        const = dtn_constant(params, family, j).value(params.frac_gamma)
+        total += const * float(np.sum(weight * np.abs(dh) ** 2 * sol.xi2 ** float(nu)))
     return total * _mode_weight(sol.template)
 
 
@@ -976,13 +970,23 @@ def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
 def zero_data_perturbation(params: GammaParams, template: GridField, seed: int,
                            scale: float = 1.0) -> ModeFieldView:
     """Field with every Dirichlet boundary operator vanishing: the a branch
-    starts above the even data range and the b branch above the odd range."""
+    starts above the even data range and the b branch above the odd range.
+
+    Its Gaussian is exp(-lam y^2), lam the smallest power of two at or above
+    the grid's lowest nonzero |xi|^2 = (2 pi / L)^2 (a power of two keeps the
+    atoms' exact integers small): a Gaussian in |xi_1| y, so W reaches
+    t = |xi| y past T_SERIES, where an extension solution is its Bessel
+    chain.  lam is held to [2^-16, 1]: on a box shorter than 2 pi the unit
+    Gaussian already reaches t >= 2, and past L of about 1600 W would spread
+    to y ~ L, where the solution's series powers and W's closed-form pairs
+    leave float range (unclamped, every box from 1e8 up failed)."""
     rng = np.random.default_rng(seed)
     a = [np.zeros(template.shape) for _ in range(params.n_even_data)]
     b = [np.zeros(template.shape) for _ in range(params.n_odd_data)]
     a.append(_band_limited(template, rng, scale))
     b.append(_band_limited(template, rng, scale))
-    return _two_branch_gauss_view(params, template, a, b)
+    lam = 2.0 ** min(0, max(-16, math.ceil(2.0 * math.log2(2.0 * math.pi / template.box_length))))
+    return _two_branch_gauss_view(params, template, a, b, lam)
 
 
 def dirichlet_principle_check(sol: ExtensionSolution, seed: int = 0,

@@ -31,6 +31,10 @@ class GammaDomainError(ValueError):
 
 GAMMA_CAP = 8
 
+# the two boundary families, indexed by their branch shift s: the even family
+# lives on y^(2j), the odd family on y^(2[g]+2j)
+FAMILIES = ("even", "odd")
+
 
 def parse_gamma(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction."""
@@ -250,54 +254,41 @@ def cs_normalization(gamma) -> float:
     return 2.0 ** float(1 - 2 * g) * math.gamma(float(1 - g)) / math.gamma(float(g))
 
 
-def dtn_constant_even(params: GammaParams, j: int) -> ExactConstant:
-    """Constant linking the even Dirichlet datum f^(2j) to its Neumann trace.
-
-    Value (with fl = floor(gamma), fr = [gamma]):
+def dtn_constant(params: GammaParams, family: str, j: int) -> ExactConstant:
+    """Constant linking the Dirichlet datum of a family's slot j to its Neumann
+    trace: f^(2j) for the even family, phi^(2j) for the odd one.  Values (with
+    fl = floor(gamma), fr = [gamma]):
 
         (-1)^(1+fl) 2^(1-2 fr) (fl-j)! G(1-fr) G(1-j+gamma) G(2j-gamma)
         -----------------------------------------------------------------
                j!  G(fr)  G(1+j-fr)  G(-2j+gamma)
 
-    reduced so the only Gamma content left is one factor of R.
-    """
-    fl, fr = params.floor_gamma, params.frac_gamma
-    if not 0 <= j <= fl // 2:
-        raise IndexError(f"dtn_constant_even: j={j} out of range for gamma={params.gamma}")
-    sign = Fraction(-1) ** (1 + fl)
-    rat = (
-        sign
-        * Fraction(math.factorial(fl - j), math.factorial(j))
-        * pochhammer_ratio(fr, 1 + fl - j)          # G(1-j+gamma)/G(fr)
-        * pochhammer_ratio(1 - fr, 2 * j - fl - 1)  # G(2j-gamma)/G(1-fr)
-        / pochhammer_ratio(1 - fr, j)               # G(1+j-fr)/G(1-fr)
-        / pochhammer_ratio(fr, fl - 2 * j)          # G(-2j+gamma)/G(fr)
-    )
-    return ExactConstant(rat, gamma_ratio_power=1, two_power=1 - 2 * fr)
-
-
-def dtn_constant_odd(params: GammaParams, j: int) -> ExactConstant:
-    """Constant linking the odd Dirichlet datum phi^(2j) to its Neumann trace.
-
-    Value:
-
         (-1)^fl 2^(2 fr - 1) (fl-j)! G(fr) G(1+fl-j-fr) G(2j-fl+fr)
         -------------------------------------------------------------
                j!  G(1-fr)  G(1+j+fr)  G(-2j+fl-fr)
+
+    Both are one rule in the family's branch shift s (0 even, 1 odd) and base
+    p = 1 - fr resp. fr, for 0 <= j <= (fl - s)//2: the rational
+
+        (-1)^(1+fl+s) (fl-j)!/j! (1-p)_(1+fl-j-s) (p)_(2j-fl-1+s)
+                                 / ((p)_(j+s) (1-p)_(fl-2j-s))
+
+    times R^(1-2s) 2^(2p-1), so the only Gamma content left is a power of R.
     """
     fl, fr = params.floor_gamma, params.frac_gamma
-    if not 0 <= j <= fl - fl // 2 - 1:
-        raise IndexError(f"dtn_constant_odd: j={j} out of range for gamma={params.gamma}")
-    sign = Fraction(-1) ** fl
+    s = FAMILIES.index(family)
+    if not 0 <= j <= (fl - s) // 2:
+        raise IndexError(f"dtn_constant: {family} j={j} out of range for gamma={params.gamma}")
+    p = fr if s else 1 - fr
     rat = (
-        sign
+        Fraction(-1) ** (1 + fl + s)
         * Fraction(math.factorial(fl - j), math.factorial(j))
-        * pochhammer_ratio(1 - fr, fl - j)          # G(1+fl-j-fr)/G(1-fr)
-        * pochhammer_ratio(fr, 2 * j - fl)          # G(2j-fl+fr)/G(fr)
-        / pochhammer_ratio(fr, 1 + j)               # G(1+j+fr)/G(fr)
-        / pochhammer_ratio(1 - fr, fl - 2 * j - 1)  # G(-2j+fl-fr)/G(1-fr)
+        * pochhammer_ratio(1 - p, 1 + fl - j - s)
+        * pochhammer_ratio(p, 2 * j - fl - 1 + s)
+        / pochhammer_ratio(p, j + s)
+        / pochhammer_ratio(1 - p, fl - 2 * j - s)
     )
-    return ExactConstant(rat, gamma_ratio_power=-1, two_power=2 * fr - 1)
+    return ExactConstant(rat, gamma_ratio_power=1 - 2 * s, two_power=2 * p - 1)
 
 
 def symmetry_constant(params: GammaParams, j: int, l: int) -> ExactConstant:
@@ -331,7 +322,7 @@ def yang_constant(params: GammaParams) -> ExactConstant:
     """Energy normalization for data concentrated in the order-zero slot.
 
     (-1)^(1+fl) 2^(1-2 fr) fl! gamma Gamma(-gamma) / Gamma(fr); agrees with
-    dtn_constant_even(params, 0).
+    dtn_constant(params, "even", 0).
     """
     fl, fr = params.floor_gamma, params.frac_gamma
     sign = Fraction(-1) ** (1 + fl)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import ratmap
-from .gammacore import GammaParams, pochhammer_ratio
+from .gammacore import FAMILIES, GammaParams, pochhammer_ratio
 from .report import VerificationReport
 
 
@@ -209,26 +209,26 @@ def restrict_weighted_neumann(jet: Jet) -> BoundaryExpr:
     return BoundaryExpr._of(ratmap.scale(jet.b[0].nums, jet.b[0].den, 2 * fr.numerator, fr.denominator))
 
 
-def _rho_even(params: GammaParams, j: int, ell: int) -> Fraction:
-    """Recursion weight of the tangential term in the even family."""
+def _rho(params: GammaParams, s: int, j: int, ell: int) -> Fraction:
+    """Recursion weight of the tangential term in the family of branch shift s,
+    in the family's base q = 1 - [g] (s = 0) or [g] (s = 1):
+    C(j, l) (q)_(s+j)/(q)_(s+j-l) (q)_(s+2j-2l-fl)/(q)_(s+2j-l-fl)."""
     fr, fl = params.frac_gamma, params.floor_gamma
+    q = fr if s else 1 - fr
     return (
         math.comb(j, ell)
-        * pochhammer_ratio(1 - fr, j) / pochhammer_ratio(1 - fr, j - ell)
-        * pochhammer_ratio(1 - fr, 2 * j - 2 * ell - fl)
-        / pochhammer_ratio(1 - fr, 2 * j - ell - fl)
+        * pochhammer_ratio(q, s + j) / pochhammer_ratio(q, s + j - ell)
+        * pochhammer_ratio(q, s + 2 * j - 2 * ell - fl)
+        / pochhammer_ratio(q, s + 2 * j - ell - fl)
     )
 
 
-def _rho_odd(params: GammaParams, j: int, ell: int) -> Fraction:
-    """Recursion weight of the tangential term in the odd family."""
-    fr, fl = params.frac_gamma, params.floor_gamma
-    return (
-        math.comb(j, ell)
-        * pochhammer_ratio(fr, 1 + j) / pochhammer_ratio(fr, 1 + j - ell)
-        * pochhammer_ratio(fr, 1 + 2 * j - 2 * ell - fl)
-        / pochhammer_ratio(fr, 1 + 2 * j - ell - fl)
-    )
+def _trace_chain(params: GammaParams, s: int, tau: int) -> Fraction:
+    """c_s(tau) = (1+s) 4^tau tau! (q)_(tau+s): the trace of T^tau on the
+    family's leading monomial y^(2s[g]+2tau) (restriction for s = 0, weighted
+    Neumann trace for s = 1)."""
+    q = params.frac_gamma if s else 1 - params.frac_gamma
+    return (1 + s) * Fraction(4) ** tau * math.factorial(tau) * pochhammer_ratio(q, tau + s)
 
 
 def boundary_operators(params: GammaParams, jet: Jet) -> dict:
@@ -273,20 +273,17 @@ def boundary_operator_symbol(params: GammaParams, family: str, j: int) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _symbol_items(params: GammaParams, family: str, j: int) -> tuple:
-    """Memoized symbol as sorted items, unrolling
+    """Memoized symbol as sorted items, unrolling, with s the family's shift,
 
-    Even:  B_{2j}      = (-1)^j     restrict o T^j  - sum_l rho * Lap^l B_{2j-2l}
-    Odd:   B_{2[g]+2j} = (-1)^(j+1) neumann o T^j   - sum_l rho * Lap^l B_{2[g]+2j-2l}
+    B_{2s[g]+2j} = (-1)^(j+s) trace_s o T^j - sum_l rho_s * Lap^l B_{2s[g]+2j-2l}
+
+    where trace_0 is the restriction and trace_1 the weighted Neumann trace.
     """
-    if family == "even":
-        sign, rho = Fraction(-1) ** j, _rho_even
-    elif family == "odd":
-        sign, rho = Fraction(-1) ** (j + 1), _rho_odd
-    else:
-        raise ValueError(f"unknown boundary family {family!r}")
+    s = FAMILIES.index(family)
+    sign = Fraction(-1) ** (j + s)
     out = {(j, 0): sign}
     for ell in range(1, j + 1):
-        weight = rho(params, j, ell)
+        weight = _rho(params, s, j, ell)
         for (tp, lp), coeff in _symbol_items(params, family, j - ell):
             key = (tp, lp + ell)
             acc = out.get(key, Fraction(0)) - weight * coeff
@@ -301,72 +298,60 @@ def default_truncation(params: GammaParams) -> int:
     return params.floor_gamma + 4
 
 
+# the datum symbol of each family, by branch shift s
+_DATUM = ("f", "phi")
+
+
 def make_scattering_jet(params: GammaParams, j: int, kind: str) -> Jet:
     """Formal jet of the renormalized Poisson-operator image with unit datum.
 
-    kind='even' uses scattering order gamma - 2j (0 <= j <= floor(gamma/2))
-    on the symbol f; kind='odd' uses floor(gamma) - [gamma] - 2j
-    (0 <= j <= floor-floor/2-1) on the symbol phi.  The leading coefficient
-    of the data branch is the bare symbol; the other branch carries the hat
-    symbol with leading coefficient one.
+    The family kind of branch shift s (0 even, 1 odd) uses scattering order
+    nu = gamma - 2s[g] - 2j for 0 <= j <= (floor(gamma) - s)//2, on the symbol
+    f (even) or phi (odd): gamma - 2j resp. floor(gamma) - [gamma] - 2j.  The
+    data branch (a for even, b for odd) leads with the bare symbol at order
+    j; the other branch carries the hat symbol from order floor(gamma) - j
+    with leading coefficient one.
     """
     fl, fr, g = params.floor_gamma, params.frac_gamma, params.gamma
     truncation = default_truncation(params)
-    if kind == "even":
-        if not 0 <= j <= fl // 2:
-            raise IndexError(f"scattering jet (even) index {j} out of range for gamma={g}")
-        gt = g - 2 * j
-        lead_branch, base = "a", "f"
-    elif kind == "odd":
-        if not 0 <= j <= fl - fl // 2 - 1:
-            raise IndexError(f"scattering jet (odd) index {j} out of range for gamma={g}")
-        gt = fl - fr - 2 * j
-        lead_branch, base = "b", "phi"
-    else:
-        raise ValueError(f"unknown scattering kind {kind!r}")
+    s = FAMILIES.index(kind)
+    if not 0 <= j <= (fl - s) // 2:
+        raise IndexError(f"scattering jet ({kind}) index {j} out of range for gamma={g}")
+    gt = g - 2 * s * fr - 2 * j
     assert gt > 0 and gt.denominator != 1, f"resonant scattering order {gt}"
     co_idx = fl - j
 
-    a = [BoundaryExpr.zero() for _ in range(truncation + 1)]
-    b = [BoundaryExpr.zero() for _ in range(truncation + 1)]
-    lead, co = (a, b) if lead_branch == "a" else (b, a)
+    branches = ([BoundaryExpr.zero() for _ in range(truncation + 1)],
+                [BoundaryExpr.zero() for _ in range(truncation + 1)])
+    lead, co = branches[s], branches[1 - s]
     for ell in range(truncation + 1):   # one term per slot of each branch
         coeff = Fraction((-1) ** ell, 4 ** ell * math.factorial(ell))
         if j + ell <= truncation:
             lead[j + ell] = BoundaryExpr.symbol(
-                base, lap=ell, hat=False, coeff=coeff / pochhammer_ratio(1 - gt, ell)
+                _DATUM[s], lap=ell, hat=False, coeff=coeff / pochhammer_ratio(1 - gt, ell)
             )
         if co_idx + ell <= truncation:
             co[co_idx + ell] = BoundaryExpr.symbol(
-                base, lap=ell, hat=True, coeff=coeff / pochhammer_ratio(1 + gt, ell)
+                _DATUM[s], lap=ell, hat=True, coeff=coeff / pochhammer_ratio(1 + gt, ell)
             )
-    return Jet(params, truncation, tuple(a), tuple(b))
+    return Jet(params, truncation, *map(tuple, branches))
 
 
 def scattering_relation_constants(params: GammaParams, j: int, kind: str):
     """Expected boundary-operator outputs on the matching scattering jet.
 
     Returns ((family, index, coefficient, hat_flag), ...) for the two nonzero
-    slots: the data slot and the scattering slot.
+    slots: the data slot (the jet's family, index j) and the scattering slot
+    (the other family, index floor(gamma) - j).  A family of shift s reads
+    (-1)^(tau+s) c_s(tau) at index tau (see _trace_chain).
     """
-    fl, fr = params.floor_gamma, params.frac_gamma
-    if kind == "even":
-        kappa_data = Fraction(-1) ** j * Fraction(4) ** j * math.factorial(j) * pochhammer_ratio(1 - fr, j)
-        kappa_hat = (
-            Fraction(-1) ** (fl - j + 1)
-            * 2 * Fraction(4) ** (fl - j)
-            * math.factorial(fl - j)
-            * pochhammer_ratio(fr, 1 + fl - j)
-        )
-        return (("even", j, kappa_data, False), ("odd", fl - j, kappa_hat, True))
-    kappa_data = Fraction(-1) ** (j + 1) * 2 * Fraction(4) ** j * math.factorial(j) * pochhammer_ratio(fr, 1 + j)
-    kappa_hat = (
-        Fraction(-1) ** (fl - j)
-        * Fraction(4) ** (fl - j)
-        * math.factorial(fl - j)
-        * pochhammer_ratio(1 - fr, fl - j)
-    )
-    return (("odd", j, kappa_data, False), ("even", fl - j, kappa_hat, True))
+    fl = params.floor_gamma
+    s = FAMILIES.index(kind)
+
+    def kappa(shift, tau):
+        return (-1) ** (tau + shift) * _trace_chain(params, shift, tau)
+
+    return ((kind, j, kappa(s, j), False), (FAMILIES[1 - s], fl - j, kappa(1 - s, fl - j), True))
 
 
 def verify_scattering_relations(params: GammaParams) -> VerificationReport:
@@ -380,8 +365,8 @@ def verify_scattering_relations(params: GammaParams) -> VerificationReport:
             jet = make_scattering_jet(params, j, kind)
             expected = {}
             for family, idx, kappa, hat in scattering_relation_constants(params, j, kind):
-                base = "f" if kind == "even" else "phi"
-                expected[(family, idx)] = BoundaryExpr.symbol(base, lap=0, hat=hat, coeff=kappa)
+                expected[(family, idx)] = BoundaryExpr.symbol(
+                    _DATUM[FAMILIES.index(kind)], lap=0, hat=hat, coeff=kappa)
             ops = boundary_operators(params, jet)
             for family, idx, _ in indices:
                 got = ops[(family, idx)]

@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .besselk import bessel_k
-from .gammacore import GammaParams
+from .gammacore import FAMILIES, GammaParams
 from .report import VerificationReport, write_atomic
 
 T_SERIES = 2.0     # below: Frobenius branch series; above: bessel_k
@@ -260,19 +260,17 @@ def _branch_series(q, first: float) -> np.ndarray:
     return first / np.cumprod(np.concatenate(([1.0], steps)))
 
 
-def _rho_even_f(fl: int, fr: Fraction, j: int, ell: int) -> float:
-    return (
-        math.comb(j, ell)
-        * _poch_f(1 - fr, j) / _poch_f(1 - fr, j - ell)
-        * _poch_f(1 - fr, 2 * j - 2 * ell - fl) / _poch_f(1 - fr, 2 * j - ell - fl)
-    )
+def _base(fr: Fraction, s: int) -> Fraction:
+    """The base of the family of branch shift s: 1 - [g] (even) or [g] (odd)."""
+    return fr if s else 1 - fr
 
 
-def _rho_odd_f(fl: int, fr: Fraction, j: int, ell: int) -> float:
+def _rho_f(fl: int, fr: Fraction, s: int, j: int, ell: int) -> float:
+    q = _base(fr, s)
     return (
         math.comb(j, ell)
-        * _poch_f(fr, 1 + j) / _poch_f(fr, 1 + j - ell)
-        * _poch_f(fr, 1 + 2 * j - 2 * ell - fl) / _poch_f(fr, 1 + 2 * j - ell - fl)
+        * _poch_f(q, s + j) / _poch_f(q, s + j - ell)
+        * _poch_f(q, s + 2 * j - 2 * ell - fl) / _poch_f(q, s + 2 * j - ell - fl)
     )
 
 
@@ -282,24 +280,20 @@ def boundary_symbol_float(fl: int, fr: Fraction, family: str, j: int) -> Mapping
 
     Memoized, so a symbol at index j costs j + 1 evaluations instead of
     2^(j+1) - 1; the result is a read-only view of the cached dict."""
-    sign = (-1.0) ** j if family == "even" else (-1.0) ** (j + 1)
-    rho = _rho_even_f if family == "even" else _rho_odd_f
-    out = {(j, 0): sign}
+    s = FAMILIES.index(family)
+    out = {(j, 0): (-1.0) ** (j + s)}
     for ell in range(1, j + 1):
-        w = rho(fl, fr, j, ell)
+        w = _rho_f(fl, fr, s, j, ell)
         for (tp, lp), c in boundary_symbol_float(fl, fr, family, j - ell).items():
             out[(tp, lp + ell)] = out.get((tp, lp + ell), 0.0) - w * c
     return MappingProxyType(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _t_chain_even(fr: Fraction, tau: int) -> float:
-    return 4.0 ** tau * math.factorial(tau) * _poch_f(1 - fr, tau)
-
-
-@functools.lru_cache(maxsize=None)
-def _t_chain_odd(fr: Fraction, tau: int) -> float:
-    return 2.0 * float(fr) * 4.0 ** tau * math.factorial(tau) * _poch_f(1 + fr, tau)
+def _t_chain(fr: Fraction, s: int, tau: int) -> float:
+    """(1+s) 4^tau tau! (q)_(tau+s): the trace of T^tau on the leading monomial
+    y^(2s[g]+2tau) of the family of shift s."""
+    return (1 + s) * 4.0 ** tau * math.factorial(tau) * _poch_f(_base(fr, s), tau + s)
 
 
 def _apply_symbol(fl: int, fr: Fraction, family: str, j: int, xi2, order) -> np.ndarray:
@@ -309,10 +303,10 @@ def _apply_symbol(fl: int, fr: Fraction, family: str, j: int, xi2, order) -> np.
     branch (a for even, b for odd); the symbol reads each tau <= j once, and
     its term is added into the result before the next order is requested.
     """
-    chain = _t_chain_even if family == "even" else _t_chain_odd
+    s = FAMILIES.index(family)
     out = None
     for (tau, lp), w in boundary_symbol_float(fl, fr, family, j).items():
-        piece = w * chain(fr, tau) * order(tau)
+        piece = w * _t_chain(fr, s, tau) * order(tau)
         piece *= (-xi2) ** lp
         if out is None:
             out = piece
@@ -331,7 +325,7 @@ class NumericJets:
 
     def apply_boundary(self, family: str, j: int, xi2) -> np.ndarray:
         """Evaluate the boundary operator with the tangential symbol -|xi|^2."""
-        arrays = self.a if family == "even" else self.b
+        arrays = (self.a, self.b)[FAMILIES.index(family)]
         return _apply_symbol(self.fl, self.fr, family, j, xi2, arrays.__getitem__)
 
     def weighted_laplacian(self, xi2) -> "NumericJets":
@@ -355,19 +349,20 @@ class NumericJets:
 
 
 def scattering_orders(params: GammaParams):
-    """(kind, slot, nu) for every profile attached to gamma, Dirichlet order."""
-    g, fl, fr = params.gamma, params.floor_gamma, params.frac_gamma
-    out = [("even", j, g - 2 * j) for j in range(params.n_even_data)]
-    out += [("odd", j, fl - fr - 2 * j) for j in range(params.n_odd_data)]
-    return out
+    """(kind, slot, nu) for every profile attached to gamma, Dirichlet order:
+    nu = gamma - 2s[g] - 2j for the family of shift s."""
+    g, fr = params.gamma, params.frac_gamma
+    return [(kind, j, g - 2 * FAMILIES.index(kind) * fr - 2 * j)
+            for kind, j in dirichlet_condition_list(params)]
 
 
 @dataclass
 class ModeProfile:
     """Decaying per-mode solution t^gamma K_nu(t), Frobenius-normalized.
 
-    lead_exponent is the t power of the normalized leading branch (2j for the
-    even kind, 2[g]+2j for the odd kind); the other branch leads at
+    lead_exponent is the t power of the normalized leading branch 2s[g] + 2j,
+    s the kind's branch shift (0 even, 1 odd), and branch s of the jets
+    (a = 0, b = 1) is the one it leads; the other branch leads at
     lead_exponent + 2 nu with coefficient equal to the scattering symbol value
     2^(-2 nu) Gamma(-nu)/Gamma(nu) at |xi| = 1.
     """
@@ -382,12 +377,8 @@ class ModeProfile:
         fl = self.params.floor_gamma
         nu = self.nu
         self.nu_f = float(nu)
-        if self.kind == "even":
-            self.lead_exponent = Fraction(2 * self.j)
-            self.lead_branch = "a"
-        else:
-            self.lead_exponent = 2 * fr + 2 * self.j
-            self.lead_branch = "b"
+        self.s = FAMILIES.index(self.kind)
+        self.lead_exponent = 2 * self.s * fr + 2 * self.j
         self.lead_index = self.j
         self.co_index = fl - self.j
         self.co_exponent = self.lead_exponent + 2 * self.nu
@@ -441,13 +432,13 @@ class ModeProfile:
             return out
 
         orders = range(self.params.floor_gamma + 1)
-        return tuple([order(branch, tau) for tau in orders] for branch in "ab")
+        return tuple([order(branch, tau) for tau in orders] for branch in (0, 1))
 
-    def jet_term(self, branch: str, tau: int, xi_abs: np.ndarray):
-        """The one term of jets(xi_abs) at order tau of branch 'a' or 'b',
+    def jet_term(self, branch: int, tau: int, xi_abs: np.ndarray):
+        """The one term of jets(xi_abs) at order tau of branch 0 (a) or 1 (b),
         series coefficient i times |xi|^(lead + 2i) (or co + 2i), as a float
         array, or None where the profile has no term."""
-        if branch == self.lead_branch:
+        if branch == self.s:
             i, exponent, series = tau - self.lead_index, self.lead_exponent, self.lead_series
         else:
             i, exponent, series = tau - self.co_index, self.co_exponent, self.co_series
@@ -596,30 +587,28 @@ class ExtensionSolution:
         """Unit-scaled coefficients per mode from the one |xi| = 1 matrix M1.
 
         U = sum_i s_i P_i(|xi| y), so the Dirichlet matrix at |xi| is
-        diag(|xi|^e) M1, with e = 2j for even rows and 2{g} + 2j for odd rows;
+        diag(|xi|^e) M1, with e = 2s{g} + 2j for a row of branch shift s;
         hence s = M1^-1 (|xi|^-e f).
         """
         fr = self.params.frac_gamma
         flat_xi, zero = self._flat_xi()
         unit = _unit_matrix(self.params, self.conds,
                             [p.jets(np.ones(1)) for p in self.profiles])
-        e = np.array([float(2 * j if family == "even" else 2 * fr + 2 * j)
-                      for family, j in self.conds])
+        rows = [(FAMILIES.index(family), j) for family, j in self.conds]
+        e = np.array([float(2 * sh * fr + 2 * j) for sh, j in rows])
         s = np.linalg.solve(
             unit, np.stack([dh.reshape(-1) for dh in self.data_hat]) * flat_xi ** -e[:, None]).T
         s[zero, :] = 0.0
         self.s = s  # [modes, profile]
 
         # zero mode: polynomial kernel of the pure normal operator; with the
-        # tangential symbol at zero the conditions diagonalize on monomials
-        self.zero_even = np.zeros(self.params.n_even_data, dtype=complex)
-        self.zero_odd = np.zeros(self.params.n_odd_data, dtype=complex)
-        for row, (family, j) in enumerate(self.conds):
+        # tangential symbol at zero the conditions diagonalize on monomials,
+        # and zero_poly[s][j] multiplies y^(2s{g} + 2j)
+        self.zero_poly = (np.zeros(self.params.n_even_data, dtype=complex),
+                          np.zeros(self.params.n_odd_data, dtype=complex))
+        for row, (sh, j) in enumerate(rows):
             val = self.data_hat[row].flat[0]   # flat index 0 is xi = 0
-            if family == "even":
-                self.zero_even[j] = val / ((-1.0) ** j * _t_chain_even(fr, j))
-            else:
-                self.zero_odd[j] = val / ((-1.0) ** (j + 1) * _t_chain_odd(fr, j))
+            self.zero_poly[sh][j] = val / ((-1.0) ** (j + sh) * _t_chain(fr, sh, j))
 
     def _flat_xi(self, modes=slice(None)):
         """Flat |xi| on the modes (an index array or a slice) with the zero
@@ -630,14 +619,14 @@ class ExtensionSolution:
         flat_xi[zero] = 1.0
         return flat_xi, zero
 
-    def _jet_order(self, branch: str, modes=slice(None)):
-        """The function tau -> order tau of the solution's y-jet in branch 'a'
-        (y^(2 tau)) or 'b' (y^(2{g} + 2 tau)) over the flat modes (an index
+    def _jet_order(self, branch: int, modes=slice(None)):
+        """The function tau -> order tau of the solution's y-jet in branch 0
+        (y^(2 tau)) or 1 (y^(2{g} + 2 tau)) over the flat modes (an index
         array or a slice): each profile's coefficient times its one series
         term at the true |xi|, and the zero mode from the polynomial data."""
         xi_abs, zero = self._flat_xi(modes)
         s = self.s[modes]
-        zero_vals = self.zero_even if branch == "a" else self.zero_odd
+        zero_vals = self.zero_poly[branch]
 
         def order(tau):
             out = np.zeros(xi_abs.size, dtype=complex)
@@ -655,7 +644,7 @@ class ExtensionSolution:
         (zero mode included) by default."""
         fl = self.params.floor_gamma
         a, b = ([order(q) for q in range(fl + 1)]
-                for order in (self._jet_order(branch, modes) for branch in "ab"))
+                for order in (self._jet_order(branch, modes) for branch in (0, 1)))
         return NumericJets(fl, self.params.frac_gamma, a, b)
 
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
@@ -664,7 +653,7 @@ class ExtensionSolution:
         the true |xi| and added into the output before the next is built."""
         out = _apply_symbol(self.params.floor_gamma, self.params.frac_gamma,
                             family, j, self.xi2.reshape(-1),
-                            self._jet_order("a" if family == "even" else "b"))
+                            self._jet_order(FAMILIES.index(family)))
         return out.reshape(self.xi2.shape)
 
     def boundary_value(self, family: str, j: int) -> GridField:
@@ -677,8 +666,9 @@ class ExtensionSolution:
         for col, prof in enumerate(self.profiles):
             out += self.s[:, col] * prof.eval(flat_xi * y)
         fr = float(self.params.frac_gamma)
-        out[zero] = sum(self.zero_even[q] * y ** (2 * q) for q in range(self.zero_even.size))
-        out[zero] += sum(self.zero_odd[q] * y ** (2 * fr + 2 * q) for q in range(self.zero_odd.size))
+        out[zero] = 0.0
+        for sh, coeffs in enumerate(self.zero_poly):
+            out[zero] += sum(c * y ** (2 * sh * fr + 2 * q) for q, c in enumerate(coeffs))
         return GridField.from_modes(self.template, out.reshape(self.xi2.shape))
 
 
@@ -691,7 +681,7 @@ def solve_extension(params: GammaParams, data_fields) -> ExtensionSolution:
 def neumann_indices(params: GammaParams) -> dict:
     """{2 alpha: (family, j)} for every Neumann-family operator."""
     fr = params.frac_gamma
-    return {(Fraction(2 * j) if family == "even" else 2 * fr + 2 * j): (family, j)
+    return {2 * FAMILIES.index(family) * fr + 2 * j: (family, j)
             for family, j in neumann_condition_list(params)}
 
 
@@ -732,26 +722,20 @@ def extract_dtn_constants(params: GammaParams):
     m1 = _unit_matrix(params, dirichlet_condition_list(params), jets)
     n1 = _unit_matrix(params, neumann_condition_list(params), jets)
     diag = np.real(np.diag(np.linalg.solve(m1.T, n1.T)))
-    return {(family, j): float(val if family == "even" else -val)
+    return {(family, j): float((-1) ** FAMILIES.index(family) * val)
             for (family, j), val in zip(dirichlet_condition_list(params), diag)}
 
 
 def verify_dtn_constants(params: GammaParams, tol: float = 1e-8) -> VerificationReport:
     """Bessel-branch extraction against the closed-form constants."""
-    from .gammacore import dtn_constant_even, dtn_constant_odd  # cross-check only
+    from .gammacore import dtn_constant  # cross-check only
 
     report = VerificationReport("dtn_bessel_extraction", str(params), params.n)
-    extracted = extract_dtn_constants(params)
-    for j in range(params.n_even_data):
-        want = dtn_constant_even(params, j).value(params.frac_gamma)
-        got = extracted[("even", j)]
+    for (family, j), got in extract_dtn_constants(params).items():
+        want = dtn_constant(params, family, j).value(params.frac_gamma)
         rel = abs(got - want) / abs(want)
-        report.record(rel <= tol, rel, f"c[{j}]: bessel {got:.12e} vs exact {want:.12e}")
-    for j in range(params.n_odd_data):
-        want = dtn_constant_odd(params, j).value(params.frac_gamma)
-        got = extracted[("odd", j)]
-        rel = abs(got - want) / abs(want)
-        report.record(rel <= tol, rel, f"d[{j}]: bessel {got:.12e} vs exact {want:.12e}")
+        name = "cd"[FAMILIES.index(family)]
+        report.record(rel <= tol, rel, f"{name}[{j}]: bessel {got:.12e} vs exact {want:.12e}")
     return report
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import jets, ratmap
-from .gammacore import GammaParams
+from .gammacore import FAMILIES, GammaParams
 from .report import VerificationReport
 
 
@@ -412,7 +412,7 @@ def boundary_operators_poly(params: GammaParams, p: HalfSpacePoly) -> dict:
     for _ in range(params.floor_gamma):
         chain.append(poly_T(chain[-1], params.m))
     out = {}
-    for family, trace in (("even", HalfSpacePoly.iota), ("odd", HalfSpacePoly.iota_weighted_neumann)):
+    for family, trace in zip(FAMILIES, (HalfSpacePoly.iota, HalfSpacePoly.iota_weighted_neumann)):
         ladders = [[trace(q)] for q in chain]
         for j in range(params.floor_gamma + 1):
             nums, den = {}, 1
@@ -614,7 +614,7 @@ def verify_conformal_covariance(params: GammaParams, samples=None) -> Verificati
             report.fail(f"sample {idx}: interior Kelvin covariance fails")
         # boundary covariance for each operator
         for (family, j), got in ops_pulled.items():
-            alpha = Fraction(j) if family == "even" else fr + j
+            alpha = FAMILIES.index(family) * fr + j
             want = ops_u[(family, j)].kelvin_pullback(w_in - 2 * alpha)
             if not (got - want).is_zero_function():
                 report.fail(f"sample {idx}: boundary Kelvin covariance fails at ({family},{j})")

@@ -72,18 +72,18 @@ def test_criterion_2_constant_cross_checks():
     ok = True
     for g in (F(1, 3), F(1, 2), F(4, 5), F(9, 10), F(1, 7)):
         p = gc.GammaParams(g)
-        c0 = gc.dtn_constant_even(p, 0).value(p.frac_gamma)
+        c0 = gc.dtn_constant(p, "even", 0).value(p.frac_gamma)
         ok &= abs(c0 - gc.cs_normalization(g)) <= 1e-12 * abs(c0)
     for kk in range(0, 7):
         p = gc.GammaParams(F(2 * kk + 1, 2))
         for j in range(p.n_even_data):
-            ok &= gc.dtn_constant_even(p, j).as_fraction(F(1, 2)) == gc.halfint_dtn_even(kk, j)
+            ok &= gc.dtn_constant(p, "even", j).as_fraction(F(1, 2)) == gc.halfint_dtn_even(kk, j)
         for j in range(p.n_odd_data):
-            ok &= gc.dtn_constant_odd(p, j).as_fraction(F(1, 2)) == gc.halfint_dtn_odd(kk, j)
+            ok &= gc.dtn_constant(p, "odd", j).as_fraction(F(1, 2)) == gc.halfint_dtn_odd(kk, j)
     for g in GAMMAS_10:
         p = gc.GammaParams(g)
         a = gc.yang_constant(p).value(p.frac_gamma)
-        b = gc.dtn_constant_even(p, 0).value(p.frac_gamma)
+        b = gc.dtn_constant(p, "even", 0).value(p.frac_gamma)
         ok &= abs(a - b) <= 1e-12 * abs(b)
     _line(2, ok, "order-zero = classical normalization (1e-12), half-integer "
                  "families exact as rationals, energy constant matches (1e-12)")

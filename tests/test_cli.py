@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fractrace
@@ -215,6 +215,113 @@ def test_sum_identities_sees_a_wrong_closed_form(monkeypatch):
     rep = _exact_report("4/3", "sum_identities")
     assert rep.status == "fail"
     assert rep.details == ["F(2,3) mismatch"]
+
+
+def _suite_statuses(gamma: str) -> dict:
+    """{check: status} of both suites at one order on verify's default grid,
+    a check failing if any of its reports fails."""
+    g = gc.parse_gamma(gamma)
+    out = {}
+    for rep in cli._exact_checks(g, 1, 0) + cli._numeric_checks(g, 1, 128, 60.0, 0, False):
+        out[rep.check] = "fail" if "fail" in (rep.status, out.get(rep.check)) else rep.status
+    return out
+
+
+def _failing(statuses: dict) -> set:
+    return {check for check, status in statuses.items() if status == "fail"}
+
+
+@pytest.fixture
+def symbol_caches():
+    """Symbols memoized under a fault must not outlive it."""
+    from fractrace import jets
+    caches = (jets._symbol_items, modes.boundary_symbol_float, modes._t_chain)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+# Each layer states the family rule on its own.  Each fault evaluates one
+# layer's odd-family rule (s = 1) at s = 0, at 10/3, where both families have
+# two slots and [g] = 1/3 keeps the two bases apart.
+def test_gamma_constants_sees_the_odd_constant_at_s0(monkeypatch):
+    """The exact odd DtN constants taken from the even rule fail
+    gamma_constants, and dtn_bessel_extraction, which compares the Bessel
+    route with them; the jets and polys checks never read them."""
+    real = gc.dtn_constant
+    monkeypatch.setattr(gc, "dtn_constant", lambda params, family, j: real(params, "even", j))
+    assert _failing(_suite_statuses("10/3")) == {"gamma_constants", "dtn_bessel_extraction"}
+
+
+def test_scattering_relations_sees_the_odd_recursion_at_s0(monkeypatch, symbol_caches):
+    """The exact odd recursion weights taken from the even rule fail
+    scattering_relations and the checks built on the same exact operators
+    (polys reads jets' symbols); the constants and the Bessel route pass."""
+    from fractrace import jets
+    real = jets._rho
+    monkeypatch.setattr(jets, "_rho", lambda params, s, j, ell: real(params, 0, j, ell))
+    assert _failing(_suite_statuses("10/3")) == {
+        "scattering_relations", "operators_via_laplacian", "conformal_covariance"}
+
+
+@pytest.mark.parametrize("rule, failing", [
+    ("_t_chain", {"dtn_bessel_extraction", "q_symmetry"}),
+    ("_rho_f", {"q_symmetry"}),
+])
+def test_dtn_bessel_extraction_sees_the_odd_trace_chain_at_s0(rule, failing, monkeypatch,
+                                                              symbol_caches):
+    """The float odd trace chain c_1 taken from the even rule fails
+    dtn_bessel_extraction.  The float odd recursion weights at s = 0 do not:
+    they remix each family's operators by a unit triangle, which leaves the
+    diagonal of N1 M1^-1 as it is, and only q_symmetry's boundary pairings
+    see them.  The exact layers pass both."""
+    real = getattr(modes, rule)
+    if rule == "_t_chain":
+        monkeypatch.setattr(modes, rule, lambda fr, s, tau: real(fr, 0, tau))
+    else:
+        monkeypatch.setattr(modes, rule, lambda fl, fr, s, j, ell: real(fl, fr, 0, j, ell))
+    assert _failing(_suite_statuses("10/3")) == failing
+
+
+def test_mode_ode_residual_fails_for_a_wrong_bessel_norm(monkeypatch):
+    """A 1e-3 error in the (even, 0) profile's bessel_norm, on every profile
+    the numeric suite builds, fails mode_ode_residual at a non-energy order;
+    the checks that read only the branch series pass."""
+    real = modes.ModeProfile.__post_init__
+
+    def broken(self):
+        real(self)
+        if (self.kind, self.j) == ("even", 0):
+            self.bessel_norm *= 1.0 + 1e-3
+
+    monkeypatch.setattr(modes.ModeProfile, "__post_init__", broken)
+    statuses = _suite_statuses("10/3")
+    assert statuses["mode_ode_residual"] == "fail"
+    for check in ("dtn_bessel_extraction", "extension_self_consistency", "yang_extension"):
+        assert statuses[check] == "pass", check
+
+
+def _drawn_order(draw):
+    """An order from p/q < 8 with q <= 9, or k +- 10^-e for e in {4, 6, 9, 12}."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 9))
+        p = draw(st.integers(1, 8 * q - 1).filter(lambda p: p % q))
+        return Fraction(p, q)
+    k, e = draw(st.integers(0, 8)), draw(st.sampled_from([4, 6, 9, 12]))
+    order = k + draw(st.sampled_from([-1, 1])) * Fraction(1, 10 ** e)
+    assume(0 < order < 8)
+    return order
+
+
+@given(st.composite(_drawn_order)())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_exact_suite_passes_at_drawn_orders(gamma):
+    """Every exact check passes at drawn orders of every class (fl, [g]),
+    near-integer ones included: the family rule holds in each layer."""
+    failed = [(r.check, r.details) for r in cli._exact_checks(gamma, 1, 0) if r.status != "pass"]
+    assert not failed, (gamma, failed)
 
 
 @pytest.fixture(scope="module")

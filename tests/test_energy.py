@@ -332,8 +332,8 @@ def test_half_spectrum_sums_match_full_fftn(shape, doubled, monkeypatch):
     p = GammaParams(F(3, 2), n=n)
     rng = np.random.default_rng(7)
     f, phi = (GridField(n, shape, 10.0, rng.normal(size=shape)) for _ in range(2))
-    c0 = en.dtn_constant_even(p, 0).value(p.frac_gamma)
-    d0 = en.dtn_constant_odd(p, 0).value(p.frac_gamma)
+    c0 = en.dtn_constant(p, "even", 0).value(p.frac_gamma)
+    d0 = en.dtn_constant(p, "odd", 0).value(p.frac_gamma)
     bubble = Bubble(n, 0.5, epsilon=1.0, xi0=(1.3, -0.7, 0.4)[:n])
     pairs = [(dtn_rhs(solve_extension(p, [f, phi])),
               c0 * plancherel_energy(f, 1.5) + d0 * plancherel_energy(phi, 0.5)),
@@ -373,8 +373,8 @@ def test_q_symmetry_pure_branch_pair():
         fields.append(([en._band_limited(template, rng) for _ in range(3)],
                        [en._band_limited(template, rng)]))
     (a_u, b_u), (a_v, b_v) = fields
-    u = en._two_branch_gauss_view(p, template, [0.0 * c for c in a_u], b_u)
-    v = en._two_branch_gauss_view(p, template, a_v, [0.0 * c for c in b_v])
+    u = en._two_branch_gauss_view(p, template, [0.0 * c for c in a_u], b_u, 1.0)
+    v = en._two_branch_gauss_view(p, template, a_v, [0.0 * c for c in b_v], 1.0)
     rep = verify_q_symmetry(p, u, v)
     assert rep.passed, rep.details
 
@@ -597,19 +597,19 @@ def test_zero_mode_contributes_nothing(gamma, n):
     p = GammaParams(gamma, n=n)
     fl, fr = p.floor_gamma, float(p.frac_gamma)
     sol = solve_extension(p, _gaussian_data(p, 16, n=n))
-    assert sol.zero_even[0] != 0
+    assert sol.zero_poly[0][0] != 0
     # orders past fl stay zero, so ceil(k/2) Laplacians leave orders 0..fl
     size = fl + 1 + (p.k + 1) // 2
     branch = lambda vals: [np.array([vals[q] if q < vals.size else 0.0], dtype=complex)
                            for q in range(size)]
-    jets = NumericJets(fl, fr, branch(sol.zero_even), branch(sol.zero_odd))
+    jets = NumericJets(fl, fr, branch(sol.zero_poly[0]), branch(sol.zero_poly[1]))
     for _ in range(p.k // 2):
         jets = jets.weighted_laplacian(0.0)
     assert all(np.all(x == 0) for x in jets.a[1:] + jets.b)   # a constant
     if p.k % 2:
         jets = jets.weighted_laplacian(0.0)
     assert all(np.all(x == 0) for x in jets.a + jets.b)
-    jets = NumericJets(fl, fr, branch(sol.zero_even)[:fl + 1], branch(sol.zero_odd)[:fl + 1])
+    jets = NumericJets(fl, fr, branch(sol.zero_poly[0])[:fl + 1], branch(sol.zero_poly[1])[:fl + 1])
     for j in range(p.n_even_data):
         assert np.all(jets.apply_boundary("odd", fl - j, 0.0) == 0)
     for j in range(p.n_odd_data):
@@ -993,6 +993,21 @@ def test_dirichlet_principle_fails_for_a_non_solution(gamma):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
+def test_dirichlet_principle_sees_a_wrong_bessel_norm(gamma):
+    """A 1e-3 error in one profile's bessel_norm, set after the solve, changes
+    U only where t = |xi| y >= T_SERIES.  W's Gaussian in |xi_1| y reaches
+    there, so the cross term fails the unchanged 1e-7 bound at verify's
+    default seed; W = exp(-y^2) read at most 2.5e-12 here."""
+    p = GammaParams(gamma)
+    sol = solve_extension(p, _gaussian_data(p, 128))
+    assert dirichlet_principle_check(sol).passed
+    sol.profiles[0].bessel_norm *= 1.0 + 1e-3
+    rep = dirichlet_principle_check(sol)
+    assert max(_defects(rep, "t=")) > 1e-7
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("gamma, n, grid", [(F(1, 2), 1, 128), (F(3, 2), 1, 128), (F(3, 2), 2, 32),
                                             (F(3, 2), 3, 16)],
                          ids=["gamma0", "gamma1", "n2-gamma1", "n3-gamma1"])
@@ -1000,7 +1015,7 @@ def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, n, grid, monkeypatch
     """A 1e-3 error in the even DtN constants fails both energy routes, on
     1-D, 2-D and 3-D grids."""
     p = GammaParams(gamma, n=n)
-    real = en.dtn_constant_even
+    real = en.dtn_constant
 
     class Scaled:
         def __init__(self, const):
@@ -1009,7 +1024,8 @@ def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, n, grid, monkeypatch
         def value(self, fr):
             return (1.0 + 1e-3) * self.const.value(fr)
 
-    monkeypatch.setattr(en, "dtn_constant_even", lambda params, j: Scaled(real(params, j)))
+    monkeypatch.setattr(en, "dtn_constant", lambda params, family, j: (
+        Scaled(real(params, family, j)) if family == "even" else real(params, family, j)))
     rep = energy_trace_check(solve_extension(p, _gaussian_data(p, grid, n=n)))
     assert min(_defects(rep, "energy equals DtN sum")) > 1e-6
     assert min(_defects(rep, "interior-route energy")) > 1e-6

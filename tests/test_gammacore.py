@@ -20,8 +20,7 @@ from fractrace.gammacore import (
     closed_form_K,
     cs_normalization,
     double_factorial,
-    dtn_constant_even,
-    dtn_constant_odd,
+    dtn_constant,
     halfint_dtn_even,
     halfint_dtn_odd,
     parse_gamma,
@@ -131,10 +130,10 @@ def test_dtn_constants_match_direct_gamma():
     for g in trials:
         p = GammaParams(g)
         for j in range(p.n_even_data):
-            mine = dtn_constant_even(p, j).value(p.frac_gamma)
+            mine = dtn_constant(p, "even", j).value(p.frac_gamma)
             assert mine == pytest.approx(dtn_even_oracle(float(g), j), rel=1e-12)
         for j in range(p.n_odd_data):
-            mine = dtn_constant_odd(p, j).value(p.frac_gamma)
+            mine = dtn_constant(p, "odd", j).value(p.frac_gamma)
             assert mine == pytest.approx(dtn_odd_oracle(float(g), j), rel=1e-12)
 
 
@@ -158,29 +157,29 @@ def test_dtn_constants_match_mpmath(text):
             want = ((-1) ** (1 + fl) * mp.power(2, 1 - 2 * fr) * mp.factorial(fl - j)
                     * G(1 - fr) * G(1 - j + g) * G(2 * j - g)
                     / (mp.factorial(j) * G(fr) * G(1 + j - fr) * G(-2 * j + g)))
-            got = dtn_constant_even(p, j).value(p.frac_gamma)
+            got = dtn_constant(p, "even", j).value(p.frac_gamma)
             assert abs(got - want) <= 1e-14 * abs(want), (j, got, want)
         for j in range(p.n_odd_data):
             want = ((-1) ** fl * mp.power(2, 2 * fr - 1) * mp.factorial(fl - j)
                     * G(fr) * G(1 + fl - j - fr) * G(2 * j - fl + fr)
                     / (mp.factorial(j) * G(1 - fr) * G(1 + j + fr) * G(-2 * j + fl - fr)))
-            got = dtn_constant_odd(p, j).value(p.frac_gamma)
+            got = dtn_constant(p, "odd", j).value(p.frac_gamma)
             assert abs(got - want) <= 1e-14 * abs(want), (j, got, want)
 
 
 def test_dtn_even_reduces_to_cs_normalization():
     for g in (F(1, 3), F(1, 2), F(4, 5), F(1, 100)):
         p = GammaParams(g)
-        assert dtn_constant_even(p, 0).value(p.frac_gamma) == pytest.approx(
+        assert dtn_constant(p, "even", 0).value(p.frac_gamma) == pytest.approx(
             cs_normalization(g), rel=1e-12)
 
 
 def test_dtn_index_ranges():
     p = GammaParams(F(1, 2))
     with pytest.raises(IndexError):
-        dtn_constant_odd(p, 0)  # empty odd range below gamma = 1
+        dtn_constant(p, "odd", 0)  # empty odd range below gamma = 1
     with pytest.raises(IndexError):
-        dtn_constant_even(p, 1)
+        dtn_constant(p, "even", 1)
 
 
 def test_half_integer_constants_exact():
@@ -189,9 +188,9 @@ def test_half_integer_constants_exact():
     for kk in range(0, 7):
         p = GammaParams(F(2 * kk + 1, 2))
         for j in range(p.n_even_data):
-            assert dtn_constant_even(p, j).as_fraction(F(1, 2)) == halfint_dtn_even(kk, j)
+            assert dtn_constant(p, "even", j).as_fraction(F(1, 2)) == halfint_dtn_even(kk, j)
         for j in range(p.n_odd_data):
-            assert dtn_constant_odd(p, j).as_fraction(F(1, 2)) == halfint_dtn_odd(kk, j)
+            assert dtn_constant(p, "odd", j).as_fraction(F(1, 2)) == halfint_dtn_odd(kk, j)
 
 
 def test_half_integer_values_frozen():
@@ -232,7 +231,7 @@ def test_double_factorial_conventions():
 def test_yang_constant_equals_order_zero():
     for g in GAMMAS:
         p = GammaParams(g)
-        a, b = yang_constant(p), dtn_constant_even(p, 0)
+        a, b = yang_constant(p), dtn_constant(p, "even", 0)
         assert a.equals_at(b, p.frac_gamma)
         assert a.value(p.frac_gamma) == pytest.approx(b.value(p.frac_gamma), rel=1e-12)
 
@@ -313,6 +312,6 @@ def test_pole_adjacent_gamma_accepted():
     g = F(1000001, 1000000)
     p = GammaParams(g)
     assert p.floor_gamma == 1 and p.frac_gamma == F(1, 1000000)
-    val = dtn_constant_even(p, 0).value(p.frac_gamma)
+    val = dtn_constant(p, "even", 0).value(p.frac_gamma)
     assert math.isfinite(val)
-    assert dtn_constant_odd(p, 0).value(p.frac_gamma) != 0.0
+    assert dtn_constant(p, "odd", 0).value(p.frac_gamma) != 0.0

@@ -12,8 +12,7 @@ from fractrace import jets
 from fractrace.gammacore import (
     ExactConstant,
     GammaParams,
-    dtn_constant_even,
-    dtn_constant_odd,
+    dtn_constant,
     pochhammer_ratio,
 )
 from fractrace.jets import (
@@ -220,7 +219,7 @@ def test_dtn_relation_at_jet_level(gamma):
         symbol = ExactConstant(
             pochhammer_ratio(1 - fr, 2 * j - fl - 1) / pochhammer_ratio(fr, fl - 2 * j),
             gamma_ratio_power=1, two_power=-2 * gt)
-        assert (ExactConstant(coeff) * symbol).equals_at(dtn_constant_even(p, j), fr)
+        assert (ExactConstant(coeff) * symbol).equals_at(dtn_constant(p, "even", j), fr)
     for j in range(p.n_odd_data):
         gt = fl - fr - 2 * j
         (fam_d, _, kap_d, _), (fam_h, idx_h, _, _) = scattering_relation_constants(p, j, "odd")
@@ -230,7 +229,7 @@ def test_dtn_relation_at_jet_level(gamma):
             pochhammer_ratio(fr, 2 * j - fl) / pochhammer_ratio(1 - fr, fl - 2 * j - 1),
             gamma_ratio_power=-1, two_power=-2 * gt)
         lhs = ExactConstant(coeff) * symbol
-        assert lhs.equals_at(ExactConstant(-1) * dtn_constant_odd(p, j), fr)
+        assert lhs.equals_at(ExactConstant(-1) * dtn_constant(p, "odd", j), fr)
 
 
 @pytest.mark.parametrize("family, j", [("even", 1), ("even", 2), ("odd", 0), ("odd", 2)])

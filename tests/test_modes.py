@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fractrace import modes
-from fractrace.gammacore import GammaParams, dtn_constant_even, dtn_constant_odd
+from fractrace.gammacore import GammaParams, dtn_constant
 from fractrace.modes import (
     GridError,
     GridField,
@@ -218,10 +218,10 @@ def test_dtn_constants_independent_extraction(gamma):
     extracted = extract_dtn_constants(p)
     for j in range(p.n_even_data):
         assert extracted[("even", j)] == pytest.approx(
-            dtn_constant_even(p, j).value(p.frac_gamma), rel=1e-8)
+            dtn_constant(p, "even", j).value(p.frac_gamma), rel=1e-8)
     for j in range(p.n_odd_data):
         assert extracted[("odd", j)] == pytest.approx(
-            dtn_constant_odd(p, j).value(p.frac_gamma), rel=1e-8)
+            dtn_constant(p, "odd", j).value(p.frac_gamma), rel=1e-8)
 
 
 NEAR_INTEGER_GAMMAS = ["1e-9", "1e-12", "0.9999999999", "0.999999999999", "0.999999999999999",
@@ -303,7 +303,7 @@ def test_per_mode_constant_at_unit_frequency():
     # B at the top index over the hat datum equals the closed constant at |xi|=1
     p = GammaParams(F(7, 3))
     extracted = extract_dtn_constants(p)
-    want = dtn_constant_even(p, 0).value(p.frac_gamma)
+    want = dtn_constant(p, "even", 0).value(p.frac_gamma)
     assert extracted[("even", 0)] == pytest.approx(want, rel=1e-8)
 
 
@@ -357,19 +357,18 @@ def _summed_profile_jets(sol):
             a[q] += sol.s[:, col] * pa[q]
             b[q] += sol.s[:, col] * pb[q]
     for q in range(size):
-        a[q][zero] = sol.zero_even[q] if q < sol.zero_even.size else 0.0
-        b[q][zero] = sol.zero_odd[q] if q < sol.zero_odd.size else 0.0
+        a[q][zero] = sol.zero_poly[0][q] if q < sol.zero_poly[0].size else 0.0
+        b[q][zero] = sol.zero_poly[1][q] if q < sol.zero_poly[1].size else 0.0
     shape = sol.xi2.shape
     return NumericJets(fl, fr, [x.reshape(shape) for x in a], [x.reshape(shape) for x in b])
 
 
 def _plain_symbol(fl, fr, family, j):
     """boundary_symbol_float's recursion without the memo."""
-    sign = (-1.0) ** j if family == "even" else (-1.0) ** (j + 1)
-    rho = modes._rho_even_f if family == "even" else modes._rho_odd_f
-    out = {(j, 0): sign}
+    s = ("even", "odd").index(family)
+    out = {(j, 0): (-1.0) ** (j + s)}
     for ell in range(1, j + 1):
-        w = rho(fl, fr, j, ell)
+        w = modes._rho_f(fl, fr, s, j, ell)
         for (tp, lp), c in _plain_symbol(fl, fr, family, j - ell).items():
             out[(tp, lp + ell)] = out.get((tp, lp + ell), 0.0) - w * c
     return out
@@ -423,7 +422,7 @@ def test_two_dimensional_dtn_matches_closed_form(gamma, n, grid):
     f = gaussian_field(n, (grid,) * n, 60.0, width=2.0)
     zero = GridField(n, f.shape, f.box_length, np.zeros(f.shape))
     sol = solve_extension(p, [f] + [zero] * (p.k - 1))
-    c0 = dtn_constant_even(p, 0).value(p.frac_gamma)
+    c0 = dtn_constant(p, "even", 0).value(p.frac_gamma)
     want = c0 * fractional_laplacian_fft(f, float(gamma)).fft()
     got = dtn_apply(sol, 2 * gamma).fft()
     mask = sol.resolved_mask()
