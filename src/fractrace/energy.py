@@ -27,8 +27,8 @@ block (the interior form and the U L^k U term of the quadratic form) is one
 k x k Gram matrix per order, computed once at |xi| = 1, times a power of |xi|.
 Per-mode quadrature remains for cross terms with synthetic fields.  There the
 solution's atoms of (T - |xi|^2)^j U are rescaled copies of (T_t - 1)^j P_i,
-which the exact rational chain algebra builds once per view: the y^p series
-coefficient gains s_i |xi|^(p + 2j), the Bessel chain prefactor
+which the exact rational chain algebra builds once per solution view: the
+y^p series coefficient gains s_i |xi|^(p + 2j), the Bessel chain prefactor
 s_i |xi|^(2j).  The zero mode, where every contribution is exactly zero, is
 left out (see extension_field_view).
 
@@ -465,35 +465,31 @@ def _gauss_pair(u: PolyGaussModeFn, v: PolyGaussModeFn) -> complex:
 
 def _pair_matrix(us: list, vs: list) -> np.ndarray:
     """[integral_0^inf u_i(y) conj(v_j(y)) y^m dy] over two lists of atoms at
-    one |xi|: in closed form where both atoms are synthetic, else by batched
-    quadrature."""
-    out = np.zeros((len(us), len(vs)), dtype=complex)
-    closed = np.array([[isinstance(a, PolyGaussModeFn) and isinstance(b, PolyGaussModeFn)
-                        for b in vs] for a in us], dtype=bool).reshape(out.shape)
-    for i, j in zip(*np.nonzero(closed)):
-        out[i, j] = _gauss_pair(us[i], vs[j])
-    if not closed.all():
-        out[~closed] = _quadrature_matrix(us, vs, ~closed)[~closed]
-    return out
+    one |xi|: in closed form where every atom is synthetic, else by batched
+    quadrature.  No list mixes the two kinds."""
+    if all(isinstance(a, PolyGaussModeFn) for a in (*us, *vs)):
+        return np.array([[_gauss_pair(a, b) for b in vs] for a in us],
+                        dtype=complex).reshape(len(us), len(vs))
+    return _quadrature_matrix(us, vs)
 
 
-def _quadrature_matrix(us: list, vs: list, members: np.ndarray) -> np.ndarray:
-    """The pair integrals at the entries members marks, by quadrature on the
-    float terms over [0, min(max_i outer_u, max_j outer_v)], which holds
-    every pair's own range: below the series limits by exponent class
-    (_inner_matrix), above on geometric panels, one integral per atom pair
-    and panel.  Every atom is evaluated once per node set."""
+def _quadrature_matrix(us: list, vs: list) -> np.ndarray:
+    """The pair integrals by quadrature on the float terms over
+    [0, min(max_i outer_u, max_j outer_v)], which holds every pair's own
+    range: below the series limits by exponent class (_inner_matrix), above
+    on geometric panels, one integral per atom pair and panel.  Every atom
+    is evaluated once per node set."""
     m = float(us[0].m)
     outer = min(max(a.outer_limit for a in us), max(b.outer_limit for b in vs))
     split = min(*(a.series_limit for a in us), *(b.series_limit for b in vs), outer)
-    total = _inner_matrix(us, vs, members, split, m)
+    total = _inner_matrix(us, vs, split, m)
     if outer > split * (1.0 + 1e-12):
         def values(atoms, y):
             return np.array([a.eval_outer(y) if y[0] >= a.series_limit else a.eval_series(y)
                              for a in atoms])
 
         total += _adaptive_gl(lambda y: values(us, y), lambda y: np.conj(values(vs, y)) * y ** m,
-                              split, outer, members)
+                              split, outer, np.ones(total.shape, dtype=bool))
     return total
 
 
@@ -530,7 +526,7 @@ def _class_values(coeffs: np.ndarray, lam: np.ndarray, y: np.ndarray) -> np.ndar
     return f * np.exp(-lam[:, None] * (y * y)) if lam.any() else f
 
 
-def _inner_matrix(us: list, vs: list, members: np.ndarray, split: float, m: float) -> np.ndarray:
+def _inner_matrix(us: list, vs: list, split: float, m: float) -> np.ndarray:
     """The inner region [0, split].  Each exponent-class pair of each atom
     pair (_exponent_classes) is one integral, by the Gauss-Jacobi rule of
     exponent beta = the two anchors plus m, its smooth factor the product of
@@ -542,13 +538,13 @@ def _inner_matrix(us: list, vs: list, members: np.ndarray, split: float, m: floa
     for anchor_u, *cu in _exponent_classes(us, conj=False):
         for anchor_v, *cv in right:
             groups.setdefault(anchor_u + anchor_v, []).append((cu, cv))
-    nu, nv = members.shape
-    out = np.zeros(members.shape, dtype=complex)
+    nu, nv = len(us), len(vs)
+    out = np.zeros((nu, nv), dtype=complex)
     for beta, pairs in groups.items():
         size = len(pairs)
         mask = np.zeros((size, nu, size, nv), dtype=bool)
         for p, ((_, _, has_u), (_, _, has_v)) in enumerate(pairs):
-            mask[p, :, p, :] = members & np.outer(has_u, has_v)
+            mask[p, :, p, :] = np.outer(has_u, has_v)
 
         def side(y, s):
             return np.concatenate([_class_values(*pair[s][:2], y) for pair in pairs])
@@ -649,15 +645,16 @@ class ModeFieldView:
     nonzero GridField.pair_weights, in ascending order; weight (those pair
     weights), xi2, the columns of jets (orders 0..[g] of each branch) and
     the arrays boundary_modes returns are aligned with it, and atoms holds
-    each mode's list of profile functions."""
+    each mode's list of profile functions.  volume is the box's L^n, the
+    factor of every Plancherel sum."""
 
     def __init__(self, params: GammaParams, template: GridField, modes, jets: NumericJets,
                  atoms):
         self.params = params
-        self.template = template
         self.modes = np.asarray(modes, dtype=np.int64)
         self.weight = template.pair_weights().reshape(-1)[self.modes]
         self.xi2 = template.xi_abs2().reshape(-1)[self.modes]
+        self.volume = template.box_length ** template.n
         self.jets = jets
         self._atoms = atoms
         self._boundary = {}
@@ -665,15 +662,21 @@ class ModeFieldView:
 
     def atoms(self, pos: int) -> list:
         """Profile functions of the mode at position pos of self.modes."""
-        return self._atoms[pos]
+        return self.laplacian_atoms(pos, 0)
 
     def laplacian_atoms(self, pos: int, j: int) -> list:
         """(T - |xi|^2)^j applied to each of atoms(pos), each power built once
         per view."""
-        powers = self._powers.setdefault(pos, [self.atoms(pos)])
+        powers = self._powers.setdefault(pos, [])
         while len(powers) <= j:
-            powers.append([a.weighted_laplacian() for a in powers[-1]])
+            powers.append(self._power(pos, len(powers)))
         return powers[j]
+
+    def _power(self, pos: int, j: int) -> list:
+        """Power j at pos, from the power below it."""
+        if j == 0:
+            return self._atoms[pos]
+        return [a.weighted_laplacian() for a in self._powers[pos][j - 1]]
 
     def boundary_modes(self, family: str, j: int) -> np.ndarray:
         """B[family, j] of the field on each mode, computed once per view."""
@@ -698,11 +701,11 @@ class SolutionFieldView(ModeFieldView):
     """An extension solution on its active modes with |xi| > 0.
 
     There the solution is U(y) = sum_i s_i P_i(|xi| y), where the P_i are the
-    unit-coefficient profiles at |xi| = 1 (units, from the solution's own
-    profiles) and s the solved coefficients on the view's modes.
+    unit-coefficient profiles at |xi| = 1 (from the solution's own profiles)
+    and s the solved coefficients on the view's modes.
     (T - |xi|^2)^j U is sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y),
-    so the exact operator algebra runs once per unit and power
-    (unit_laplacians) and every mode's atoms are rescaled copies, built only
+    so the exact operator algebra runs once per unit and power, when the
+    view is built, and every mode's atoms are rescaled copies, built only
     for the modes that ask.  The jets are the solver's own on the view's
     modes, so a profile changed after the solve reaches the atoms and the
     boundary values alike."""
@@ -712,20 +715,13 @@ class SolutionFieldView(ModeFieldView):
         self.s = sol.s[modes]
         self.xi = sol.xi_abs.reshape(-1)[modes]
         super().__init__(sol.params, sol.template, modes, sol.solution_jets(modes), None)
-        self.units = [_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles]
+        self._units = _laplacian_powers([_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles],
+                                        self.params.k)
 
-    @functools.cached_property
-    def unit_laplacians(self) -> list:
-        """[P, (T_t - 1) P, ..., (T_t - 1)^k P] for each unit P."""
-        return [_laplacian_powers(unit, self.params.k) for unit in self.units]
-
-    def atoms(self, pos: int) -> list:
-        return self.laplacian_atoms(pos, 0)
-
-    def laplacian_atoms(self, pos: int, j: int) -> list:
+    def _power(self, pos: int, j: int) -> list:
+        """Each unit's power j rescaled to this mode's |xi| and coefficient."""
         xi = float(self.xi[pos])
-        return [powers[j].rescaled(xi, s, j)
-                for powers, s in zip(self.unit_laplacians, self.s[pos]) if s != 0]
+        return [unit.rescaled(xi, s, j) for unit, s in zip(self._units[j], self.s[pos]) if s != 0]
 
 
 def _active_modes(template: GridField, hats) -> np.ndarray:
@@ -778,14 +774,23 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
     return ModeFieldView(params, template, modes, jets, atoms)
 
 
+@functools.lru_cache(maxsize=None)
+def _lowest_modes(shape: tuple, box_length: float) -> np.ndarray:
+    """Flat indices of the five lowest nonzero modes of the full spectrum
+    (fewer on grids that have fewer), by |xi|, once per grid.  Ties in |xi|
+    go to the lower flat index: the sort is stable, so the choice does not
+    depend on which SIMD path numpy dispatches to."""
+    axes = [2.0 * np.pi * np.fft.fftfreq(s) * s / box_length for s in shape]
+    out = np.argsort(sum(k ** 2 for k in np.ix_(*axes)).reshape(-1), kind="stable")[1:6].copy()
+    out.flags.writeable = False
+    return out
+
+
 def _band_limited(template: GridField, rng, scale: float = 1.0) -> np.ndarray:
-    """Seeded real field on the five lowest nonzero modes of the full
-    spectrum (fewer on grids that have fewer), with peak magnitude scale.
-    Ties in |xi| go to the lower flat index: the sort is stable, so the
-    choice does not depend on which SIMD path numpy dispatches to."""
-    axes = [2.0 * np.pi * np.fft.fftfreq(s) * s / template.box_length for s in template.shape]
+    """Seeded real field on the modes _lowest_modes picks, with peak
+    magnitude scale."""
     flat = np.zeros(template.values.size, dtype=complex)
-    order = np.argsort(sum(k ** 2 for k in np.ix_(*axes)).reshape(-1), kind="stable")[1:6]
+    order = _lowest_modes(template.shape, template.box_length)
     flat[order] = rng.normal(size=order.size) + 1j * rng.normal(size=order.size)
     vals = np.real(np.fft.ifftn(flat.reshape(template.shape)) * flat.size)
     return scale * vals / (np.abs(vals).max() + 1e-300)
@@ -806,36 +811,30 @@ def random_two_branch_field(params: GammaParams, template: GridField,
 # ---------------------------------------------------------------------------
 
 
-def _mode_weight(template: GridField) -> float:
-    return template.box_length ** template.n
-
-
-def _interior_pair(u, v, params: GammaParams, xi2: float) -> np.ndarray:
+def _interior_pair(us: list, vs: list, k: int, xi2: float) -> np.ndarray:
     """<Delta_m^(k/2) u_a, Delta_m^(k/2) v_b> with the gradient form for odd
     k, over the atoms a of u and b of v.
 
-    u and v map a power j to the atoms of (T - |xi|^2)^j applied to the field
-    at this mode."""
-    k = params.k
-    au = u(k // 2)
-    av = v(k // 2)
+    us[j] and vs[j] are the atoms of (T - |xi|^2)^j applied to each field at
+    this mode."""
+    au, av = us[k // 2], vs[k // 2]
     if k % 2 == 0:
         return _pair_matrix(au, av)
     return (_pair_matrix([a.d_dy() for a in au], [b.d_dy() for b in av])
             + xi2 * _pair_matrix(au, av))
 
 
-def _ul_mode(u, v, params: GammaParams, xi2: float) -> np.ndarray:
+def _ul_mode(us: list, vs: list, k: int, xi2: float) -> np.ndarray:
     """<u_a, (T - |xi|^2)^k v_b> at one mode over the atoms a and b, the raw
     interior term of the form."""
-    return _pair_matrix(u(0), v(params.k))
+    return _pair_matrix(us[0], vs[k])
 
 
-def _laplacian_powers(fn, k: int) -> list:
-    """[fn, L fn, ..., L^k fn] for the weighted mode Laplacian L."""
-    out = [fn]
+def _laplacian_powers(fns: list, k: int) -> list:
+    """[fns, L fns, ..., L^k fns] for the weighted mode Laplacian L."""
+    out = [fns]
     for _ in range(k):
-        out.append(out[-1].weighted_laplacian())
+        out.append([fn.weighted_laplacian() for fn in out[-1]])
     return out
 
 
@@ -849,35 +848,36 @@ def _unit_gram(params: GammaParams, pair) -> np.ndarray:
     one matrix per order and pairing, built by one call of the per-mode
     quadrature over all unit profiles.  _block puts |xi|^gamma on each side,
     so the power never underflows on its own while s is large."""
-    side = [list(atoms) for atoms in zip(*_unit_laplacians(params))].__getitem__
-    return pair(side, side, params, 1.0)
+    units = _unit_laplacians(params)
+    return pair(units, units, params.k, 1.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_laplacians(params: GammaParams) -> list:
-    """Laplacian powers 0..k of each unit-coefficient profile of the order,
+    """Laplacian powers 0..k of the unit-coefficient profiles of the order,
     shared by the Gram matrices of both pairings."""
-    return [_laplacian_powers(_profile_atom(prof, 1.0, 1.0), params.k)
-            for prof in all_profiles(params)]
+    return _laplacian_powers([_profile_atom(prof, 1.0, 1.0) for prof in all_profiles(params)],
+                             params.k)
 
 
 def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
-    """Plancherel sum of pair(u atoms, v atoms) over the modes both views
+    """Plancherel sum of pair(u powers, v powers) over the modes both views
     carry; a pair of solution views takes the unit Gram route instead."""
-    params = u.params
+    params, k = u.params, u.params.k
     _, iu, iv = np.intersect1d(u.modes, v.modes, assume_unique=True, return_indices=True)
     if isinstance(u, SolutionFieldView) and isinstance(v, SolutionFieldView):
         su, sv = (w.s[i] * w.xi[i, None] ** float(params.gamma) for w, i in ((u, iu), (v, iv)))
         return np.einsum("m,mi,ij,mj->", u.weight[iu], su, _unit_gram(params, pair), np.conj(sv))
     total = 0.0 + 0.0j
     for a, b in zip(iu, iv):
-        total += u.weight[a] * pair(functools.partial(u.laplacian_atoms, a),
-                                    functools.partial(v.laplacian_atoms, b), params, u.xi2[a]).sum()
+        us = [u.laplacian_atoms(a, j) for j in range(k + 1)]
+        vs = [v.laplacian_atoms(b, j) for j in range(k + 1)]
+        total += u.weight[a] * pair(us, vs, k, u.xi2[a]).sum()
     return total
 
 
 def interior_energy(u: ModeFieldView, v: ModeFieldView) -> float:
-    return float(np.real(_block(u, v, _interior_pair))) * _mode_weight(u.template)
+    return float(np.real(_block(u, v, _interior_pair))) * u.volume
 
 
 def _ul_pair(u: ModeFieldView, v: ModeFieldView) -> float:
@@ -885,7 +885,7 @@ def _ul_pair(u: ModeFieldView, v: ModeFieldView) -> float:
     quadratic form.  The sign (-1)^k makes the form positive (for odd k the
     unsigned power would flip the gradient-form identity)."""
     total = float(np.real(_block(u, v, _ul_mode)))
-    return total * _mode_weight(u.template) * (-1.0) ** u.params.k
+    return total * u.volume * (-1.0) ** u.params.k
 
 
 def _boundary_pairing(u: ModeFieldView, family_u, j_u, v: ModeFieldView, family_v, j_v,
@@ -895,7 +895,7 @@ def _boundary_pairing(u: ModeFieldView, family_u, j_u, v: ModeFieldView, family_
     bu = u.boundary_modes(family_u, j_u)[iu]
     bv = v.boundary_modes(family_v, j_v)[iv]
     total = np.sum(u.weight[iu] * bu * (-u.xi2[iu]) ** lap_power * np.conj(bv))
-    return float(np.real(total)) * _mode_weight(u.template)
+    return float(np.real(total)) * u.volume
 
 
 def q_form(u: ModeFieldView, v: ModeFieldView) -> float:
@@ -935,7 +935,7 @@ def dtn_rhs(sol: ExtensionSolution) -> float:
     for dh, (family, j, nu) in zip(sol.data_hat, scattering_orders(params)):
         const = dtn_constant(params, family, j).value(params.frac_gamma)
         total += const * float(np.sum(weight * np.abs(dh) ** 2 * sol.xi2 ** float(nu)))
-    return total * _mode_weight(sol.template)
+    return total * sol.template.box_length ** sol.template.n
 
 
 # ---------------------------------------------------------------------------
@@ -989,18 +989,19 @@ def zero_data_perturbation(params: GammaParams, template: GridField, seed: int,
     return _two_branch_gauss_view(params, template, a, b, lam)
 
 
-def dirichlet_principle_check(sol: ExtensionSolution, seed: int = 0,
+def dirichlet_principle_check(u: SolutionFieldView, seed: int = 0,
                               tol: float = 1e-7) -> VerificationReport:
     """Quadraticity of the energy along zero-data perturbations of the solved
-    extension sol, and positivity of the perturbation energy.
+    extension, given as its view u, and positivity of the perturbation
+    energy.
 
     E(t) = Q(U + tW, U + tW) follows from the four blocks Q(U,U), Q(U,W),
     Q(W,U), Q(W,W); its defect from Q(U,U) + t^2 Q(W,W) is the cross term
     t [Q(U,W) + Q(W,U)] that the Dirichlet principle says vanishes."""
+    sol = u.sol
     params = sol.params
     report = VerificationReport("dirichlet_principle", str(params), params.n)
     hits = QUAD_COUNTS.cap_hits
-    u = extension_field_view(sol)
     w = zero_data_perturbation(
         params, sol.template, seed, scale=0.1 * max(np.abs(f.values).max() for f in sol.data_fields))
 
@@ -1024,15 +1025,15 @@ def dirichlet_principle_check(sol: ExtensionSolution, seed: int = 0,
     return report
 
 
-def energy_trace_check(sol: ExtensionSolution, seed: int = 1,
+def energy_trace_check(u: SolutionFieldView, seed: int = 1,
                        tol: float = 1e-6) -> VerificationReport:
     """Equality of the energy with the weighted Dirichlet-to-Neumann sums for
-    the solved extension sol, strict inequality with the predicted gap after
-    perturbing."""
+    the solved extension, given as its view u, strict inequality with the
+    predicted gap after perturbing."""
+    sol = u.sol
     params = sol.params
     report = VerificationReport("energy_trace", str(params), params.n)
     hits = QUAD_COUNTS.cap_hits
-    u = extension_field_view(sol)
     e_u = q_form(u, u)
     rhs = dtn_rhs(sol)
     scale = abs(rhs) + 1e-30

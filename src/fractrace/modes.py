@@ -711,31 +711,48 @@ def _unit_matrix(params: GammaParams, conds, unit_jets) -> np.ndarray:
     return np.array([nj.apply_boundary(family, j, one) for family, j in conds])
 
 
-def extract_dtn_constants(params: GammaParams):
-    """Neumann outputs of the unit-datum Dirichlet problems at |xi| = 1.  The
-    solution with datum one in slot i alone has profile coefficients
-    M1^-1 e_i, so its paired Neumann output is (N1 M1^-1)[i, i].  Returns
-    {('even'|'odd', j): value} where 'even' maps the even datum slot j
-    (c-type constant) and 'odd' the odd slot (d-type constant, sign
-    convention: B = -d (-Lap)^nu phi)."""
+def _dtn_matrix(params: GammaParams) -> np.ndarray:
+    """R = N1 M1^-1 at |xi| = 1.  The solution with datum one in slot i alone
+    has profile coefficients M1^-1 e_i, so R[i', i] is its Neumann output in
+    slot i'.  Each Neumann output depends on its paired datum alone, so R is
+    diagonal."""
     jets = [p.jets(np.ones(1)) for p in all_profiles(params)]
     m1 = _unit_matrix(params, dirichlet_condition_list(params), jets)
     n1 = _unit_matrix(params, neumann_condition_list(params), jets)
-    diag = np.real(np.diag(np.linalg.solve(m1.T, n1.T)))
+    return np.linalg.solve(m1.T, n1.T).T
+
+
+def _dtn_diagonal(params: GammaParams, r: np.ndarray) -> dict:
+    """{('even'|'odd', j): value} from the diagonal of R, where 'even' maps
+    the even datum slot j (c-type constant) and 'odd' the odd slot (d-type
+    constant, sign convention: B = -d (-Lap)^nu phi)."""
     return {(family, j): float((-1) ** FAMILIES.index(family) * val)
-            for (family, j), val in zip(dirichlet_condition_list(params), diag)}
+            for (family, j), val in zip(dirichlet_condition_list(params), np.real(np.diag(r)))}
+
+
+def extract_dtn_constants(params: GammaParams):
+    """Neumann outputs of the unit-datum Dirichlet problems at |xi| = 1: the
+    diagonal of N1 M1^-1 (_dtn_matrix), by Dirichlet slot (_dtn_diagonal)."""
+    return _dtn_diagonal(params, _dtn_matrix(params))
 
 
 def verify_dtn_constants(params: GammaParams, tol: float = 1e-8) -> VerificationReport:
-    """Bessel-branch extraction against the closed-form constants."""
+    """Bessel-branch extraction against the closed-form constants, and the
+    decoupling of N1 M1^-1: in each Neumann row, the largest entry off the
+    diagonal over the diagonal one."""
     from .gammacore import dtn_constant  # cross-check only
 
     report = VerificationReport("dtn_bessel_extraction", str(params), params.n)
-    for (family, j), got in extract_dtn_constants(params).items():
+    r = _dtn_matrix(params)
+    for (family, j), got in _dtn_diagonal(params, r).items():
         want = dtn_constant(params, family, j).value(params.frac_gamma)
         rel = abs(got - want) / abs(want)
         name = "cd"[FAMILIES.index(family)]
         report.record(rel <= tol, rel, f"{name}[{j}]: bessel {got:.12e} vs exact {want:.12e}")
+    for row, (family, j) in enumerate(neumann_condition_list(params)):
+        off = float(np.abs(np.delete(r[row], row)).max(initial=0.0) / abs(r[row, row]))
+        report.record(off <= tol, off,
+                      f"row B[{family},{j}] of N1 M1^-1: off-diagonal over diagonal {off:.3e}")
     return report
 
 

@@ -154,7 +154,8 @@ def test_criterion_6_dirichlet_principle():
         p = gc.GammaParams(g)
         widths = [2.0 + 0.4 * i for i in range(p.k)]
         data = [modes.gaussian_field(1, (128,), 60.0, width=w) for w in widths]
-        rep = en.dirichlet_principle_check(modes.solve_extension(p, data), tol=1e-7)
+        rep = en.dirichlet_principle_check(en.extension_field_view(modes.solve_extension(p, data)),
+                                           tol=1e-7)
         ok &= rep.passed
         worst = max(worst, rep.max_rel_err)
     _line(6, ok, f"energy quadraticity at t in (-1, 1/2, 1, 2), defect {worst:.2e} "

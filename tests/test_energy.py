@@ -404,7 +404,7 @@ def test_closed_form_matches_quadrature(gamma):
     for pos in range(u.modes.size):
         us, vs = _synthetic_atoms(u, pos, p.k), _synthetic_atoms(v, pos, p.k)
         closed = en._pair_matrix(us, vs)
-        quad = en._quadrature_matrix(us, vs, np.ones(closed.shape, dtype=bool))
+        quad = en._quadrature_matrix(us, vs)
         assert np.all(np.abs(closed - quad) <= 1e-12 * np.abs(closed))
 
 
@@ -631,7 +631,7 @@ def test_dirichlet_principle(gamma):
     p = GammaParams(gamma)
     widths = [2.0 + 0.4 * i for i in range(p.k)]
     data = [gaussian_field(1, (128,), 60.0, width=w) for w in widths]
-    rep = dirichlet_principle_check(solve_extension(p, data))
+    rep = dirichlet_principle_check(extension_field_view(solve_extension(p, data)))
     assert rep.passed, rep.details
 
 
@@ -649,7 +649,7 @@ def test_energy_trace(gamma):
     p = GammaParams(gamma)
     widths = [2.0 + 0.5 * i for i in range(p.k)]
     data = [gaussian_field(1, (128,), 60.0, width=w) for w in widths]
-    rep = energy_trace_check(solve_extension(p, data))
+    rep = energy_trace_check(extension_field_view(solve_extension(p, data)))
     assert rep.passed, rep.details
 
 
@@ -678,7 +678,7 @@ def test_gram_route_matches_per_mode_quadrature(gamma):
     for family, j in dirichlet_condition_list(p) + neumann_condition_list(p):
         want = oracle.apply_boundary(family, j, sol.xi2).reshape(-1)[u.modes]
         assert np.abs(u.boundary_modes(family, j) - want).max() <= 1e-15 * np.abs(want).max()
-    ref = ModeFieldView(p, u.template, u.modes, u.jets, [u.atoms(pos) for pos in range(u.modes.size)])
+    ref = ModeFieldView(p, sol.template, u.modes, u.jets, [u.atoms(pos) for pos in range(u.modes.size)])
     want = interior_energy(ref, ref)
     assert abs(interior_energy(u, u) - want) <= 1e-12 * abs(want)
     want = q_form(ref, ref)
@@ -716,7 +716,8 @@ def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
     for grid in (64, 256):
         en._unit_gram.cache_clear()
         calls.clear()
-        assert dirichlet_principle_check(solve_extension(p, _gaussian_data(p, grid))).passed
+        view = extension_field_view(solve_extension(p, _gaussian_data(p, grid)))
+        assert dirichlet_principle_check(view).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -744,21 +745,69 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
         en._unit_laplacians.cache_clear()
         laps.clear()
         integrals, nodes = quad.integrals, quad.nodes
-        sol = solve_extension(p, _gaussian_data(p, grid))
-        assert dirichlet_principle_check(sol).passed
-        assert energy_trace_check(sol).passed
+        view = extension_field_view(solve_extension(p, _gaussian_data(p, grid)))
+        assert dirichlet_principle_check(view).passed
+        assert energy_trace_check(view).passed
         counts.append((sum(laps), quad.integrals - integrals, quad.nodes - nodes))
-    # k^2 = 9 applications for the Gram matrices and 9 per solution view
+    # k^2 = 9 applications for the Gram matrices and 9 for the one solution
+    # view both checks share
     assert counts[0] == counts[1]
-    assert counts[0][0] == 27 and counts[0][2] > 0
+    assert counts[0][0] == 18 and counts[0][2] > 0
+
+
+def test_energy_checks_share_one_solution_view(monkeypatch):
+    """verify builds one solution view per energy order and hands it to both
+    energy checks."""
+    from fractrace import cli
+
+    real = en.extension_field_view
+    calls = []
+
+    def counting(sol):
+        calls.append(sol)
+        return real(sol)
+
+    monkeypatch.setattr(en, "extension_field_view", counting)
+    reports = cli._numeric_checks(F(5, 2), 1, 128, 60.0, 0, False)
+    assert len(calls) == 1
+    assert all(r.passed for r in reports if r.check in ("dirichlet_principle", "energy_trace"))
+
+
+@pytest.mark.parametrize("gamma", [F(9, 4), F(10, 3)])
+def test_pair_lists_hold_one_atom_kind(gamma, monkeypatch):
+    """_pair_matrix routes a whole call by its atoms' kind, so no list it is
+    handed over verify's numeric suite, both energy checks included, mixes
+    synthetic and Bessel atoms.  All three pairings of kinds occur: synthetic
+    with synthetic, solution with synthetic, and solution with solution in the
+    Gram matrices."""
+    from fractrace import cli
+
+    real = en._pair_matrix
+    pairs = set()
+
+    def kind(atoms):
+        kinds = {type(a) for a in atoms}
+        assert len(kinds) == 1, kinds
+        return kinds.pop().__name__
+
+    def spying(us, vs):
+        pairs.add((kind(us), kind(vs)))
+        return real(us, vs)
+
+    monkeypatch.setattr(en, "_pair_matrix", spying)
+    en._unit_gram.cache_clear()   # the Gram matrices' calls must be seen too
+    reports = cli._numeric_checks(gamma, 1, 128, 60.0, 0, True)
+    assert all(r.passed for r in reports)
+    synthetic, bessel = "PolyGaussModeFn", "BesselModeFn"
+    assert pairs == {(synthetic, synthetic), (bessel, synthetic), (synthetic, bessel), (bessel, bessel)}
 
 
 @pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2)])
 def test_energy_checks_make_no_cap_hits(gamma):
     p = GammaParams(gamma)
-    sol = solve_extension(p, _gaussian_data(p, 128))
+    view = extension_field_view(solve_extension(p, _gaussian_data(p, 128)))
     hits = en.QUAD_COUNTS.cap_hits
-    for rep in (dirichlet_principle_check(sol), energy_trace_check(sol, seed=1)):
+    for rep in (dirichlet_principle_check(view), energy_trace_check(view, seed=1)):
         assert rep.passed, rep.details
         assert "quadrature cap hits: 0" in rep.details
     assert en.QUAD_COUNTS.cap_hits == hits
@@ -768,11 +817,11 @@ def test_cap_hits_fail_each_check(monkeypatch):
     """With the node cap at the starting count no integral can converge: each
     check that runs quadrature reports its cap hits and fails."""
     p = GammaParams(F(3, 2))
-    sol = solve_extension(p, _gaussian_data(p, 64))
+    view = extension_field_view(solve_extension(p, _gaussian_data(p, 64)))
     monkeypatch.setattr(en, "GJ_CAP", en.GJ_START)
     en._unit_gram.cache_clear()
     try:
-        reps = [dirichlet_principle_check(sol), energy_trace_check(sol)]
+        reps = [dirichlet_principle_check(view), energy_trace_check(view)]
     finally:
         en._unit_gram.cache_clear()   # drop Gram matrices built at the low cap
     for rep in reps:
@@ -890,8 +939,8 @@ def test_pair_matrix_matches_scipy_quad(gamma):
     u = extension_field_view(sol)
     w = zero_data_perturbation(p, sol.template, 0, 0.1)
     _, iu, iv = np.intersect1d(u.modes, w.modes, assume_unique=True, return_indices=True)
-    mid = [pw[p.k // 2].d_dy() for pw in powers]
-    for us, vs in [([pw[0] for pw in powers], [pw[p.k] for pw in powers]), (mid, mid),
+    mid = [a.d_dy() for a in powers[p.k // 2]]
+    for us, vs in [(powers[0], powers[p.k]), (mid, mid),
                    (u.laplacian_atoms(iu[0], 0), w.laplacian_atoms(iv[0], p.k)),
                    (w.laplacian_atoms(iv[-1], 0), u.laplacian_atoms(iu[-1], p.k))]:
         got = en._pair_matrix(us, vs)
@@ -949,7 +998,7 @@ def _chain_rule_defects():
                     + t ** gamma * special.kvp(nu, t)) / prof.bessel_norm
             got = atom.d_dy().eval_outer(t)
             worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-            if en._laplacian_powers(atom, p.k)[-1].chain is not None:
+            if en._laplacian_powers([atom], p.k)[-1][0].chain is not None:
                 survivors.append((g, prof.kind, prof.j))
     return worst, survivors
 
@@ -987,7 +1036,7 @@ def test_dirichlet_principle_fails_for_a_non_solution(gamma):
     p = GammaParams(gamma)
     sol = solve_extension(p, _gaussian_data(p, 128))
     sol.profiles[0].lead_series[1] *= 1.0 + 1e-3
-    rep = dirichlet_principle_check(sol)
+    rep = dirichlet_principle_check(extension_field_view(sol))
     defects = _defects(rep, "t=")
     assert len(defects) == 4 and min(defects) > 1e-7
     assert not rep.passed
@@ -1001,9 +1050,9 @@ def test_dirichlet_principle_sees_a_wrong_bessel_norm(gamma):
     default seed; W = exp(-y^2) read at most 2.5e-12 here."""
     p = GammaParams(gamma)
     sol = solve_extension(p, _gaussian_data(p, 128))
-    assert dirichlet_principle_check(sol).passed
+    assert dirichlet_principle_check(extension_field_view(sol)).passed
     sol.profiles[0].bessel_norm *= 1.0 + 1e-3
-    rep = dirichlet_principle_check(sol)
+    rep = dirichlet_principle_check(extension_field_view(sol))
     assert max(_defects(rep, "t=")) > 1e-7
     assert not rep.passed
 
@@ -1026,7 +1075,7 @@ def test_energy_trace_fails_for_a_wrong_dtn_constant(gamma, n, grid, monkeypatch
 
     monkeypatch.setattr(en, "dtn_constant", lambda params, family, j: (
         Scaled(real(params, family, j)) if family == "even" else real(params, family, j)))
-    rep = energy_trace_check(solve_extension(p, _gaussian_data(p, grid, n=n)))
+    rep = energy_trace_check(extension_field_view(solve_extension(p, _gaussian_data(p, grid, n=n))))
     assert min(_defects(rep, "energy equals DtN sum")) > 1e-6
     assert min(_defects(rep, "interior-route energy")) > 1e-6
     assert not rep.passed
@@ -1047,7 +1096,7 @@ def test_energy_trace_sees_a_skewed_gram_power(gamma, monkeypatch):
         return real(w, v)
 
     monkeypatch.setattr(en, "interior_energy", skewed)
-    rep = energy_trace_check(solve_extension(p, _gaussian_data(p, 128)))
+    rep = energy_trace_check(extension_field_view(solve_extension(p, _gaussian_data(p, 128))))
     assert _defects(rep, "energy equals DtN sum")[0] <= 1e-14
     assert _defects(rep, "interior-route energy")[0] > 3e-6
     assert not rep.passed

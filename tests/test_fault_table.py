@@ -21,7 +21,8 @@ FAULTS = {
     "dtn_bessel_extraction": ("test_modes.py::test_perturbed_unit_matrix_fails_both_checks",
                               "test_modes.py::test_perturbed_neumann_matrix_fails_only_extraction",
                               "test_cli.py::test_dtn_bessel_extraction_sees_the_odd_trace_chain_at_s0",
-                              "test_cli.py::test_gamma_constants_sees_the_odd_constant_at_s0"),
+                              "test_cli.py::test_gamma_constants_sees_the_odd_constant_at_s0",
+                              "test_modes.py::test_decoupling_rows_see_a_remixed_neumann_output"),
     "energy_trace": ("test_energy.py::test_energy_trace_fails_for_a_wrong_dtn_constant",
                      "test_energy.py::test_energy_trace_sees_a_skewed_gram_power",
                      "test_energy.py::test_cap_hits_fail_each_check"),

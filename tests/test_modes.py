@@ -232,9 +232,40 @@ NEAR_INTEGER_GAMMAS = ["1e-9", "1e-12", "0.9999999999", "0.999999999999", "0.999
 def test_dtn_extraction_near_an_integer_order(gamma):
     """nu, 1 - nu and 1 - {g} come from the exact order, so the extraction
     stays at roundoff near an integer; from a rounded float order it read up
-    to 8.0e-4 (at 0.999999999999999), about 1e-16 over the distance."""
-    rep = verify_dtn_constants(GammaParams(F(gamma)))
-    assert rep.max_rel_err <= 1e-14, rep.details
+    to 8.0e-4 (at 0.999999999999999), about 1e-16 over the distance.
+    N1 M1^-1 is not diagonal there: cond(M1) grows toward an integer, and
+    its rows fail the decoupling bound at 5.0000001 (1.1e-7) and 7.9999999
+    (1.1e-4).  Below 1 there is one slot and nothing off the diagonal."""
+    p = GammaParams(F(gamma))
+    for (family, j), got in extract_dtn_constants(p).items():
+        want = dtn_constant(p, family, j).value(p.frac_gamma)
+        assert abs(got - want) <= 1e-14 * abs(want), (family, j)
+    rep = verify_dtn_constants(p)
+    assert rep.passed == (p.k == 1), rep.details
+
+
+def test_decoupling_rows_see_a_remixed_neumann_output(monkeypatch):
+    """N1 plus 1e-6 |R[0, 0]| times M1's row of the next slot, with R =
+    N1 M1^-1, moves R only at (0, 1): the extracted constants stay at
+    roundoff and only the first decoupling row fails, at 1e-6."""
+    p = GammaParams(F(10, 3))
+    size = 1e-6 * abs(modes._dtn_matrix(p)[0, 0])
+    original = modes._unit_matrix
+
+    def remixed(params, conds, unit_jets):
+        matrix = original(params, conds, unit_jets)
+        if conds == modes.neumann_condition_list(params):
+            matrix[0] += size * original(params, modes.dirichlet_condition_list(params), unit_jets)[1]
+        return matrix
+
+    monkeypatch.setattr(modes, "_unit_matrix", remixed)
+    rep = verify_dtn_constants(p)
+    values = [float(d.split(" ")[-1]) for d in rep.details if d.startswith("row ")]
+    assert not rep.passed
+    assert values[0] == pytest.approx(1e-6, rel=1e-6) and max(values[1:]) <= 1e-14
+    for (family, j), got in extract_dtn_constants(p).items():
+        want = dtn_constant(p, family, j).value(p.frac_gamma)
+        assert abs(got - want) <= 1e-14 * abs(want), (family, j)
 
 
 def test_gamma_near_a_pole_matches_mpmath():
