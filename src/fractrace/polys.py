@@ -13,6 +13,12 @@ for rational p and q, the radial directional derivative, and the Kelvin
 pullback, which is what the commutation, factorization, flat/hyperbolic and
 conformal-covariance identities need.
 
+A function |x|^(2s) x^alpha on the boundary R^n is the same class in n - 1
+variables whose y is x_n: there r^2 = |x'|^2 + x_n^2 = |x|^2, and the
+Laplacian, the Euler operator, the Kelvin pullback and the zero test read
+exactly as on the boundary.  The restrictions return that class, so one set
+of generators serves the interior and the boundary sides of every identity.
+
 Storage is integer: the coefficients are numerators over one common
 denominator per element (module `ratmap`), and the exponents s and q are keyed
 by the integers S = s D and Q = q D over a per-element exponent denominator D.
@@ -66,85 +72,10 @@ def _add(acc: dict, key, v: int):
     acc[key] = acc.get(key, 0) + v
 
 
-class _RadialTerms:
-    """Storage shared by the two polynomial classes: ``nums`` maps keys
-    (S, alpha, ...) to nonzero ints over ``den`` (canonical, see `ratmap`).
-    Every slot but alpha holds an exponent numerator over D; the first is the
-    r exponent S / D.  Each class supplies ``_degree(key, D)``, D times the
-    degree of the key's x and y factors, which is all the Euler operator and
-    the Kelvin pullback read."""
-
-    __slots__ = ()
-
-    def _rekeyed(self, D: int) -> dict:
-        """nums with every exponent over D, a multiple of self.D."""
-        if D == self.D:
-            return self.nums
-        f = D // self.D
-        return {(key[0] * f, key[1], *(e * f for e in key[2:])): c for key, c in self.nums.items()}
-
-    def _combine(self, other, sign: int):
-        D = math.lcm(self.D, other.D)
-        return self._new(ratmap.add(self._rekeyed(D), self.den, other._rekeyed(D), other.den, sign), D)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def scale(self, c):
-        return self._new(ratmap.scale(self.nums, self.den, *ratmap.ratio(c)))
-
-    def mul_r2(self, power=1):
-        """Multiply by r^(2*power); power may be any rational."""
-        p, q = ratmap.ratio(power)
-        D = math.lcm(self.D, q)
-        shift = p * (D // q)
-        nums = {(key[0] + shift,) + key[1:]: c for key, c in self._rekeyed(D).items()}
-        return self._new((nums, self.den), D)
-
-    def directional_r2(self, ell: int = 1):
-        """ell-th covariant derivative contracted with the r^2 gradient.
-
-        On a monomial of homogeneity d this is 2^ell d(d-1)...(d-ell+1), the
-        falling-factorial of the Euler operator.
-        """
-        D = self.D
-        nums = {}
-        for key, c in self.nums.items():
-            dD = 2 * key[0] + self._degree(key, D)
-            for t in range(ell):
-                c *= 2 * (dD - t * D)
-            nums[key] = c
-        return self._new(ratmap.canonical(nums, self.den * D ** ell))
-
-    def kelvin_pullback(self, w):
-        """r^(2w) times the composition with the inversion z -> z / r^2: a
-        factor of degree d in x or y picks up r^(-2d)."""
-        p, q = ratmap.ratio(w)
-        D = math.lcm(self.D, q)
-        W = p * (D // q)
-        nums = {(W - key[0] - self._degree(key, D),) + key[1:]: c
-                for key, c in self._rekeyed(D).items()}
-        return self._new((nums, self.den), D)
-
-    @property
-    def terms(self):
-        """Read-only {(s, alpha, ...): coeff} with Fraction exponents and
-        coefficients."""
-        D, den = self.D, self.den
-        return MappingProxyType({(Fraction(key[0], D), key[1], *(Fraction(e, D) for e in key[2:])):
-                                 Fraction(c, den) for key, c in self.nums.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and (self - other).is_zero_function()
-
-
-class HalfSpacePoly(_RadialTerms):
-    """nums: {(S, alpha, Q): int} over den, s = S / D and q = Q / D, meaning
-    r^(2s) x^alpha y^q for x in R^n and y > 0; ``terms`` reads it as
-    {(s, alpha, q): coeff}."""
+class HalfSpacePoly:
+    """nums: {(S, alpha, Q): int} over den (canonical, see `ratmap`), s = S / D
+    and q = Q / D, meaning r^(2s) x^alpha y^q for x in R^n and y > 0; ``terms``
+    reads it as {(s, alpha, q): coeff}."""
 
     __slots__ = ("n", "frac_gamma", "D", "nums", "den")
 
@@ -171,13 +102,48 @@ class HalfSpacePoly(_RadialTerms):
         q = 2 * beta + 2 * Fraction(frac_gamma) * b
         return cls(n, frac_gamma, {(Fraction(s), alpha, q): Fraction(coeff)})
 
-    def _new(self, pair, D: int = None):
-        """Same n and [g]; pair is a canonical (nums, den) at exponent
-        denominator D (default: this element's)."""
+    @staticmethod
+    def _of(n: int, frac_gamma: Fraction, D: int, pair) -> "HalfSpacePoly":
+        """The element of a canonical (nums, den) at exponent denominator D."""
         out = HalfSpacePoly.__new__(HalfSpacePoly)
-        out.n, out.frac_gamma, out.D = self.n, self.frac_gamma, self.D if D is None else D
+        out.n, out.frac_gamma, out.D = n, frac_gamma, D
         out.nums, out.den = pair
         return out
+
+    def _new(self, pair, D: int = None):
+        """Same n and [g]; D defaults to this element's."""
+        return HalfSpacePoly._of(self.n, self.frac_gamma, self.D if D is None else D, pair)
+
+    def _rekeyed(self, D: int) -> dict:
+        """nums with every exponent over D, a multiple of self.D."""
+        if D == self.D:
+            return self.nums
+        f = D // self.D
+        return {(S * f, a, Q * f): c for (S, a, Q), c in self.nums.items()}
+
+    def _combine(self, other, sign: int):
+        if other.n != self.n:
+            # keys of different lengths would zip short in the zero test
+            raise ValueError(f"cannot combine elements in {self.n} and {other.n} variables")
+        D = math.lcm(self.D, other.D)
+        return self._new(ratmap.add(self._rekeyed(D), self.den, other._rekeyed(D), other.den, sign), D)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, c):
+        return self._new(ratmap.scale(self.nums, self.den, *ratmap.ratio(c)))
+
+    def mul_r2(self, power=1):
+        """Multiply by r^(2*power); power may be any rational."""
+        p, q = ratmap.ratio(power)
+        D = math.lcm(self.D, q)
+        shift = p * (D // q)
+        nums = {(S + shift, a, Q): c for (S, a, Q), c in self._rekeyed(D).items()}
+        return self._new((nums, self.den), D)
 
     def mul_y(self, power):
         """Multiply by y^power; power may be any rational."""
@@ -186,6 +152,41 @@ class HalfSpacePoly(_RadialTerms):
         shift = p * (D // q)
         nums = {(S, a, Q + shift): c for (S, a, Q), c in self._rekeyed(D).items()}
         return self._new((nums, self.den), D)
+
+    def directional_r2(self, ell: int = 1):
+        """ell-th covariant derivative contracted with the r^2 gradient.
+
+        On a monomial of homogeneity d this is 2^ell d(d-1)...(d-ell+1), the
+        falling-factorial of the Euler operator.
+        """
+        D = self.D
+        nums = {}
+        for (S, a, Q), c in self.nums.items():
+            dD = 2 * S + sum(a) * D + Q
+            for t in range(ell):
+                c *= 2 * (dD - t * D)
+            nums[(S, a, Q)] = c
+        return self._new(ratmap.canonical(nums, self.den * D ** ell))
+
+    def kelvin_pullback(self, w):
+        """r^(2w) times the composition with the inversion z -> z / r^2: a
+        factor of degree d in x or y picks up r^(-2d)."""
+        p, q = ratmap.ratio(w)
+        D = math.lcm(self.D, q)
+        W = p * (D // q)
+        nums = {(W - S - sum(a) * D - Q, a, Q): c for (S, a, Q), c in self._rekeyed(D).items()}
+        return self._new((nums, self.den), D)
+
+    @property
+    def terms(self):
+        """Read-only {(s, alpha, q): coeff} with Fraction exponents and
+        coefficients."""
+        D, den = self.D, self.den
+        return MappingProxyType({(Fraction(S, D), a, Fraction(Q, D)): Fraction(c, den)
+                                 for (S, a, Q), c in self.nums.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, HalfSpacePoly) and (self - other).is_zero_function()
 
     # -- derivations ------------------------------------------------------
 
@@ -241,33 +242,30 @@ class HalfSpacePoly(_RadialTerms):
                     _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:], Q), c * ai * (ai - 1) * xx)
         return self._new(ratmap.canonical(acc, self.den * xx))
 
-    def _degree(self, key, D: int) -> int:
-        """D times the degree of x^alpha y^q."""
-        return sum(key[1]) * D + key[2]
-
     # -- restriction to the boundary --------------------------------------
 
-    def _boundary_terms(self, Q0: int) -> dict:
-        """{(S, alpha): int} of the terms with y exponent Q0 / D.  A nonzero y
-        exponent below Q0 / D has no finite limit at y = 0+."""
+    def _boundary(self, Q0: int, p: int = 1, q: int = 1) -> "HalfSpacePoly":
+        """p/q times the terms with y exponent Q0 / D, as a function on R^n:
+        the class in n - 1 variables whose y is x_n.  A nonzero y exponent
+        below Q0 / D has no finite limit at y = 0+."""
+        D = self.D
         nums = {}
         for (S, a, Q), c in self.nums.items():
             if Q < Q0 and Q:
                 raise ValueError("restriction of a y power with no boundary limit")
             if Q == Q0:
-                nums[(S, a)] = c
-        return nums
+                nums[(S, a[:-1], a[-1] * D)] = c
+        return HalfSpacePoly._of(self.n - 1, self.frac_gamma, D, ratmap.scale(nums, self.den, p, q))
 
-    def iota(self) -> "BoundaryPoly":
+    def iota(self) -> "HalfSpacePoly":
         """Value at y = 0 (keeps terms with zero y exponent; r becomes |x|)."""
-        return BoundaryPoly._of(self.n, self.D, ratmap.canonical(self._boundary_terms(0), self.den))
+        return self._boundary(0)
 
-    def iota_weighted_neumann(self) -> "BoundaryPoly":
+    def iota_weighted_neumann(self) -> "HalfSpacePoly":
         """y^m d_y at y -> 0+, m = 1 - 2[g]; only terms with y exponent 2[g]
         survive, with factor 2[g]."""
         fr = self.frac_gamma
-        terms = self._boundary_terms(2 * fr.numerator * (self.D // fr.denominator))
-        return BoundaryPoly._of(self.n, self.D, ratmap.scale(terms, self.den, 2 * fr.numerator, fr.denominator))
+        return self._boundary(2 * fr.numerator * (self.D // fr.denominator), 2 * fr.numerator, fr.denominator)
 
     # -- exact zero test ---------------------------------------------------
 
@@ -318,75 +316,6 @@ def _expand_r2(n: int, t: int) -> tuple:
     return tuple(out)
 
 
-class BoundaryPoly(_RadialTerms):
-    """Boundary restriction class: nums {(S, alpha): int} over den meaning
-    |x|^(2s) x^alpha with s = S / D; ``terms`` reads {(s, alpha): coeff}."""
-
-    __slots__ = ("n", "D", "nums", "den")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        rational = {(Fraction(s), tuple(a)): c for (s, a), c in (terms or {}).items() if c != 0}
-        D = self.D = math.lcm(2, *(s.denominator for s, _ in rational))
-        self.nums, self.den = ratmap.from_rationals(
-            {(s.numerator * (D // s.denominator), a): c for (s, a), c in rational.items()})
-
-    @staticmethod
-    def _of(n: int, D: int, pair) -> "BoundaryPoly":
-        out = BoundaryPoly.__new__(BoundaryPoly)
-        out.n, out.D = n, D
-        out.nums, out.den = pair
-        return out
-
-    def _new(self, pair, D: int = None):
-        return BoundaryPoly._of(self.n, self.D if D is None else D, pair)
-
-    def lap(self):
-        """Laplacian: per term c |x|^(2s) x^alpha, c 2s (n + 2|alpha| + 2s - 2)
-        at s - 1 and the x second derivatives, all over D^2."""
-        D, n = self.D, self.n
-        D2 = D * D
-        acc = {}
-        for (S, a), c in self.nums.items():
-            if S:
-                _add(acc, (S - D, a), c * 2 * S * ((n + 2 * sum(a) - 2) * D + 2 * S))
-            for i, ai in enumerate(a):
-                if ai >= 2:
-                    _add(acc, (S, a[:i] + (ai - 2,) + a[i + 1:]), c * ai * (ai - 1) * D2)
-        return self._new(ratmap.canonical(acc, self.den * D2))
-
-    def _degree(self, key, D: int) -> int:
-        """D times the degree of x^alpha."""
-        return sum(key[1]) * D
-
-    def is_zero_function(self) -> bool:
-        """Exact zero test: expand integer powers of |x|^2 multinomially
-        within each fractional class S mod D of the exponent."""
-        D = self.D
-        groups = {}
-        for (S, a), c in self.nums.items():
-            groups.setdefault(S % D, []).append((S // D, a, c))
-        for entries in groups.values():
-            base = min(entry[0] for entry in entries)
-            acc = {}
-            for t, a, c in entries:
-                for xa, mult in _expand_rn(self.n, t - base):
-                    _add(acc, tuple(map(operator.add, a, xa)), c * mult)
-            if any(acc.values()):
-                return False
-        return True
-
-    def __repr__(self):
-        return " + ".join(f"({c})*|x|^{{2*{s}}}x^{a}" for (s, a), c in sorted(self.terms.items())) or "0"
-
-
-@functools.lru_cache(maxsize=None)
-def _expand_rn(n: int, t: int) -> tuple:
-    """Multinomial expansion of (x_1^2 + ... + x_n^2)^t: _expand_r2 in n - 1
-    variables with y as the last x axis, (alpha, coeff) with alpha doubled."""
-    return tuple(((*xa, 2 * ny), mult) for xa, ny, mult in _expand_r2(n - 1, t))
-
-
 def weighted_poly_power(p: HalfSpacePoly, m, k: int) -> HalfSpacePoly:
     out = p
     for _ in range(k):
@@ -419,9 +348,9 @@ def boundary_operators_poly(params: GammaParams, p: HalfSpacePoly) -> dict:
             for (tp, lp), coeff in jets.boundary_operator_symbol(params, family, j).items():
                 ladder = ladders[tp]
                 while len(ladder) <= lp:
-                    ladder.append(ladder[-1].lap())
+                    ladder.append(ladder[-1].laplacian())
                 nums, den = ratmap.add(nums, den, ladder[lp].nums, ladder[lp].den, *ratmap.ratio(coeff))
-            out[(family, j)] = BoundaryPoly._of(p.n, p.D, (nums, den))
+            out[(family, j)] = HalfSpacePoly._of(p.n - 1, p.frac_gamma, p.D, (nums, den))
     return out
 
 
@@ -545,7 +474,7 @@ def verify_r2s_commutation(params: GammaParams, k: int, s, samples) -> Verificat
             report.fail(f"sample {idx}: interior r^2s commutation fails (k={k}, s={s})")
 
         blhs = lhs.iota_weighted_neumann()
-        brhs = BoundaryPoly(n)
+        brhs = HalfSpacePoly(n - 1, fr)
         for j, ell, w in boundary:
             brhs = brhs + powers[k - j].iota_weighted_neumann().directional_r2(ell).mul_r2(s - j).scale(w)
         if not (blhs - brhs).is_zero_function():

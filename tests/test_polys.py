@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fractrace import jets, polys
 from fractrace.gammacore import GammaParams
 from fractrace.polys import (
-    BoundaryPoly,
     HalfSpacePoly,
     boundary_operators_poly,
     default_samples,
@@ -44,20 +43,16 @@ def test_laplacian_basics():
     assert (mono(2, alpha=(2, 0)).weighted_laplacian(m) - mono(2, coeff=2)).is_zero_function()
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(6))
 def test_multinomial_expanders(n):
-    """(x_1^2 + ... + x_n^2)^t and (x_1^2 + ... + x_n^2 + y^2)^t against the
-    multinomial theorem, t <= 6: one term per exponent vector e, coefficient
-    t! / prod e_i!."""
+    """(x_1^2 + ... + x_n^2 + y^2)^t against the multinomial theorem, t <= 6:
+    one term per exponent vector e, coefficient t! / prod e_i!.  At n = 0 it
+    is (y^2)^t, the expansion a boundary function of one variable reads."""
     def multinomial(parts, t):
         return {e: math.factorial(t) // math.prod(map(math.factorial, e))
                 for e in itertools.product(range(t + 1), repeat=parts) if sum(e) == t}
 
     for t in range(7):
-        want = multinomial(n, t)
-        got = polys._expand_rn(n, t)
-        assert len(got) == len(want)
-        assert dict(got) == {tuple(2 * x for x in e): c for e, c in want.items()}
         want = multinomial(n + 1, t)
         got = polys._expand_r2(n, t)
         assert len(got) == len(want)
@@ -538,14 +533,18 @@ def _ref_kelvin(terms, w):
     return {(w - s - sum(a) - q, a, q): c for (s, a, q), c in terms.items()}
 
 
+def _on_boundary(x):
+    """{(s, alpha): coeff} of a function on R^n held in n - 1 variables, its y
+    read back as the last axis x_n."""
+    return {(s, a + (q,)): c for (s, a, q), c in x.terms.items()}
+
+
 def _assert_canonical(x):
     """den > 0, gcd(den, numerators) = 1, no zero numerator, integer keys."""
     assert x.den > 0 and all(x.nums.values())
     assert math.gcd(x.den, *x.nums.values()) == 1
-    if isinstance(x, (HalfSpacePoly, BoundaryPoly)):
-        assert all(type(key[0]) is int for key in x.nums)
     if isinstance(x, HalfSpacePoly):
-        assert all(type(key[2]) is int for key in x.nums)
+        assert all(type(key[0]) is int and type(key[2]) is int for key in x.nums)
         assert x.D % math.lcm(2, x.frac_gamma.denominator) == 0
 
 
@@ -601,9 +600,10 @@ def test_layout_matches_fraction_reference(raw, n, ell):
         bnd = restrict()
         want = {(s, a): c * factor for (s, a, q), c in ref.items() if q == q0}
         _assert_canonical(bnd)
-        assert dict(bnd.terms) == want
-        assert dict(bnd.lap().terms) == _ref_boundary_lap(want, n)
-        for out in (bnd.lap(), bnd.directional_r2(ell), bnd.kelvin_pullback(w),
+        assert bnd.n == n - 1
+        assert _on_boundary(bnd) == want
+        assert _on_boundary(bnd.laplacian()) == _ref_boundary_lap(want, n)
+        for out in (bnd.laplacian(), bnd.directional_r2(ell), bnd.kelvin_pullback(w),
                     bnd.mul_r2(F(1, 2)), bnd - bnd.kelvin_pullback(w)):
             _assert_canonical(out)
         assert (bnd.kelvin_pullback(w).kelvin_pullback(w) - bnd).is_zero_function()
@@ -637,9 +637,6 @@ def test_inner_loops_build_no_fraction_per_term(monkeypatch):
             terms[(F(i % 7 - 3, 2), (i % 4, i // 40), 2 * (i // 4 % 3) + 2 * fr * (i // 12 % 2))] = F(i + 1, i % 5 + 1)
         return HalfSpacePoly(2, fr, terms)
 
-    def boundary(size):
-        return BoundaryPoly(2, {(F(i % 9 - 4, 3), (i % 4, i // 36)): F(i + 1, 3) for i in range(size)})
-
     def jet(size):
         expr = jets.BoundaryExpr({(f"u{i}", i % 3, bool(i % 2)): F(i + 1, 7) for i in range(size)})
         return jets.Jet(params, 4, (expr,) * 5, (expr,) * 5)
@@ -647,8 +644,6 @@ def test_inner_loops_build_no_fraction_per_term(monkeypatch):
     ops = [
         (half_space, lambda p: p.weighted_laplacian(m)),
         (half_space, HalfSpacePoly.is_zero_function),
-        (boundary, BoundaryPoly.lap),
-        (boundary, BoundaryPoly.is_zero_function),
         (jet, jets.apply_T),
     ]
     for build, op in ops:
