@@ -77,7 +77,8 @@ def _parse_gammas(text: str):
     for piece in text.split(","):
         g = gc.parse_gamma(piece)
         params = gc.GammaParams(g)  # validates positivity / non-integrality
-        out.append(params.gamma)
+        if params.gamma not in out:   # 1/2, 0.5 and 2/4 are one order, run once
+            out.append(params.gamma)
     return out
 
 

@@ -82,7 +82,6 @@ QUAD_REL_TOL = 1e-9
 GJ_START = 48
 GJ_CAP = 768
 ACTIVE_TOL = 1e-13   # a mode is active above this share of the largest coefficient
-Q_CONSISTENCY_TOL = 1e-7   # Q against interior minus boundary correction, in verify_q_symmetry
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +950,8 @@ def _record_cap_hits(report: VerificationReport, start: int):
 
 def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
                       tol_sym: float = 1e-8) -> VerificationReport:
-    """|Q(U,V) - Q(V,U)| small, and Q = interior - boundary correction."""
+    """|Q(U,V) - Q(V,U)| small, and Q = interior - boundary correction, both
+    relative defects held to tol_sym."""
     report = VerificationReport("q_symmetry", str(params), params.n)
     quv = q_form(u, v)
     qvu = q_form(v, u)
@@ -962,7 +962,7 @@ def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
     corr = boundary_correction(u, v)
     scale2 = abs(quv) + abs(inter) + 1.0
     err2 = abs(quv - (inter - corr)) / scale2
-    report.record(err2 <= Q_CONSISTENCY_TOL, err2,
+    report.record(err2 <= tol_sym, err2,
                   f"Q vs interior-minus-correction defect {err2:.3e}")
     return report
 

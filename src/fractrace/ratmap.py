@@ -5,9 +5,9 @@ Fast Library for Number Theory", ICMS 2010), without the library.
 A map is a pair (nums, den): a dict key -> nonzero int and an int den > 0
 with gcd(den, *nums) = 1, so equal maps have equal pairs.  Every function
 here returns that canonical form; arithmetic inside a loop stays on plain
-ints and is reduced once per result.  ``HalfSpacePoly``, ``BoundaryPoly``
-(module ``polys``), ``BoundaryExpr`` (module ``jets``) and
-``PolyGaussModeFn`` (module ``energy``) share it.
+ints and is reduced once per result.  ``HalfSpacePoly`` (module ``polys``,
+interior and boundary functions alike), ``BoundaryExpr`` (module ``jets``)
+and ``PolyGaussModeFn`` (module ``energy``) share it.
 """
 
 from __future__ import annotations

@@ -42,6 +42,14 @@ def test_verify_identities_exit_zero(tmp_path):
     assert {r["gamma"] for r in reports} == {"1/2", "4/3"}
 
 
+def test_verify_runs_each_order_once(tmp_path):
+    """1/2, 0.5 and 2/4 are one exact order: the report is the one order's."""
+    once, thrice = tmp_path / "once.json", tmp_path / "thrice.json"
+    assert run_cli(["verify", "--gamma", "1/2", "--only", "identities", "--out", str(once)]) == 0
+    assert run_cli(["verify", "--gamma", "1/2,0.5,2/4", "--only", "identities", "--out", str(thrice)]) == 0
+    assert thrice.read_bytes() == once.read_bytes()
+
+
 @pytest.mark.parametrize("name", ["TOL_DEFAULTS", "DEFAULT_GAMMAS"])
 def test_benchmark_constants_stay_literals(name):
     """bench/run.py reads these with ast.literal_eval, without importing cli."""
@@ -51,6 +59,21 @@ def test_benchmark_constants_stay_literals(name):
     (node,) = [n for n in tree.body if isinstance(n, ast.Assign)
                and any(getattr(t, "id", None) == name for t in n.targets)]
     assert ast.literal_eval(node.value) == getattr(cli, name)
+
+
+def test_test_extra_brings_every_reference():
+    """`pip install -e .[test]` installs each module a test skips without, so
+    no reference test is skipped silently."""
+    import re
+    import tomllib
+    from pathlib import Path
+
+    root = Path(__file__).parent.parent
+    extra = tomllib.loads((root / "pyproject.toml").read_text())["project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"[\w-]+", req).group() for req in extra}
+    skipped = {name for path in (root / "tests").glob("*.py")
+               for name in re.findall(r'importorskip\("(\w+)"\)', path.read_text())}
+    assert skipped and skipped <= listed
 
 
 def test_verify_rejects_integer_gamma(capsys):

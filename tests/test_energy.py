@@ -522,6 +522,20 @@ def test_q_symmetry_sees_a_wrong_boundary_sign(monkeypatch):
                + _defects(rep, "Q vs interior-minus-correction defect"))
 
 
+def test_q_symmetry_holds_both_rows_to_one_bound(monkeypatch):
+    """A boundary correction off by 3e-8 of the second row's scale fails the
+    Q vs interior-minus-correction row, which is held to the check's 1e-8
+    like the symmetry row."""
+    p, u, v = _q_symmetry_fields("5/2")
+    scale = abs(en.q_form(u, v)) + abs(en.interior_energy(u, v)) + 1.0
+    real = en.boundary_correction
+    monkeypatch.setattr(en, "boundary_correction", lambda a, b: real(a, b) + 3e-8 * scale)
+    rep = verify_q_symmetry(p, u, v)
+    err, = _defects(rep, "Q vs interior-minus-correction defect")
+    assert 2e-8 < err < 4e-8
+    assert rep.status == "fail"
+
+
 def test_q_symmetry_sees_a_wrong_laplacian_coefficient(monkeypatch):
     """One exact coefficient of the first Laplacian the check builds, one
     mode's L V, times (1 + 1e-6): every higher power of that atom inherits

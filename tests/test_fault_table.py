@@ -14,7 +14,8 @@ HERE = Path(__file__).parent
 FAULTS = {
     "conformal_covariance": ("test_polys.py::test_perturbed_symbol_fails_conformal_covariance",
                              "test_polys.py::test_default_covariance_samples_reach_every_odd_operator",
-                             "test_cli.py::test_scattering_relations_sees_the_odd_recursion_at_s0"),
+                             "test_cli.py::test_scattering_relations_sees_the_odd_recursion_at_s0",
+                             "test_polys.py::test_a_wrong_boundary_dimension_fails_covariance"),
     "dirichlet_principle": ("test_energy.py::test_dirichlet_principle_fails_for_a_non_solution",
                             "test_energy.py::test_dirichlet_principle_sees_a_wrong_bessel_norm",
                             "test_energy.py::test_cap_hits_fail_each_check"),
@@ -39,9 +40,11 @@ FAULTS = {
     "product_factorization": ("test_polys.py::test_product_factorization_sees_a_wrong_weight",),
     "q_symmetry": ("test_energy.py::test_q_symmetry_sees_a_wrong_boundary_sign",
                    "test_energy.py::test_q_symmetry_sees_a_wrong_laplacian_coefficient",
+                   "test_energy.py::test_q_symmetry_holds_both_rows_to_one_bound",
                    "test_cli.py::test_dtn_bessel_extraction_sees_the_odd_trace_chain_at_s0"),
     "r2s_commutation": ("test_polys.py::test_r2s_commutation_sees_a_wrong_weight",
-                        "test_polys.py::test_r2s_sweep_samples_see_each_boundary_weight"),
+                        "test_polys.py::test_r2s_sweep_samples_see_each_boundary_weight",
+                        "test_polys.py::test_combining_two_dimensions_raises"),
     "scattering_annihilation": ("test_jets.py::test_scattering_annihilation_sees_a_wrong_gamma_ratio",),
     "scattering_relations": ("test_jets.py::test_perturbed_symbol_fails_exact_checks",
                              "test_cli.py::test_scattering_relations_sees_the_odd_recursion_at_s0"),

@@ -411,6 +411,50 @@ def test_default_covariance_samples_reach_every_odd_operator(monkeypatch, gamma)
     assert missed == []
 
 
+def _restrict_keeping_n(monkeypatch):
+    """Both restrictions label their result with the interior n instead of n - 1."""
+    for name in ("iota", "iota_weighted_neumann"):
+        real = getattr(HalfSpacePoly, name)
+
+        def keeping_n(self, real=real):
+            out = real(self)
+            out.n = self.n
+            return out
+
+        monkeypatch.setattr(HalfSpacePoly, name, keeping_n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_wrong_boundary_dimension_fails_covariance(monkeypatch, n):
+    """A boundary function held with one variable too many gets a wrong
+    tangential Laplacian, whose |x|^(2s) term reads the dimension.  Below order
+    1 (1/2, 4/5) every boundary operator is a bare trace and applies no
+    tangential Laplacian, so covariance cannot see the fault there; at 5/2 and
+    10/3 it must."""
+    gammas = [F(1, 2), F(4, 5), F(5, 2), F(10, 3)]
+    assert all(verify_conformal_covariance(GammaParams(g, n=n)).passed for g in gammas)
+    _restrict_keeping_n(monkeypatch)
+    assert [verify_conformal_covariance(GammaParams(g, n=n)).passed for g in gammas] == [True, True, False, False]
+
+
+def test_combining_two_dimensions_raises(monkeypatch):
+    """Keys of different lengths would zip short in the zero test, so a sum or
+    difference across dimensions raises, and the r^2s boundary side, which
+    adds restrictions to an element in n - 1 variables, cannot pass with a
+    wrong boundary dimension."""
+    fr = F(1, 3)
+    for a, b in ((mono(2, fr), mono(1, fr)), (mono(2, fr).iota(), mono(2, fr))):
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(ValueError, match="variables"):
+                op(b)
+    p = GammaParams(F(5, 2), n=2)
+    samples = default_samples(2, p.frac_gamma, extra=0)
+    assert verify_r2s_commutation(p, 1, F(1, 2), samples).passed
+    _restrict_keeping_n(monkeypatch)
+    with pytest.raises(ValueError, match="variables"):
+        verify_r2s_commutation(p, 1, F(1, 2), samples)
+
+
 def test_randomized_closure_bulk():
     """1000 randomized terms stay in the representable class under the
     generators (structural invariant), each on its branch: y exponents keep
