@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fractrace
-from fractrace import besselk, cli, modes
+from fractrace import besselk, cli, modes, suite
 from fractrace import gammacore as gc
 from fractrace.cli import main
 from fractrace.modes import GridField, gaussian_field
@@ -136,6 +136,14 @@ def test_missing_input_exit_two(tmp_path):
                     "--out", str(tmp_path / "x.bin")]) == 2
 
 
+def test_fraclap_takes_one_field(tiny_field, tmp_path, capsys):
+    """Naming more fields is an error, never a run on the first alone."""
+    out = tmp_path / "o.bin"
+    _one_line_error(["fraclap", "--power", "1/2", "--in", f"{tiny_field},{tiny_field}",
+                     "--out", str(out)], capsys, "--in")
+    assert not out.exists()
+
+
 def test_empty_input_exit_two(tmp_path):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
@@ -158,6 +166,19 @@ def test_module_entrypoint():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_module_entrypoint_reports_a_job_error_in_one_line():
+    """Under python -m the CLI module is __main__, and the error a numeric job
+    raises, in this process or the helper, is the one main catches."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractrace.cli", "verify", "--only", "numeric", "--grid", "8",
+         "--box", "1e300"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "--box" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_bounds_are_fixed(tmp_path):
@@ -194,7 +215,7 @@ def test_check_defaults_are_verify_bounds():
 
 
 def _exact_report(gamma: str, check: str):
-    (rep,) = [r for r in cli._exact_checks(gc.parse_gamma(gamma), 1, 0) if r.check == check]
+    (rep,) = [r for r in suite._exact_checks(gc.parse_gamma(gamma), 1, 0) if r.check == check]
     return rep
 
 
@@ -245,7 +266,7 @@ def _suite_statuses(gamma: str) -> dict:
     a check failing if any of its reports fails."""
     g = gc.parse_gamma(gamma)
     out = {}
-    for rep in cli._exact_checks(g, 1, 0) + cli._numeric_checks(g, 1, 128, 60.0, 0, False):
+    for rep in suite._exact_checks(g, 1, 0) + suite._numeric_checks(g, 1, 128, 60.0, 0, False):
         out[rep.check] = "fail" if "fail" in (rep.status, out.get(rep.check)) else rep.status
     return out
 
@@ -344,7 +365,7 @@ def _drawn_order(draw):
 def test_exact_suite_passes_at_drawn_orders(gamma):
     """Every exact check passes at drawn orders of every class (fl, [g]),
     near-integer ones included: the family rule holds in each layer."""
-    failed = [(r.check, r.details) for r in cli._exact_checks(gamma, 1, 0) if r.status != "pass"]
+    failed = [(r.check, r.details) for r in suite._exact_checks(gamma, 1, 0) if r.status != "pass"]
     assert not failed, (gamma, failed)
 
 
@@ -581,7 +602,10 @@ def test_package_has_no_scipy_import():
 
 
 def test_field_commands_do_not_load_check_modules(field_2d, tmp_path):
-    checks = ["fractrace.energy", "fractrace.jets", "fractrace.polys", "fractrace.ratmap"]
+    """extend, dtn and fraclap load no check module, nor verify's own module
+    or concurrent.futures, which only verify's executor needs."""
+    checks = ["fractrace.energy", "fractrace.jets", "fractrace.polys", "fractrace.ratmap",
+              "fractrace.suite", "concurrent.futures"]
     argvs = _field_commands(field_2d, str(tmp_path / "o.bin"))
     assert _loaded_after(argvs, checks) == [[]] * 6
 
@@ -640,7 +664,7 @@ def _spy_on_jobs(monkeypatch, log, act=None):
     """Both kinds of per-order job log (pid, thread, name, gamma) to a file,
     which a forked helper appends to as well, then call act(name), if given,
     and return no report."""
-    from fractrace import cli
+    from fractrace import suite
 
     for name in ("_exact_checks", "_numeric_checks"):
         def spy(gamma, *args, name=name):
@@ -650,7 +674,7 @@ def _spy_on_jobs(monkeypatch, log, act=None):
                 act(name)
             return []
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(suite, name, spy)
 
 
 SPY_GAMMAS = ["1/2", "4/3", "5/2"]
@@ -726,15 +750,49 @@ def test_an_idle_process_takes_over_the_other_queue(monkeypatch, tmp_path):
             and len(taken[os.getpid()]) + len(taken[helper]) == 2 * len(gammas))
 
 
-def test_job_queue_counts_what_is_left():
-    from fractrace import cli
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_job_run_here_goes_through_the_executor_hook(cpus, monkeypatch, tmp_path):
+    """bench/tracer.py times verify's jobs by assigning a subclass to
+    cli.ThreadPoolExecutor; every job this process runs must reach it."""
+    here, log, submitted = os.getpid(), tmp_path / "jobs.txt", []
+    for name in ("_exact_checks", "_numeric_checks", "_sharp_sobolev_job", "_lebedev_milin_job"):
+        def spy(*args, name=name):
+            if os.getpid() == here:   # the helper runs its jobs inline
+                with open(log, "a") as f:
+                    f.write(f"{threading.current_thread().name} {name}\n")
+            return []
 
-    queue = cli._job_queue([4, 0, 7])
+        monkeypatch.setattr(suite, name, spy)
+
+    class Hook(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers, thread_name_prefix="hook")
+
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Hook)
+    _cpus(monkeypatch, cpus)
+    assert run_cli(["verify", "--gamma", "1/2", "--out", str(tmp_path / "r.json")]) == 0
+    _no_child_left()
+    rows = [line.split() for line in log.read_text().splitlines()]
+    assert rows and len(rows) == len(submitted)
+    assert all(thread.startswith("hook") for thread, _ in rows)
+    if cpus == 1:
+        assert sorted(name for _, name in rows) == [
+            "_exact_checks", "_lebedev_milin_job", "_numeric_checks", "_sharp_sobolev_job"]
+
+
+def test_job_queue_counts_what_is_left():
+    from fractrace import suite
+
+    queue = suite._job_queue([4, 0, 7])
     try:
-        assert cli._pending(queue) == 3
-        assert cli._claim(queue) == 4 and cli._pending(queue) == 2
-        cli._end_queues([queue])
-        assert cli._pending(queue) == 0 and cli._claim(queue) is None
+        assert suite._pending(queue) == 3
+        assert suite._claim(queue) == 4 and suite._pending(queue) == 2
+        suite._end_queues([queue])
+        assert suite._pending(queue) == 0 and suite._claim(queue) is None
     finally:
         os.close(queue)
 
@@ -758,7 +816,7 @@ def test_an_error_in_the_exact_suite_reaches_the_parent(monkeypatch, tmp_path, c
     def boom(*args):
         raise cli.ConfigError("boom")
 
-    monkeypatch.setattr(cli, "_exact_checks", boom)
+    monkeypatch.setattr(suite, "_exact_checks", boom)
     _cpus(monkeypatch, 2)
     out = tmp_path / "r.json"
     _one_line_error(["verify", "--gamma", "1/2", "--grid", "8", "--out", str(out)], capsys,
@@ -798,7 +856,7 @@ def _helper_dies(monkeypatch, tmp_path, capsys, *, job=None, claim=None) -> str:
     (job) or right after it claims one (claim); every job here takes 0.02 s.
     Returns the one line of stderr, after checking exit 1, no report and no
     child left."""
-    from fractrace import cli
+    from fractrace import suite
 
     here = os.getpid()
 
@@ -809,7 +867,7 @@ def _helper_dies(monkeypatch, tmp_path, capsys, *, job=None, claim=None) -> str:
 
     _spy_on_jobs(monkeypatch, tmp_path / "jobs.txt", act if job else None)
     if claim:
-        real = cli._claim
+        real = suite._claim
 
         def claiming(queue):
             index = real(queue)
@@ -817,7 +875,7 @@ def _helper_dies(monkeypatch, tmp_path, capsys, *, job=None, claim=None) -> str:
                 claim()
             return index
 
-        monkeypatch.setattr(cli, "_claim", claiming)
+        monkeypatch.setattr(suite, "_claim", claiming)
     _cpus(monkeypatch, 2)
     out = tmp_path / "r.json"
     assert run_cli(["verify", "--gamma", "1/2,4/3", "--out", str(out)]) == 1
@@ -852,9 +910,9 @@ def test_a_failed_numeric_job_stops_the_exact_suite(monkeypatch, tmp_path, capsy
 def test_a_failed_numeric_job_stops_the_jobs_after_it(monkeypatch, tmp_path, capsys):
     """--box 1e300 overflows every numeric job: each process starts at most
     one of the ten orders, and the sharp-inequality jobs never start."""
-    from fractrace import cli, energy as en
+    from fractrace import energy as en, suite
 
-    real, log = cli._numeric_checks, tmp_path / "jobs.txt"
+    real, log = suite._numeric_checks, tmp_path / "jobs.txt"
 
     def spy(*args):
         with open(log, "a") as f:
@@ -864,7 +922,7 @@ def test_a_failed_numeric_job_stops_the_jobs_after_it(monkeypatch, tmp_path, cap
     def refuse(*args, **kwargs):
         raise AssertionError("a sharp-inequality job ran")
 
-    monkeypatch.setattr(cli, "_numeric_checks", spy)
+    monkeypatch.setattr(suite, "_numeric_checks", spy)
     monkeypatch.setattr(en, "sharp_sobolev_check", refuse)
     monkeypatch.setattr(en, "lebedev_milin_check", refuse)
     _one_line_error(["verify", "--only", "numeric", "--box", "1e300"], capsys, "--box")
@@ -941,7 +999,7 @@ SAMPLE_CHECKS = ("verify_commutator", "verify_product_factorization", "verify_r2
 def test_seeded_samples_reach_every_sample_driven_exact_check(monkeypatch, n, seed):
     """verify --seed draws two monomials (default_samples indices 9 and 10);
     each of the four sample-driven polynomial checks must run on both."""
-    from fractrace import cli, polys
+    from fractrace import polys, suite
 
     seen = []
     for name in SAMPLE_CHECKS:
@@ -954,7 +1012,7 @@ def test_seeded_samples_reach_every_sample_driven_exact_check(monkeypatch, n, se
 
         monkeypatch.setattr(polys, name, spy)
     gamma, frac = Fraction(5, 2), Fraction(1, 2)
-    reports = cli._exact_checks(gamma, n, seed)
+    reports = suite._exact_checks(gamma, n, seed)
     seeded = [dict(u.terms) for u in polys.default_samples(n, frac, seed=seed, extra=2)[9:]]
     assert len(seeded) == 2 and seeded[0] != seeded[1]
     assert sorted(name for name, _ in seen) == sorted(SAMPLE_CHECKS + ("verify_r2s_commutation",))
@@ -970,9 +1028,9 @@ def test_exact_checks_pass_at_every_small_denominator():
     """One order for each of the 27 fractional parts p/q with q <= 9; at
     {gamma} = 6/7 the H identity's gamma + 1/7 would be an integer, a pole of
     its closed form, so sum_identities must step past it."""
-    from fractrace import cli
+    from fractrace import suite
 
     assert len(FRACTIONAL_PARTS) == 27
     for frac in FRACTIONAL_PARTS:
-        failed = [(r.check, r.details) for r in cli._exact_checks(2 + frac, 1, 0) if not r.passed]
+        failed = [(r.check, r.details) for r in suite._exact_checks(2 + frac, 1, 0) if not r.passed]
         assert not failed, (frac, failed)

@@ -188,7 +188,7 @@ def test_numeric_checks_run_without_lapack(monkeypatch):
     """The numeric checks at 1/2 (q_symmetry, both energy checks, Legendre
     panels) build every Gauss rule they use without an eigen solver, so no
     BLAS thread wakes."""
-    from fractrace import cli
+    from fractrace import suite
 
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK eigen solver called")
@@ -197,7 +197,7 @@ def test_numeric_checks_run_without_lapack(monkeypatch):
                         (np.polynomial.legendre, "leggauss")]:
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(en, "_gj_cache", {})
-    reports = cli._numeric_checks(F(1, 2), 1, 128, 60.0, 0, False)
+    reports = suite._numeric_checks(F(1, 2), 1, 128, 60.0, 0, False)
     assert {"q_symmetry", "dirichlet_principle", "energy_trace"} <= {r.check for r in reports}
     assert all(r.passed for r in reports)
     betas = {beta for _, beta in en._gj_cache}
@@ -772,7 +772,7 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
 def test_energy_checks_share_one_solution_view(monkeypatch):
     """verify builds one solution view per energy order and hands it to both
     energy checks."""
-    from fractrace import cli
+    from fractrace import suite
 
     real = en.extension_field_view
     calls = []
@@ -782,7 +782,7 @@ def test_energy_checks_share_one_solution_view(monkeypatch):
         return real(sol)
 
     monkeypatch.setattr(en, "extension_field_view", counting)
-    reports = cli._numeric_checks(F(5, 2), 1, 128, 60.0, 0, False)
+    reports = suite._numeric_checks(F(5, 2), 1, 128, 60.0, 0, False)
     assert len(calls) == 1
     assert all(r.passed for r in reports if r.check in ("dirichlet_principle", "energy_trace"))
 
@@ -794,7 +794,7 @@ def test_pair_lists_hold_one_atom_kind(gamma, monkeypatch):
     synthetic and Bessel atoms.  All three pairings of kinds occur: synthetic
     with synthetic, solution with synthetic, and solution with solution in the
     Gram matrices."""
-    from fractrace import cli
+    from fractrace import suite
 
     real = en._pair_matrix
     pairs = set()
@@ -810,7 +810,7 @@ def test_pair_lists_hold_one_atom_kind(gamma, monkeypatch):
 
     monkeypatch.setattr(en, "_pair_matrix", spying)
     en._unit_gram.cache_clear()   # the Gram matrices' calls must be seen too
-    reports = cli._numeric_checks(gamma, 1, 128, 60.0, 0, True)
+    reports = suite._numeric_checks(gamma, 1, 128, 60.0, 0, True)
     assert all(r.passed for r in reports)
     synthetic, bessel = "PolyGaussModeFn", "BesselModeFn"
     assert pairs == {(synthetic, synthetic), (bessel, synthetic), (synthetic, bessel), (bessel, bessel)}

@@ -257,7 +257,7 @@ def test_r2s_commutation_dimensions(n):
 
 def _verify_r2s_samples(monkeypatch, gamma, n, seed):
     """The samples verify passes to both of its r^2s commutation checks."""
-    from fractrace import cli
+    from fractrace import suite
 
     real, seen = polys.verify_r2s_commutation, []
 
@@ -267,7 +267,7 @@ def _verify_r2s_samples(monkeypatch, gamma, n, seed):
 
     with monkeypatch.context() as patch:
         patch.setattr(polys, "verify_r2s_commutation", spy)
-        cli._exact_checks(gamma, n, seed)
+        suite._exact_checks(gamma, n, seed)
     assert len(seen) == 2 and seen[0] == seen[1]
     return seen[0]
 
