@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gammacore as gc
 from . import modes
-from .report import reports_to_json, write_atomic
+from .report import write_atomic, write_json
 
 # What is loaded so far lives until the process exits.  Frozen, it is never
 # traversed again: not by a collection in verify's forked helper, nor by the
@@ -31,7 +31,7 @@ _gc.freeze()
 
 DEFAULT_GAMMAS = ["1/3", "1/2", "4/5", "4/3", "3/2", "9/4", "5/2", "10/3", "7/2", "9/2"]
 # the most points a grid of --grid ** --n may hold: 128^3, whose numeric
-# checks peak at about 0.88 GB
+# checks peak at about 0.58 GB
 MAX_GRID_POINTS = 2 ** 21
 
 # verify's fixed acceptance bounds, one per check that has one; each check
@@ -82,7 +82,11 @@ def _rational_arg(flag: str, text: str, ok, requirement: str) -> Fraction:
     return value
 
 
-def _check_grid_points(grid: int, n: int):
+def _check_grid(grid: int, n: int, least: int, requirement: str):
+    """--grid must be a power of two >= least, and --grid ** --n hold at most
+    MAX_GRID_POINTS points."""
+    if grid < least or grid & (grid - 1):
+        raise ConfigError(f"--grid must be {requirement}, got {grid}")
     # grid >= 2 past n = 21 is always too large; testing n first builds no huge integer
     if n >= MAX_GRID_POINTS.bit_length() or grid ** n > MAX_GRID_POINTS:
         raise ConfigError(f"--grid {grid} at --n {n} holds more than {MAX_GRID_POINTS} points")
@@ -119,23 +123,22 @@ def _load_data(args):
     return data
 
 
+def _save(field, sol, out: str, **summary) -> int:
+    """Write the field to out and the run's summary beside it, as
+    out.summary.json; exit code 0."""
+    field.save(out)
+    summary.update(gamma=str(sol.params), warnings=sol.warnings, out=out)
+    write_atomic(out + ".summary.json", (json.dumps(summary, sort_keys=True) + "\n").encode())
+    return 0
+
+
 def cmd_extend(args) -> int:
     if not (math.isfinite(args.height) and args.height >= 0):
         raise ConfigError(f"--height must be a finite number >= 0, got {args.height!r}")
     params = gc.GammaParams(gc.parse_gamma(args.gamma), n=args.n)
     data = _load_data(args)
     sol = modes.solve_extension(params, data)
-    out = sol.evaluate(args.height)
-    out.save(args.out)
-    summary = {
-        "command": "extend",
-        "gamma": str(params),
-        "height": args.height,
-        "warnings": sol.warnings,
-        "out": args.out,
-    }
-    write_atomic(args.out + ".summary.json", (json.dumps(summary, sort_keys=True) + "\n").encode())
-    return 0
+    return _save(sol.evaluate(args.height), sol, args.out, command="extend", height=args.height)
 
 
 def cmd_dtn(args) -> int:
@@ -147,17 +150,7 @@ def cmd_dtn(args) -> int:
                                "a Neumann-family index: " + ", ".join(map(str, sorted(indices))))
     data = _load_data(args)
     sol = modes.solve_extension(params, data)
-    out = modes.dtn_apply(sol, alpha2)
-    out.save(args.out)
-    summary = {
-        "command": "dtn",
-        "gamma": str(params),
-        "alpha2": str(alpha2),
-        "warnings": sol.warnings,
-        "out": args.out,
-    }
-    write_atomic(args.out + ".summary.json", (json.dumps(summary, sort_keys=True) + "\n").encode())
-    return 0
+    return _save(modes.dtn_apply(sol, alpha2), sol, args.out, command="dtn", alpha2=str(alpha2))
 
 
 def cmd_fraclap(args) -> int:
@@ -181,9 +174,7 @@ def cmd_sharpness(args) -> int:
                              "1/2 with --n 2, the only case the small-frequency repair covers"))
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise ConfigError(f"--eps must be a finite positive number, got {args.eps!r}")
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be a positive power of two, got {args.grid}")
-    _check_grid_points(args.grid, args.n)
+    _check_grid(args.grid, args.n, 1, "a positive power of two")
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     if args.seed < 0:
@@ -199,11 +190,7 @@ def cmd_sharpness(args) -> int:
             )
     except (OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"--box {args.box!r} is too large: {exc}") from None
-    payload = reports_to_json([report]).encode()
-    if args.out:
-        write_atomic(args.out, payload)
-    else:
-        sys.stdout.write(payload.decode())
+    write_json([report], args.out)
     return 0 if report.passed else 1
 
 
@@ -272,15 +259,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, gc.GammaDomainError, modes.GridError) as exc:
+    except (ConfigError, gc.GammaDomainError, modes.GridError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HelperError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1355,14 +1355,3 @@ def lebedev_milin_check(extremal_eps: float = 1.0, extremal_xi: float = 0.0,
         report.record(gap > 0.0, 0.0, f"strict inequality: lhs - rhs = {gap:.6e}")
     report.details.append(f"lhs={lhs:.8f} rhs={rhs:.8f}")
     return report
-
-
-def lebedev_milin_extremal_energy(eps: float, xi: float) -> float:
-    """Closed form of oint f (-Lap)^(1/2) f for the extremal family, via the
-    explicit Fourier transform of ln((x^2+a^2)/(x^2+b^2)):
-
-        4 pi [ ln((1+b)^2/(4b)) + ln(1 + xi^2/(1+b)^2) ],  b = sqrt(eps).
-    """
-    b = math.sqrt(eps)
-    return 4.0 * math.pi * (math.log((1.0 + b) ** 2 / (4.0 * b))
-                            + math.log(1.0 + xi ** 2 / (1.0 + b) ** 2))

@@ -85,9 +85,6 @@ class BoundaryExpr:
         nums = {key: c * p ** key[1] * q ** (top - key[1]) for key, c in self.nums.items()}
         return BoundaryExpr._of(ratmap.canonical(nums, self.den * q ** top))
 
-    def hat_component(self) -> "BoundaryExpr":
-        return BoundaryExpr._of(ratmap.canonical({k: c for k, c in self.nums.items() if k[2]}, self.den))
-
     def __eq__(self, other):
         return isinstance(other, BoundaryExpr) and self.den == other.den and self.nums == other.nums
 
@@ -232,24 +229,30 @@ def _trace_chain(params: GammaParams, s: int, tau: int) -> Fraction:
 
 
 def boundary_operators(params: GammaParams, jet: Jet) -> dict:
-    """Every B at (family, j) for j <= min([g], truncation), as {(family, j): B}.
+    """Every B at (family, j) for j <= min([g], truncation), as {(family, j): B};
+    T is applied to the jet once per step (see _apply_operators)."""
+    chain = [jet]
+    for _ in range(min(params.floor_gamma, jet.truncation)):
+        chain.append(apply_T(chain[-1]))
+    return _apply_operators(params, chain, (restrict, restrict_weighted_neumann), BoundaryExpr._of)
 
-    T is applied to the jet once per step and both traces are taken at every
-    step; each operator is then sum c * Lap^l trace(T^t jet) over its symbol."""
-    top = min(params.floor_gamma, jet.truncation)
-    traces = {"even": [restrict(jet)], "odd": [restrict_weighted_neumann(jet)]}
-    for _ in range(top):
-        jet = apply_T(jet)
-        traces["even"].append(restrict(jet))
-        traces["odd"].append(restrict_weighted_neumann(jet))
+
+def _apply_operators(params: GammaParams, chain: list, traces: tuple, of) -> dict:
+    """{(family, j): sum c * Lap^l trace(T^t x)} over the symbol of each
+    (family, j), j < len(chain), from chain = [x, T x, ...] and each family's
+    trace, for the jets and the polynomial class alike: each trace's ladder
+    Lap^l is built once, as deep as the symbols reach; of(nums, den) makes B."""
     out = {}
-    for family, chain in traces.items():
-        for j in range(top + 1):
+    for family, trace in zip(FAMILIES, traces):
+        ladders = [[trace(x)] for x in chain]
+        for j in range(len(chain)):
             nums, den = {}, 1
             for (tp, lp), coeff in boundary_operator_symbol(params, family, j).items():
-                term = chain[tp].laplacian(lp)
-                nums, den = ratmap.add(nums, den, term.nums, term.den, *ratmap.ratio(coeff))
-            out[(family, j)] = BoundaryExpr._of((nums, den))
+                ladder = ladders[tp]
+                while len(ladder) <= lp:
+                    ladder.append(ladder[-1].laplacian())
+                nums, den = ratmap.add(nums, den, ladder[lp].nums, ladder[lp].den, *ratmap.ratio(coeff))
+            out[(family, j)] = of((nums, den))
     return out
 
 

@@ -588,16 +588,16 @@ class ExtensionSolution:
 
         U = sum_i s_i P_i(|xi| y), so the Dirichlet matrix at |xi| is
         diag(|xi|^e) M1, with e = 2s{g} + 2j for a row of branch shift s;
-        hence s = M1^-1 (|xi|^-e f).
+        hence s = M1^-1 (|xi|^-e f).  M1 stays on the solution as m1.
         """
         fr = self.params.frac_gamma
         flat_xi, zero = self._flat_xi()
-        unit = _unit_matrix(self.params, self.conds,
-                            [p.jets(np.ones(1)) for p in self.profiles])
+        self.m1 = _unit_matrix(self.params, self.conds,
+                               [p.jets(np.ones(1)) for p in self.profiles])
         rows = [(FAMILIES.index(family), j) for family, j in self.conds]
         e = np.array([float(2 * sh * fr + 2 * j) for sh, j in rows])
         s = np.linalg.solve(
-            unit, np.stack([dh.reshape(-1) for dh in self.data_hat]) * flat_xi ** -e[:, None]).T
+            self.m1, np.stack([dh.reshape(-1) for dh in self.data_hat]) * flat_xi ** -e[:, None]).T
         s[zero, :] = 0.0
         self.s = s  # [modes, profile]
 
@@ -730,12 +730,6 @@ def _dtn_diagonal(params: GammaParams, r: np.ndarray) -> dict:
             for (family, j), val in zip(dirichlet_condition_list(params), np.real(np.diag(r)))}
 
 
-def extract_dtn_constants(params: GammaParams):
-    """Neumann outputs of the unit-datum Dirichlet problems at |xi| = 1: the
-    diagonal of N1 M1^-1 (_dtn_matrix), by Dirichlet slot (_dtn_diagonal)."""
-    return _dtn_diagonal(params, _dtn_matrix(params))
-
-
 def verify_dtn_constants(params: GammaParams, tol: float = 1e-8) -> VerificationReport:
     """Bessel-branch extraction against the closed-form constants, and the
     decoupling of N1 M1^-1: in each Neumann row, the largest entry off the
@@ -770,32 +764,38 @@ def verify_self_consistency(sol: ExtensionSolution, tol: float = 1e-9) -> Verifi
     return report
 
 
-def yang_extension_check(params: GammaParams, f: GridField,
-                         tol_trace: float = 1e-8, tol_cs: float = 1e-6) -> VerificationReport:
-    """Solve with only the order-zero datum and verify the interior-trace
-    normalizations and the weighted-Neumann representation of the fractional
-    Laplacian."""
+def yang_extension_check(sol: ExtensionSolution, tol_trace: float = 1e-8,
+                         tol_cs: float = 1e-6) -> VerificationReport:
+    """The interior-trace normalizations and the weighted-Neumann
+    representation of the fractional Laplacian, on U0, the solution with sol's
+    datum 0 alone.  By linearity U0 = f_hat sum_i c_i P_i(|xi| y) with
+    c = M1^-1 e_0, so it needs no solve or transform of its own."""
+    params = sol.params
     report = VerificationReport("yang_extension", str(params), params.n)
     fl, fr = params.floor_gamma, float(params.frac_gamma)
-    g = float(params.gamma)
-    conds = dirichlet_condition_list(params)
-    zero = f.like(np.zeros(f.shape))
-    data = [f if (fam, j) == ("even", 0) else zero for (fam, j) in conds]
-    sol = solve_extension(params, data)
     mask = sol.resolved_mask().reshape(-1)
-    xi2 = sol.xi2.reshape(-1)
+    xi2, xi_abs = sol.xi2.reshape(-1)[mask], sol.xi_abs.reshape(-1)[mask]
     f_hat = sol.data_hat[0].reshape(-1)
     scale = np.abs(f_hat).max() + 1e-300
+    f_hat = f_hat[mask]
+    c = np.linalg.solve(sol.m1, np.eye(len(sol.conds))[0])
 
-    # both traces of each weighted Laplacian power, one power held at a time
-    jets, traces = sol.solution_jets(), []
+    def order(branch, tau):
+        terms = [ci * t for ci, prof in zip(c, sol.profiles)
+                 if (t := prof.jet_term(branch, tau, xi_abs)) is not None]
+        return sum(terms, np.zeros(xi_abs.size, dtype=complex)) * f_hat
+
+    # both traces of each weighted Laplacian power on the resolved modes, one
+    # power held at a time
+    jets = NumericJets(fl, params.frac_gamma,
+                       *([order(branch, tau) for tau in range(fl + 1)] for branch in (0, 1)))
+    traces = []
     for _ in range(fl + 1):
         traces.append((jets.restrict(), jets.restrict_weighted_neumann()))
         jets = jets.weighted_laplacian(xi2)
 
-    def _masked_max(arr):
-        vals = np.abs(arr)[mask]
-        return float(vals.max()) if vals.size else 0.0
+    def _max_abs(arr):
+        return float(np.abs(arr).max(initial=0.0))
 
     # interior traces of the weighted Laplacian powers
     for j in range(1, fl // 2 + 1):
@@ -803,25 +803,22 @@ def yang_extension_check(params: GammaParams, f: GridField,
         # Gamma(g-j)/Gamma(g) = 1/poch(g-j, j)
         const = math.factorial(fl) / math.factorial(fl - j) / _poch_f(params.gamma - j, j)
         want = const * (-xi2) ** j * f_hat
-        err = _masked_max(got - want) / scale
+        err = _max_abs(got - want) / scale
         report.record(err <= tol_trace, err, f"interior trace at power {j}: rel err {err:.3e}")
     # weighted Neumann traces vanish below the top order
     for j in range(fl - fl // 2):
-        got = traces[j][1]
-        err = _masked_max(got) / scale
+        err = _max_abs(traces[j][1]) / scale
         report.record(err <= tol_trace, err, f"neumann trace vanishes at power {j}: rel err {err:.3e}")
 
-    # top-order weighted Neumann trace recovers the fractional Laplacian.
+    # top-order weighted Neumann trace recovers the fractional Laplacian, whose
+    # spectral route multiplies f_hat by |xi|^(2 gamma) and never reads a profile.
     # The representation constant is the reciprocal of the energy constant
     # 2^(1-2[g]) fl! gamma Gamma(-gamma)/Gamma([g]) (the half-integer
     # specialization (-1)^(k+1) (2k-1)!!/(2^k k!) pins the convention), with
     # gamma Gamma(-gamma) = -Gamma(1 - gamma) from the exact order.
     yang = (-2.0 ** (1.0 - 2.0 * fr) * math.factorial(fl)
             * _gamma_f(1 - params.gamma) / math.gamma(fr))
-    lhs_modes = traces[fl][1] / yang
-    frac = fractional_laplacian_fft(f, g)
-    want_modes = frac.fft().reshape(-1)
-    scale2 = _masked_max(want_modes) + 1e-300
-    err = _masked_max(lhs_modes - want_modes) / scale2
+    want = xi2 ** float(params.gamma) * f_hat
+    err = _max_abs(traces[fl][1] / yang - want) / (_max_abs(want) + 1e-300)
     report.record(err <= tol_cs, err, f"fractional Laplacian via weighted Neumann: rel err {err:.3e}")
     return report

@@ -334,24 +334,14 @@ def poly_T(p: HalfSpacePoly, m) -> HalfSpacePoly:
 
 def boundary_operators_poly(params: GammaParams, p: HalfSpacePoly) -> dict:
     """The jet version's operator symbols applied to the exact polynomial class,
-    as {(family, j): B p} for every j <= [g].  T is applied [g] times, both
-    traces are taken at every step, and each trace's ladder Lap^l is built
-    once, as deep as the symbols reach."""
+    as {(family, j): B p} for every j <= [g]: T is applied [g] times, and
+    jets._apply_operators does the rest."""
     chain = [p]
     for _ in range(params.floor_gamma):
         chain.append(poly_T(chain[-1], params.m))
-    out = {}
-    for family, trace in zip(FAMILIES, (HalfSpacePoly.iota, HalfSpacePoly.iota_weighted_neumann)):
-        ladders = [[trace(q)] for q in chain]
-        for j in range(params.floor_gamma + 1):
-            nums, den = {}, 1
-            for (tp, lp), coeff in jets.boundary_operator_symbol(params, family, j).items():
-                ladder = ladders[tp]
-                while len(ladder) <= lp:
-                    ladder.append(ladder[-1].laplacian())
-                nums, den = ratmap.add(nums, den, ladder[lp].nums, ladder[lp].den, *ratmap.ratio(coeff))
-            out[(family, j)] = HalfSpacePoly._of(p.n - 1, p.frac_gamma, p.D, (nums, den))
-    return out
+    return jets._apply_operators(
+        params, chain, (HalfSpacePoly.iota, HalfSpacePoly.iota_weighted_neumann),
+        lambda pair: HalfSpacePoly._of(p.n - 1, p.frac_gamma, p.D, pair))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -65,6 +66,16 @@ class VerificationReport:
 
 def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_json(reports, path):
+    """The reports as JSON, written atomically to path, or to stdout when
+    path is None or empty."""
+    payload = reports_to_json(reports)
+    if path:
+        write_atomic(path, payload.encode())
+    else:
+        sys.stdout.write(payload)
 
 
 def write_atomic(path: str, data: bytes):

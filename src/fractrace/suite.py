@@ -24,7 +24,7 @@ from . import cli
 from . import gammacore as gc
 from . import modes
 from .cli import TOL_DEFAULTS, ConfigError, HelperError
-from .report import VerificationReport, reports_to_csv, reports_to_json, write_atomic
+from .report import VerificationReport, reports_to_csv, write_atomic, write_json
 
 ENERGY_GAMMAS = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 
@@ -168,8 +168,7 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     data = [modes.gaussian_field(n, shape, box, width=w) for w in widths]
     sol = modes.solve_extension(params, data)
     checks.append(modes.verify_self_consistency(sol, tol=TOL_DEFAULTS["self_consistency"]))
-    checks.append(modes.yang_extension_check(params, data[0],
-                                             tol_trace=TOL_DEFAULTS["yang_trace"],
+    checks.append(modes.yang_extension_check(sol, tol_trace=TOL_DEFAULTS["yang_trace"],
                                              tol_cs=TOL_DEFAULTS["yang_cs"]))
 
     u = en.random_two_branch_field(params, template, seed=seed)
@@ -361,10 +360,8 @@ def _lebedev_milin_job() -> list:
 
 def verify(args) -> int:
     gammas = _parse_gammas(args.gamma)
-    if args.grid < 2:
-        raise ConfigError(f"--grid must be a power of two >= 2 (a 1-point grid has no "
-                          f"mode to perturb), got {args.grid}")
-    cli._check_grid_points(args.grid, args.n)
+    cli._check_grid(args.grid, args.n, 2,
+                    "a power of two >= 2 (a 1-point grid has no mode to perturb)")
     if not (math.isfinite(args.box) and args.box > 0):
         raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
     if args.seed < 0:
@@ -391,11 +388,7 @@ def verify(args) -> int:
     kinds = [range(len(numeric)), range(len(numeric), len(jobs))]
     reports = _run_jobs(jobs, [list(kind) for kind in kinds if kind])
     reports.sort(key=lambda r: (r.gamma, r.check))
-    payload = reports_to_json(reports).encode()
-    if args.out:
-        write_atomic(args.out, payload)
-    else:
-        sys.stdout.write(payload.decode())
+    write_json(reports, args.out)
     if args.csv:
         write_atomic(args.csv, reports_to_csv(reports).encode())
     for r in reports:

@@ -378,7 +378,8 @@ def tiny_field(tmp_path_factory):
 
 FLAG = {"dtn": "--alpha2", "fraclap": "--power", "sharpness": "--gamma-tilde",
         "sharpness-eps": "--eps", "sharpness-grid": "--grid", "sharpness-box": "--box",
-        "sharpness-seed": "--seed", "extend-height": "--height", "verify-box": "--box"}
+        "sharpness-seed": "--seed", "extend-height": "--height", "verify-box": "--box",
+        "verify-grid": "--grid"}
 
 
 def _malformed_argv(command, value, n, field, out):
@@ -398,6 +399,8 @@ def _malformed_argv(command, value, n, field, out):
         return ["sharpness", f"--seed={value}", "--n", str(n), "--grid", "8", "--out", out]
     if command == "sharpness-box":
         return ["sharpness", f"--box={value}", "--n", str(n), "--grid", "8", "--out", out]
+    if command == "verify-grid":
+        return ["verify", "--gamma", "1/2", "--only", "identities", f"--grid={value}", "--out", out]
     if command == "verify-box":
         return ["verify", "--gamma", "1/2", "--only", "numeric", "--grid", "8",
                 f"--box={value}", "--out", out]
@@ -422,6 +425,8 @@ def _one_line_error(argv, capsys, flag):
     ("sharpness-box", "-5", 2), ("sharpness-box", "nan", 2), ("sharpness-box", "inf", 2),
     ("sharpness-box", "1e300", 2), ("sharpness-box", "10", 2), ("sharpness-seed", "-1", 2),
     ("verify-box", "1e-300", 1), ("verify-box", "1e300", 1), ("verify-box", "5e-324", 1),
+    ("verify-grid", "3", 1), ("verify-grid", "12", 1), ("sharpness-grid", "3", 2),
+    ("sharpness-grid", "12", 2),
 ])
 def test_bad_rational_argument_exit_two(command, value, n, tiny_field, tmp_path, capsys):
     argv = _malformed_argv(command, value, n, tiny_field, str(tmp_path / "o.bin"))

@@ -38,7 +38,6 @@ from fractrace.energy import (
     extension_field_view,
     interior_energy,
     lebedev_milin_check,
-    lebedev_milin_extremal_energy,
     q_form,
     random_two_branch_field,
     sharp_sobolev_check,
@@ -1298,6 +1297,18 @@ def test_sharp_sobolev_rejects_small_box():
     rep = sharp_sobolev_check(2, gt=0.5, bubble=Bubble(2, 0.5, epsilon=4.0),
                               box_length=200.0)
     assert not rep.passed  # epsilon = 4 needs L >= 400
+
+
+def lebedev_milin_extremal_energy(eps: float, xi: float) -> float:
+    """Oracle for lebedev_milin_check: the closed form of oint f (-Lap)^(1/2) f
+    for the extremal family, via the explicit Fourier transform of
+    ln((x^2+a^2)/(x^2+b^2)):
+
+        4 pi [ ln((1+b)^2/(4b)) + ln(1 + xi^2/(1+b)^2) ],  b = sqrt(eps).
+    """
+    b = math.sqrt(eps)
+    return 4.0 * math.pi * (math.log((1.0 + b) ** 2 / (4.0 * b))
+                            + math.log(1.0 + xi ** 2 / (1.0 + b) ** 2))
 
 
 def test_lebedev_milin_closed_form():

@@ -16,7 +16,6 @@ from fractrace.modes import (
     NumericJets,
     all_profiles,
     dtn_apply,
-    extract_dtn_constants,
     fractional_laplacian_fft,
     gaussian_field,
     solve_extension,
@@ -215,7 +214,7 @@ def test_dtn_constants_independent_extraction(gamma):
     p = GammaParams(gamma)
     rep = verify_dtn_constants(p, tol=1e-8)
     assert rep.passed, rep.details
-    extracted = extract_dtn_constants(p)
+    extracted = modes._dtn_diagonal(p, modes._dtn_matrix(p))
     for j in range(p.n_even_data):
         assert extracted[("even", j)] == pytest.approx(
             dtn_constant(p, "even", j).value(p.frac_gamma), rel=1e-8)
@@ -237,7 +236,7 @@ def test_dtn_extraction_near_an_integer_order(gamma):
     its rows fail the decoupling bound at 5.0000001 (1.1e-7) and 7.9999999
     (1.1e-4).  Below 1 there is one slot and nothing off the diagonal."""
     p = GammaParams(F(gamma))
-    for (family, j), got in extract_dtn_constants(p).items():
+    for (family, j), got in modes._dtn_diagonal(p, modes._dtn_matrix(p)).items():
         want = dtn_constant(p, family, j).value(p.frac_gamma)
         assert abs(got - want) <= 1e-14 * abs(want), (family, j)
     rep = verify_dtn_constants(p)
@@ -263,7 +262,7 @@ def test_decoupling_rows_see_a_remixed_neumann_output(monkeypatch):
     values = [float(d.split(" ")[-1]) for d in rep.details if d.startswith("row ")]
     assert not rep.passed
     assert values[0] == pytest.approx(1e-6, rel=1e-6) and max(values[1:]) <= 1e-14
-    for (family, j), got in extract_dtn_constants(p).items():
+    for (family, j), got in modes._dtn_diagonal(p, modes._dtn_matrix(p)).items():
         want = dtn_constant(p, family, j).value(p.frac_gamma)
         assert abs(got - want) <= 1e-14 * abs(want), (family, j)
 
@@ -333,7 +332,7 @@ def test_poisson_kernel_oracle():
 def test_per_mode_constant_at_unit_frequency():
     # B at the top index over the hat datum equals the closed constant at |xi|=1
     p = GammaParams(F(7, 3))
-    extracted = extract_dtn_constants(p)
+    extracted = modes._dtn_diagonal(p, modes._dtn_matrix(p))
     want = dtn_constant(p, "even", 0).value(p.frac_gamma)
     assert extracted[("even", 0)] == pytest.approx(want, rel=1e-8)
 
@@ -481,20 +480,23 @@ def test_dtn_memory_is_bounded(gamma):
 
 @pytest.mark.parametrize("gamma", [F(4, 3), F(9, 2), F(31, 4)])
 def test_yang_memory_is_linear_in_k(gamma):
-    """yang_extension_check holds one weighted Laplacian power at a time, so
-    its peak on a 2-D grid stays within 6k + 6 complex grid arrays (measured:
-    15.6, 32.6 and 50.7 at these orders; all [g] powers at once held 34.7,
-    89.2 and 161.2)."""
+    """yang_extension_check holds one weighted Laplacian power at a time, on
+    the resolved modes only (1336 of the 8320 here), and the order's solve is
+    built outside the measured region, so its peak on a 2-D grid stays within
+    (k + 2) / 3 complex grid arrays (measured: 0.98, 1.97 and 2.95 at these
+    orders; solving again inside the check, it held 15.6, 32.6 and 50.7, and
+    with all [g] powers at once 34.7, 89.2 and 161.2)."""
     p = GammaParams(gamma, n=2)
     f = gaussian_field(2, (128, 128), 60.0, width=2.0)
+    sol = solve_extension(p, [f] * p.k)
     grid_array = 16 * f.values.size
     tracemalloc.start()
     try:
-        assert yang_extension_check(p, f).passed
+        assert yang_extension_check(sol).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (6 * p.k + 6) * grid_array, peak / grid_array
+    assert peak <= (p.k + 2) / 3 * grid_array, peak / grid_array
 
 
 _UNIT_GAMMAS = [F(1, 3), F(4, 3), F(5, 2), F(9, 2)]
@@ -562,7 +564,7 @@ def test_yang_extension(gamma):
     p = GammaParams(gamma)
     f = gaussian_field(1, (128,), 60.0, width=2.0)
     warnings.simplefilter("ignore")
-    rep = yang_extension_check(p, f)
+    rep = yang_extension_check(solve_extension(p, [f] * p.k))
     assert rep.passed, rep.details
 
 
@@ -574,7 +576,7 @@ def test_yang_extension_sees_a_wrong_neumann_constant(gamma, monkeypatch):
                         lambda self: 2.0 * self.fr * 1.001 * self.b[0])
     p = GammaParams(gamma)
     f = gaussian_field(1, (128,), 60.0, width=2.0)
-    rep = yang_extension_check(p, f)
+    rep = yang_extension_check(solve_extension(p, [f] * p.k))
     assert rep.status == "fail"
     assert any(d.startswith("fractional Laplacian via weighted Neumann") and float(d.split()[-1]) > 1e-4
                for d in rep.details)
@@ -583,8 +585,95 @@ def test_yang_extension_sees_a_wrong_neumann_constant(gamma, monkeypatch):
 def test_yang_zero_field():
     p = GammaParams(F(4, 3))
     z = GridField(1, (64,), 30.0, np.zeros(64))
-    rep = yang_extension_check(p, z)
+    rep = yang_extension_check(solve_extension(p, [z] * p.k))
     assert rep.passed
+
+
+def _yang_by_second_solve(p, f):
+    """The yang_extension rows by a route of their own: a second solve with f
+    alone and zero fields in the other slots, the solution's full jets, and
+    the fractional Laplacian through its own transforms.  Returns the row
+    values in the check's order, and (restriction, weighted Neumann trace) of
+    each weighted Laplacian power on the resolved modes."""
+    fl, fr, g = p.floor_gamma, float(p.frac_gamma), float(p.gamma)
+    sol = solve_extension(p, [f] + [f.like(np.zeros(f.shape))] * (p.k - 1))
+    mask = sol.resolved_mask().reshape(-1)
+    xi2 = sol.xi2.reshape(-1)[mask]
+    f_hat = sol.data_hat[0].reshape(-1)
+    scale = np.abs(f_hat).max()
+    f_hat = f_hat[mask]
+    jets, traces = sol.solution_jets(), []
+    for _ in range(fl + 1):
+        traces.append((jets.restrict()[mask], jets.restrict_weighted_neumann()[mask]))
+        jets = jets.weighted_laplacian(sol.xi2.reshape(-1))
+    rows = []
+    for j in range(1, fl // 2 + 1):
+        const = math.factorial(fl) / math.factorial(fl - j) * math.gamma(g - j) / math.gamma(g)
+        rows.append(np.abs(traces[j][0] - const * (-xi2) ** j * f_hat).max() / scale)
+    rows += [np.abs(traces[j][1]).max() / scale for j in range(fl - fl // 2)]
+    yang = -2.0 ** (1.0 - 2.0 * fr) * math.factorial(fl) * math.gamma(1.0 - g) / math.gamma(fr)
+    want = fractional_laplacian_fft(f, g).fft().reshape(-1)[mask]
+    rows.append(np.abs(traces[fl][1] / yang - want).max() / np.abs(want).max())
+    return rows, traces
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(4, 3), F(9, 2), F(31, 4)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_yang_rows_match_a_second_solve(gamma, n, monkeypatch):
+    """The check reads the order's solve: U0's coefficients are M1^-1 e_0 f_hat,
+    and the spectral route multiplies f_hat by |xi|^(2 gamma).  Every trace it
+    takes and every row it records match a second solve with f alone within
+    1e-13 of the row's scale."""
+    p = GammaParams(gamma, n=n)
+    shape = (128,) * n
+    data = [gaussian_field(n, shape, 60.0, width=2.0 + 0.4 * i) for i in range(p.k)]
+    rows, traces = _yang_by_second_solve(p, data[0])
+    taken = []
+    for name in ("restrict", "restrict_weighted_neumann"):
+        original = getattr(NumericJets, name)
+        monkeypatch.setattr(NumericJets, name,
+                            lambda self, original=original: taken.append(original(self)) or taken[-1])
+    rep = yang_extension_check(solve_extension(p, data))
+    assert rep.passed, rep.details
+    got = [float(d.split()[-1]) for d in rep.details]
+    assert len(got) == len(rows)
+    assert max(abs(a - b) for a, b in zip(got, rows)) <= 1e-13, (got, rows)
+    scale = np.abs(data[0].fft()).max()
+    assert len(taken) == 2 * len(traces)
+    for new, ref in zip(taken, (t for pair in traces for t in pair)):
+        assert np.abs(new - ref).max() <= 1e-13 * max(scale, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("gamma", [F(4, 3), F(9, 2)])
+def test_yang_report_ignores_the_other_slots(gamma):
+    """U0 reads datum 0 alone: other data in the other slots, each resolved
+    where datum 0 is, leave the report unchanged, byte for byte."""
+    p = GammaParams(gamma)
+    f = gaussian_field(1, (128,), 60.0, width=2.0)
+    others = [[gaussian_field(1, (128,), 60.0, width=w + 0.4 * i) for i in range(1, p.k)]
+              for w in (2.0, 3.5)]
+    others.append([f.like(np.zeros(f.shape))] * (p.k - 1))
+    reports = [yang_extension_check(solve_extension(p, [f] + rest)).to_dict() for rest in others]
+    assert reports[0]["status"] == "pass"
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("gamma", [F(1, 3), F(4, 3), F(5, 2), F(9, 2)])
+def test_yang_extension_sees_a_wrong_unit_matrix(gamma, monkeypatch):
+    """Entry (0, 0) of M1 x (1 + 1e-6), in the solve the check reads: U0
+    misses f by 1e-6, and the fractional-Laplacian row reads 1.0e-6 at every
+    order.  From 5/2 on the interior-trace rows fail against their 1e-8 bound
+    (measured: 2.4e-7 at 5/2, 2.1e-7 and 1.8e-7 at 9/2); at 1/3 and 4/3 there
+    is no interior row, and the error sits at the 1e-6 bound."""
+    _perturb_unit_matrix(monkeypatch, modes.dirichlet_condition_list)
+    p = GammaParams(gamma)
+    data = [gaussian_field(1, (128,), 60.0, width=2.0 + 0.4 * i) for i in range(p.k)]
+    rep = yang_extension_check(solve_extension(p, data))
+    assert rep.max_rel_err == pytest.approx(1e-6, rel=1e-2)
+    if p.floor_gamma >= 2:
+        assert rep.status == "fail"
+        assert any(d.startswith("interior trace") and float(d.split()[-1]) > 1e-7
+                   for d in rep.details)
 
 
 def test_two_dimensional_extension():
