@@ -71,7 +71,6 @@ from .modes import (
     NumericJets,
     T_SERIES,
     T_MAX,
-    all_profiles,
     dirichlet_condition_list,
     neumann_condition_list,
     scattering_orders,
@@ -659,13 +658,9 @@ class ModeFieldView:
         self._boundary = {}
         self._powers = {}
 
-    def atoms(self, pos: int) -> list:
-        """Profile functions of the mode at position pos of self.modes."""
-        return self.laplacian_atoms(pos, 0)
-
     def laplacian_atoms(self, pos: int, j: int) -> list:
-        """(T - |xi|^2)^j applied to each of atoms(pos), each power built once
-        per view."""
+        """(T - |xi|^2)^j applied to each profile function of the mode at
+        position pos of self.modes, each power built once per view."""
         powers = self._powers.setdefault(pos, [])
         while len(powers) <= j:
             powers.append(self._power(pos, len(powers)))
@@ -705,9 +700,10 @@ class SolutionFieldView(ModeFieldView):
     (T - |xi|^2)^j U is sum_i s_i |xi|^(2j) [(T_t - 1)^j P_i](|xi| y),
     so the exact operator algebra runs once per unit and power, when the
     view is built, and every mode's atoms are rescaled copies, built only
-    for the modes that ask.  The jets are the solver's own on the view's
-    modes, so a profile changed after the solve reaches the atoms and the
-    boundary values alike."""
+    for the modes that ask.  The Gram matrices are built from the same
+    units, and the jets are the solver's own on the view's modes, so a
+    profile changed after the solve reaches the atoms, the Gram matrices and
+    the boundary values alike."""
 
     def __init__(self, sol: ExtensionSolution, modes):
         self.sol = sol
@@ -716,11 +712,26 @@ class SolutionFieldView(ModeFieldView):
         super().__init__(sol.params, sol.template, modes, sol.solution_jets(modes), None)
         self._units = _laplacian_powers([_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles],
                                         self.params.k)
+        self._grams = {}
 
     def _power(self, pos: int, j: int) -> list:
         """Each unit's power j rescaled to this mode's |xi| and coefficient."""
         xi = float(self.xi[pos])
         return [unit.rescaled(xi, s, j) for unit, s in zip(self._units[j], self.s[pos]) if s != 0]
+
+    def gram(self, pair) -> np.ndarray:
+        """G_ij = pair(P_i, P_j, |xi| = 1) over the unit-coefficient profiles.
+
+        With t = |xi| y the mode Laplacian is T_y - |xi|^2 = |xi|^2 (T_t - 1), so
+        at |xi| > 0 the pair block of the solution with itself is
+        sum_ij s_i conj(s_j) G_ij |xi|^(2k - m - 1), and 2k - m - 1 = 2 gamma:
+        one matrix per pairing, built by one call of the per-mode quadrature
+        over the view's unit powers and kept on the view.  _block puts
+        |xi|^gamma on each side, so the power never underflows on its own
+        while s is large."""
+        if pair not in self._grams:
+            self._grams[pair] = pair(self._units, self._units, self.params.k, 1.0)
+        return self._grams[pair]
 
 
 def _active_modes(template: GridField, hats) -> np.ndarray:
@@ -837,36 +848,14 @@ def _laplacian_powers(fns: list, k: int) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_gram(params: GammaParams, pair) -> np.ndarray:
-    """G_ij = pair(P_i, P_j, |xi| = 1) over the unit-coefficient profiles.
-
-    With t = |xi| y the mode Laplacian is T_y - |xi|^2 = |xi|^2 (T_t - 1), so
-    at |xi| > 0 the pair block of two extension solutions is
-    sum_ij s_i conj(s'_j) G_ij |xi|^(2k - m - 1), and 2k - m - 1 = 2 gamma:
-    one matrix per order and pairing, built by one call of the per-mode
-    quadrature over all unit profiles.  _block puts |xi|^gamma on each side,
-    so the power never underflows on its own while s is large."""
-    units = _unit_laplacians(params)
-    return pair(units, units, params.k, 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_laplacians(params: GammaParams) -> list:
-    """Laplacian powers 0..k of the unit-coefficient profiles of the order,
-    shared by the Gram matrices of both pairings."""
-    return _laplacian_powers([_profile_atom(prof, 1.0, 1.0) for prof in all_profiles(params)],
-                             params.k)
-
-
 def _block(u: ModeFieldView, v: ModeFieldView, pair) -> complex:
     """Plancherel sum of pair(u powers, v powers) over the modes both views
-    carry; a pair of solution views takes the unit Gram route instead."""
+    carry; two views of one solution take its unit Gram route instead."""
     params, k = u.params, u.params.k
     _, iu, iv = np.intersect1d(u.modes, v.modes, assume_unique=True, return_indices=True)
-    if isinstance(u, SolutionFieldView) and isinstance(v, SolutionFieldView):
+    if isinstance(u, SolutionFieldView) and isinstance(v, SolutionFieldView) and u.sol is v.sol:
         su, sv = (w.s[i] * w.xi[i, None] ** float(params.gamma) for w, i in ((u, iu), (v, iv)))
-        return np.einsum("m,mi,ij,mj->", u.weight[iu], su, _unit_gram(params, pair), np.conj(sv))
+        return np.einsum("m,mi,ij,mj->", u.weight[iu], su, u.gram(pair), np.conj(sv))
     total = 0.0 + 0.0j
     for a, b in zip(iu, iv):
         us = [u.laplacian_atoms(a, j) for j in range(k + 1)]

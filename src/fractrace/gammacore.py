@@ -190,22 +190,6 @@ class ExactConstant:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, ExactConstant):
-            if other.rational_part == 0:
-                raise ZeroDivisionError("division by zero ExactConstant")
-            return ExactConstant(
-                self.rational_part / other.rational_part,
-                self.gamma_ratio_power - other.gamma_ratio_power,
-                self.two_power - other.two_power,
-            )
-        return ExactConstant(
-            self.rational_part / Fraction(other), self.gamma_ratio_power, self.two_power
-        )
-
-    def __neg__(self):
-        return ExactConstant(-self.rational_part, self.gamma_ratio_power, self.two_power)
-
     def canonical(self, frac_gamma: Fraction):
         """Canonical (rational, ratio_power, two_power in [0,1)) for a given [g].
 

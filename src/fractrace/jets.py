@@ -78,13 +78,6 @@ class BoundaryExpr:
         return BoundaryExpr._of((
             {(name, lap + times, hat): c for (name, lap, hat), c in self.nums.items()}, self.den))
 
-    def dilate(self, lam2) -> "BoundaryExpr":
-        """Scale each term by lam2**laplacian_power (boundary dilation bookkeeping)."""
-        p, q = ratmap.ratio(lam2)
-        top = max((key[1] for key in self.nums), default=0)
-        nums = {key: c * p ** key[1] * q ** (top - key[1]) for key, c in self.nums.items()}
-        return BoundaryExpr._of(ratmap.canonical(nums, self.den * q ** top))
-
     def __eq__(self, other):
         return isinstance(other, BoundaryExpr) and self.den == other.den and self.nums == other.nums
 
@@ -139,20 +132,6 @@ class Jet:
             self.truncation,
             tuple(e.scale(c) for e in self.a),
             tuple(e.scale(c) for e in self.b),
-        )
-
-    def dilate(self, lam2) -> "Jet":
-        """Jet of U(lam x, lam y) in terms of the rescaled base symbols:
-        the coefficient at branch order j carrying lap tangential powers picks
-        up lam2^(j - lap) (y powers and x derivatives scale oppositely).  The
-        common lam2^[g] factor of the b branch is left out and reappears in
-        the homogeneity degree of the odd operator family."""
-        lam2 = Fraction(lam2)
-        return Jet(
-            self.params,
-            self.truncation,
-            tuple(self.a[j].dilate(1 / lam2).scale(lam2 ** j) for j in range(self.truncation + 1)),
-            tuple(self.b[j].dilate(1 / lam2).scale(lam2 ** j) for j in range(self.truncation + 1)),
         )
 
 

@@ -418,26 +418,11 @@ class ModeProfile:
             out[zero] = self.lead_series[0]
         return out
 
-    def jets(self, xi_abs: np.ndarray):
-        """Two-branch y-jet coefficient arrays at boundary frequency |xi|.
-
-        The y^(2q) (resp. y^(2{g}+2q)) coefficient of P(|xi| y) for q <= [g],
-        the orders every boundary operator reads.
-        """
-        def order(branch, tau):
-            out = np.zeros_like(xi_abs, dtype=complex)
-            term = self.jet_term(branch, tau, xi_abs)
-            if term is not None:
-                out += term
-            return out
-
-        orders = range(self.params.floor_gamma + 1)
-        return tuple([order(branch, tau) for tau in orders] for branch in (0, 1))
-
     def jet_term(self, branch: int, tau: int, xi_abs: np.ndarray):
-        """The one term of jets(xi_abs) at order tau of branch 0 (a) or 1 (b),
-        series coefficient i times |xi|^(lead + 2i) (or co + 2i), as a float
-        array, or None where the profile has no term."""
+        """The coefficient of P(|xi| y) at y-order tau of branch 0 (y^(2 tau))
+        or 1 (y^(2{g} + 2 tau)): series coefficient i times |xi|^(lead + 2i)
+        (or co + 2i), as a float array, or None where the profile has no
+        term."""
         if branch == self.s:
             i, exponent, series = tau - self.lead_index, self.lead_exponent, self.lead_series
         else:
@@ -510,6 +495,22 @@ class ModeProfile:
 
 def all_profiles(params: GammaParams):
     return [ModeProfile(params, j, kind, nu) for kind, j, nu in scattering_orders(params)]
+
+
+def _combined_order(profiles, coeffs, xi_abs: np.ndarray, branch: int):
+    """The function tau -> sum_i coeffs[:, i] profiles[i].jet_term(branch, tau,
+    xi_abs), order tau of the combination's y-jet in branch 0 or 1 over the
+    modes xi_abs, each order built only when asked for (coeffs broadcasts
+    against xi_abs)."""
+    def order(tau):
+        out = np.zeros(xi_abs.size, dtype=complex)
+        for col, prof in enumerate(profiles):
+            term = prof.jet_term(branch, tau, xi_abs)
+            if term is not None:
+                out += coeffs[:, col] * term
+        return out
+
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +593,7 @@ class ExtensionSolution:
         """
         fr = self.params.frac_gamma
         flat_xi, zero = self._flat_xi()
-        self.m1 = _unit_matrix(self.params, self.conds,
-                               [p.jets(np.ones(1)) for p in self.profiles])
+        self.m1 = _unit_matrix(self.params, self.conds, self.profiles)
         rows = [(FAMILIES.index(family), j) for family, j in self.conds]
         e = np.array([float(2 * sh * fr + 2 * j) for sh, j in rows])
         s = np.linalg.solve(
@@ -625,15 +625,11 @@ class ExtensionSolution:
         array or a slice): each profile's coefficient times its one series
         term at the true |xi|, and the zero mode from the polynomial data."""
         xi_abs, zero = self._flat_xi(modes)
-        s = self.s[modes]
+        combined = _combined_order(self.profiles, self.s[modes], xi_abs, branch)
         zero_vals = self.zero_poly[branch]
 
         def order(tau):
-            out = np.zeros(xi_abs.size, dtype=complex)
-            for col, prof in enumerate(self.profiles):
-                term = prof.jet_term(branch, tau, xi_abs)
-                if term is not None:
-                    out += s[:, col] * term
+            out = combined(tau)
             out[zero] = zero_vals[tau] if tau < zero_vals.size else 0.0
             return out
 
@@ -698,16 +694,17 @@ def dtn_apply(sol: ExtensionSolution, alpha2) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def _unit_matrix(params: GammaParams, conds, unit_jets) -> np.ndarray:
+def _unit_matrix(params: GammaParams, conds, profiles) -> np.ndarray:
     """The k x k matrix at |xi| = 1 whose entry (row, col) applies the row's
-    condition from conds to profile col, given the profiles' jets at
-    |xi| = 1: M1 for dirichlet_condition_list, N1 for neumann_condition_list.
-    The profiles sit side by side in one jet, so each row's operator symbol
-    is built once."""
-    a, b = ([np.concatenate([jet[branch][q] for jet in unit_jets])
-             for q in range(len(unit_jets[0][branch]))] for branch in (0, 1))
+    condition from conds to profile col: M1 for dirichlet_condition_list, N1
+    for neumann_condition_list.  The profiles sit side by side in one jet,
+    profile col alone at position col (coefficients I), so each row's
+    operator symbol is built once."""
+    one = np.ones(len(profiles))
+    a, b = ([order(q) for q in range(params.floor_gamma + 1)]
+            for order in (_combined_order(profiles, np.eye(one.size), one, branch)
+                          for branch in (0, 1)))
     nj = NumericJets(params.floor_gamma, params.frac_gamma, a, b)
-    one = np.ones(len(unit_jets))
     return np.array([nj.apply_boundary(family, j, one) for family, j in conds])
 
 
@@ -716,9 +713,9 @@ def _dtn_matrix(params: GammaParams) -> np.ndarray:
     has profile coefficients M1^-1 e_i, so R[i', i] is its Neumann output in
     slot i'.  Each Neumann output depends on its paired datum alone, so R is
     diagonal."""
-    jets = [p.jets(np.ones(1)) for p in all_profiles(params)]
-    m1 = _unit_matrix(params, dirichlet_condition_list(params), jets)
-    n1 = _unit_matrix(params, neumann_condition_list(params), jets)
+    profiles = all_profiles(params)
+    m1 = _unit_matrix(params, dirichlet_condition_list(params), profiles)
+    n1 = _unit_matrix(params, neumann_condition_list(params), profiles)
     return np.linalg.solve(m1.T, n1.T).T
 
 
@@ -780,15 +777,12 @@ def yang_extension_check(sol: ExtensionSolution, tol_trace: float = 1e-8,
     f_hat = f_hat[mask]
     c = np.linalg.solve(sol.m1, np.eye(len(sol.conds))[0])
 
-    def order(branch, tau):
-        terms = [ci * t for ci, prof in zip(c, sol.profiles)
-                 if (t := prof.jet_term(branch, tau, xi_abs)) is not None]
-        return sum(terms, np.zeros(xi_abs.size, dtype=complex)) * f_hat
-
     # both traces of each weighted Laplacian power on the resolved modes, one
     # power held at a time
     jets = NumericJets(fl, params.frac_gamma,
-                       *([order(branch, tau) for tau in range(fl + 1)] for branch in (0, 1)))
+                       *([order(tau) * f_hat for tau in range(fl + 1)]
+                         for order in (_combined_order(sol.profiles, c[None, :], xi_abs, branch)
+                                       for branch in (0, 1))))
     traces = []
     for _ in range(fl + 1):
         traces.append((jets.restrict(), jets.restrict_weighted_neumann()))

@@ -163,7 +163,6 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     checks.append(rep)
 
     shape = (grid,) * n
-    template = modes.GridField(n, shape, box, np.zeros(shape))
     widths = [2.0 + 0.4 * i for i in range(params.k)]
     data = [modes.gaussian_field(n, shape, box, width=w) for w in widths]
     sol = modes.solve_extension(params, data)
@@ -171,8 +170,8 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     checks.append(modes.yang_extension_check(sol, tol_trace=TOL_DEFAULTS["yang_trace"],
                                              tol_cs=TOL_DEFAULTS["yang_cs"]))
 
-    u = en.random_two_branch_field(params, template, seed=seed)
-    v = en.random_two_branch_field(params, template, seed=seed + 1)
+    u = en.random_two_branch_field(params, sol.template, seed=seed)
+    v = en.random_two_branch_field(params, sol.template, seed=seed + 1)
     checks.append(en.verify_q_symmetry(params, u, v, tol_sym=TOL_DEFAULTS["q_symmetry"]))
 
     if full or gamma in ENERGY_GAMMAS:

@@ -204,10 +204,11 @@ def test_numeric_checks_run_without_lapack(monkeypatch):
 
 
 def _paired_atoms(p):
-    """Every atom the energy checks integrate at order p: the unit profiles'
-    Laplacian powers and a synthetic field's, each with its y derivative."""
+    """Every atom the energy checks integrate at order p: a solution view's
+    unit profile Laplacian powers and a synthetic field's, each with its y
+    derivative."""
     atoms = []
-    for powers in en._unit_laplacians(p):
+    for powers in extension_field_view(solve_extension(p, _gaussian_data(p, 128)))._units:
         atoms += powers
     view = random_two_branch_field(p, GridField(1, (128,), 60.0, np.zeros(128)), seed=0)
     for pos in range(view.modes.size):
@@ -444,7 +445,7 @@ def test_exact_laplacian_matches_fraction_reference(gamma):
     float |xi|^2, and each float term is its exact coefficient rounded once."""
     p, u, _ = _q_symmetry_fields(gamma)
     pos = u.modes.size - 1
-    atom = u.atoms(pos)[0]
+    atom = u.laplacian_atoms(pos, 0)[0]
     want = {F(key, atom.D): (F(c.real), F(c.imag)) for key, c in atom.terms.items()}
     assert _exact_terms(atom) == want
     xi2 = F(float(u.xi2[pos]))
@@ -466,7 +467,7 @@ def test_closed_form_matches_mpmath_at_15_2():
     p, u, v = _q_symmetry_fields("15/2", seed=1)
     mpmath.mp.dps = 50
     pos = 0
-    a, b = u.atoms(pos)[0], v.laplacian_atoms(pos, p.k)[0]
+    a, b = u.laplacian_atoms(pos, 0)[0], v.laplacian_atoms(pos, p.k)[0]
     want = mpmath.mpc(0)
     for ea, (ar, ai) in _exact_terms(a).items():
         for eb, (br, bi) in _exact_terms(b).items():
@@ -574,7 +575,7 @@ for n, grid in ((1, 128), (2, 32), (3, 16)):
         for view in (en.random_two_branch_field(p, template, seed),
                      en.zero_data_perturbation(p, template, seed)):
             terms = [[(str(e), c.real.hex(), c.imag.hex()) for e, c in atom.terms.items()]
-                     for pos in range(view.modes.size) for atom in view.atoms(pos)]
+                     for pos in range(view.modes.size) for atom in view.laplacian_atoms(pos, 0)]
             out.append([view.modes.tolist(), terms])
 print(json.dumps(out))
 """
@@ -683,7 +684,8 @@ def test_gram_route_matches_per_mode_quadrature(gamma):
     solution; the per-mode route leaves up to 1.5e-14 of roundoff in it at
     10/3, so the two routes are compared at the scale of the form.  The
     jets give the boundary values of the per-profile oracle on the view's
-    modes."""
+    modes.  A second solve of the same data is another solution, so its
+    pairs with the first take the per-mode route and read the same."""
     p = GammaParams(gamma)
     sol = solve_extension(p, _gaussian_data(p, 32, box=24.0))
     u = extension_field_view(sol)
@@ -691,13 +693,18 @@ def test_gram_route_matches_per_mode_quadrature(gamma):
     for family, j in dirichlet_condition_list(p) + neumann_condition_list(p):
         want = oracle.apply_boundary(family, j, sol.xi2).reshape(-1)[u.modes]
         assert np.abs(u.boundary_modes(family, j) - want).max() <= 1e-15 * np.abs(want).max()
-    ref = ModeFieldView(p, sol.template, u.modes, u.jets, [u.atoms(pos) for pos in range(u.modes.size)])
+    ref = ModeFieldView(p, sol.template, u.modes, u.jets,
+                        [u.laplacian_atoms(pos, 0) for pos in range(u.modes.size)])
     want = interior_energy(ref, ref)
     assert abs(interior_energy(u, u) - want) <= 1e-12 * abs(want)
     want = q_form(ref, ref)
     assert abs(q_form(u, u) - want) <= 1e-12 * abs(want)
     assert abs(_ul_pair(u, u)) <= 1e-14
     assert abs(_ul_pair(u, u) - _ul_pair(ref, ref)) <= 1e-14 * abs(want)
+    v = extension_field_view(solve_extension(p, sol.data_fields))
+    want = interior_energy(u, u)
+    assert abs(interior_energy(u, v) - want) <= 1e-12 * abs(want)
+    assert not v._grams
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -727,7 +734,6 @@ def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
     monkeypatch.setattr(en, "_pair_matrix", counting)
     counts = []
     for grid in (64, 256):
-        en._unit_gram.cache_clear()
         calls.clear()
         view = extension_field_view(solve_extension(p, _gaussian_data(p, grid)))
         assert dirichlet_principle_check(view).passed
@@ -754,18 +760,16 @@ def test_energy_check_cost_independent_of_grid(monkeypatch):
     quad = en.QUAD_COUNTS
     counts = []
     for grid in (64, 256):
-        en._unit_gram.cache_clear()
-        en._unit_laplacians.cache_clear()
         laps.clear()
         integrals, nodes = quad.integrals, quad.nodes
         view = extension_field_view(solve_extension(p, _gaussian_data(p, grid)))
         assert dirichlet_principle_check(view).passed
         assert energy_trace_check(view).passed
         counts.append((sum(laps), quad.integrals - integrals, quad.nodes - nodes))
-    # k^2 = 9 applications for the Gram matrices and 9 for the one solution
-    # view both checks share
+    # k^2 = 9 applications for the one solution view both checks share, whose
+    # unit powers serve its atoms and its Gram matrices alike
     assert counts[0] == counts[1]
-    assert counts[0][0] == 18 and counts[0][2] > 0
+    assert counts[0][0] == 9 and counts[0][2] > 0
 
 
 def test_energy_checks_share_one_solution_view(monkeypatch):
@@ -808,7 +812,6 @@ def test_pair_lists_hold_one_atom_kind(gamma, monkeypatch):
         return real(us, vs)
 
     monkeypatch.setattr(en, "_pair_matrix", spying)
-    en._unit_gram.cache_clear()   # the Gram matrices' calls must be seen too
     reports = suite._numeric_checks(gamma, 1, 128, 60.0, 0, True)
     assert all(r.passed for r in reports)
     synthetic, bessel = "PolyGaussModeFn", "BesselModeFn"
@@ -832,11 +835,7 @@ def test_cap_hits_fail_each_check(monkeypatch):
     p = GammaParams(F(3, 2))
     view = extension_field_view(solve_extension(p, _gaussian_data(p, 64)))
     monkeypatch.setattr(en, "GJ_CAP", en.GJ_START)
-    en._unit_gram.cache_clear()
-    try:
-        reps = [dirichlet_principle_check(view), energy_trace_check(view)]
-    finally:
-        en._unit_gram.cache_clear()   # drop Gram matrices built at the low cap
+    reps = [dirichlet_principle_check(view), energy_trace_check(view)]
     for rep in reps:
         assert not rep.passed
         hits = _defects(rep, "quadrature cap hits")
@@ -947,9 +946,9 @@ def test_pair_matrix_matches_scipy_quad(gamma):
     (solution against perturbation), 1e-14 or less in every other block."""
     p = GammaParams(gamma)
     m = float(p.m)
-    powers = en._unit_laplacians(p)
     sol = solve_extension(p, _gaussian_data(p, 128))
     u = extension_field_view(sol)
+    powers = u._units
     w = zero_data_perturbation(p, sol.template, 0, 0.1)
     _, iu, iv = np.intersect1d(u.modes, w.modes, assume_unique=True, return_indices=True)
     mid = [a.d_dy() for a in powers[p.k // 2]]
@@ -1067,6 +1066,25 @@ def test_dirichlet_principle_sees_a_wrong_bessel_norm(gamma):
     sol.profiles[0].bessel_norm *= 1.0 + 1e-3
     rep = dirichlet_principle_check(extension_field_view(sol))
     assert max(_defects(rep, "t=")) > 1e-7
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(3, 2), F(5, 2), F(7, 2), F(9, 2)])
+def test_energy_trace_sees_a_wrong_bessel_norm(gamma):
+    """A 1e-3 error in one profile's bessel_norm, set after the solve, reaches
+    the interior energy through the view's Gram matrices, which are built
+    from the solution's own profiles, while dtn_rhs keeps the exact DtN
+    constants: the interior-route row fails the 1e-6 bound at every order.
+    The Bessel chain past T_SERIES still solves the mode equation, so U L^k U
+    stays zero and the boundary-route row does not move.  Measured on
+    verify's grid: 3.7e-5 at 1/2, 4.3e-6 at 3/2, 1.5e-5 at 9/2."""
+    p = GammaParams(gamma)
+    sol = solve_extension(p, _gaussian_data(p, 128))
+    assert energy_trace_check(extension_field_view(sol)).passed
+    sol.profiles[0].bessel_norm *= 1.0 + 1e-3
+    rep = energy_trace_check(extension_field_view(sol))
+    assert _defects(rep, "energy equals DtN sum")[0] <= 1e-14
+    assert _defects(rep, "interior-route energy")[0] > 1e-6
     assert not rep.passed
 
 

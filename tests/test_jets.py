@@ -179,6 +179,24 @@ def test_leading_coefficients_in_operator_algebra():
             assert sym_odd[(j, 0)] == F(-1) ** (j + 1)
 
 
+def _dilate_expr(expr, lam2):
+    """Each term of expr scaled by lam2**laplacian_power (boundary dilation
+    bookkeeping)."""
+    return BoundaryExpr({key: c * lam2 ** key[1] for key, c in expr.terms.items()})
+
+
+def _dilate_jet(jet, lam2):
+    """Jet of U(lam x, lam y) in terms of the rescaled base symbols: the
+    coefficient at branch order j carrying lap tangential powers picks up
+    lam2^(j - lap) (y powers and x derivatives scale oppositely).  The common
+    lam2^[g] factor of the b branch is left out and reappears in the
+    homogeneity degree of the odd operator family."""
+    orders = range(jet.truncation + 1)
+    return Jet(jet.params, jet.truncation,
+               tuple(_dilate_expr(jet.a[j], 1 / lam2).scale(lam2 ** j) for j in orders),
+               tuple(_dilate_expr(jet.b[j], 1 / lam2).scale(lam2 ** j) for j in orders))
+
+
 @pytest.mark.parametrize("gamma", [F(4, 5), F(7, 3), F(7, 2)])
 def test_homogeneity(gamma):
     """Parabolic dilation covariance: B at index 2 alpha is homogeneous of
@@ -191,9 +209,9 @@ def test_homogeneity(gamma):
         if count == 0:
             continue
         jet = make_scattering_jet(p, 0, kind)
-        ops, scaled = boundary_operators(p, jet), boundary_operators(p, jet.dilate(lam2))
+        ops, scaled = boundary_operators(p, jet), boundary_operators(p, _dilate_jet(jet, lam2))
         for (fam, j), op in ops.items():
-            assert scaled[(fam, j)] == op.dilate(1 / lam2).scale(lam2 ** j), (gamma, kind, fam, j)
+            assert scaled[(fam, j)] == _dilate_expr(op, 1 / lam2).scale(lam2 ** j), (gamma, kind, fam, j)
 
 
 def test_above_scattering_range_defined_by_recursion():
@@ -315,10 +333,9 @@ def _clean(terms):
     return {k: c for k, c in terms.items() if c != 0}
 
 
-@given(_expr_terms, _expr_terms, st.fractions(min_value=-3, max_value=3, max_denominator=9),
-       st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9))
+@given(_expr_terms, _expr_terms, st.fractions(min_value=-3, max_value=3, max_denominator=9))
 @settings(max_examples=80, deadline=None)
-def test_expression_layout_matches_fraction_reference(t1, t2, c, lam2):
+def test_expression_layout_matches_fraction_reference(t1, t2, c):
     """Integer numerators over one denominator read back as the Fraction maps
     of every operation, and every result is canonical, so equality stays map
     equality."""
@@ -330,7 +347,6 @@ def test_expression_layout_matches_fraction_reference(t1, t2, c, lam2):
         (e1 - e2, _clean({k: t1.get(k, 0) - t2.get(k, 0) for k in keys})),
         (e1.scale(c), _clean({k: v * c for k, v in t1.items()})),
         (e1.laplacian(2), _clean({(s, lap + 2, h): v for (s, lap, h), v in t1.items()})),
-        (e1.dilate(lam2), _clean({k: v * lam2 ** k[1] for k, v in t1.items()})),
     ]
     for got, want in cases:
         _assert_canonical(got)

@@ -251,10 +251,10 @@ def test_decoupling_rows_see_a_remixed_neumann_output(monkeypatch):
     size = 1e-6 * abs(modes._dtn_matrix(p)[0, 0])
     original = modes._unit_matrix
 
-    def remixed(params, conds, unit_jets):
-        matrix = original(params, conds, unit_jets)
+    def remixed(params, conds, profiles):
+        matrix = original(params, conds, profiles)
         if conds == modes.neumann_condition_list(params):
-            matrix[0] += size * original(params, modes.dirichlet_condition_list(params), unit_jets)[1]
+            matrix[0] += size * original(params, modes.dirichlet_condition_list(params), profiles)[1]
         return matrix
 
     monkeypatch.setattr(modes, "_unit_matrix", remixed)
@@ -337,6 +337,21 @@ def test_per_mode_constant_at_unit_frequency():
     assert extracted[("even", 0)] == pytest.approx(want, rel=1e-8)
 
 
+def _profile_jets(prof, xi_abs):
+    """Oracle: one profile's two-branch y-jet coefficient arrays at boundary
+    frequency |xi|, the y^(2q) (resp. y^(2{g}+2q)) coefficient of P(|xi| y)
+    for q <= [g], the orders every boundary operator reads."""
+    def order(branch, tau):
+        out = np.zeros_like(xi_abs, dtype=complex)
+        term = prof.jet_term(branch, tau, xi_abs)
+        if term is not None:
+            out += term
+        return out
+
+    orders = range(prof.params.floor_gamma + 1)
+    return tuple([order(branch, tau) for tau in orders] for branch in (0, 1))
+
+
 def _per_mode_coeffs(sol):
     """Oracle: the Dirichlet matrix built at every mode's true |xi| from the
     profiles' jets there, solved mode by mode for the s of
@@ -347,7 +362,7 @@ def _per_mode_coeffs(sol):
     k = len(sol.profiles)
     matrix = np.zeros((int(nz.sum()), k, k), dtype=complex)
     for col, prof in enumerate(sol.profiles):
-        nj = NumericJets(fl, fr, *prof.jets(xi[nz]))
+        nj = NumericJets(fl, fr, *_profile_jets(prof, xi[nz]))
         for row, (family, j) in enumerate(sol.conds):
             matrix[:, row, col] = nj.apply_boundary(family, j, xi[nz] ** 2)
     rhs = np.stack([dh.reshape(-1)[nz] for dh in sol.data_hat], axis=-1)
@@ -371,7 +386,7 @@ def test_scaled_solve_matches_per_mode_solve(gamma, n):
 
 
 def _summed_profile_jets(sol):
-    """Oracle: every profile's full two-branch jets from ModeProfile.jets at
+    """Oracle: every profile's full two-branch jets from _profile_jets at
     the true |xi|, summed with the solved coefficients; the zero mode from the
     polynomial data."""
     fl, fr = sol.params.floor_gamma, sol.params.frac_gamma
@@ -382,7 +397,7 @@ def _summed_profile_jets(sol):
     a = [np.zeros(xi.size, dtype=complex) for _ in range(size)]
     b = [np.zeros(xi.size, dtype=complex) for _ in range(size)]
     for col, prof in enumerate(sol.profiles):
-        pa, pb = prof.jets(xi)
+        pa, pb = _profile_jets(prof, xi)
         for q in range(size):
             a[q] += sol.s[:, col] * pa[q]
             b[q] += sol.s[:, col] * pb[q]
@@ -532,8 +547,8 @@ def _perturb_unit_matrix(monkeypatch, condition_list):
     """Scale entry (0, 0) of the |xi| = 1 matrix of condition_list's rows by 1 + 1e-6."""
     original = modes._unit_matrix
 
-    def perturbed(params, conds, unit_jets):
-        matrix = original(params, conds, unit_jets)
+    def perturbed(params, conds, profiles):
+        matrix = original(params, conds, profiles)
         if conds == condition_list(params):
             matrix[0, 0] *= 1 + 1e-6
         return matrix
