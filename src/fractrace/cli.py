@@ -92,10 +92,28 @@ def _check_grid(grid: int, n: int, least: int, requirement: str):
         raise ConfigError(f"--grid {grid} at --n {n} holds more than {MAX_GRID_POINTS} points")
 
 
+def _check_box_and_seed(box: float, seed: int):
+    """--box must be finite and positive, --seed non-negative."""
+    if not (math.isfinite(box) and box > 0):
+        raise ConfigError(f"--box must be a finite positive box length, got {box!r}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+
+
+def _parse_gammas(text: str) -> list:
+    """The distinct orders of a comma-separated --gamma list, in list order
+    (1/2, 0.5 and 2/4 are one order, run once), each validated by GammaParams."""
+    return list(dict.fromkeys(gc.GammaParams(gc.parse_gamma(g)).gamma for g in text.split(",")))
+
+
 def cmd_verify(args) -> int:
+    """Every argument is checked before suite, the jobs' module, loads."""
+    gammas = _parse_gammas(args.gamma)
+    _check_grid(args.grid, args.n, 2, "a power of two >= 2 (a 1-point grid has no mode to perturb)")
+    _check_box_and_seed(args.box, args.seed)
     from . import suite
 
-    return suite.verify(args)
+    return suite.verify(args, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +193,7 @@ def cmd_sharpness(args) -> int:
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise ConfigError(f"--eps must be a finite positive number, got {args.eps!r}")
     _check_grid(args.grid, args.n, 1, "a positive power of two")
-    if not (math.isfinite(args.box) and args.box > 0):
-        raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    _check_box_and_seed(args.box, args.seed)
     if args.box < 200.0 * math.sqrt(args.eps):
         raise ConfigError(f"--box {args.box!r} is too small for --eps {args.eps!r}: the "
                           f"bubble needs at least 200 sqrt(eps) = {200.0 * math.sqrt(args.eps):g}")

@@ -10,8 +10,8 @@ exact rational coefficients (synthetic test fields), or Bessel-type
 expose symbolic application of the weighted mode Laplacian T - |xi|^2,
 branch-split evaluation for small y and direct evaluation elsewhere.
 Boundary values are read off two-branch jets, vectorized over modes, which
-each view takes from where its field is defined: the solver's per-profile
-jet terms, or a synthetic field's coefficient transforms.
+each view takes from where its field is defined: the solver's own boundary
+values, or jets of a synthetic field's coefficient transforms.
 
 Two synthetic atoms pair in closed form, by integral_0^inf y^(2b-1)
 exp(-lam y^2) dy = Gamma(b)/(2 lam^b): each branch-class pair is a sum of
@@ -636,26 +636,24 @@ def _adaptive_gl(left, right, lo: float, hi: float, members) -> np.ndarray:
 
 class ModeFieldView:
     """A real boundary-periodic field presented as per-mode profile functions
-    on its active modes, with its two-branch boundary jets and Plancherel
-    weights.
+    on its active modes, with its boundary values and Plancherel weights.
 
     modes lists the active flat indices of the rfftn half spectrum with a
     nonzero GridField.pair_weights, in ascending order; weight (those pair
-    weights), xi2, the columns of jets (orders 0..[g] of each branch) and
-    the arrays boundary_modes returns are aligned with it, and atoms holds
-    each mode's list of profile functions.  volume is the box's L^n, the
-    factor of every Plancherel sum."""
+    weights), xi2 and the arrays boundary_modes returns are aligned with it.
+    boundary_modes(family, j) is B[family, j] of the field, from the function
+    boundary, each key computed once per view; atoms holds each mode's list
+    of profile functions.  volume is the box's L^n, the factor of every
+    Plancherel sum."""
 
-    def __init__(self, params: GammaParams, template: GridField, modes, jets: NumericJets,
-                 atoms):
+    def __init__(self, params: GammaParams, template: GridField, modes, boundary, atoms):
         self.params = params
         self.modes = np.asarray(modes, dtype=np.int64)
         self.weight = template.pair_weights().reshape(-1)[self.modes]
         self.xi2 = template.xi_abs2().reshape(-1)[self.modes]
         self.volume = template.box_length ** template.n
-        self.jets = jets
+        self.boundary_modes = functools.lru_cache(maxsize=None)(boundary)
         self._atoms = atoms
-        self._boundary = {}
         self._powers = {}
 
     def laplacian_atoms(self, pos: int, j: int) -> list:
@@ -671,13 +669,6 @@ class ModeFieldView:
         if j == 0:
             return self._atoms[pos]
         return [a.weighted_laplacian() for a in self._powers[pos][j - 1]]
-
-    def boundary_modes(self, family: str, j: int) -> np.ndarray:
-        """B[family, j] of the field on each mode, computed once per view."""
-        key = (family, j)
-        if key not in self._boundary:
-            self._boundary[key] = self.jets.apply_boundary(family, j, self.xi2)
-        return self._boundary[key]
 
 
 def _profile_atom(prof: ModeProfile, xi: float, c) -> BesselModeFn:
@@ -701,7 +692,8 @@ class SolutionFieldView(ModeFieldView):
     so the exact operator algebra runs once per unit and power, when the
     view is built, and every mode's atoms are rescaled copies, built only
     for the modes that ask.  The Gram matrices are built from the same
-    units, and the jets are the solver's own on the view's modes, so a
+    units, and the boundary values are the solver's own
+    (ExtensionSolution.boundary_value_modes) on the view's modes, so a
     profile changed after the solve reaches the atoms, the Gram matrices and
     the boundary values alike."""
 
@@ -709,7 +701,8 @@ class SolutionFieldView(ModeFieldView):
         self.sol = sol
         self.s = sol.s[modes]
         self.xi = sol.xi_abs.reshape(-1)[modes]
-        super().__init__(sol.params, sol.template, modes, sol.solution_jets(modes), None)
+        super().__init__(sol.params, sol.template, modes, lambda family, j: (
+            sol.boundary_value_modes(family, j).reshape(-1)[modes]), None)
         self._units = _laplacian_powers([_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles],
                                         self.params.k)
         self._grams = {}
@@ -781,7 +774,8 @@ def _two_branch_gauss_view(params: GammaParams, template: GridField, a_coeffs,
     fl = params.floor_gamma
     jets = NumericJets(fl, params.frac_gamma,
                        *([order(hats, tau) for tau in range(fl + 1)] for hats in (hats_a, hats_b)))
-    return ModeFieldView(params, template, modes, jets, atoms)
+    return ModeFieldView(params, template, modes, functools.partial(jets.apply_boundary, xi2=xi2),
+                         atoms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -937,10 +931,11 @@ def _record_cap_hits(report: VerificationReport, start: int):
     report.record(hits == 0, 0.0, f"quadrature cap hits: {hits}")
 
 
-def verify_q_symmetry(params: GammaParams, u: ModeFieldView, v: ModeFieldView,
+def verify_q_symmetry(u: ModeFieldView, v: ModeFieldView,
                       tol_sym: float = 1e-8) -> VerificationReport:
     """|Q(U,V) - Q(V,U)| small, and Q = interior - boundary correction, both
     relative defects held to tol_sym."""
+    params = u.params
     report = VerificationReport("q_symmetry", str(params), params.n)
     quv = q_form(u, v)
     qvu = q_form(v, u)

@@ -635,14 +635,6 @@ class ExtensionSolution:
 
         return order
 
-    def solution_jets(self, modes=slice(None)) -> NumericJets:
-        """Jets of the assembled solution over the flat modes, all of them
-        (zero mode included) by default."""
-        fl = self.params.floor_gamma
-        a, b = ([order(q) for q in range(fl + 1)]
-                for order in (self._jet_order(branch, modes) for branch in (0, 1)))
-        return NumericJets(fl, self.params.frac_gamma, a, b)
-
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
         """B[family, j] of the solution over all modes.  The operator reads
         branch a (even) or b (odd) up to order j only; each order is built at
@@ -708,15 +700,13 @@ def _unit_matrix(params: GammaParams, conds, profiles) -> np.ndarray:
     return np.array([nj.apply_boundary(family, j, one) for family, j in conds])
 
 
-def _dtn_matrix(params: GammaParams) -> np.ndarray:
-    """R = N1 M1^-1 at |xi| = 1.  The solution with datum one in slot i alone
-    has profile coefficients M1^-1 e_i, so R[i', i] is its Neumann output in
-    slot i'.  Each Neumann output depends on its paired datum alone, so R is
-    diagonal."""
-    profiles = all_profiles(params)
-    m1 = _unit_matrix(params, dirichlet_condition_list(params), profiles)
-    n1 = _unit_matrix(params, neumann_condition_list(params), profiles)
-    return np.linalg.solve(m1.T, n1.T).T
+def _dtn_matrix(sol: ExtensionSolution) -> np.ndarray:
+    """R = N1 M1^-1 at |xi| = 1, from the solution's own profiles and M1.
+    The solution with datum one in slot i alone has profile coefficients
+    M1^-1 e_i, so R[i', i] is its Neumann output in slot i'.  Each Neumann
+    output depends on its paired datum alone, so R is diagonal."""
+    n1 = _unit_matrix(sol.params, neumann_condition_list(sol.params), sol.profiles)
+    return np.linalg.solve(sol.m1.T, n1.T).T
 
 
 def _dtn_diagonal(params: GammaParams, r: np.ndarray) -> dict:
@@ -727,14 +717,16 @@ def _dtn_diagonal(params: GammaParams, r: np.ndarray) -> dict:
             for (family, j), val in zip(dirichlet_condition_list(params), np.real(np.diag(r)))}
 
 
-def verify_dtn_constants(params: GammaParams, tol: float = 1e-8) -> VerificationReport:
+def verify_dtn_constants(sol: ExtensionSolution, tol: float = 1e-8) -> VerificationReport:
     """Bessel-branch extraction against the closed-form constants, and the
     decoupling of N1 M1^-1: in each Neumann row, the largest entry off the
-    diagonal over the diagonal one."""
+    diagonal over the diagonal one.  N1 and M1 come from the solution's own
+    profiles, the ones its solve, its boundary values and its energies use."""
     from .gammacore import dtn_constant  # cross-check only
 
+    params = sol.params
     report = VerificationReport("dtn_bessel_extraction", str(params), params.n)
-    r = _dtn_matrix(params)
+    r = _dtn_matrix(sol)
     for (family, j), got in _dtn_diagonal(params, r).items():
         want = dtn_constant(params, family, j).value(params.frac_gamma)
         rel = abs(got - want) / abs(want)

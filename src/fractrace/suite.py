@@ -29,16 +29,6 @@ from .report import VerificationReport, reports_to_csv, write_atomic, write_json
 ENERGY_GAMMAS = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 
 
-def _parse_gammas(text: str):
-    out = []
-    for piece in text.split(","):
-        g = gc.parse_gamma(piece)
-        params = gc.GammaParams(g)  # validates positivity / non-integrality
-        if params.gamma not in out:   # 1/2, 0.5 and 2/4 are one order, run once
-            out.append(params.gamma)
-    return out
-
-
 def _exact_checks(gamma: Fraction, n: int, seed: int):
     from . import jets, polys
 
@@ -150,29 +140,27 @@ def _numeric_checks(gamma: Fraction, n: int, grid: int, box: float, seed: int, f
     from . import energy as en
 
     params = gc.GammaParams(gamma, n=n)
-    checks = []
-    checks.append(modes.verify_dtn_constants(params, tol=TOL_DEFAULTS["dtn_bessel_extraction"]))
+    shape = (grid,) * n
+    widths = [2.0 + 0.4 * i for i in range(params.k)]
+    data = [modes.gaussian_field(n, shape, box, width=w) for w in widths]
+    # every check reads this one solve: its profiles, its M1, its boundary values
+    sol = modes.solve_extension(params, data)
+    checks = [modes.verify_dtn_constants(sol, tol=TOL_DEFAULTS["dtn_bessel_extraction"])]
 
     rep = VerificationReport("mode_ode_residual", str(params), n)
-    worst = 0.0
-    for prof in modes.all_profiles(params):
+    for prof in sol.profiles:
         res = prof.ode_residual()
-        worst = max(worst, res)
         rep.record(res <= TOL_DEFAULTS["mode_ode_residual"], res,
                    f"profile ({prof.kind},{prof.j}): residual {res:.2e}")
     checks.append(rep)
 
-    shape = (grid,) * n
-    widths = [2.0 + 0.4 * i for i in range(params.k)]
-    data = [modes.gaussian_field(n, shape, box, width=w) for w in widths]
-    sol = modes.solve_extension(params, data)
     checks.append(modes.verify_self_consistency(sol, tol=TOL_DEFAULTS["self_consistency"]))
     checks.append(modes.yang_extension_check(sol, tol_trace=TOL_DEFAULTS["yang_trace"],
                                              tol_cs=TOL_DEFAULTS["yang_cs"]))
 
     u = en.random_two_branch_field(params, sol.template, seed=seed)
     v = en.random_two_branch_field(params, sol.template, seed=seed + 1)
-    checks.append(en.verify_q_symmetry(params, u, v, tol_sym=TOL_DEFAULTS["q_symmetry"]))
+    checks.append(en.verify_q_symmetry(u, v, tol_sym=TOL_DEFAULTS["q_symmetry"]))
 
     if full or gamma in ENERGY_GAMMAS:
         view = en.extension_field_view(sol)
@@ -357,15 +345,9 @@ def _lebedev_milin_job() -> list:
             en.lebedev_milin_check(perturbation=0.5)]
 
 
-def verify(args) -> int:
-    gammas = _parse_gammas(args.gamma)
-    cli._check_grid(args.grid, args.n, 2,
-                    "a power of two >= 2 (a 1-point grid has no mode to perturb)")
-    if not (math.isfinite(args.box) and args.box > 0):
-        raise ConfigError(f"--box must be a finite positive box length, got {args.box!r}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-
+def verify(args, gammas: list) -> int:
+    """Run verify's jobs at the orders gammas, with args checked by
+    cli.cmd_verify."""
     def numeric_checks(*a):   # errstate set in the job's thread, which does not inherit it
         try:
             with np.errstate(over="raise"):

@@ -348,6 +348,84 @@ def test_mode_ode_residual_fails_for_a_wrong_bessel_norm(monkeypatch):
         assert statuses[check] == "pass", check
 
 
+def _fault_after_the_solve(monkeypatch, fault):
+    """Wrap modes.solve_extension so that fault(profile) changes the solve's
+    (even, 0) profile once the solve is done: only a check that reads the
+    solution's own profiles can see it."""
+    real = modes.solve_extension
+
+    def faulted(params, data_fields):
+        sol = real(params, data_fields)
+        fault(sol.profiles[0])
+        return sol
+
+    monkeypatch.setattr(modes, "solve_extension", faulted)
+
+
+def _numeric_report(gamma: str, check: str):
+    g = gc.parse_gamma(gamma)
+    (rep,) = [r for r in suite._numeric_checks(g, 1, 128, 60.0, 0, False) if r.check == check]
+    return rep
+
+
+POST_SOLVE_ORDERS = ["1/3", "4/3", "5/2", "10/3", "9/2"]
+
+
+@pytest.mark.parametrize("gamma", POST_SOLVE_ORDERS)
+def test_mode_ode_residual_reads_the_solves_profiles(gamma, monkeypatch):
+    """A 1e-3 error in the bessel_norm of the solve's (even, 0) profile, set
+    after the solve, fails mode_ode_residual: the suite loops over the
+    solution's profiles, and the seam reads 9.99e-4 against 1e-7.  A second
+    profile set of the suite's own read at most 4.3e-14 here."""
+    def scale(prof):
+        prof.bessel_norm *= 1.0 + 1e-3
+
+    _fault_after_the_solve(monkeypatch, scale)
+    rep = _numeric_report(gamma, "mode_ode_residual")
+    assert rep.status == "fail"
+    assert rep.max_rel_err == pytest.approx(1e-3, rel=1e-2)
+
+
+@pytest.mark.parametrize("gamma", POST_SOLVE_ORDERS)
+def test_dtn_bessel_extraction_reads_the_solves_profiles(gamma, monkeypatch):
+    """The co-branch series of the solve's (even, 0) profile x (1 + 1e-6),
+    set after the solve, fails dtn_bessel_extraction, whose N1 is built from
+    the solution's profiles: it reads 1.00e-6 against 1e-8.  A second profile
+    set of the check's own read at most 2.1e-14 here."""
+    def scale(prof):
+        prof.co_series = prof.co_series * (1.0 + 1e-6)
+
+    _fault_after_the_solve(monkeypatch, scale)
+    rep = _numeric_report(gamma, "dtn_bessel_extraction")
+    assert rep.status == "fail"
+    assert rep.max_rel_err == pytest.approx(1e-6, rel=1e-2)
+
+
+def test_a_numeric_job_builds_one_profile_set_and_one_m1(monkeypatch):
+    """One numeric job at 5/2, both energy checks included, builds its k = 3
+    profiles once and the Dirichlet matrix M1 once, in the solve; every check
+    reads them from the solution (a profile set per check made 9 and 2)."""
+    built, dirichlet = [], []
+    real_init, real_unit = modes.ModeProfile.__post_init__, modes._unit_matrix
+
+    def counting_init(self):
+        built.append((self.kind, self.j))
+        real_init(self)
+
+    def counting_unit(params, conds, profiles):
+        if conds == modes.dirichlet_condition_list(params):
+            dirichlet.append(conds)
+        return real_unit(params, conds, profiles)
+
+    monkeypatch.setattr(modes.ModeProfile, "__post_init__", counting_init)
+    monkeypatch.setattr(modes, "_unit_matrix", counting_unit)
+    reports = suite._numeric_checks(Fraction(5, 2), 1, 128, 60.0, 0, False)
+    assert {"dirichlet_principle", "energy_trace"} <= {r.check for r in reports}
+    assert all(r.passed for r in reports)
+    assert built == [("even", 0), ("even", 1), ("odd", 0)]
+    assert len(dirichlet) == 1
+
+
 def _drawn_order(draw):
     """An order from p/q < 8 with q <= 9, or k +- 10^-e for e in {4, 6, 9, 12}."""
     if draw(st.booleans()):
@@ -653,6 +731,28 @@ def test_verify_rejects_negative_seed(only, tmp_path, capsys):
     _one_line_error(["verify", "--gamma", "1/2", "--only", only, "--seed", "-5",
                      "--out", str(tmp_path / "r.json")], capsys, "--seed")
     assert not (tmp_path / "r.json").exists()
+
+
+# Run in a fresh interpreter: one command's exit code, and whether it loaded suite.
+_LOADS_SUITE = """
+import json, sys
+from fractrace import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "fractrace.suite" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("bad", [["--box", "0"], ["--seed", "-1"], ["--gamma", "0"]])
+def test_verify_rejects_bad_arguments_before_suite_loads(bad, tmp_path):
+    """cli.cmd_verify checks --gamma, --grid, --box and --seed itself: a bad
+    one exits 2 with one error line, and the jobs' module never loads."""
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-c", _LOADS_SUITE,
+                           json.dumps(["verify", *bad, "--out", str(out)])],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [2, False]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def _cpus(monkeypatch, cpus):

@@ -350,7 +350,7 @@ def test_q_symmetry(gamma):
     for seed in (0, 2):
         u = random_two_branch_field(p, template, seed=seed)
         v = random_two_branch_field(p, template, seed=seed + 1)
-        rep = verify_q_symmetry(p, u, v)
+        rep = verify_q_symmetry(u, v)
         assert rep.passed, rep.details
 
 
@@ -359,7 +359,7 @@ def test_q_symmetry_diagonal_routes():
     p = GammaParams(F(7, 3))
     template = GridField(1, (64,), 40.0, np.zeros(64))
     u = random_two_branch_field(p, template, seed=5)
-    rep = verify_q_symmetry(p, u, u)
+    rep = verify_q_symmetry(u, u)
     assert rep.passed
 
 
@@ -375,7 +375,7 @@ def test_q_symmetry_pure_branch_pair():
     (a_u, b_u), (a_v, b_v) = fields
     u = en._two_branch_gauss_view(p, template, [0.0 * c for c in a_u], b_u, 1.0)
     v = en._two_branch_gauss_view(p, template, a_v, [0.0 * c for c in b_v], 1.0)
-    rep = verify_q_symmetry(p, u, v)
+    rep = verify_q_symmetry(u, v)
     assert rep.passed, rep.details
 
 
@@ -488,7 +488,7 @@ def test_q_symmetry_near_integers(gamma):
     """Orders whose Gauss-Jacobi exponent 2[g] - 1 nears -1 once failed this
     row with cap hits, nan and RuntimeWarnings; the closed form has none."""
     p, u, v = _q_symmetry_fields(gamma)
-    rep = verify_q_symmetry(p, u, v)
+    rep = verify_q_symmetry(u, v)
     assert rep.status == "pass", rep.details
     assert math.isfinite(rep.max_rel_err)
 
@@ -516,7 +516,7 @@ def test_q_symmetry_sees_a_wrong_boundary_sign(monkeypatch):
 
     monkeypatch.setattr(en, "_boundary_pairing", flipped)
     p, u, v = _q_symmetry_fields("5/2")
-    rep = verify_q_symmetry(p, u, v)
+    rep = verify_q_symmetry(u, v)
     assert rep.status == "fail"
     assert all(err > 1e-3 for err in _defects(rep, "symmetry defect")
                + _defects(rep, "Q vs interior-minus-correction defect"))
@@ -530,7 +530,7 @@ def test_q_symmetry_holds_both_rows_to_one_bound(monkeypatch):
     scale = abs(en.q_form(u, v)) + abs(en.interior_energy(u, v)) + 1.0
     real = en.boundary_correction
     monkeypatch.setattr(en, "boundary_correction", lambda a, b: real(a, b) + 3e-8 * scale)
-    rep = verify_q_symmetry(p, u, v)
+    rep = verify_q_symmetry(u, v)
     err, = _defects(rep, "Q vs interior-minus-correction defect")
     assert 2e-8 < err < 4e-8
     assert rep.status == "fail"
@@ -555,7 +555,7 @@ def test_q_symmetry_sees_a_wrong_laplacian_coefficient(monkeypatch):
 
     monkeypatch.setattr(en.PolyGaussModeFn, "weighted_laplacian", faulty)
     p, u, v = _q_symmetry_fields("5/2")
-    rep = verify_q_symmetry(p, u, v)
+    rep = verify_q_symmetry(u, v)
     assert done and rep.status == "fail"
     assert rep.max_rel_err > 1e-7
 
@@ -680,11 +680,10 @@ def _gaussian_data(p, grid, box=60.0, n=1):
 def test_gram_route_matches_per_mode_quadrature(gamma):
     """The |xi| = 1 Gram route against the per-mode atom route it replaces: the
     same solution, presented as a plain per-mode view with the solution view's
-    jets, goes through per-mode quadrature.  The U L^k U term is zero for a
+    boundary values, goes through per-mode quadrature.  The U L^k U term is zero for a
     solution; the per-mode route leaves up to 1.5e-14 of roundoff in it at
     10/3, so the two routes are compared at the scale of the form.  The
-    jets give the boundary values of the per-profile oracle on the view's
-    modes.  A second solve of the same data is another solution, so its
+    boundary values are the per-profile oracle's on the view's modes.  A second solve of the same data is another solution, so its
     pairs with the first take the per-mode route and read the same."""
     p = GammaParams(gamma)
     sol = solve_extension(p, _gaussian_data(p, 32, box=24.0))
@@ -693,7 +692,7 @@ def test_gram_route_matches_per_mode_quadrature(gamma):
     for family, j in dirichlet_condition_list(p) + neumann_condition_list(p):
         want = oracle.apply_boundary(family, j, sol.xi2).reshape(-1)[u.modes]
         assert np.abs(u.boundary_modes(family, j) - want).max() <= 1e-15 * np.abs(want).max()
-    ref = ModeFieldView(p, sol.template, u.modes, u.jets,
+    ref = ModeFieldView(p, sol.template, u.modes, u.boundary_modes,
                         [u.laplacian_atoms(pos, 0) for pos in range(u.modes.size)])
     want = interior_energy(ref, ref)
     assert abs(interior_energy(u, u) - want) <= 1e-12 * abs(want)

@@ -23,7 +23,8 @@ FAULTS = {
                               "test_modes.py::test_perturbed_neumann_matrix_fails_only_extraction",
                               "test_cli.py::test_dtn_bessel_extraction_sees_the_odd_trace_chain_at_s0",
                               "test_cli.py::test_gamma_constants_sees_the_odd_constant_at_s0",
-                              "test_modes.py::test_decoupling_rows_see_a_remixed_neumann_output"),
+                              "test_modes.py::test_decoupling_rows_see_a_remixed_neumann_output",
+                              "test_cli.py::test_dtn_bessel_extraction_reads_the_solves_profiles"),
     "energy_trace": ("test_energy.py::test_energy_trace_fails_for_a_wrong_dtn_constant",
                      "test_energy.py::test_energy_trace_sees_a_skewed_gram_power",
                      "test_energy.py::test_energy_trace_sees_a_wrong_bessel_norm",
@@ -35,7 +36,8 @@ FAULTS = {
                         "test_cli.py::test_gamma_constants_sees_the_odd_constant_at_s0"),
     "lebedev_milin": ("test_energy.py::test_lebedev_milin_sees_a_wrong_energy",),
     "mode_ode_residual": ("test_modes.py::test_mode_ode_residual_fails_for_a_broken_profile",
-                          "test_cli.py::test_mode_ode_residual_fails_for_a_wrong_bessel_norm"),
+                          "test_cli.py::test_mode_ode_residual_fails_for_a_wrong_bessel_norm",
+                          "test_cli.py::test_mode_ode_residual_reads_the_solves_profiles"),
     "operators_via_laplacian": ("test_jets.py::test_perturbed_symbol_fails_exact_checks",
                                 "test_cli.py::test_scattering_relations_sees_the_odd_recursion_at_s0"),
     "product_factorization": ("test_polys.py::test_product_factorization_sees_a_wrong_weight",),

@@ -208,13 +208,21 @@ def test_mode_ode_residual_fails_for_a_broken_profile(gamma, perturb):
 # ---------------------------------------------------------------------------
 
 
+def _unit_solve(p):
+    """A solve on zero data over an 8-point grid: its profiles and M1, all
+    the DtN extraction reads, do not depend on the data."""
+    zero = GridField(p.n, (8,) * p.n, 30.0, np.zeros((8,) * p.n))
+    return solve_extension(p, [zero] * p.k)
+
+
 @pytest.mark.parametrize("gamma", BESSEL_GAMMAS)
 def test_dtn_constants_independent_extraction(gamma):
     """Bessel-branch route reproduces the exact constants to 1e-8."""
     p = GammaParams(gamma)
-    rep = verify_dtn_constants(p, tol=1e-8)
+    sol = _unit_solve(p)
+    rep = verify_dtn_constants(sol, tol=1e-8)
     assert rep.passed, rep.details
-    extracted = modes._dtn_diagonal(p, modes._dtn_matrix(p))
+    extracted = modes._dtn_diagonal(p, modes._dtn_matrix(sol))
     for j in range(p.n_even_data):
         assert extracted[("even", j)] == pytest.approx(
             dtn_constant(p, "even", j).value(p.frac_gamma), rel=1e-8)
@@ -236,10 +244,11 @@ def test_dtn_extraction_near_an_integer_order(gamma):
     its rows fail the decoupling bound at 5.0000001 (1.1e-7) and 7.9999999
     (1.1e-4).  Below 1 there is one slot and nothing off the diagonal."""
     p = GammaParams(F(gamma))
-    for (family, j), got in modes._dtn_diagonal(p, modes._dtn_matrix(p)).items():
+    sol = _unit_solve(p)
+    for (family, j), got in modes._dtn_diagonal(p, modes._dtn_matrix(sol)).items():
         want = dtn_constant(p, family, j).value(p.frac_gamma)
         assert abs(got - want) <= 1e-14 * abs(want), (family, j)
-    rep = verify_dtn_constants(p)
+    rep = verify_dtn_constants(sol)
     assert rep.passed == (p.k == 1), rep.details
 
 
@@ -248,7 +257,8 @@ def test_decoupling_rows_see_a_remixed_neumann_output(monkeypatch):
     N1 M1^-1, moves R only at (0, 1): the extracted constants stay at
     roundoff and only the first decoupling row fails, at 1e-6."""
     p = GammaParams(F(10, 3))
-    size = 1e-6 * abs(modes._dtn_matrix(p)[0, 0])
+    sol = _unit_solve(p)
+    size = 1e-6 * abs(modes._dtn_matrix(sol)[0, 0])
     original = modes._unit_matrix
 
     def remixed(params, conds, profiles):
@@ -258,11 +268,11 @@ def test_decoupling_rows_see_a_remixed_neumann_output(monkeypatch):
         return matrix
 
     monkeypatch.setattr(modes, "_unit_matrix", remixed)
-    rep = verify_dtn_constants(p)
+    rep = verify_dtn_constants(sol)
     values = [float(d.split(" ")[-1]) for d in rep.details if d.startswith("row ")]
     assert not rep.passed
     assert values[0] == pytest.approx(1e-6, rel=1e-6) and max(values[1:]) <= 1e-14
-    for (family, j), got in modes._dtn_diagonal(p, modes._dtn_matrix(p)).items():
+    for (family, j), got in modes._dtn_diagonal(p, modes._dtn_matrix(sol)).items():
         want = dtn_constant(p, family, j).value(p.frac_gamma)
         assert abs(got - want) <= 1e-14 * abs(want), (family, j)
 
@@ -332,7 +342,7 @@ def test_poisson_kernel_oracle():
 def test_per_mode_constant_at_unit_frequency():
     # B at the top index over the hat datum equals the closed constant at |xi|=1
     p = GammaParams(F(7, 3))
-    extracted = modes._dtn_diagonal(p, modes._dtn_matrix(p))
+    extracted = modes._dtn_diagonal(p, modes._dtn_matrix(_unit_solve(p)))
     want = dtn_constant(p, "even", 0).value(p.frac_gamma)
     assert extracted[("even", 0)] == pytest.approx(want, rel=1e-8)
 
@@ -528,8 +538,9 @@ def test_perturbed_unit_matrix_fails_both_checks(gamma, n, grid, monkeypatch):
     _perturb_unit_matrix(monkeypatch, modes.dirichlet_condition_list)
     p = GammaParams(gamma, n=n)
     data = [gaussian_field(n, (grid,) * n, 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
-    assert not verify_self_consistency(solve_extension(p, data)).passed
-    assert not verify_dtn_constants(p).passed
+    sol = solve_extension(p, data)
+    assert not verify_self_consistency(sol).passed
+    assert not verify_dtn_constants(sol).passed
 
 
 @pytest.mark.parametrize("gamma", _UNIT_GAMMAS)
@@ -539,8 +550,9 @@ def test_perturbed_neumann_matrix_fails_only_extraction(gamma, monkeypatch):
     _perturb_unit_matrix(monkeypatch, modes.neumann_condition_list)
     p = GammaParams(gamma)
     data = [gaussian_field(1, (128,), 60.0, width=1.5 + 0.3 * i) for i in range(p.k)]
-    assert verify_self_consistency(solve_extension(p, data)).passed
-    assert not verify_dtn_constants(p).passed
+    sol = solve_extension(p, data)
+    assert verify_self_consistency(sol).passed
+    assert not verify_dtn_constants(sol).passed
 
 
 def _perturb_unit_matrix(monkeypatch, condition_list):
@@ -606,8 +618,8 @@ def test_yang_zero_field():
 
 def _yang_by_second_solve(p, f):
     """The yang_extension rows by a route of their own: a second solve with f
-    alone and zero fields in the other slots, the solution's full jets, and
-    the fractional Laplacian through its own transforms.  Returns the row
+    alone and zero fields in the other slots, the solution's full jets (from
+    its _jet_order), and the fractional Laplacian through its own transforms.  Returns the row
     values in the check's order, and (restriction, weighted Neumann trace) of
     each weighted Laplacian power on the resolved modes."""
     fl, fr, g = p.floor_gamma, float(p.frac_gamma), float(p.gamma)
@@ -617,7 +629,9 @@ def _yang_by_second_solve(p, f):
     f_hat = sol.data_hat[0].reshape(-1)
     scale = np.abs(f_hat).max()
     f_hat = f_hat[mask]
-    jets, traces = sol.solution_jets(), []
+    jets = NumericJets(fl, p.frac_gamma, *([order(q) for q in range(fl + 1)]
+                                           for order in (sol._jet_order(b) for b in (0, 1))))
+    traces = []
     for _ in range(fl + 1):
         traces.append((jets.restrict()[mask], jets.restrict_weighted_neumann()[mask]))
         jets = jets.weighted_laplacian(sol.xi2.reshape(-1))
