@@ -34,11 +34,12 @@ left out (see extension_field_view).
 
 The y quadrature works on two lists of atoms at one |xi| at a time
 (_pair_matrix), so each atom is evaluated once per node set for all its
-pairs.  Below the series limits each side's terms fall into classes by
-exponent mod 1, each y^anchor times a polynomial in y, and a pair of classes
-is one integral by the Gauss-Jacobi rule whose weight exponent is the two
-anchors plus m; the class pairs of one exponent share the rule's node sets
-as one matrix product.  The smooth outer region is cut into geometric
+pairs, and each list asks the Bessel kernel once per node set for every
+order its chains need.  Below the series limits each side's terms fall into
+classes by exponent mod 1, each y^anchor times a polynomial in y, and a pair
+of classes is one integral by the Gauss-Jacobi rule whose weight exponent is
+the two anchors plus m; the class pairs of one exponent share the rule's
+node sets as one matrix product.  The smooth outer region is cut into geometric
 panels, each one integral per atom pair by the exponent-0 (Gauss-Legendre)
 rule mapped to it, again as one product.  Every integral doubles its nodes
 until |I_n - I_(n/2)| <= 1e-9 (|I_n| + integral of |f|), the integral of
@@ -318,16 +319,37 @@ class BesselModeFn(_SeriesModeFn):
         terms = {p: c * (s * xi ** (p / D + 2 * j)) for p, c in self.terms.items()}
         return self._derived(terms, xi, s * xi ** (2 * j), lambda nu, ch: ch)
 
-    def eval_outer(self, y: np.ndarray) -> np.ndarray:
+    def eval_outer(self, y: np.ndarray, kernels: dict = None) -> np.ndarray:
+        """The chain at y, reading K_nu and K_(nu-1) from kernels, the
+        _outer_kernels of a list that holds this atom (by default of this
+        atom alone)."""
         out = np.zeros(y.shape, dtype=complex)
         if self.chain is None:
             return out
+        if kernels is None:
+            kernels = _outer_kernels([self], y)
         t = self.xi * y
         nu, pre, terms = self.chain
-        kernels = bessel_k(float(nu), t), bessel_k(float(nu - 1), t)
+        pair = kernels[self.xi, float(nu)], kernels[self.xi, float(nu - 1)]
         for (a, d), c in terms.items():
-            out += pre * float(c) * t ** (a / self.D) * kernels[d]
+            out += pre * float(c) * t ** (a / self.D) * pair[d]
         return out
+
+
+def _outer_kernels(atoms: list, y: np.ndarray) -> dict:
+    """{(xi, order): K_order(xi y)} for the orders nu and nu - 1 of every
+    chain among the Bessel atoms atoms: one bessel_k call per |xi| over all
+    of them, and the atoms of one list share their |xi|."""
+    orders = {}
+    for a in atoms:
+        if a.chain is not None:
+            nu = a.chain[0]
+            orders.setdefault(a.xi, set()).update((float(nu), float(nu - 1)))
+    out = {}
+    for xi, nus in orders.items():
+        nus = sorted(nus)
+        out.update(zip(((xi, nu) for nu in nus), bessel_k(nus, xi * y)))
+    return out
 
 
 def _group_by_class(series: dict, D: int) -> dict:
@@ -483,8 +505,10 @@ def _quadrature_matrix(us: list, vs: list) -> np.ndarray:
     total = _inner_matrix(us, vs, split, m)
     if outer > split * (1.0 + 1e-12):
         def values(atoms, y):
-            return np.array([a.eval_outer(y) if y[0] >= a.series_limit else a.eval_series(y)
-                             for a in atoms])
+            beyond = [y[0] >= a.series_limit for a in atoms]
+            kernels = _outer_kernels([a for a, o in zip(atoms, beyond) if o], y)
+            return np.array([a.eval_outer(y, kernels) if o else a.eval_series(y)
+                             for a, o in zip(atoms, beyond)])
 
         total += _adaptive_gl(lambda y: values(us, y), lambda y: np.conj(values(vs, y)) * y ** m,
                               split, outer, np.ones(total.shape, dtype=bool))
@@ -692,8 +716,8 @@ class SolutionFieldView(ModeFieldView):
     so the exact operator algebra runs once per unit and power, when the
     view is built, and every mode's atoms are rescaled copies, built only
     for the modes that ask.  The Gram matrices are built from the same
-    units, and the boundary values are the solver's own
-    (ExtensionSolution.boundary_value_modes) on the view's modes, so a
+    units, and the boundary values are the solver's own, built on the
+    view's modes alone (ExtensionSolution.boundary_value_flat), so a
     profile changed after the solve reaches the atoms, the Gram matrices and
     the boundary values alike."""
 
@@ -701,8 +725,8 @@ class SolutionFieldView(ModeFieldView):
         self.sol = sol
         self.s = sol.s[modes]
         self.xi = sol.xi_abs.reshape(-1)[modes]
-        super().__init__(sol.params, sol.template, modes, lambda family, j: (
-            sol.boundary_value_modes(family, j).reshape(-1)[modes]), None)
+        super().__init__(sol.params, sol.template, modes,
+                         functools.partial(sol.boundary_value_flat, modes=modes), None)
         self._units = _laplacian_powers([_profile_atom(prof, 1.0, 1.0) for prof in sol.profiles],
                                         self.params.k)
         self._grams = {}
@@ -1075,7 +1099,22 @@ class Bubble:
         for x, c in zip(np.ix_(*axes), self.xi0, strict=True):
             out += (x - c) ** 2
         out += self.epsilon
-        out **= -(self.n - 2.0 * self.gamma_tilde) / 2.0
+        _power_in_place(out, -(self.n - 2.0 * self.gamma_tilde) / 2.0)
+
+
+def _power_in_place(a: np.ndarray, p: float):
+    """a **= p in place.  The exponents verify's sharp check meets at n = 2,
+    gt = 1/2 take cheaper passes than a pow call per element: p = 4 (the
+    quotient's) two squarings, p = -1/2 (the bubble's) a square root and a
+    reciprocal.  Every other p takes the generic power."""
+    if p == 4.0:
+        np.square(a, out=a)
+        np.square(a, out=a)
+    elif p == -0.5:
+        np.sqrt(a, out=a)
+        np.reciprocal(a, out=a)
+    else:
+        a **= p
 
 
 def sphere_volume(n: int) -> float:
@@ -1169,13 +1208,13 @@ class SobolevQuotient:
         for rows in self._blocks:
             bubble.evaluate(self.template, rows, f)
             np.abs(f, out=g)
-            g **= self.p
+            _power_in_place(g, self.p)
             sums[0].append(float(g.sum()))
             for ((lead, tail), _), block_sums in zip(bumps, sums[1:]):
                 np.multiply(lead[rows].reshape((-1,) + (1,) * (n - 1)), tail, out=g)
                 g += f
                 np.abs(g, out=g)
-                g **= self.p
+                _power_in_place(g, self.p)
                 block_sums.append(float(g.sum()))
             np.fft.rfft(f, out=F[rows])
         for axis in range(n - 1):

@@ -394,29 +394,17 @@ class ModeProfile:
 
     def eval(self, t):
         """Profile values; series below the switchover, Bessel kernel above."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        small = (t > 0) & (t < T_SERIES)
-        mid = (t >= T_SERIES) & (t <= T_MAX)
-        if np.any(small):
-            ts = t[small]
-            acc = np.zeros_like(ts)
-            for exponent, series in ((self.lead_exponent, self.lead_series),
-                                     (self.co_exponent, self.co_series)):
-                powers = ts ** float(exponent)
-                poly = np.zeros_like(ts)
-                t2 = ts * ts
-                for c in series[::-1]:
-                    poly = poly * t2 + c
-                acc += powers * poly
-            out[small] = acc
-        if np.any(mid):
-            g = float(self.params.gamma)
-            out[mid] = t[mid] ** g * bessel_k(self.nu_f, t[mid]) / self.bessel_norm
-        zero = t == 0
-        if np.any(zero) and self.lead_exponent == 0:
-            out[zero] = self.lead_series[0]
-        return out
+        return next(_profile_values([self], t))
+
+    def series(self, ts: np.ndarray) -> np.ndarray:
+        """The two branch series at the points ts (a 1-D array), both in
+        Horner form in t^2 at once."""
+        t2 = ts * ts
+        poly = np.zeros((2, ts.size))
+        for c in np.stack((self.lead_series, self.co_series), axis=1)[::-1, :, None]:
+            poly = poly * t2 + c
+        return (ts ** float(self.lead_exponent) * poly[0]
+                + ts ** float(self.co_exponent) * poly[1])
 
     def jet_term(self, branch: int, tau: int, xi_abs: np.ndarray):
         """The coefficient of P(|xi| y) at y-order tau of branch 0 (y^(2 tau))
@@ -436,10 +424,11 @@ class ModeProfile:
         the result is evaluated in floats, so no step size enters.
 
         - Bessel side: d/dt[t^a K_mu] = (a - mu) t^(a-1) K_mu - t^a K_(mu-1)
-          (DLMF 10.29) expands the result into terms t^(gamma-i) K_(nu-j).
-          Only equal (i, j) merge, so the cancellation the ODE demands happens
-          between kernel values at different orders; measured as
-          |sum| / max |term|.
+          (DLMF 10.29) expands the result into terms t^(gamma-i) K_(nu-j)
+          (_bessel_side_terms).  Only equal (i, j) merge, so the cancellation
+          the ODE demands happens between kernel values at different orders,
+          each its own quadrature sum from one bessel_k call over every order
+          and sample; measured as |sum| / max |term|.
         - Series side: T t^p = p(p - 1 + m) t^(p-2) on both branch series.
           Each branch ends at the exact zero p = 0 or p = 2{gamma} of that
           factor, never at a float that leaves residue blowing up as t -> 0;
@@ -451,27 +440,15 @@ class ModeProfile:
         """
         params = self.params
         g, m = float(params.gamma), float(params.m)
-
-        def ddt(terms):
-            out = {}
-            for (i, j), c in terms.items():
-                out[(i + 1, j)] = out.get((i + 1, j), 0.0) + c * ((g - i) - (self.nu_f - j))
-                out[(i, j + 1)] = out.get((i, j + 1), 0.0) - c
-            return out
-
-        terms = {(0, 0): 1.0}
-        for _ in range(params.k):
-            first = ddt(terms)
-            nxt = ddt(first)
-            for (i, j), c in first.items():
-                nxt[(i + 1, j)] = nxt.get((i + 1, j), 0.0) + m * c
-            for key, c in terms.items():
-                nxt[key] = nxt.get(key, 0.0) - c
-            terms = nxt
-        t = BESSEL_SAMPLES
-        kernel = {j: bessel_k(self.nu_f - j, t) for j in {j for _, j in terms}}
-        vals = np.array([c * t ** (g - i) * kernel[j] for (i, j), c in terms.items()])
-        worst = np.max(np.abs(vals.sum(axis=0)) / np.abs(vals).max(axis=0))
+        terms = _bessel_side_terms(params.k, g, self.nu_f, m)
+        # one block: every order nu - j, at the samples and at the seam
+        t = np.append(BESSEL_SAMPLES, T_SERIES)
+        index = np.arange(terms.shape[0])
+        kernel = bessel_k(self.nu_f - index, t)
+        t_powers = t ** (g - index)[:, None]
+        vals = (terms[:, :, None] * t_powers[:, None, :-1]) * kernel[None, :, :-1]
+        worst = np.max(np.abs(vals.sum(axis=(0, 1))) / np.abs(vals).max(axis=(0, 1)))
+        at = t_powers[0, -1] * kernel[0, -1] / self.bessel_norm
 
         t = SERIES_SAMPLES
         stages = np.zeros((params.k + 1, t.size))
@@ -484,13 +461,68 @@ class ModeProfile:
             coeff = np.concatenate([np.zeros(offset), series])
             powers = t[:, None] ** p
             stages[0] += powers @ coeff
+            p1, weight = p[1:], p[1:] - 1.0 + m
             for stage in range(1, params.k + 1):
-                coeff = np.append(coeff[1:] * p[1:] * (p[1:] - 1.0 + m), 0.0) - coeff
+                down = np.zeros(coeff.size)
+                down[:-1] = coeff[1:] * p1 * weight
+                coeff = down - coeff
                 stages[stage] += powers @ coeff
         worst = max(worst, np.max(np.abs(stages[-1]) / np.abs(stages).max(axis=0)))
 
-        below, at = self.eval(np.array([np.nextafter(T_SERIES, 0.0), T_SERIES]))
+        below = self.series(np.array([np.nextafter(T_SERIES, 0.0)]))[0]
         return float(max(worst, abs(below - at) / max(abs(below), abs(at))))
+
+
+def _bessel_side_terms(k: int, g: float, nu: float, m: float) -> np.ndarray:
+    """(T_t - 1)^k t^g K_nu as a (2k+1) x (2k+1) array whose entry [i, j]
+    multiplies t^(g-i) K_(nu-j); each t derivative raises i + j by one, so
+    2k of them stay inside it.  One derivative of the entry [i, j] gives
+    (g - i) - (nu - j) to [i + 1, j] and -1 to [i, j + 1] (DLMF 10.29.2),
+    two shifted array updates."""
+    size = 2 * k + 1
+    i, j = np.indices((size, size), dtype=float)
+    factor = (g - i) - (nu - j)
+
+    def ddt(c):
+        out = np.zeros((size, size))
+        out[1:] = c[:-1] * factor[:-1]
+        out[:, 1:] -= c[:, :-1]
+        return out
+
+    terms = np.zeros((size, size))
+    terms[0, 0] = 1.0
+    for _ in range(k):
+        first = ddt(terms)
+        nxt = ddt(first)
+        nxt[1:] += m * first[:-1]
+        terms = nxt - terms
+    return terms
+
+
+def _profile_values(profiles, t):
+    """Each profile at t in turn (a generator): the branch series below
+    T_SERIES, t^gamma K_nu(t) / bessel_norm from T_SERIES to T_MAX, zero
+    above.  The kernel side is one bessel_k call over every profile's order,
+    with t^gamma formed once: the profiles of one order share gamma."""
+    t = np.asarray(t, dtype=float)
+    small = (t > 0) & (t < T_SERIES)
+    mid = (t >= T_SERIES) & (t <= T_MAX)
+    zero = t == 0
+    ts = t[small]
+    kernel = None
+    if np.any(mid):
+        tm = t[mid]
+        kernel = bessel_k([prof.nu_f for prof in profiles], tm)
+        kernel *= tm ** float(profiles[0].params.gamma)
+    for row, prof in enumerate(profiles):
+        out = np.zeros_like(t)
+        if ts.size:
+            out[small] = prof.series(ts)
+        if kernel is not None:
+            out[mid] = kernel[row] / prof.bessel_norm
+        if prof.lead_exponent == 0:
+            out[zero] = prof.lead_series[0]
+        yield out
 
 
 def all_profiles(params: GammaParams):
@@ -635,14 +667,18 @@ class ExtensionSolution:
 
         return order
 
+    def boundary_value_flat(self, family: str, j: int, modes=slice(None)) -> np.ndarray:
+        """B[family, j] of the solution over the flat modes (an index array
+        or a slice).  The operator reads branch a (even) or b (odd) up to
+        order j only; each order is built at the true |xi| of those modes
+        alone and added into the output before the next is built."""
+        return _apply_symbol(self.params.floor_gamma, self.params.frac_gamma,
+                             family, j, self.xi2.reshape(-1)[modes],
+                             self._jet_order(FAMILIES.index(family), modes))
+
     def boundary_value_modes(self, family: str, j: int) -> np.ndarray:
-        """B[family, j] of the solution over all modes.  The operator reads
-        branch a (even) or b (odd) up to order j only; each order is built at
-        the true |xi| and added into the output before the next is built."""
-        out = _apply_symbol(self.params.floor_gamma, self.params.frac_gamma,
-                            family, j, self.xi2.reshape(-1),
-                            self._jet_order(FAMILIES.index(family)))
-        return out.reshape(self.xi2.shape)
+        """B[family, j] of the solution over all modes, on the half spectrum."""
+        return self.boundary_value_flat(family, j).reshape(self.xi2.shape)
 
     def boundary_value(self, family: str, j: int) -> GridField:
         return GridField.from_modes(self.template, self.boundary_value_modes(family, j))
@@ -651,8 +687,8 @@ class ExtensionSolution:
         """The solution restricted to height y, as a boundary grid field."""
         flat_xi, zero = self._flat_xi()
         out = np.zeros(flat_xi.size, dtype=complex)
-        for col, prof in enumerate(self.profiles):
-            out += self.s[:, col] * prof.eval(flat_xi * y)
+        for s, values in zip(self.s.T, _profile_values(self.profiles, flat_xi * y)):
+            out += s * values
         fr = float(self.params.frac_gamma)
         out[zero] = 0.0
         for sh, coeffs in enumerate(self.zero_poly):

@@ -2,6 +2,7 @@
 classical Wronskian."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from scipy import special
 
 from fractrace import besselk
 from fractrace.besselk import BesselDomainError, bessel_k, bessel_k_dt
+from fractrace.cli import DEFAULT_GAMMAS
+from fractrace.gammacore import GammaParams
+from fractrace.modes import all_profiles
 
 
 def test_half_order_closed_form():
@@ -87,3 +91,47 @@ def test_blocks_agree_with_one_pass(monkeypatch):
     whole = bessel_k_dt(3.25, t)
     monkeypatch.setattr(besselk, "BLOCK", 64)
     np.testing.assert_allclose(bessel_k_dt(3.25, t), whole, rtol=4 * np.finfo(float).eps)
+
+
+def test_an_array_of_orders_gives_one_row_per_order():
+    """An array of orders gives nu.shape + t.shape, and one order in an
+    array is the scalar call's bytes: the same nodes and weights."""
+    t = np.array([[2.0, 2.5, 6.0], [12.0, 24.0, 30.0]])
+    nus = np.array([[0.5, -1.25], [7.75, -9.0]])
+    got = bessel_k(nus, t)
+    assert got.shape == nus.shape + t.shape
+    for idx in np.ndindex(nus.shape):
+        np.testing.assert_allclose(got[idx], bessel_k(float(nus[idx]), t), rtol=1e-15, atol=0)
+    assert bessel_k(nus, 1.0).shape == nus.shape
+    assert bessel_k(nus, np.empty((0, 3))).shape == nus.shape + (0, 3)
+    for nu in ORDERS:
+        assert np.array_equal(bessel_k(np.array([nu]), TS)[0], bessel_k(nu, TS))
+
+
+def _caller_order_sets():
+    """(orders, t) as the profile code asks for them at verify's default and
+    near-cap orders: nu - j for j <= 2k at ode_residual's samples and seam,
+    and every profile's nu on the Bessel window."""
+    window = np.geomspace(2.0, 30.0, 64)
+    for gamma in DEFAULT_GAMMAS + ["11/2", "13/2", "15/2", "31/4"]:
+        profiles = all_profiles(GammaParams(Fraction(gamma)))
+        k = len(profiles)
+        for prof in profiles:
+            yield prof.nu_f - np.arange(2 * k + 1), np.array([2.5, 6.0, 12.0, 24.0, 2.0])
+            yield np.array([prof.nu_f, prof.nu_f - 1.0]), window
+        yield np.array([prof.nu_f for prof in profiles]), window
+
+
+def test_array_rows_match_the_scalar_calls():
+    """Each row of one block is the scalar call to 1e-15 relative on the
+    order sets the profiles ask for; the whole grid below in one block,
+    with the nodes of |nu| = 27 down to t = 1e-4, stays within 16 ulps of
+    the scalar calls (10 measured) and within KERNEL_RTOL of scipy."""
+    for orders, t in _caller_order_sets():
+        rows = bessel_k(orders, t)
+        for nu, row in zip(orders, rows):
+            np.testing.assert_allclose(row, bessel_k(nu, t), rtol=1e-15, atol=0)
+    block = bessel_k(ORDERS, TS)
+    scalar = np.array([bessel_k(nu, TS) for nu in ORDERS])
+    assert np.max(np.abs(block / scalar - 1.0)) <= 16 * np.finfo(float).eps
+    assert np.max(np.abs(block / special.kv(ORDERS[:, None], TS) - 1.0)) <= KERNEL_RTOL

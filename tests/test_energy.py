@@ -13,6 +13,7 @@ import pytest
 from scipy import special
 
 from fractrace import energy as en
+from fractrace import modes
 from fractrace.gammacore import GammaParams
 from fractrace.cli import DEFAULT_GAMMAS
 from fractrace.modes import (
@@ -49,7 +50,7 @@ from fractrace.energy import (
     _ul_pair,
 )
 from test_cli import _child_env
-from test_modes import _summed_profile_jets
+from test_modes import _count_kernel_calls, _summed_profile_jets
 
 
 def full_spectrum(f: GridField):
@@ -717,6 +718,97 @@ def test_view_boundary_values_are_the_solvers(gamma, n):
     for family, j in dirichlet_condition_list(p) + neumann_condition_list(p):
         want = sol.boundary_value_modes(family, j).reshape(-1)[u.modes]
         assert np.abs(u.boundary_modes(family, j) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_view_boundary_values_are_built_on_its_modes(monkeypatch):
+    """At n = 3 the view keeps a fraction of the half spectrum, and its
+    boundary values are built on those modes alone (every symbol applied
+    to arrays of the view's size), bit for bit the whole-spectrum values
+    there."""
+    p = GammaParams(F(5, 2), n=3)
+    sol = solve_extension(p, _gaussian_data(p, 32, n=3))
+    u = extension_field_view(sol)
+    assert u.modes.size < sol.xi2.size
+    sizes = []
+    real = modes._apply_symbol
+
+    def spied(fl, fr, family, j, xi2, order):
+        sizes.append(np.size(xi2))
+        return real(fl, fr, family, j, xi2, order)
+
+    monkeypatch.setattr(modes, "_apply_symbol", spied)
+    keys = dirichlet_condition_list(p) + neumann_condition_list(p)
+    got = {key: u.boundary_modes(*key) for key in keys}
+    assert sizes == [u.modes.size] * len(keys)
+    monkeypatch.undo()
+    for key in keys:
+        assert np.array_equal(got[key], sol.boundary_value_modes(*key).reshape(-1)[u.modes])
+
+
+@pytest.mark.parametrize("gamma", [F(1, 2), F(5, 2), F(10, 3)])
+def test_quadrature_asks_the_kernel_once_per_node_set(gamma, monkeypatch):
+    """Above the series limit every node set of _quadrature_matrix costs one
+    bessel_k call per list of Bessel atoms, over every chain order its atoms
+    need (nu and nu - 1 of each), where each atom asked twice before."""
+    p = GammaParams(gamma)
+    units = [a for j in range(p.k + 1) for a in en._laplacian_powers(
+        [en._profile_atom(prof, 1.0, 1.0) for prof in all_profiles(p)], p.k)[j]]
+    units += [a.d_dy() for a in units]
+    orders = {float(nu) for a in units if a.chain for nu in (a.chain[0], a.chain[0] - 1)}
+    gauss = [PolyGaussModeFn(1.0, p.m, 1.0, {F(0): 1.0, 2 * p.frac_gamma: 0.5})]
+    node_sets = []
+    real_gl = en._adaptive_gl
+
+    def counted_gl(left, right, lo, hi, members):
+        def counted_left(y):
+            node_sets.append(y.size)
+            return left(y)
+        return real_gl(counted_left, right, lo, hi, members)
+
+    monkeypatch.setattr(en, "_adaptive_gl", counted_gl)
+    calls = _count_kernel_calls(monkeypatch, en)
+    for vs, lists in ((gauss, 1), (units, 2)):
+        node_sets.clear()
+        calls.clear()
+        en._quadrature_matrix(units, vs)
+        assert node_sets
+        assert calls == [(len(orders),)] * (lists * len(node_sets))
+
+
+def test_sharp_quotient_squarings_match_the_generic_power(monkeypatch):
+    """At verify's configuration (n = 2, gt = 1/2: p = 4 and the bubble's
+    exponent -1/2) the squarings, square root and reciprocal give every
+    quotient of the check within 1e-14 of the generic power; at n = 3
+    (p = 3, exponent -1) the generic power runs, to the bit."""
+    real_call, real_power = SobolevQuotient.__call__, en._power_in_place
+    quotients, exponents = [], []
+
+    def recorded_call(self, *args, **kwargs):
+        quotients.append(real_call(self, *args, **kwargs))
+        return quotients[-1]
+
+    def recorded_power(a, p):
+        exponents.append(p)
+        real_power(a, p)
+
+    def generic_power(a, p):
+        a **= p
+
+    monkeypatch.setattr(SobolevQuotient, "__call__", recorded_call)
+    monkeypatch.setattr(en, "_power_in_place", recorded_power)
+    sharp_sobolev_check(2, gt=0.5, seed=0)
+    assert set(exponents) == {4.0, -0.5}
+    fast = np.concatenate(quotients)
+    quotients.clear()
+    monkeypatch.setattr(en, "_power_in_place", generic_power)
+    sharp_sobolev_check(2, gt=0.5, seed=0)
+    assert np.allclose(fast, np.concatenate(quotients), rtol=1e-14, atol=0)
+
+    template = GridField(3, (16, 16, 16), 400.0, np.broadcast_to(0.0, (16, 16, 16)))
+    bubble, bumps = Bubble(3, 0.5, epsilon=1.0), [(0.3, (1.0, -2.0, 0.5), 3.0)]
+    want = SobolevQuotient(template, 0.5)(bubble, bumps, tail_p=0.1)
+    monkeypatch.setattr(en, "_power_in_place", real_power)
+    assert SobolevQuotient(template, 0.5)(bubble, bumps, tail_p=0.1) == want
 
 
 def test_dirichlet_principle_cost_independent_of_grid(monkeypatch):
